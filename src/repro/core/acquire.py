@@ -414,7 +414,14 @@ class Acquire:
                 return result
 
             answers: list[RefinedQuery] = []
-            closest: Optional[RefinedQuery] = None
+            # The closest examined query: its (error, qscore) rank and
+            # what it is. A grid point that is not an answer stays
+            # (coords, actual, error, extra_values) until the search
+            # ends, so only answers and the final closest become
+            # RefinedQuery objects; answers and repartition candidates
+            # already are ones, shared with ``answers``.
+            closest_rank: Optional[tuple[float, float]] = None
+            closest: RefinedQuery | tuple | None = None
             # Grid-layer QScores at which answers were recorded, in
             # traversal (hence non-decreasing) order. The stop threshold
             # is the k-th smallest: with top_k=1 this is exactly the
@@ -465,17 +472,19 @@ class Acquire:
                         layer_min_actual = math.inf
                 if stats.grid_queries_examined >= config.max_grid_queries:
                     break
+                # Only what the examination loop can reach under the
+                # query budget, so cells_executed is identical to serial
+                # even when the budget truncates a layer.
+                remaining = (
+                    config.max_grid_queries - stats.grid_queries_examined
+                )
+                reachable = [coords for coords, _ in layer_scored[:remaining]]
                 if config.use_batch:
-                    # Prime only what the examination loop will actually
-                    # reach under the query budget, so cells_executed is
-                    # identical to serial even when the budget truncates a
-                    # layer.
-                    remaining = (
-                        config.max_grid_queries - stats.grid_queries_examined
-                    )
-                    explorer.prime_cells(
-                        [coords for coords, _ in layer_scored[:remaining]]
-                    )
+                    explorer.prime_cells(reachable)
+                # One read of the layer's values: a bulk gather on the
+                # materialized engine, lazy on the others, which compute
+                # a point only when ``next`` pulls it below.
+                values = explorer.compute_aggregates(reachable)
                 for coords, qscore in layer_scored:
                     if qscore > answer_threshold() + _LAYER_EPS:
                         stop = True
@@ -485,7 +494,7 @@ class Acquire:
                         break
                     stats.grid_queries_examined += 1
 
-                    actual = explorer.compute_aggregate(coords)
+                    actual = next(values)
                     primary_error = error_fn(target, actual)
                     if extra_ctx:
                         extra_values, extra_errors = self._extra_aggregates(
@@ -499,18 +508,28 @@ class Acquire:
                         error = primary_error
                     if check_overshoot and not math.isnan(actual):
                         layer_min_actual = min(layer_min_actual, actual)
-                    refined = self._refined_query(
-                        query, space, coords, actual, error,
-                        extra_values=extra_values,
-                    )
-                    closest = _closer(closest, refined)
-
+                    answer = None
                     if error <= config.delta:
+                        answer = self._refined_query(
+                            query, space, coords, actual, error,
+                            extra_values=extra_values,
+                        )
+                    # The traversal's QScore is the one a RefinedQuery of
+                    # this point would carry, so the rank is unchanged.
+                    rank = (error, qscore)
+                    if closest_rank is None or rank < closest_rank:
+                        closest_rank = rank
+                        closest = (
+                            (coords, actual, error, extra_values)
+                            if answer is None else answer
+                        )
+
+                    if answer is not None:
                         logger.debug(
                             "answer at %s: A=%g err=%.4f QScore=%.3f",
                             coords, actual, error, qscore,
                         )
-                        answers.append(refined)
+                        answers.append(answer)
                         answer_layers.append(qscore)
                     elif (
                         constraint.op is ConstraintOp.EQ
@@ -526,7 +545,10 @@ class Acquire:
                             stats,
                         )
                         if candidate is not None:
-                            closest = _closer(closest, candidate)
+                            rank = (candidate.error, candidate.qscore)
+                            if rank < closest_rank:
+                                closest_rank = rank
+                                closest = candidate
                             if candidate.error <= config.delta:
                                 answers.append(candidate)
                                 answer_layers.append(qscore)
@@ -570,6 +592,12 @@ class Acquire:
                 stats.elapsed_s * 1000,
             )
 
+            if isinstance(closest, tuple):
+                coords, actual, error, extra_values = closest
+                closest = self._refined_query(
+                    query, space, coords, actual, error,
+                    extra_values=extra_values,
+                )
             answers.sort(key=lambda a: (a.qscore, a.error))
             return AcquireResult(
                 query=query,

@@ -22,7 +22,7 @@ identity is used (equivalently ``O_i(u) = O_{i-1}(u)``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.core.aggregates import AggState, OSPAggregate
 from repro.core.refined_space import RefinedSpace
@@ -108,6 +108,13 @@ class Explorer:
     def compute_aggregate(self, coords: Sequence[int]) -> float:
         """Finalized aggregate value of the grid query at ``coords``."""
         return self.aggregate.finalize(self.block_state(coords))
+
+    def compute_aggregates(
+        self, coords_list: Sequence[Sequence[int]]
+    ) -> Iterator[float]:
+        """Lazy ``compute_aggregate`` over a layer, one point per pull:
+        a cell executes only when the driver examines its point."""
+        return (self.compute_aggregate(coords) for coords in coords_list)
 
     def block_state(self, coords: Sequence[int]) -> AggState:
         """Aggregate state of the full query at ``coords`` (``O_{d+1}``)."""

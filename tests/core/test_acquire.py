@@ -8,9 +8,12 @@ import pytest
 
 from repro.core.acquire import Acquire, AcquireConfig
 from repro.core.aggregates import AggregateSpec, get_aggregate
+from repro.core.error import default_error_for
+from repro.core.expand import make_traversal
 from repro.core.interval import Interval
 from repro.core.predicate import Direction, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
+from repro.core.refined_space import RefinedSpace
 from repro.core.scoring import LInfNorm, LpNorm
 from repro.engine.catalog import Database
 from repro.engine.expression import col
@@ -147,6 +150,148 @@ class TestClosestFallback:
         )
         assert not result.satisfied
         assert result.stats.grid_queries_examined < 5000
+
+
+@pytest.fixture(scope="module")
+def mirrored_db() -> Database:
+    """Rows mirrored across x = y, so grid points (i, j) and (j, i)
+    share a count and a QScore: ties the closest query must break."""
+    rng = np.random.default_rng(5)
+    a = np.floor(rng.uniform(0, 100, 150))
+    b = np.floor(rng.uniform(0, 100, 150))
+    database = Database()
+    database.create_table(
+        "data", {"x": np.concatenate([a, b]), "y": np.concatenate([b, a])}
+    )
+    return database
+
+
+def _brute_force_closest(database, query, config, examined):
+    """The closest query of an unsatisfiable search, by brute force.
+
+    Walks the search's own traversal over its first ``examined`` grid
+    points, measuring each with a direct box query, and after each
+    overshooting EQ point replays the driver's repartition bisection.
+    Returns every candidate as ``(error, qscore, coords, pscores,
+    actual)`` in examination order; the closest is the first one with
+    the minimal ``(error, qscore)``.
+    """
+    layer = MemoryBackend(database)
+    caps = [config.dim_cap_default] * len(query.refinable_predicates)
+    prepared = layer.prepare(query, caps)
+    useful = layer.useful_max_scores(prepared)
+    space = RefinedSpace(
+        query,
+        config.gamma,
+        [min(cap, score) for cap, score in zip(caps, useful)],
+        config.norm,
+        config.step,
+    )
+    aggregate = query.constraint.spec.aggregate
+    target = query.constraint.target
+    error_fn = default_error_for(query.constraint.op)
+
+    def measure(scores):
+        actual = aggregate.finalize(layer.execute_box(prepared, scores))
+        return error_fn(target, actual), actual
+
+    candidates = []
+    traversal = make_traversal(space, config.traversal)
+    for coords in itertools.islice(traversal, examined):
+        scores = space.scores(coords)
+        error, actual = measure(scores)
+        candidates.append((error, space.qscore(coords), coords, scores, actual))
+        overshoots = (
+            query.constraint.op is ConstraintOp.EQ
+            and error > config.delta
+            and actual > target
+        )
+        if not overshoots or config.repartition_iterations == 0:
+            continue
+        low_scores = tuple(max(score - space.step, 0.0) for score in scores)
+        low, high = 0.0, 1.0
+        for _ in range(config.repartition_iterations):
+            middle = (low + high) / 2.0
+            probe = tuple(
+                lo + middle * (hi - lo)
+                for lo, hi in zip(low_scores, scores)
+            )
+            error, actual = measure(probe)
+            candidates.append(
+                (error, space.qscore_of_scores(probe), None, probe, actual)
+            )
+            if actual > target:
+                high = middle
+            else:
+                low = middle
+    return candidates
+
+
+class TestClosestTieBreak:
+    """``result.closest`` of an unsatisfiable ACQ is the *first*
+    examined query, in traversal order, with the minimal
+    ``(error, qscore)`` — on every Explore engine."""
+
+    @pytest.mark.parametrize("mode", ["incremental", "materialized", "tiled"])
+    @pytest.mark.parametrize("target", [60.5, 90.5, 120.5])
+    def test_first_minimal_grid_point_wins(self, mirrored_db, mode, target):
+        query = count_query("data", {"x": 20.0, "y": 20.0}, target=target)
+        config = AcquireConfig(
+            gamma=10, delta=1e-9, explore_mode=mode, repartition_iterations=0
+        )
+        result = Acquire(MemoryBackend(mirrored_db)).run(query, config)
+        assert not result.satisfied
+        candidates = _brute_force_closest(
+            mirrored_db, query, config, result.stats.grid_queries_examined
+        )
+        best = min(candidate[:2] for candidate in candidates)
+        tied = [c for c in candidates if c[:2] == best]
+        # The mirrored data makes (i, j) and (j, i) tie, so this pins
+        # the tie-break, not just the minimum.
+        assert len(tied) >= 2
+        error, qscore, coords, pscores, actual = tied[0]
+        closest = result.closest
+        assert closest.coords == coords
+        assert (closest.error, closest.qscore) == (error, qscore)
+        assert closest.pscores == pscores
+        assert closest.aggregate_value == actual
+
+    @pytest.mark.parametrize("mode", ["incremental", "materialized", "tiled"])
+    @pytest.mark.parametrize("target", [60.5, 90.5, 120.5])
+    def test_repartition_candidate_wins_on_eq_overshoot(
+        self, mirrored_db, mode, target
+    ):
+        query = count_query("data", {"x": 20.0, "y": 20.0}, target=target)
+        config = AcquireConfig(gamma=10, delta=1e-9, explore_mode=mode)
+        result = Acquire(MemoryBackend(mirrored_db)).run(query, config)
+        assert not result.satisfied
+        assert result.stats.repartition_probes > 0
+        candidates = _brute_force_closest(
+            mirrored_db, query, config, result.stats.grid_queries_examined
+        )
+        probes = sum(1 for c in candidates if c[2] is None)
+        assert probes == result.stats.repartition_probes
+        best = min(candidate[:2] for candidate in candidates)
+        error, qscore, coords, pscores, actual = next(
+            c for c in candidates if c[:2] == best
+        )
+        assert coords is None  # an off-grid bisection probe won
+        closest = result.closest
+        assert closest.coords is None
+        assert (closest.error, closest.qscore) == (error, qscore)
+        assert closest.pscores == pscores
+        assert closest.aggregate_value == actual
+
+
+    @pytest.mark.parametrize("mode", ["incremental", "materialized", "tiled"])
+    def test_satisfied_closest_is_an_answer_object(self, mirrored_db, mode):
+        """When an answer exists the closest query is one of them, and
+        the very same object: no second RefinedQuery is built."""
+        query = count_query("data", {"x": 20.0, "y": 20.0}, target=90)
+        config = AcquireConfig(gamma=10, delta=0.02, explore_mode=mode)
+        result = Acquire(MemoryBackend(mirrored_db)).run(query, config)
+        assert result.satisfied
+        assert any(result.closest is answer for answer in result.answers)
 
 
 class TestNormsAndWeights:

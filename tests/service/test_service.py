@@ -7,6 +7,9 @@ Everything that *executes* an ACQ uses a tiny in-memory workload.
 """
 
 import threading
+import time
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from repro.exceptions import CorpusError, QueryModelError, ServiceError
 from repro.service import (
     AcquireService,
     ServiceConfig,
+    ServiceStats,
     percentile,
     run_closed_loop,
     run_open_loop,
@@ -128,13 +132,8 @@ class _Gate:
         return service._run_admitted_stub()
 
 
-def _stub_run_admitted(instance):
-    """Count a gated request as completed and free its slot."""
-    from types import SimpleNamespace
-
-    with instance._lock:
-        instance._stats.completed += 1
-    instance._slots.release()
+def _stub_result():
+    """The fields of an AcquireResult the load generators read."""
     execution = SimpleNamespace(
         queries_executed=0, rows_scanned=0, cache_hits=0, cache_misses=0,
         fused_passes=0, fused_cells=0,
@@ -142,6 +141,39 @@ def _stub_run_admitted(instance):
     return SimpleNamespace(
         satisfied=True, stats=SimpleNamespace(execution=execution)
     )
+
+
+def _stub_run_admitted(instance):
+    """Count a gated request as completed and free its slot."""
+    with instance._lock:
+        instance._stats.completed += 1
+    instance._slots.release()
+    return _stub_result()
+
+
+class _StallingService:
+    """Stub service: completes every request at once, except that its
+    first ``submit`` (or ``run``) stalls the calling thread."""
+
+    def __init__(self, stall_s: float) -> None:
+        self.stall_s = stall_s
+        self.threads: set[int] = set()
+        self._stalled = threading.Event()
+
+    def stats(self) -> ServiceStats:
+        return ServiceStats()
+
+    def submit(self, query, config=None, *, backend="default") -> Future:
+        self.threads.add(threading.get_ident())
+        if not self._stalled.is_set():
+            self._stalled.set()
+            time.sleep(self.stall_s)
+        future: Future = Future()
+        future.set_result(_stub_result())
+        return future
+
+    def run(self, query, config=None, *, backend="default"):
+        return self.submit(query, config, backend=backend).result()
 
 
 class TestBackpressure:
@@ -313,6 +345,25 @@ class TestLoadgenPrimitives:
         finally:
             gate.release.set()
             instance.close()
+
+    def test_open_loop_times_requests_from_their_due_time(self):
+        """A stalled submit delays every later arrival; their latencies
+        and lags must show it (an open loop that timed from the actual
+        submit, or submitted from a thread per request, would hide it)."""
+        stall_s, gap_s = 0.3, 0.01
+        stub = _StallingService(stall_s)
+        requests = [("default", _query(), AcquireConfig())] * 5
+        report = run_open_loop(stub, requests, inter_arrival_s=gap_s)
+        assert report.completed == 5
+        for record in report.records[1:]:
+            delayed = stall_s - record.index * gap_s
+            assert record.latency_s >= delayed - 0.02, record
+            assert record.lag_s >= delayed - 0.02, record
+            assert record.latency_s >= record.lag_s
+        # The stall delays the requests after it, not the stalled one.
+        assert report.records[0].lag_s < stall_s / 2
+        # Every submit came from the one arrival thread: the caller's.
+        assert stub.threads == {threading.get_ident()}
 
     def test_record_defaults(self):
         record = RequestRecord(index=0, backend="default")
