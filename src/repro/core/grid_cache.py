@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import struct
 import threading
@@ -230,6 +231,9 @@ class PersistentGridCache:
         return header + shape + payload
 
     def _decode(self, data: bytes) -> Optional[np.ndarray]:
+        """The tensor a file holds, or None for any file that does not
+        decode: the crc covers the payload only, so the header is
+        checked field by field."""
         if len(data) < self._HEADER.size:
             return None
         magic, crc, ndim = self._HEADER.unpack_from(data)
@@ -239,13 +243,17 @@ class PersistentGridCache:
         if len(data) < offset:
             return None
         shape = struct.unpack_from(f"<{ndim}q", data, self._HEADER.size)
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        if any(extent < 0 for extent in shape):
+            return None
         payload = data[offset:]
-        if len(payload) != 8 * count:
+        if len(payload) != 8 * math.prod(shape):
             return None
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             return None
-        tensor = np.frombuffer(payload, dtype=np.float64).reshape(shape)
+        try:
+            tensor = np.frombuffer(payload, dtype=np.float64).reshape(shape)
+        except ValueError:  # more dimensions than numpy allows
+            return None
         tensor.flags.writeable = False
         return tensor
 
@@ -583,9 +591,14 @@ class GridTensorCache:
                 return wait_for.tensor, "inflight", None
             # The leader aborted; loop and contend to lead ourselves.
         if self.persistent is not None and persistent_key is not None:
-            tensor = self.persistent.get(persistent_key)
-            if tensor is not None:
-                stored = self._admit(mem_key, tensor)
+            try:
+                tensor = self.persistent.get(persistent_key)
+                stored = None if tensor is None else self._admit(mem_key, tensor)
+            except BaseException:
+                # Waiters would otherwise park on this flight forever.
+                self.abort_flight(key)
+                raise
+            if stored is not None:
                 with self._lock:
                     self.persistent_hits += 1
                     self._flights.pop(mem_key, None)

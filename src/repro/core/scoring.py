@@ -46,7 +46,13 @@ class LpNorm:
         if len(weights) != len(pscores):
             raise QueryModelError("weights/pscores length mismatch")
         if self.p == 1.0:
-            return float(sum(w * abs(x) for w, x in zip(weights, pscores)))
+            # Left to right in dimension order, on every Python version
+            # (``sum`` compensates float sums from 3.12 on): the shell
+            # enumeration in repro.core.expand repeats these operations.
+            total = 0
+            for w, x in zip(weights, pscores):
+                total += w * abs(x)
+            return float(total)
         total = sum(w * abs(x) ** self.p for w, x in zip(weights, pscores))
         return float(total ** (1.0 / self.p))
 

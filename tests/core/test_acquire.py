@@ -1,11 +1,13 @@
 """End-to-end tests for the ACQUIRE driver (paper Algorithm 4)."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from repro.core import expand
 from repro.core.acquire import Acquire, AcquireConfig
 from repro.core.aggregates import AggregateSpec, get_aggregate
 from repro.core.error import default_error_for
@@ -338,6 +340,161 @@ class TestNormsAndWeights:
         # With x expensive, the x-refinement must not exceed the
         # balanced run's.
         assert skewed.best.pscores[0] <= balanced.best.pscores[0] + 1e-9
+
+
+def _weighted_count_query(bounds, weights, target):
+    """COUNT = target over ``data`` with one weighted UPPER predicate
+    per (column, bound)."""
+    query = count_query("data", bounds, target=target)
+    return dataclasses.replace(
+        query,
+        predicates=tuple(
+            predicate.with_weight(weight)
+            for predicate, weight in zip(query.predicates, weights)
+        ),
+    )
+
+
+def _search_space(layer, query, config):
+    """The driver's refined space for ``query`` and its prepared query."""
+    caps = [config.dim_cap_default] * len(query.refinable_predicates)
+    prepared = layer.prepare(query, caps)
+    useful = layer.useful_max_scores(prepared)
+    space = RefinedSpace(
+        query,
+        config.gamma,
+        [min(cap, score) for cap, score in zip(caps, useful)],
+        config.norm,
+        config.step,
+    )
+    return space, prepared
+
+
+class TestWeightedLInf:
+    """Algorithm 2's layers follow the largest coordinate and ignore
+    weights: with weights 5:1 its QScores run 0, 25, 5, ... and the
+    first answer found need not be a minimal one."""
+
+    @pytest.fixture(scope="class")
+    def layer(self):
+        rng = np.random.default_rng(123)
+        database = Database()
+        database.create_table(
+            "data",
+            {"x": rng.uniform(0, 100, 2000), "y": rng.uniform(0, 100, 2000)},
+        )
+        return MemoryBackend(database)
+
+    def test_answers_match_best_first(self, layer):
+        def answers(target, traversal):
+            query = _weighted_count_query(
+                {"x": 30.0, "y": 30.0}, (5.0, 1.0), target
+            )
+            config = AcquireConfig(
+                gamma=10, delta=0.05, norm=LInfNorm(), traversal=traversal
+            )
+            result = Acquire(layer).run(query, config)
+            return [(a.coords, a.qscore, a.error) for a in result.answers]
+
+        for target in range(300, 1351, 50):
+            assert answers(target, "auto") == answers(target, "lp"), target
+
+    def test_ge_answers_are_minimal(self, layer):
+        """COUNT >= target: the answers sit at the smallest QScore of
+        any grid point within delta, found here by brute force."""
+        config = AcquireConfig(
+            gamma=10, delta=0.05, norm=LInfNorm(), repartition_iterations=0
+        )
+        base = _weighted_count_query({"x": 30.0, "y": 30.0}, (5.0, 1.0), 0)
+        space, prepared = _search_space(layer, base, config)
+        counts = {
+            coords: layer.execute_box(prepared, space.scores(coords))[0]
+            for coords in itertools.product(
+                *(range(extent + 1) for extent in space.max_coords)
+            )
+        }
+        error_fn = default_error_for(ConstraintOp.GE)
+        for target in range(300, 1351, 50):
+            query = base.with_constraint(
+                AggregateConstraint(
+                    base.constraint.spec, ConstraintOp.GE, target
+                )
+            )
+            result = Acquire(layer).run(query, config)
+            minimal = min(
+                space.qscore(coords)
+                for coords, count in counts.items()
+                if error_fn(target, count) <= config.delta
+            )
+            assert result.satisfied
+            assert {a.qscore for a in result.answers} == {minimal}, target
+
+
+_ENGINES = {
+    "incremental": {"explore_mode": "incremental"},
+    "materialized": {"explore_mode": "materialized"},
+    "tiled": {"explore_mode": "tiled"},
+    "sharded": {"explore_mode": "tiled", "tile_workers": 2},
+}
+
+
+def _search_record(result):
+    """Everything a search reports that must not depend on how the
+    traversal produced its order: answers, closest and every count."""
+
+    def refined(answer):
+        return (
+            answer.coords,
+            answer.pscores,
+            answer.qscore.hex(),
+            answer.error,
+            answer.aggregate_value,
+        )
+
+    def counts(stats):
+        return {
+            field.name: getattr(stats, field.name)
+            for field in dataclasses.fields(stats)
+            if type(getattr(stats, field.name)) is int
+        }
+
+    return (
+        [refined(answer) for answer in result.answers],
+        refined(result.closest),
+        counts(result.stats),
+        counts(result.stats.execution),
+    )
+
+
+class TestShellsDriveLikeTheHeap:
+    """The L1 shells stand in for the best-first heap without changing
+    a search: same answers, closest and counts on every engine."""
+
+    @pytest.mark.parametrize("engine", sorted(_ENGINES))
+    @pytest.mark.parametrize("max_grid_queries", [500_000, 1410])
+    def test_identical_search(self, grid_db, monkeypatch, engine,
+                              max_grid_queries):
+        # d = 3 makes the step 10/3, whose multiples sum to QScores a
+        # few ulps apart within one rounded layer. The search examines
+        # 1,426 points, past the first shell, and its first answer is
+        # the 1,398th; the budget of 1,410 cuts it between answers.
+        query = _weighted_count_query(
+            {"x": 30.0, "y": 30.0, "z": 30.0}, (1.0, 0.7, 2.0), 700
+        )
+        config = AcquireConfig(
+            gamma=10,
+            delta=0.05,
+            top_k=3,
+            max_grid_queries=max_grid_queries,
+            **_ENGINES[engine],
+        )
+        shells = Acquire(MemoryBackend(grid_db)).run(query, config)
+        monkeypatch.setattr(expand._L1Shells, "for_space", lambda space: None)
+        heap = Acquire(MemoryBackend(grid_db)).run(query, config)
+        assert _search_record(shells) == _search_record(heap)
+        examined = shells.stats.grid_queries_examined
+        assert examined == min(1426, max_grid_queries)
+        assert len(shells.answers) == (3 if examined == 1426 else 1)
 
 
 class TestAggregates:

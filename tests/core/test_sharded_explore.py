@@ -10,8 +10,9 @@ Proves the contracts of ``docs/PARALLELISM.md`` (sharded tiles) and
   and worker counts (hypothesis);
 * a full ACQUIRE run is answer-identical at any worker count;
 * :class:`PersistentGridCache` round-trips tensors through its
-  checksummed file format, detects corruption (truncation, bit flips)
-  as a counted miss that deletes the bad file, never serves a torn
+  checksummed file format, detects corruption (truncation, bit flips,
+  undecodable headers) as a counted miss that deletes the bad file,
+  releases its single-flight when the probe itself fails, never serves a torn
   (unpublished) temp file, enforces its byte budget as LRU across
   instances, and rejects oversized/non-float tensors as counted no-ops;
 * the two-tier :class:`GridTensorCache` promotes persistent hits into
@@ -28,9 +29,11 @@ be defeated by legitimate reassociation.
 """
 
 import os
+import struct
 import textwrap
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -315,6 +318,82 @@ class TestPersistentGridCache:
         assert store.get("k") is None
         assert store.corrupt == 1 and store.misses == 1
         assert not os.path.exists(path), "corrupt file must be deleted"
+
+    @pytest.mark.parametrize("header", ["sign-flipped", "too-many-dims"])
+    def test_undecodable_header_is_a_counted_miss(self, tmp_path, header):
+        """The crc covers the payload only: a header whose shape passes
+        the length check but cannot be decoded is corruption too."""
+        store = PersistentGridCache(str(tmp_path))
+        path = store.file_for("k")
+        # Shape (-2, -3) has the right product; numpy allows 64 dims.
+        shape = (-2, -3) if header == "sign-flipped" else (1,) * 65
+        payload = np.ones(abs(int(np.prod(shape)))).tobytes()
+        with open(path, "wb") as handle:
+            handle.write(
+                store._HEADER.pack(
+                    store.MAGIC, zlib.crc32(payload) & 0xFFFFFFFF, len(shape)
+                )
+                + struct.pack(f"<{len(shape)}q", *shape)
+                + payload
+            )
+        assert store.get("k") is None
+        assert store.corrupt == 1 and store.misses == 1
+        assert not os.path.exists(path), "corrupt file must be deleted"
+
+    def test_failed_probe_releases_the_flight(self, tmp_path):
+        """A leader whose persistent probe raises must abort its flight:
+        a thread parked on it wakes and leads, and later lookups of the
+        key do not wait at all."""
+        probing, release = threading.Event(), threading.Event()
+
+        class FailingOnce(PersistentGridCache):
+            calls = 0
+
+            def get(self, key):
+                FailingOnce.calls += 1
+                if FailingOnce.calls == 1:
+                    probing.set()
+                    release.wait(5.0)
+                    raise OSError("disk gone")
+                return super().get(key)
+
+        cache = GridTensorCache(persistent=FailingOnce(str(tmp_path)))
+        key = TensorKey(memory=("m",), persistent=("p",))
+        outcomes: dict = {}
+
+        def lookup(name):
+            try:
+                outcomes[name] = cache.lookup_or_lead(key)
+            except OSError as error:
+                outcomes[name] = error
+
+        leader = threading.Thread(
+            target=lookup, args=("leader",), daemon=True
+        )
+        leader.start()
+        assert probing.wait(5.0)
+        waiter = threading.Thread(
+            target=lookup, args=("waiter",), daemon=True
+        )
+        waiter.start()
+        deadline = time.monotonic() + 5.0
+        while cache.inflight_waits == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        leader.join(5.0)
+        waiter.join(5.0)
+        assert not leader.is_alive() and not waiter.is_alive()
+        assert isinstance(outcomes["leader"], OSError)
+        tensor, tier, flight = outcomes["waiter"]
+        assert tensor is None and tier is None and flight is not None
+        cache.complete_flight(key, np.ones(3))
+        later = threading.Thread(
+            target=lookup, args=("later",), daemon=True
+        )
+        later.start()
+        later.join(5.0)
+        assert not later.is_alive()
+        assert outcomes["later"][1] == "memory"
 
     def test_torn_publish_never_served(self, tmp_path):
         """A crash between temp write and rename leaves only a .tmp
