@@ -8,10 +8,9 @@ install:
 test:
 	pytest tests/
 
-# Tier-1 minus the slow corpus/differential tests (docs/CORPUS.md)
-# and the worker-process-pool suites (spawn cost dominates).
+# Tier-1 minus the slow corpus/differential tests (docs/CORPUS.md).
 test-fast:
-	pytest tests/ -m "not slow and not procpool"
+	pytest tests/ -m "not slow"
 
 # Coverage floor on the refinement core + SQL extension (CI enforces
 # it with pytest-cov installed; skipped locally when the plugin is
@@ -26,9 +25,9 @@ test-cov:
 	fi
 
 # Quality-regression gate: replays every committed gold-standard
-# triple (tests/corpus/data/corpus_manifest.json) through all four
-# explore backends and asserts 100% oracle-optimality plus stable
-# top-k rankings. See docs/CORPUS.md.
+# triple (tests/corpus/data/corpus_manifest.json) through the
+# incremental, materialized and tiled Explore engines and asserts 100%
+# oracle-optimality plus stable top-k rankings. See docs/CORPUS.md.
 corpus-gate:
 	PYTHONPATH=src python -m repro.corpus gate
 
@@ -68,12 +67,9 @@ bench:
 bench-smoke:
 	python benchmarks/smoke.py
 
-# Sharded-tile + persistent-cache gates only: bit-identical block
-# states at every worker count on both executor tiers (thread and
-# process), wall-clock sanity vs serial, the GIL-escape speedup gate
-# on >=4-core hosts, and a warm cross-process cache run issuing
-# strictly fewer backend queries (regression-guarded by
-# BENCH_parallel_baseline.json).
+# Persistent-cache gates only: a warm cross-process cache run answers
+# like the cold one while issuing strictly fewer backend queries
+# (regression-guarded by BENCH_parallel_baseline.json).
 bench-parallel:
 	python benchmarks/smoke.py --parallel-only
 

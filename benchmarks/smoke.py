@@ -22,33 +22,21 @@ dependencies (no pytest-benchmark).
    records hits, that it issues *strictly fewer* backend queries than
    the uncached arm, and that its query total has not regressed above
    the checked-in ``BENCH_cache_baseline.json``.
-4. ``sharded_tiles`` + ``persistent_cache`` (the ``bench-parallel``
-   job; ``--parallel-only`` runs just these) — writes
-   ``BENCH_parallel.json`` and checks that the sharded tiled arm is
-   bit-identical to serial at every worker count on *both* executor
-   tiers (thread and process), that the thread arm is no slower than
-   ``WALL_CLOCK_SLACK``x serial wall-clock, that process arms really
-   ran on the process tier with zero runtime fallbacks, that — on
-   hosts with at least ``PROCESS_GATE_CORES`` cores — the 4-worker
-   process arm beats serial on the memory backend by
-   ``MIN_PROCESS_SPEEDUP``x (the GIL-escape gate), and that the warm
-   persistent-cache process answers identically to the cold one while
-   issuing *strictly fewer* backend queries; the warm arm's query
-   total is regression-guarded by the checked-in
-   ``BENCH_parallel_baseline.json``.
+4. ``persistent_cache`` (the ``bench-parallel`` job;
+   ``--parallel-only`` runs just this) — writes ``BENCH_parallel.json``
+   and checks that the warm persistent-cache process answers
+   identically to the cold one while issuing *strictly fewer* backend
+   queries; the warm arm's query total is regression-guarded by the
+   checked-in ``BENCH_parallel_baseline.json``.
 5. ``service_load`` (the ``bench-service`` job; ``--service-only``
    runs just this) — writes ``BENCH_service.json`` and checks that the
    closed-loop arm completed every request with none rejected, that —
-   on hosts with at least ``PROCESS_GATE_CORES`` cores — throughput
+   on hosts with at least ``SCALING_GATE_CORES`` cores — throughput
    at 4 service workers is at least ``MIN_SERVICE_SPEEDUP``x the
    1-worker arm on the sqlite backend, that the corpus arms report
-   cross-request shared-cache hits (the dedupe gate), that the
-   duplicate-heavy fused arm completes every request with zero
-   rejections, ``fused_passes > 0``, and strictly fewer backend
-   queries than its unfused twin (the cross-query fusion gate), and
-   that the serial corpus replay's deterministic backend-query total
-   has not regressed above the checked-in
-   ``BENCH_service_baseline.json``.
+   cross-request shared-cache hits (the dedupe gate), and that the
+   serial corpus replay's deterministic backend-query total has not
+   regressed above the checked-in ``BENCH_service_baseline.json``.
 
 Usage::
 
@@ -73,41 +61,14 @@ EXPLORE_MODES = ("serial", "batched", "materialized", "auto")
 #: Required round-trip reduction of materialized vs serial Explore.
 MIN_SPEEDUP = 5
 
-#: Wall-clock tolerance for the sharded tiled arm vs serial. At CI
-#: scale a tile is a handful of milliseconds, so thread-pool overhead
-#: can eat most of the overlap win; the gate only has to prove
-#: sharding is not a slowdown, hence a noise allowance rather than a
-#: demanded speedup. On a single-core machine threads *cannot* beat
-#: serial — there the gate degrades to a sanity bound that still
-#: catches pathological serialization (a lock bug turning overlap
-#: into convoying). The *deterministic* gates — bit-identical
-#: answers, strictly fewer warm-cache queries — carry no slack at
-#: all.
-WALL_CLOCK_SLACK = 1.25
-# On one core the bound is a pure sanity check (threads cannot win);
-# at tens-of-ms arm durations scheduler jitter alone reaches ~2x, so
-# the single-core bound is deliberately loose — it exists to catch
-# convoying (10x-style blowups), not contention noise.
-SINGLE_CORE_SLACK = 2.5
-
-#: The process tier's comparative gates only bind on hosts with at
-#: least this many cores: below that, worker processes time-slice one
-#: core and IPC overhead is all the tier can show, so wall-clock
-#: comparisons measure the scheduler, not the engine. The exact gates
-#: (bit-identical answers, tile_executor == 'process', zero
-#: fallbacks) bind everywhere.
-PROCESS_GATE_CORES = 4
-
-#: Required wall-clock speedup of the 4-worker process arm over the
-#: single-worker serial arm on the memory backend, enforced only on
-#: hosts with >= PROCESS_GATE_CORES cores. Threads cannot deliver
-#: this on that backend (pure-Python tile fetches hold the GIL);
-#: processes must.
-MIN_PROCESS_SPEEDUP = 1.5
+#: The service worker-scaling gate only binds on hosts with at least
+#: this many cores: below that, worker threads time-slice one core and
+#: a throughput comparison measures the scheduler, not the engine.
+SCALING_GATE_CORES = 4
 
 #: Required closed-loop throughput ratio of the 4-worker service over
 #: the 1-worker service on the sqlite backend, enforced only on hosts
-#: with >= PROCESS_GATE_CORES cores. SQLite's C execution drops the
+#: with >= SCALING_GATE_CORES cores. SQLite's C execution drops the
 #: GIL, so service worker threads overlap real backend work; on a
 #: single core the same threads merely time-slice and the ratio
 #: measures the scheduler.
@@ -119,10 +80,6 @@ def _cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
-
-
-def _wall_clock_slack() -> float:
-    return SINGLE_CORE_SLACK if _cores() <= 1 else WALL_CLOCK_SLACK
 
 
 def _check_layers(payload: dict) -> list[str]:
@@ -301,105 +258,16 @@ def _check_cache_baseline(payload: dict, baseline_path: str) -> list[str]:
 
 
 def _check_parallel(payload: dict) -> list[str]:
-    """Gates for the sharded-tile and persistent-cache arms.
-
-    Answers must be bit-identical across worker counts, executor
-    tiers, and processes (exact gates); the sharded thread arm may not
-    exceed ``WALL_CLOCK_SLACK`` times the serial arm's wall-clock
-    (noise-tolerant gate); process arms must actually run on the
-    process tier with zero runtime fallbacks (exact gate), and — only
-    on hosts with at least ``PROCESS_GATE_CORES`` cores — the
-    4-worker process arm must beat the serial arm on the memory
-    backend by ``MIN_PROCESS_SPEEDUP``x (the GIL-escape gate); the
-    warm process must issue strictly fewer backend queries than the
-    cold one (exact gate).
-    """
+    """Gates for the persistent-cache arms: the warm process must
+    answer identically to the cold one and issue strictly fewer
+    backend queries, with at least one persistent-tier hit (exact
+    gates)."""
     failures = []
-    sharded: dict[tuple[str, str], dict[int, dict]] = {}
     arms: dict[str, dict] = {}
     for row in payload["rows"]:
         parts = row["method"].split("/")
-        if (
-            len(parts) == 3
-            and parts[2].startswith("w")
-            and parts[2][1:].isdigit()
-        ):
-            key = (parts[0], parts[1])
-            sharded.setdefault(key, {})[int(parts[2][1:])] = row
-        elif len(parts) == 2 and parts[1] in ("cold", "warm"):
+        if len(parts) == 2 and parts[1] in ("cold", "warm"):
             arms[parts[1]] = row
-    if not sharded:
-        failures.append("sharded rows missing from JSON")
-    cores = _cores()
-    for (backend, executor), per_worker in sorted(sharded.items()):
-        label = f"{backend}/{executor}"
-        if 1 not in per_worker or len(per_worker) < 2:
-            failures.append(
-                f"{label}: need a serial and a sharded arm, got "
-                f"workers {sorted(per_worker)}"
-            )
-            continue
-        qscores = {w: row["qscore"] for w, row in per_worker.items()}
-        if len(set(qscores.values())) != 1:
-            failures.append(
-                f"{label}: worker counts disagree on answer: {qscores}"
-            )
-        serial_ms = per_worker[1]["time_ms"]
-        slack = _wall_clock_slack()
-        for workers, row in per_worker.items():
-            if workers == 1:
-                continue
-            if not row["extra"].get("identical_to_serial", False):
-                failures.append(
-                    f"{label}/w{workers}: block states diverged from "
-                    "the serial explorer"
-                )
-            if row["extra"].get("parallel_tiles", 0) < 1:
-                failures.append(
-                    f"{label}/w{workers}: no tiles went through the "
-                    "scheduler"
-                )
-            if executor == "process":
-                if row["extra"].get("tile_executor") != "process":
-                    failures.append(
-                        f"{label}/w{workers}: ran on "
-                        f"{row['extra'].get('tile_executor')!r} instead "
-                        "of the process tier"
-                    )
-                if row["extra"].get("process_tiles", 0) < 1:
-                    failures.append(
-                        f"{label}/w{workers}: no tiles crossed the "
-                        "process boundary"
-                    )
-                if row["extra"].get("process_fallbacks", 0):
-                    failures.append(
-                        f"{label}/w{workers}: "
-                        f"{row['extra']['process_fallbacks']} tiles fell "
-                        "back in-process (pool unhealthy)"
-                    )
-            if executor == "process" and cores < PROCESS_GATE_CORES:
-                continue  # wall-clock gates need real parallel cores
-            if row["time_ms"] > serial_ms * slack:
-                failures.append(
-                    f"{label}/w{workers}: sharded arm too slow — "
-                    f"{row['time_ms']:.1f}ms vs {serial_ms:.1f}ms serial "
-                    f"(allowed {slack}x)"
-                )
-    process_w4 = sharded.get(("memory", "process"), {}).get(4)
-    serial_w1 = sharded.get(("memory", "thread"), {}).get(1)
-    if (
-        cores >= PROCESS_GATE_CORES
-        and process_w4 is not None
-        and serial_w1 is not None
-        and process_w4["time_ms"] * MIN_PROCESS_SPEEDUP
-        > serial_w1["time_ms"]
-    ):
-        failures.append(
-            "GIL-escape gate: memory/process/w4 took "
-            f"{process_w4['time_ms']:.1f}ms vs "
-            f"{serial_w1['time_ms']:.1f}ms serial — need "
-            f"{MIN_PROCESS_SPEEDUP}x on a {cores}-core host"
-        )
     if "cold" not in arms or "warm" not in arms:
         failures.append(f"persistent-cache arms missing: {sorted(arms)}")
         return failures
@@ -456,24 +324,17 @@ def _check_service(payload: dict) -> list[str]:
 
     The closed-loop sweep must complete every request with none
     rejected and report latency percentiles (exact gates); on hosts
-    with at least ``PROCESS_GATE_CORES`` cores the 4-worker arm must
+    with at least ``SCALING_GATE_CORES`` cores the 4-worker arm must
     sustain ``MIN_SERVICE_SPEEDUP``x the 1-worker throughput on the
     sqlite backend (the worker-scaling gate). The corpus arms must
     report cross-request shared-cache hits — the serial replay
     deterministically (its duplicates re-read tensors their originals
     cached), the open-loop arm as the live demonstration of dedupe
     under concurrent arrival.
-
-    The fusion pair gates the cross-query coalescer: the fused arm
-    must complete every request with zero rejections, report
-    ``fused_passes > 0`` (merged passes actually served multiple
-    requests), and issue *strictly fewer* backend queries than the
-    unfused arm at equal workers.
     """
     failures = []
     closed: dict[int, dict] = {}
     corpus: dict[str, dict] = {}
-    fusion: dict[str, dict] = {}
     for row in payload["rows"]:
         if row["method"].startswith("service/closed/"):
             closed[int(row["x_value"])] = row
@@ -481,10 +342,6 @@ def _check_service(payload: dict) -> list[str]:
             corpus["open"] = row
         elif row["method"] == "service/serial/corpus":
             corpus["serial"] = row
-        elif row["method"] == "service/fused/corpus":
-            fusion["fused"] = row
-        elif row["method"] == "service/unfused/corpus":
-            fusion["unfused"] = row
     if not closed:
         failures.append("closed-loop service rows missing from JSON")
     for workers, row in sorted(closed.items()):
@@ -509,7 +366,7 @@ def _check_service(payload: dict) -> list[str]:
     cores = _cores()
     one, four = closed.get(1), closed.get(4)
     if (
-        cores >= PROCESS_GATE_CORES
+        cores >= SCALING_GATE_CORES
         and one is not None
         and four is not None
         and four["extra"]["throughput_rps"]
@@ -537,34 +394,6 @@ def _check_service(payload: dict) -> list[str]:
                     f"service/{arm}/corpus: no cross-request shared-cache "
                     "hits — duplicate requests did not dedupe"
                 )
-    for arm in ("fused", "unfused"):
-        if arm not in fusion:
-            failures.append(f"service/{arm}/corpus row missing from JSON")
-    if len(fusion) == 2:
-        fused, unfused = fusion["fused"], fusion["unfused"]
-        extra = fused["extra"]
-        if extra.get("rejected", 0):
-            failures.append(
-                f"service/fused/corpus: {extra['rejected']} requests "
-                "rejected — the fused arm admits with the wait policy"
-            )
-        if extra.get("completed", 0) != extra.get("requests", -1):
-            failures.append(
-                f"service/fused/corpus: only {extra.get('completed')} of "
-                f"{extra.get('requests')} requests completed"
-            )
-        if extra.get("fused_passes", 0) < 1:
-            failures.append(
-                "service/fused/corpus: fused_passes is 0 — no merged "
-                "pass served multiple in-flight requests"
-            )
-        if fused["queries"] >= unfused["queries"]:
-            failures.append(
-                "cross-query fusion gate: fused arm issued "
-                f"{fused['queries']} backend queries vs "
-                f"{unfused['queries']} unfused — fusion must be "
-                "strictly fewer at equal workers"
-            )
     return failures
 
 
@@ -722,7 +551,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--parallel-only",
         action="store_true",
-        help="run only the sharded-tile / persistent-cache section",
+        help="run only the persistent-cache section",
     )
     parser.add_argument(
         "--service-only",
@@ -737,7 +566,6 @@ def main(argv=None) -> int:
         grid_cache_sweep,
         persistent_cache,
         service_load,
-        sharded_tiles,
     )
     from repro.harness.metrics import ExperimentResult
     from repro.harness.report import render_rows, save_json
@@ -747,8 +575,8 @@ def main(argv=None) -> int:
     if args.parallel_only or args.service_only:
         if args.parallel_only:
             failures += _run_parallel(
-                args, sharded_tiles, persistent_cache, ExperimentResult,
-                render_rows, save_json,
+                args, persistent_cache, ExperimentResult, render_rows,
+                save_json,
             )
         if args.service_only:
             failures += _run_service(
@@ -791,8 +619,7 @@ def main(argv=None) -> int:
     print(f"\nwrote {cache_path}\n")
 
     failures += _run_parallel(
-        args, sharded_tiles, persistent_cache, ExperimentResult,
-        render_rows, save_json,
+        args, persistent_cache, ExperimentResult, render_rows, save_json,
     )
 
     failures += _run_service(args, service_load, render_rows, save_json)
@@ -803,26 +630,25 @@ def main(argv=None) -> int:
 
 
 def _run_parallel(
-    args, sharded_tiles, persistent_cache, ExperimentResult,
-    render_rows, save_json,
+    args, persistent_cache, ExperimentResult, render_rows, save_json,
 ) -> list[str]:
-    """Run section 4 (sharded tiles + persistent cache) and gate it."""
-    # Floor the sharded arm's scale: below a few thousand rows a tile
-    # fetch is sub-millisecond and pool dispatch overhead — not backend
-    # work — dominates the wall-clock comparison.
-    sharded = sharded_tiles(scale_rows=max(args.scale_rows, 4000))
+    """Run section 4 (persistent cache) and gate it."""
     persist = persistent_cache(scale_rows=args.scale_rows)
     combined = ExperimentResult(
         name="parallel",
-        title="Sharded tiles + persistent cross-process grid cache",
+        title="Persistent cross-process grid cache",
         paper_expectation=(
-            "Sharding and caching are pure execution strategies: "
-            "identical answers, less backend work."
+            "Caching is a pure execution strategy: identical answers, "
+            "less backend work."
         ),
-        rows=sharded.rows + persist.rows,
+        rows=persist.rows,
         settings={
-            "scale_rows": sharded.settings["scale_rows"],
-            "sharded": sharded.settings,
+            # The committed baseline is keyed by this section's
+            # 4,000-row scale floor (set when the section also ran a
+            # tile-scaling arm), so the regression guard binds at the
+            # default --scale-rows; the arm's own scale is recorded
+            # under "persistent".
+            "scale_rows": max(args.scale_rows, 4000),
             "persistent": persist.settings,
         },
     )
@@ -842,9 +668,9 @@ def _run_parallel(
 
 def _run_service(args, service_load, render_rows, save_json) -> list[str]:
     """Run section 5 (ACQ-as-a-service load generation) and gate it."""
-    # Same floor as the sharded arm: below a few thousand rows a full
-    # ACQ search is sub-millisecond and the closed-loop sweep measures
-    # thread handoff, not the engine.
+    # Floor the scale: below a few thousand rows a full ACQ search is
+    # sub-millisecond and the closed-loop sweep measures thread
+    # handoff, not the engine.
     result = service_load(scale_rows=max(args.scale_rows, 4000))
     os.makedirs(os.path.dirname(args.service_out) or ".", exist_ok=True)
     path = save_json(result, args.service_out)

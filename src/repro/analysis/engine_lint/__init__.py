@@ -5,8 +5,7 @@ checks a *user query* before execution, this package checks the
 *engine's own source* for the invariants its concurrency and caching
 design depends on — tensor purity (EL1xx), lock discipline (EL2xx),
 exception/import policy (EL3xx, absorbed from the retired
-``tools/lint_invariants.py``), stats counter drift (EL4xx) and
-process/shared-memory safety (EL5xx).
+``tools/lint_invariants.py``) and stats counter drift (EL4xx).
 
 Entry points: ``repro lint --engine`` on the command line,
 :func:`lint_paths` from code. The committed baseline

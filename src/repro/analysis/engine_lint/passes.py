@@ -31,17 +31,6 @@ EL4xx   counter drift. Attribute access on values statically known to
         does not iterate ``dataclasses.fields`` must still mention
         every numeric field (EL402).
 
-EL5xx   fork / process-pool safety, motivated by the process tile
-        tier (``core/tile_worker.py``): a bound method submitted to an
-        executor drags its whole instance — locks, pools, backends —
-        into the task closure, which deadlocks or fails to pickle on a
-        process pool (EL501); a module that creates
-        ``multiprocessing.shared_memory`` blocks must also close *and*
-        unlink them, and one that only attaches must at least close
-        (EL502); lambdas and nested functions shipped to an executor
-        ``submit``/``map`` or as a pool ``initializer=`` cannot cross
-        a spawn boundary at all (EL503).
-
 Precision notes (documented, deliberate):
 
 * EL2xx treats *any* owned lock as satisfying the guard — a class with
@@ -959,204 +948,6 @@ def stats_drift_pass(module: LintModule, ctx: ProjectContext) -> List[EngineFind
 
 
 # --------------------------------------------------------------------------
-# EL5xx — fork / process-pool safety
-# --------------------------------------------------------------------------
-
-#: Executor methods that take a task callable as their first argument.
-_TASK_DISPATCHERS = frozenset({"submit", "map"})
-
-
-def _import_bound_names(tree: ast.Module) -> FrozenSet[str]:
-    """Every name bound by an import anywhere in the module.
-
-    Module aliases and imported functions are picklable by reference
-    (``pickle`` ships the qualified name, not the object), so a task
-    rooted at one of these is process-safe by construction.
-    """
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                names.add(alias.asname or alias.name)
-    return frozenset(names)
-
-
-def _root_name(node: ast.expr) -> Optional[str]:
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        cur = cur.value
-    return cur.id if isinstance(cur, ast.Name) else None
-
-
-def process_safety_pass(
-    module: LintModule, ctx: ProjectContext
-) -> List[EngineFinding]:
-    """EL501–EL503: executor tasks and shared-memory lifecycle."""
-    findings: List[EngineFinding] = []
-    imported = _import_bound_names(module.tree)
-
-    # -- EL502: module-level shared-memory lifecycle pairing ----------
-    creators: List[Tuple[ast.AST, Tuple[str, ...]]] = []
-    attachers: List[Tuple[ast.AST, Tuple[str, ...]]] = []
-    closes = False
-    unlinks = False
-
-    def creates_shm(call: ast.Call) -> Optional[bool]:
-        """True create, False attach, None when not a SharedMemory()."""
-        name = _callable_name(call.func)
-        if name != "SharedMemory":
-            return None
-        for keyword in call.keywords:
-            if keyword.arg == "create":
-                value = keyword.value
-                return bool(
-                    isinstance(value, ast.Constant) and value.value is True
-                )
-        return False
-
-    # -- EL501 / EL503: task callables shipped to executors -----------
-    def check_dispatch(
-        call: ast.Call, scope: Tuple[str, ...], local_defs: FrozenSet[str]
-    ) -> None:
-        func = call.func
-        is_dispatch = (
-            isinstance(func, ast.Attribute) and func.attr in _TASK_DISPATCHERS
-        )
-        task: Optional[ast.expr] = None
-        if is_dispatch and call.args:
-            task = call.args[0]
-        for keyword in call.keywords:
-            if keyword.arg == "initializer":
-                task = keyword.value
-                is_dispatch = True
-        if not is_dispatch or task is None:
-            return
-        if isinstance(task, ast.Lambda):
-            findings.append(
-                _finding(
-                    "EL503",
-                    "lambda shipped as an executor task; it cannot cross "
-                    "a process boundary (pickle) and hides its captures",
-                    module,
-                    task,
-                    scope,
-                    hint="lift the task to a module-level function taking "
-                    "explicit arguments",
-                )
-            )
-            return
-        if isinstance(task, ast.Name) and task.id in local_defs:
-            findings.append(
-                _finding(
-                    "EL503",
-                    f"nested function {task.id!r} shipped as an executor "
-                    "task; it cannot cross a process boundary (pickle)",
-                    module,
-                    task,
-                    scope,
-                    hint="lift the task to a module-level function taking "
-                    "explicit arguments",
-                )
-            )
-            return
-        if isinstance(task, ast.Attribute):
-            root = _root_name(task)
-            if root is not None and root not in imported:
-                findings.append(
-                    _finding(
-                        "EL501",
-                        f"bound method {ast.unparse(task)} submitted as an "
-                        "executor task; the closure captures the whole "
-                        "instance (locks, pools, backends)",
-                        module,
-                        task,
-                        scope,
-                        hint="ship a module-level function plus plain "
-                        "arguments, or suppress for thread-only pools",
-                    )
-                )
-
-    def scan(
-        node: ast.AST, scope: Tuple[str, ...], local_defs: FrozenSet[str]
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            nested = frozenset(
-                stmt.name
-                for stmt in ast.walk(node)
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt is not node
-            )
-            child_scope = scope + (node.name,)
-            for stmt in node.body:
-                scan(stmt, child_scope, nested)
-            return
-        if isinstance(node, ast.ClassDef):
-            child_scope = scope + (node.name,)
-            for stmt in node.body:
-                scan(stmt, child_scope, local_defs)
-            return
-        if isinstance(node, ast.Call):
-            check_dispatch(node, scope, local_defs)
-            shm = creates_shm(node)
-            if shm is True:
-                creators.append((node, scope))
-            elif shm is False:
-                attachers.append((node, scope))
-            if isinstance(node.func, ast.Attribute):
-                nonlocal_marker = node.func.attr
-                if nonlocal_marker == "close":
-                    nonlocal closes
-                    closes = True
-                elif nonlocal_marker == "unlink":
-                    nonlocal unlinks
-                    unlinks = True
-        for child in ast.iter_child_nodes(node):
-            scan(child, scope, local_defs)
-
-    for stmt in module.tree.body:
-        scan(stmt, (), frozenset())
-
-    for node, scope in creators:
-        missing = [
-            verb
-            for verb, seen in (("close()", closes), ("unlink()", unlinks))
-            if not seen
-        ]
-        if missing:
-            findings.append(
-                _finding(
-                    "EL502",
-                    "SharedMemory(create=True) without a "
-                    + " / ".join(missing)
-                    + " anywhere in this module — the block leaks past "
-                    "the process",
-                    module,
-                    node,
-                    scope,
-                    hint="pair every owned block with close() + unlink() "
-                    "(a finally block or a release helper)",
-                )
-            )
-    if attachers and not closes:
-        node, scope = attachers[0]
-        findings.append(
-            _finding(
-                "EL502",
-                "SharedMemory attach without a close() anywhere in this "
-                "module — the mapping leaks until process exit",
-                module,
-                node,
-                scope,
-                hint="close() the attached block in a finally block",
-            )
-        )
-    return findings
-
-
-# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -1167,7 +958,6 @@ ENGINE_PASSES: Tuple[PassFn, ...] = (
     lock_discipline_pass,
     exception_policy_pass,
     stats_drift_pass,
-    process_safety_pass,
 )
 
 

@@ -30,9 +30,6 @@ Load-generate against the concurrent service driver::
 over corpus-sampled ACQs and replays an open-loop arrival schedule
 through it, printing completion counts, p50/p99 latency, throughput,
 and the shared-cache dedupe hit rate (see docs/SERVICE.md).
-``--fusion`` additionally coalesces compatible fetches from
-concurrent requests into merged backend passes and reports the fused
-counters (``--fusion-window-ms`` caps the batching window).
 """
 
 from __future__ import annotations
@@ -185,23 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(implies the in-memory cache even without --grid-cache-mb)",
     )
     parser.add_argument(
-        "--tile-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the sharded tile pipeline (tiled "
-        "explore mode); answers are bit-identical at any worker count",
-    )
-    parser.add_argument(
-        "--tile-executor",
-        choices=("thread", "process", "auto"),
-        default="thread",
-        help="worker tier for tiled explore fetches: 'thread' shares "
-        "the interpreter, 'process' escapes the GIL via a persistent "
-        "worker-process pool over shared memory, 'auto' lets the "
-        "calibrated planner pick (needs --tile-workers > 1)",
-    )
-    parser.add_argument(
         "--top-k",
         type=int,
         default=1,
@@ -283,22 +263,6 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
         "reject; see docs/SERVICE.md)",
     )
     parser.add_argument(
-        "--fusion",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="coalesce compatible fetches from concurrent requests "
-        "into merged backend passes (default off; see the "
-        "Cross-query fusion section of docs/SERVICE.md)",
-    )
-    parser.add_argument(
-        "--fusion-window-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="cap on the fusion batching window (default 2.0; the "
-        "effective window adapts below it from observed pass latency)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit the report as JSON instead of text",
@@ -321,8 +285,6 @@ def serve_bench_main(argv: Optional[list[str]] = None) -> int:
             workers=args.workers,
             max_queue=args.max_queue,
             admission=args.admission,
-            fusion=args.fusion,
-            fusion_window_ms=args.fusion_window_ms,
         )
     )
     try:
@@ -352,10 +314,6 @@ def serve_bench_main(argv: Optional[list[str]] = None) -> int:
             hits / (hits + misses) if hits + misses else 0.0, 4
         ),
         "peak_in_flight": stats.peak_in_flight,
-        "fused_passes": report.fused_passes,
-        "fused_cells": report.fused_cells,
-        "fused_groups": stats.fused_groups,
-        "fused_fetches": stats.fused_fetches,
     }
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -373,13 +331,6 @@ def serve_bench_main(argv: Optional[list[str]] = None) -> int:
             f"shared cache: {hits} hits / {misses} misses "
             f"(dedupe hit rate {summary['dedupe_hit_rate']})"
         )
-        if args.fusion:
-            print(
-                f"fusion: {summary['fused_groups']} shared groups "
-                f"merged {summary['fused_fetches']} fetches "
-                f"({summary['fused_passes']} fused passes, "
-                f"{summary['fused_cells']} cells)"
-            )
     return 0 if report.completed == len(requests) else 1
 
 
@@ -492,8 +443,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         parallelism=args.parallelism,
         explore_mode=args.explore_mode,
         grid_cache=cache,
-        tile_workers=args.tile_workers,
-        tile_executor=args.tile_executor,
         top_k=args.top_k,
     )
     acquire = Acquire(layer)

@@ -107,19 +107,6 @@ class AcquireConfig:
             reports (estimated, actual) visited counts into it after
             each search, and ``auto`` planning corrects later
             estimates by the measured factor.
-        tile_workers: worker threads for the sharded tile pipeline —
-            the tiled engine fetches independent tiles concurrently
-            and stitches them serially, so answers stay bit-identical
-            to serial at any worker count. 1 (default) is fully
-            serial.
-        tile_executor: which worker tier the tiled engine fetches on.
-            ``thread`` (default) shares the interpreter — it overlaps
-            only backends that release the GIL. ``process`` dispatches
-            fetches to a persistent worker-process pool over shared
-            memory, escaping the GIL for every backend that can ship a
-            picklable recipe (falls back to threads otherwise).
-            ``auto`` lets the planner pick per query from the
-            calibrated cost model. Ignored when ``tile_workers`` is 1.
         top_k: how many distinct answer layers to complete before the
             traversal stops. 1 (default) reproduces the paper's
             stopping rule — finish the first layer that produced an
@@ -159,8 +146,6 @@ class AcquireConfig:
     materialize_cell_cap: int = 2_000_000
     grid_cache: Optional[GridTensorCache] = None
     calibration: Optional[PlanCalibration] = None
-    tile_workers: int = 1
-    tile_executor: str = "thread"
     cache_path: Optional[str] = None
     top_k: int = 1
     constraint_distance: Optional[ConstraintDistance] = None
@@ -185,24 +170,11 @@ class AcquireConfig:
             )
         if self.materialize_cell_cap < 1:
             raise QueryModelError("materialize_cell_cap must be >= 1")
-        if self.tile_workers < 1:
-            raise QueryModelError("tile_workers must be >= 1")
-        if self.tile_executor not in ("thread", "process", "auto"):
-            raise QueryModelError(
-                "tile_executor must be 'thread', 'process' or 'auto', "
-                f"got {self.tile_executor!r}"
-            )
 
     @property
     def use_batch(self) -> bool:
-        """Whether the driver should batch layers of cell queries.
-
-        ``tile_workers > 1`` implies batching: the sharded tile
-        pipeline only overlaps fetches when a whole layer's tiles are
-        primed together, so asking for workers without priming would
-        silently serialize.
-        """
-        return self.batched or self.parallelism > 1 or self.tile_workers > 1
+        """Whether the driver should batch layers of cell queries."""
+        return self.batched or self.parallelism > 1
 
     def resolve_grid_cache(self) -> Optional[GridTensorCache]:
         """The tensor cache the Explore engines should consult.
@@ -344,13 +316,6 @@ class Acquire:
                 )
             )
         elif plan.mode == "tiled":
-            # The plan picked executor, worker count and tile size from
-            # the calibrated cost model; fall back to the raw config for
-            # plans minted before those fields existed.
-            executor = plan.tile_executor or (
-                "thread" if config.tile_executor == "auto"
-                else config.tile_executor
-            )
             explorer = TiledGridExplorer(
                 self.layer,
                 prepared,
@@ -360,8 +325,6 @@ class Acquire:
                     config.max_grid_queries, config.materialize_cell_cap
                 ),
                 cache=grid_cache,
-                tile_workers=plan.tile_workers or config.tile_workers,
-                tile_executor=executor,
             )
         else:
             bitmap = None
@@ -375,243 +338,212 @@ class Acquire:
                 bitmap_index=bitmap,
                 parallelism=config.parallelism,
             )
-        try:
-            stats = SearchStats(
-                top_k=config.top_k,
-                explore_mode=plan.mode,
-                plan_reason=plan.reason,
-                estimated_visited=plan.estimated_visited,
-                tile_workers=(
-                    explorer.tile_workers if plan.mode == "tiled" else 0
-                ),
-                tile_executor=(
-                    # The explorer records the *effective* tier after
-                    # any runtime fallback (no spec, generic aggregate).
-                    explorer.tile_executor
-                    if plan.mode == "tiled" and explorer.tile_workers > 1
-                    else ""
-                ),
+        stats = SearchStats(
+            top_k=config.top_k,
+            explore_mode=plan.mode,
+            plan_reason=plan.reason,
+            estimated_visited=plan.estimated_visited,
+        )
+
+        # Figure 2, step 1: estimate the original aggregate first; an
+        # equality query that already overshoots cannot be fixed by
+        # expansion — hand it to the contraction extension.
+        original_value = explorer.compute_aggregate(space.origin)
+        if (
+            constraint.op is ConstraintOp.EQ
+            and aggregate.monotone_expanding
+            and original_value > target
+            and error_fn(target, original_value) > config.delta
+        ):
+            from repro.core.contraction import contract_query
+
+            result = contract_query(self.layer, query, config)
+            # Report the outer scope: it credited the overshoot
+            # probe above *and* (scopes nest) every backend event
+            # of the contraction search, so per-request stats stay
+            # an exact partition of the layer's work.
+            result.stats.execution = layer_scope.snapshot()
+            return result
+
+        answers: list[RefinedQuery] = []
+        # The closest examined query: its (error, qscore) rank and
+        # what it is. A grid point that is not an answer stays
+        # (coords, actual, error, extra_values) until the search
+        # ends, so only answers and the final closest become
+        # RefinedQuery objects; answers and repartition candidates
+        # already are ones, shared with ``answers``.
+        closest_rank: Optional[tuple[float, float]] = None
+        closest: RefinedQuery | tuple | None = None
+        # Grid-layer QScores at which answers were recorded, in
+        # traversal (hence non-decreasing) order. The stop threshold
+        # is the k-th smallest: with top_k=1 this is exactly the
+        # paper's answer_layer rule, with k > 1 the traversal keeps
+        # going until the k best answer layers are complete.
+        answer_layers: list[float] = []
+
+        def answer_threshold() -> float:
+            if len(answer_layers) < config.top_k:
+                return math.inf
+            return answer_layers[config.top_k - 1]
+
+        # Early-stop bookkeeping for monotone aggregates with equality
+        # constraints: every query in layer k+1 contains some query in
+        # layer k, so once an entire layer overshoots target*(1+delta)
+        # no later layer can come back within the threshold. A
+        # multi-constraint conjunction breaks the monotone argument
+        # for the combined error, so extras disable the shortcut.
+        check_overshoot = (
+            constraint.op is ConstraintOp.EQ
+            and aggregate.monotone_expanding
+            and not extra_ctx
+        )
+        layer_key: Optional[float] = None
+        layer_min_actual = math.inf
+
+        # The traversal is consumed layer by layer (maximal runs of
+        # equal rounded QScore). Concatenated, the layers reproduce the
+        # per-coordinate stream exactly, so serial behaviour and stats
+        # are unchanged; with ``config.use_batch`` each layer's cell
+        # queries are primed through the backend's batched path first.
+        # ``layers_scored`` carries each point's QScore along, so no
+        # grid point is ever scored twice.
+        stop = False
+        traversal = make_traversal(space, config.traversal)
+        for layer_scored in traversal.layers_scored():
+            first_qscore = layer_scored[0][1]
+            if first_qscore > answer_threshold() + _LAYER_EPS:
+                break  # the k-th answer layer is fully explored
+            if check_overshoot:
+                key = round(first_qscore, LAYER_DECIMALS)
+                if layer_key is None:
+                    layer_key = key
+                elif key != layer_key:
+                    if layer_min_actual > target * (1 + config.delta):
+                        break  # the whole previous layer overshot
+                    layer_key = key
+                    layer_min_actual = math.inf
+            if stats.grid_queries_examined >= config.max_grid_queries:
+                break
+            # Only what the examination loop can reach under the
+            # query budget, so cells_executed is identical to serial
+            # even when the budget truncates a layer.
+            remaining = (
+                config.max_grid_queries - stats.grid_queries_examined
             )
-
-            # Figure 2, step 1: estimate the original aggregate first; an
-            # equality query that already overshoots cannot be fixed by
-            # expansion — hand it to the contraction extension.
-            original_value = explorer.compute_aggregate(space.origin)
-            if (
-                constraint.op is ConstraintOp.EQ
-                and aggregate.monotone_expanding
-                and original_value > target
-                and error_fn(target, original_value) > config.delta
-            ):
-                from repro.core.contraction import contract_query
-
-                result = contract_query(self.layer, query, config)
-                # Report the outer scope: it credited the overshoot
-                # probe above *and* (scopes nest) every backend event
-                # of the contraction search, so per-request stats stay
-                # an exact partition of the layer's work.
-                result.stats.execution = layer_scope.snapshot()
-                return result
-
-            answers: list[RefinedQuery] = []
-            # The closest examined query: its (error, qscore) rank and
-            # what it is. A grid point that is not an answer stays
-            # (coords, actual, error, extra_values) until the search
-            # ends, so only answers and the final closest become
-            # RefinedQuery objects; answers and repartition candidates
-            # already are ones, shared with ``answers``.
-            closest_rank: Optional[tuple[float, float]] = None
-            closest: RefinedQuery | tuple | None = None
-            # Grid-layer QScores at which answers were recorded, in
-            # traversal (hence non-decreasing) order. The stop threshold
-            # is the k-th smallest: with top_k=1 this is exactly the
-            # paper's answer_layer rule, with k > 1 the traversal keeps
-            # going until the k best answer layers are complete.
-            answer_layers: list[float] = []
-
-            def answer_threshold() -> float:
-                if len(answer_layers) < config.top_k:
-                    return math.inf
-                return answer_layers[config.top_k - 1]
-
-            # Early-stop bookkeeping for monotone aggregates with equality
-            # constraints: every query in layer k+1 contains some query in
-            # layer k, so once an entire layer overshoots target*(1+delta)
-            # no later layer can come back within the threshold. A
-            # multi-constraint conjunction breaks the monotone argument
-            # for the combined error, so extras disable the shortcut.
-            check_overshoot = (
-                constraint.op is ConstraintOp.EQ
-                and aggregate.monotone_expanding
-                and not extra_ctx
-            )
-            layer_key: Optional[float] = None
-            layer_min_actual = math.inf
-
-            # The traversal is consumed layer by layer (maximal runs of
-            # equal rounded QScore). Concatenated, the layers reproduce the
-            # per-coordinate stream exactly, so serial behaviour and stats
-            # are unchanged; with ``config.use_batch`` each layer's cell
-            # queries are primed through the backend's batched path first.
-            # ``layers_scored`` carries each point's QScore along, so no
-            # grid point is ever scored twice.
-            stop = False
-            traversal = make_traversal(space, config.traversal)
-            for layer_scored in traversal.layers_scored():
-                first_qscore = layer_scored[0][1]
-                if first_qscore > answer_threshold() + _LAYER_EPS:
-                    break  # the k-th answer layer is fully explored
-                if check_overshoot:
-                    key = round(first_qscore, LAYER_DECIMALS)
-                    if layer_key is None:
-                        layer_key = key
-                    elif key != layer_key:
-                        if layer_min_actual > target * (1 + config.delta):
-                            break  # the whole previous layer overshot
-                        layer_key = key
-                        layer_min_actual = math.inf
+            reachable = [coords for coords, _ in layer_scored[:remaining]]
+            if config.use_batch:
+                explorer.prime_cells(reachable)
+            # One read of the layer's values: a bulk gather on the
+            # materialized engine, lazy on the others, which compute
+            # a point only when ``next`` pulls it below.
+            values = explorer.compute_aggregates(reachable)
+            for coords, qscore in layer_scored:
+                if qscore > answer_threshold() + _LAYER_EPS:
+                    stop = True
+                    break
                 if stats.grid_queries_examined >= config.max_grid_queries:
+                    stop = True
                     break
-                # Only what the examination loop can reach under the
-                # query budget, so cells_executed is identical to serial
-                # even when the budget truncates a layer.
-                remaining = (
-                    config.max_grid_queries - stats.grid_queries_examined
-                )
-                reachable = [coords for coords, _ in layer_scored[:remaining]]
-                if config.use_batch:
-                    explorer.prime_cells(reachable)
-                # One read of the layer's values: a bulk gather on the
-                # materialized engine, lazy on the others, which compute
-                # a point only when ``next`` pulls it below.
-                values = explorer.compute_aggregates(reachable)
-                for coords, qscore in layer_scored:
-                    if qscore > answer_threshold() + _LAYER_EPS:
-                        stop = True
-                        break
-                    if stats.grid_queries_examined >= config.max_grid_queries:
-                        stop = True
-                        break
-                    stats.grid_queries_examined += 1
+                stats.grid_queries_examined += 1
 
-                    actual = next(values)
-                    primary_error = error_fn(target, actual)
-                    if extra_ctx:
-                        extra_values, extra_errors = self._extra_aggregates(
-                            extra_ctx, space.scores(coords)
-                        )
-                        error = distance.combine(
-                            (primary_error,) + extra_errors
-                        )
-                    else:
-                        extra_values = ()
-                        error = primary_error
-                    if check_overshoot and not math.isnan(actual):
-                        layer_min_actual = min(layer_min_actual, actual)
-                    answer = None
-                    if error <= config.delta:
-                        answer = self._refined_query(
-                            query, space, coords, actual, error,
-                            extra_values=extra_values,
-                        )
-                    # The traversal's QScore is the one a RefinedQuery of
-                    # this point would carry, so the rank is unchanged.
-                    rank = (error, qscore)
-                    if closest_rank is None or rank < closest_rank:
-                        closest_rank = rank
-                        closest = (
-                            (coords, actual, error, extra_values)
-                            if answer is None else answer
-                        )
-
-                    if answer is not None:
-                        logger.debug(
-                            "answer at %s: A=%g err=%.4f QScore=%.3f",
-                            coords, actual, error, qscore,
-                        )
-                        answers.append(answer)
-                        answer_layers.append(qscore)
-                    elif (
-                        constraint.op is ConstraintOp.EQ
-                        and not extra_ctx
-                        and not math.isnan(actual)
-                        and actual > target
-                    ):
-                        # Off-grid bisection probes only measure the
-                        # primary aggregate, so repartitioning is
-                        # restricted to single-constraint queries.
-                        candidate = self._repartition(
-                            prepared, space, coords, target, error_fn, config,
-                            stats,
-                        )
-                        if candidate is not None:
-                            rank = (candidate.error, candidate.qscore)
-                            if rank < closest_rank:
-                                closest_rank = rank
-                                closest = candidate
-                            if candidate.error <= config.delta:
-                                answers.append(candidate)
-                                answer_layers.append(qscore)
-                if stop:
-                    break
-
-            stats.cells_executed = explorer.cells_executed
-            stats.cells_skipped = explorer.cells_skipped
-            # Every answer carries its QScore — including repartitioned
-            # ones, whose grid ``coords`` are None — so count answer layers
-            # from the QScores directly.
-            stats.layers_explored = len(
-                {round(a.qscore, LAYER_DECIMALS) for a in answers}
-            )
-            stats.elapsed_s = time.perf_counter() - started
-            stats.execution = layer_scope.snapshot()
-            if config.calibration is not None:
-                if plan.estimated_visited > 0:
-                    config.calibration.observe(
-                        plan.estimated_visited, stats.grid_queries_examined
+                actual = next(values)
+                primary_error = error_fn(target, actual)
+                if extra_ctx:
+                    extra_values, extra_errors = self._extra_aggregates(
+                        extra_ctx, space.scores(coords)
                     )
-                # Feed the executor cost model: observed pass rate plus
-                # the process tier's spawn/IPC overheads (no-ops when
-                # the respective counters are zero).
-                execution = stats.execution
-                config.calibration.observe_pass(
-                    execution.rows_scanned, execution.execution_time_s
-                )
-                config.calibration.observe_spawn(
-                    execution.process_pools, execution.process_spawn_s
-                )
-                config.calibration.observe_ipc(
-                    execution.process_tiles, execution.process_ipc_s
-                )
-            logger.info(
-                "ACQUIRE %s: %d answers, %d grid queries, %d cells, %.1f ms",
-                query.name,
-                len(answers),
-                stats.grid_queries_examined,
-                stats.cells_executed,
-                stats.elapsed_s * 1000,
-            )
+                    error = distance.combine(
+                        (primary_error,) + extra_errors
+                    )
+                else:
+                    extra_values = ()
+                    error = primary_error
+                if check_overshoot and not math.isnan(actual):
+                    layer_min_actual = min(layer_min_actual, actual)
+                answer = None
+                if error <= config.delta:
+                    answer = self._refined_query(
+                        query, space, coords, actual, error,
+                        extra_values=extra_values,
+                    )
+                # The traversal's QScore is the one a RefinedQuery of
+                # this point would carry, so the rank is unchanged.
+                rank = (error, qscore)
+                if closest_rank is None or rank < closest_rank:
+                    closest_rank = rank
+                    closest = (
+                        (coords, actual, error, extra_values)
+                        if answer is None else answer
+                    )
 
-            if isinstance(closest, tuple):
-                coords, actual, error, extra_values = closest
-                closest = self._refined_query(
-                    query, space, coords, actual, error,
-                    extra_values=extra_values,
-                )
-            answers.sort(key=lambda a: (a.qscore, a.error))
-            return AcquireResult(
-                query=query,
-                answers=answers,
-                closest=closest,
-                original_value=original_value,
-                stats=stats,
+                if answer is not None:
+                    logger.debug(
+                        "answer at %s: A=%g err=%.4f QScore=%.3f",
+                        coords, actual, error, qscore,
+                    )
+                    answers.append(answer)
+                    answer_layers.append(qscore)
+                elif (
+                    constraint.op is ConstraintOp.EQ
+                    and not extra_ctx
+                    and not math.isnan(actual)
+                    and actual > target
+                ):
+                    # Off-grid bisection probes only measure the
+                    # primary aggregate, so repartitioning is
+                    # restricted to single-constraint queries.
+                    candidate = self._repartition(
+                        prepared, space, coords, target, error_fn, config,
+                        stats,
+                    )
+                    if candidate is not None:
+                        rank = (candidate.error, candidate.qscore)
+                        if rank < closest_rank:
+                            closest_rank = rank
+                            closest = candidate
+                        if candidate.error <= config.delta:
+                            answers.append(candidate)
+                            answer_layers.append(qscore)
+            if stop:
+                break
+
+        stats.cells_executed = explorer.cells_executed
+        stats.cells_skipped = explorer.cells_skipped
+        # Every answer carries its QScore — including repartitioned
+        # ones, whose grid ``coords`` are None — so count answer layers
+        # from the QScores directly.
+        stats.layers_explored = len(
+            {round(a.qscore, LAYER_DECIMALS) for a in answers}
+        )
+        stats.elapsed_s = time.perf_counter() - started
+        stats.execution = layer_scope.snapshot()
+        if config.calibration is not None and plan.estimated_visited > 0:
+            config.calibration.observe(
+                plan.estimated_visited, stats.grid_queries_examined
             )
-        finally:
-            # The tiled engine may own a worker pool; release it
-            # even when the search aborts.
-            closer = getattr(explorer, "close", None)
-            if closer is not None:
-                closer()
+        logger.info(
+            "ACQUIRE %s: %d answers, %d grid queries, %d cells, %.1f ms",
+            query.name,
+            len(answers),
+            stats.grid_queries_examined,
+            stats.cells_executed,
+            stats.elapsed_s * 1000,
+        )
+
+        if isinstance(closest, tuple):
+            coords, actual, error, extra_values = closest
+            closest = self._refined_query(
+                query, space, coords, actual, error,
+                extra_values=extra_values,
+            )
+        answers.sort(key=lambda a: (a.qscore, a.error))
+        return AcquireResult(
+            query=query,
+            answers=answers,
+            closest=closest,
+            original_value=original_value,
+            stats=stats,
+        )
 
     # ------------------------------------------------------------------
     def _extra_aggregates(

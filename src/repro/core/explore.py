@@ -165,29 +165,12 @@ class Explorer:
             pending.append(coords)
         if not pending:
             return 0
-        states = None
-        # Cross-query fusion (docs/SERVICE.md): a service-installed
-        # coalescer may serve this batch from a merged pass shared
-        # with other in-flight requests. Per-cell states are
-        # independent of batch composition, so the result is
-        # bit-identical to executing the batch alone; None falls back
-        # to the direct path.
-        coalescer = getattr(self.layer, "pass_coalescer", None)
-        if coalescer is not None:
-            states = coalescer.fetch_cells(
-                self.layer,
-                self.prepared,
-                self.space,
-                pending,
-                parallelism=self.parallelism,
-            )
-        if states is None:
-            states = self.layer.execute_cells(
-                self.prepared,
-                self.space,
-                pending,
-                parallelism=self.parallelism,
-            )
+        states = self.layer.execute_cells(
+            self.prepared,
+            self.space,
+            pending,
+            parallelism=self.parallelism,
+        )
         self._primed.update(zip(pending, states))
         self.cells_executed += len(pending)
         return len(pending)

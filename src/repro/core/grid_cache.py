@@ -448,9 +448,8 @@ class GridTensorCache:
     same key before the leader publishes parks on the leader's flight
     instead of paying its own backend pass (``inflight_waits`` counts
     those parked reads). The plain :meth:`lookup`/:meth:`put` pair
-    ignores flights entirely, which the cross-query fusion path relies
-    on — its coalescer does its own in-flight joining and must see the
-    raw miss.
+    ignores flights entirely; the tiled engine uses it for the block
+    and seam slabs it restores and stores.
     """
 
     def __init__(

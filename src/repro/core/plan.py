@@ -41,18 +41,6 @@ The estimate can be *calibrated*: a :class:`PlanCalibration` collects
 (estimated, actually-visited) pairs from finished searches and applies
 their geometric-mean ratio to later estimates, closing the loop
 between the star-join cost heuristic and observed traversal behaviour.
-
-Tiled plans additionally pick an *executor*. Thread workers only
-overlap tile fetches when the backend's fetch path releases the GIL
-(``EvaluationLayer.parallel_tile_scaling``); worker *processes*
-overlap for every backend but pay a per-pool spawn cost and a per-tile
-IPC cost. Both constants start as documented priors (spawn ~ one data
-pass per worker, IPC ~ an eighth of a tile pass) and are replaced by
-observed values as :class:`PlanCalibration` accumulates
-``observe_pass`` / ``observe_spawn`` / ``observe_ipc`` samples from
-finished searches — the calibration converts the observed seconds into
-row units through the observed pass rate, so the executor choice, the
-worker count, and the tile size all adapt to the machine.
 """
 
 from __future__ import annotations
@@ -100,9 +88,7 @@ class PlanCalibration:
     Thread-safe: one instance is shared per workload (the harness) or
     per service (:class:`repro.service.AcquireService`), where
     concurrent searches feed observations and read corrections at the
-    same time. All window access happens under an internal re-entrant
-    lock — re-entrant because the cost accessors call each other
-    (``spawn_cost_rows`` reads ``pass_rate``).
+    same time. All window access happens under an internal lock.
     """
 
     def __init__(self, window: int = 64) -> None:
@@ -110,116 +96,14 @@ class PlanCalibration:
             raise QueryModelError(
                 f"calibration window must be >= 1, got {window}"
             )
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._log_ratios: deque[float] = deque(maxlen=window)
-        self._pass_rates: deque[float] = deque(maxlen=window)
-        self._spawn_s: deque[float] = deque(maxlen=window)
-        self._ipc_s: deque[float] = deque(maxlen=window)
-        self._fusion_shares: deque[float] = deque(maxlen=window)
-        self._fusion_pass_s: deque[float] = deque(maxlen=window)
 
     def observe(self, estimated: int, actual: int) -> None:
         """Record one (estimate, outcome) pair; zeros are ignored."""
         if estimated > 0 and actual > 0:
             with self._lock:
                 self._log_ratios.append(math.log(actual / estimated))
-
-    def observe_pass(self, rows: int, seconds: float) -> None:
-        """Record one search's backend execution: ``rows`` row accesses
-        in ``seconds`` of measured backend time. The resulting rows/sec
-        rate converts observed spawn/IPC seconds into the row units the
-        cost model compares."""
-        if rows > 0 and seconds > 0:
-            with self._lock:
-                self._pass_rates.append(rows / seconds)
-
-    def observe_spawn(self, pools: int, seconds: float) -> None:
-        """Record worker-pool spawns: ``pools`` pools took ``seconds``
-        (process start-up + per-worker backend rebuild)."""
-        if pools > 0 and seconds > 0:
-            with self._lock:
-                self._spawn_s.append(seconds / pools)
-
-    def observe_ipc(self, tiles: int, seconds: float) -> None:
-        """Record process-tier IPC overhead: ``tiles`` dispatched tiles
-        cost ``seconds`` of parent-side overhead beyond the workers'
-        own execution."""
-        if tiles > 0 and seconds > 0:
-            with self._lock:
-                self._ipc_s.append(seconds / tiles)
-
-    def observe_fusion(
-        self, fetches: int, passes: int, pass_s: float = 0.0
-    ) -> None:
-        """Record one coalescer dispatch: ``fetches`` waiting fetches
-        were served by ``passes`` physical backend passes that took
-        ``pass_s`` seconds. The saved fraction feeds
-        :meth:`fusion_share`; the pass latency sizes the adaptive
-        batching window (:meth:`fusion_window_s`)."""
-        if fetches > 0 and passes > 0:
-            with self._lock:
-                self._fusion_shares.append(
-                    max(fetches - passes, 0) / fetches
-                )
-                if pass_s > 0:
-                    self._fusion_pass_s.append(pass_s / passes)
-
-    def fusion_share(self) -> float:
-        """Observed fraction of coalesced fetches served without their
-        own backend pass (0.0 until ``observe_fusion`` data arrives)."""
-        with self._lock:
-            if not self._fusion_shares:
-                return 0.0
-            return sum(self._fusion_shares) / len(self._fusion_shares)
-
-    def fusion_window_s(self, cap_s: float) -> float:
-        """Adaptive coalescer batching window, capped at ``cap_s``.
-
-        Until pass-latency observations arrive the configured cap is
-        the window. Once the mean merged-pass latency is known, waiting
-        longer than half a pass costs more than a merged pass can save,
-        so the window shrinks to ``min(cap_s, pass_s / 2)`` — fast
-        backends batch only genuinely simultaneous arrivals while slow
-        backends keep the full window.
-        """
-        cap = max(float(cap_s), 0.0)
-        with self._lock:
-            if not self._fusion_pass_s:
-                return cap
-            mean_pass = sum(self._fusion_pass_s) / len(self._fusion_pass_s)
-        return max(min(cap, 0.5 * mean_pass), 0.0)
-
-    def pass_rate(self) -> float:
-        """Observed backend row-access rate in rows/sec (0.0 until
-        ``observe_pass`` data arrives)."""
-        with self._lock:
-            if not self._pass_rates:
-                return 0.0
-            return sum(self._pass_rates) / len(self._pass_rates)
-
-    def spawn_cost_rows(self, rows: int, workers: int) -> int:
-        """Per-pool spawn cost in row units.
-
-        Observed mean spawn seconds x observed pass rate when both are
-        available; otherwise the prior — one data pass per worker, the
-        shape of a pool whose initializer rebuilds the backend in every
-        worker.
-        """
-        with self._lock:
-            rate = self.pass_rate()
-            if self._spawn_s and rate > 0:
-                mean = sum(self._spawn_s) / len(self._spawn_s)
-                return max(int(mean * rate), 1)
-        return max(rows * workers, 1)
-
-    def ipc_cost_rows(self, tile_cells: int) -> int:
-        """Per-tile IPC cost in row units (prior: tile_cells / 8)."""
-        with self._lock:
-            rate = self.pass_rate()
-            if self._ipc_s and rate > 0:
-                mean = sum(self._ipc_s) / len(self._ipc_s)
-                return max(int(mean * rate), 1)
-        return max(tile_cells // 8, 1)
 
     @property
     def observations(self) -> int:
@@ -252,10 +136,6 @@ class ExplorePlan:
         estimated_visited: predicted visited-cell count for the
             incremental engine (after calibration, when configured);
             0 when no estimate was possible.
-        tile_executor: executor picked for a tiled plan — ``thread``
-            or ``process`` ("" for non-tiled plans).
-        tile_workers: worker count picked for a tiled plan (0 for
-            non-tiled plans).
         tile_cells: per-tile cell budget picked for a tiled plan (0
             for non-tiled plans).
     """
@@ -264,8 +144,6 @@ class ExplorePlan:
     reason: str
     grid_cells: int
     estimated_visited: int = 0
-    tile_executor: str = ""
-    tile_workers: int = 0
     tile_cells: int = 0
 
 
@@ -294,14 +172,9 @@ def choose_explore_mode(
     )
 
     def tiled_plan(reason: str, visited: int = 0) -> ExplorePlan:
-        proxy = visited or min(grid_cells, config.max_grid_queries)
-        executor, workers, tile_cells, _ = _pick_tile_plan(
-            layer, config, proxy, grid_cells, rows
-        )
+        tile_cells, _ = _pick_tile_plan(config, visited, grid_cells, rows)
         return ExplorePlan(
-            "tiled", reason, grid_cells, visited,
-            tile_executor=executor, tile_workers=workers,
-            tile_cells=tile_cells,
+            "tiled", reason, grid_cells, visited, tile_cells=tile_cells
         )
 
     if config.explore_mode == "incremental":
@@ -354,32 +227,11 @@ def choose_explore_mode(
     visited = min(estimate, grid_cells, budget)
 
     # Cost of each engine, in row-access units (docstring formulas).
-    # The tiled term is minimized over executor, worker count and tile
-    # size: worker overlap divides the per-tile data passes — for
-    # threads only when the backend releases the GIL, for processes
-    # always, at the calibrated spawn + IPC overheads.
     incremental_cost = visited * rows
     materialized_cost = rows + grid_cells
-    executor, tile_workers, tile_cells, tiled_cost = _pick_tile_plan(
-        layer, config, visited, grid_cells, rows
+    tile_cells, tiled_cost = _pick_tile_plan(
+        config, visited, grid_cells, rows
     )
-
-    # Fusion-aware costing: with a cross-query coalescer installed on
-    # the layer, an observed fraction of grid passes is served by a
-    # neighbour request's merged pass (docs/SERVICE.md), making the
-    # pass-based engines cheaper relative to incremental — whose
-    # per-cell fetches fuse far less often. A no-op until the shared
-    # calibration has seen fused dispatches, so single-request plans
-    # are unchanged.
-    if (
-        calibration is not None
-        and getattr(layer, "pass_coalescer", None) is not None
-    ):
-        share = calibration.fusion_share()
-        if share > 0.0:
-            discount = 1.0 - 0.5 * share
-            materialized_cost = int(materialized_cost * discount)
-            tiled_cost = int(tiled_cost * discount)
 
     best_mode, best_cost = "incremental", incremental_cost
     if tiled_cost < best_cost:
@@ -400,110 +252,33 @@ def choose_explore_mode(
     elif grid_cells > budget:
         reason = "grid-over-budget"
     return ExplorePlan(
-        "tiled", reason, grid_cells, visited,
-        tile_executor=executor, tile_workers=tile_workers,
-        tile_cells=tile_cells,
+        "tiled", reason, grid_cells, visited, tile_cells=tile_cells
     )
 
 
 # ----------------------------------------------------------------------
-# Tiled-plan picker: executor x workers x tile size
+# Tiled-plan sizing
 # ----------------------------------------------------------------------
-def _worker_candidates(requested: int) -> list[int]:
-    """1, powers of two below the request, and the request itself."""
-    counts = {1, requested}
-    width = 2
-    while width < requested:
-        counts.add(width)
-        width *= 2
-    return sorted(counts)
-
-
 def _pick_tile_plan(
-    layer: "EvaluationLayer",
     config: "AcquireConfig",
     visited: int,
     grid_cells: int,
     rows: int,
-) -> tuple[str, int, int, int]:
-    """Minimize the tiled cost over (executor, workers, tile_cells).
+) -> tuple[int, int]:
+    """Tile size and cost of a tiled plan: ``(tile_cells, cost)``.
 
-    Thread workers overlap the per-tile data passes only when the
-    backend's fetch path releases the GIL
-    (``layer.parallel_tile_scaling``); process workers always overlap
-    but pay the calibrated per-pool spawn and per-tile IPC overheads.
-    Tile sizes considered: the cap (fewest seams and IPC round trips)
-    and "one tile per worker" (full overlap for small searches). Ties
-    break toward thread, then larger tiles, then fewer workers.
-    Returns ``(executor, workers, tile_cells, cost)``.
+    Tiles are as large as the tensor cap, the query budget and the grid
+    allow (fewest seams and backend passes); the search then reaches
+    ``ceil(visited / tile_cells)`` of them, each costing one data pass
+    plus one unit per tile cell.
     """
-    from repro.engine.backends import EvaluationLayer
-
-    requested = max(1, int(getattr(config, "tile_workers", 1)))
-    preference = getattr(config, "tile_executor", "thread")
-    calibration = getattr(config, "calibration", None)
-    scaling = bool(getattr(layer, "parallel_tile_scaling", False))
-    has_spec = (
-        type(layer).backend_spec is not EvaluationLayer.backend_spec
-    )
-    visited = max(int(visited), 1)
-    tc_max = max(
+    tile_cells = max(
         min(config.materialize_cell_cap, config.max_grid_queries,
             grid_cells),
         1,
     )
-
-    def spawn_rows(workers: int) -> int:
-        if calibration is not None:
-            return calibration.spawn_cost_rows(rows, workers)
-        return max(rows * workers, 1)
-
-    def ipc_rows(tile_cells: int) -> int:
-        if calibration is not None:
-            return calibration.ipc_cost_rows(tile_cells)
-        return max(tile_cells // 8, 1)
-
-    executors = ["thread"]
-    if preference == "process" and has_spec and requested > 1:
-        executors = ["process"]
-    elif preference == "auto" and has_spec and requested > 1:
-        executors = ["thread", "process"]
-    # An explicit executor request also fixes the worker count — the
-    # planner only shops for workers when asked to ('auto').
-    worker_options = (
-        _worker_candidates(requested) if preference == "auto"
-        else [requested]
-    )
-
-    best: Optional[tuple[int, int, int, int, str]] = None
-    for executor in executors:
-        for workers in worker_options:
-            if executor == "process" and workers == 1:
-                continue  # a 1-worker pool is pure overhead
-            sizes = {tc_max}
-            if workers > 1:
-                # "One tile per worker": full overlap even when the
-                # search is smaller than a cap-sized tile.
-                sizes.add(min(max(-(-visited // workers), 1), tc_max))
-            for tile_cells in sizes:
-                tiles = -(-visited // tile_cells)
-                overlap = (
-                    workers if (executor == "process" or scaling) else 1
-                )
-                cost = -(-tiles // overlap) * rows + tiles * tile_cells
-                if executor == "process":
-                    cost += spawn_rows(workers) + tiles * ipc_rows(
-                        tile_cells
-                    )
-                ranked = (
-                    cost, executor == "process", -tile_cells, workers,
-                    executor,
-                )
-                if best is None or ranked < best:
-                    best = ranked
-    assert best is not None
-    cost, _, neg_tile_cells, workers, executor = best
-    return executor, workers, -neg_tile_cells, cost
+    tiles = -(-max(int(visited), 1) // tile_cells)
+    return tile_cells, tiles * (rows + tile_cells)
 
 
 # ----------------------------------------------------------------------

@@ -75,13 +75,9 @@ class SearchStats:
     plan's justification (``forced``, ``cost-model``, ...) and
     ``estimated_visited`` its predicted visited-cell count, kept next
     to ``grid_queries_examined`` so planner calibration can compare
-    prediction against outcome. ``tile_workers`` is the worker count
-    the sharded tile pipeline ran with (0 when the engine was not
-    tiled) and ``tile_executor`` the tier it ran on — ``thread`` or
-    ``process``, after any runtime fallback ("" when not tiled);
-    per-tier cache and process counters live in ``execution``
-    (``persistent_hits``, ``block_hits``, ``parallel_tiles``,
-    ``process_tiles``, ``process_fallbacks``, ...).
+    prediction against outcome. Backend and cache counters live in
+    ``execution`` (``queries_executed``, ``persistent_hits``,
+    ``block_hits``, ...).
     ``top_k`` is the ranking depth the search was asked for
     (``AcquireConfig.top_k``): the traversal keeps exploring layers
     until the k best answer layers are complete instead of just the
@@ -98,8 +94,6 @@ class SearchStats:
     explore_mode: str = "incremental"
     plan_reason: str = ""
     estimated_visited: int = 0
-    tile_workers: int = 0
-    tile_executor: str = ""
     execution: ExecutionStats = field(default_factory=ExecutionStats)
 
 

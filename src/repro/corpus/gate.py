@@ -2,11 +2,10 @@
 
 For every committed triple the gate rebuilds the dataset from its
 recipe, re-certifies the label with the exhaustive oracle, then runs
-the full ACQUIRE driver under four Explore engine configurations —
-incremental, materialized, tiled, and sharded (tiled with parallel
-tile workers) — asserting each returns the oracle-optimal answer and a
-stable, score-monotone top-k ranking whose first element equals the
-single-answer (``top_k=1``) result.
+the full ACQUIRE driver under three Explore engine configurations —
+incremental, materialized and tiled — asserting each returns the
+oracle-optimal answer and a stable, score-monotone top-k ranking whose
+first element equals the single-answer (``top_k=1``) result.
 
 Run it via ``make corpus-gate`` or ``python -m repro.corpus gate``; on
 failure the report prints a per-triple diff of expected versus actual
@@ -32,23 +31,11 @@ from repro.corpus.manifest import (
 from repro.corpus.oracle import OracleEntry
 from repro.engine.memory_backend import MemoryBackend
 
-#: The five gated Explore configurations (name, config overrides).
-#: ``process`` runs the tiled engine on the worker-process tier (it
-#: degrades to the thread tier for aggregates without vector ops, so
-#: every triple stays gateable).
+#: The gated Explore configurations (name, config overrides).
 ENGINE_CONFIGS: tuple[tuple[str, dict], ...] = (
     ("incremental", {"explore_mode": "incremental"}),
     ("materialized", {"explore_mode": "materialized"}),
     ("tiled", {"explore_mode": "tiled"}),
-    ("sharded", {"explore_mode": "tiled", "tile_workers": 2}),
-    (
-        "process",
-        {
-            "explore_mode": "tiled",
-            "tile_workers": 2,
-            "tile_executor": "process",
-        },
-    ),
 )
 
 _TOL = dict(rel_tol=1e-9, abs_tol=1e-9)

@@ -42,9 +42,8 @@ a private :class:`ExecutionStats` registered in a ``contextvars``
 context variable, and every counting seam credits the layer total
 *and* every scope active on the calling thread (all under the existing
 ``_stats_lock``). Worker threads do not inherit the caller's context,
-so the pooled paths (``execute_cells`` fallback, the tile schedulers)
-re-establish the submitting request's scopes around each task — see
-:func:`scoped_stats`.
+so the pooled ``execute_cells`` fallback re-establishes the submitting
+request's scopes around each task — see :func:`scoped_stats`.
 """
 
 from __future__ import annotations
@@ -84,30 +83,9 @@ class ExecutionStats:
     on this layer's behalf; a hit serves ``cache_bytes`` tensor bytes
     without any backend pass. ``persistent_hits``/``persistent_bytes``
     are the subset of cache hits served from the cross-process
-    :class:`~repro.core.grid_cache.PersistentGridCache` tier,
+    :class:`~repro.core.grid_cache.PersistentGridCache` tier, and
     ``block_hits`` counts finished block tensors served from cache
-    (each one skips the backend pass *and* the d prefix passes), and
-    ``parallel_tiles`` counts tiles whose materialization was
-    dispatched to the sharded tile pipeline's worker pool.
-    ``process_tiles``/``process_pools``/``process_fallbacks`` track the
-    process tier of that pipeline (tiles fetched in worker processes,
-    pools spawned on this layer's behalf, and tiles that fell back to
-    an in-process fetch after a pool failure); ``shm_bytes`` counts
-    tensor bytes returned through shared-memory blocks, and
-    ``process_spawn_s``/``process_ipc_s`` the observed pool start-up
-    and per-tile round-trip overheads the planner's calibration feeds
-    on (see ``docs/PARALLELISM.md``).
-
-    ``fused_passes``/``fused_cells`` count cross-query fusion (see
-    ``docs/SERVICE.md``): backend passes a request shared with at least
-    one other in-flight request through a
-    :class:`~repro.service.fusion.PassCoalescer`, and the grid cells
-    those shared passes delivered to *this* request. The physical pass
-    is counted (``queries_executed`` etc.) by the one request that
-    executed it; every sharing request instead records the fused
-    counters, so per-request scopes still partition the layer totals
-    exactly. ``fusion_wait_s`` is the time the request spent parked in
-    coalescer batching windows.
+    (each one skips the backend pass *and* the d prefix passes).
     """
 
     queries_executed: int = 0
@@ -125,16 +103,6 @@ class ExecutionStats:
     persistent_hits: int = 0
     persistent_bytes: int = 0
     block_hits: int = 0
-    parallel_tiles: int = 0
-    process_tiles: int = 0
-    process_pools: int = 0
-    process_fallbacks: int = 0
-    shm_bytes: int = 0
-    process_spawn_s: float = 0.0
-    process_ipc_s: float = 0.0
-    fused_passes: int = 0
-    fused_cells: int = 0
-    fusion_wait_s: float = 0.0
     rows_scanned: int = 0
     execution_time_s: float = 0.0
 
@@ -261,20 +229,6 @@ class EvaluationLayer:
     e.g. the half-width of a relaxed band join.
     """
 
-    #: Whether *thread* workers can overlap this backend's tile
-    #: fetches. True only when the fetch path releases the GIL (the
-    #: sqlite C library does; the numpy memory path mostly does not).
-    #: The planner's ``tile_executor='auto'`` uses this to decide when
-    #: escaping to processes is worth the spawn/IPC overhead.
-    parallel_tile_scaling: bool = False
-
-    #: Cross-query pass coalescer installed by the service tier, or
-    #: None (see :class:`repro.service.fusion.PassCoalescer`). The
-    #: attribute is duck-typed so the core never imports the service;
-    #: explorers consult it before paying a backend pass and a bare
-    #: layer costs one attribute read.
-    pass_coalescer = None
-
     def __init__(self) -> None:
         self.stats = ExecutionStats()
         # Guards counter updates when execute_cells falls back to the
@@ -312,18 +266,6 @@ class EvaluationLayer:
         class opts out — only backends that can fingerprint their
         dataset (class + content digest) participate in the
         :class:`~repro.core.grid_cache.PersistentGridCache` tier.
-        """
-        return None
-
-    def backend_spec(self, prepared: PreparedQuery) -> Optional[object]:
-        """Picklable recipe rebuilding this layer + prepared state in a
-        worker process, or None.
-
-        Returns a :class:`repro.core.tile_worker.BackendSpec` when the
-        backend can be reconstructed from serializable parts (tables as
-        plain arrays, a sqlite snapshot, constructor arguments). The
-        base class opts out, which routes the tiled Explore path to the
-        thread tier; see ``docs/PARALLELISM.md`` ("Process tiles").
         """
         return None
 
@@ -487,67 +429,19 @@ class EvaluationLayer:
         prepared: PreparedQuery,
         space: RefinedSpace,
         boxes: Sequence[tuple[Sequence[int], Sequence[int]]],
-        max_merged_cells: Optional[int] = None,
     ) -> list[np.ndarray]:
-        """Cell tensors for several rectangular subgrids, ideally in
-        one merged backend pass.
+        """Cell tensors of several rectangular subgrids: one
+        :meth:`execute_grid_tile` per inclusive ``(lo, hi)`` box, in
+        order.
 
-        ``boxes`` is a sequence of inclusive ``(lo, hi)`` bounds; the
-        return value has one tensor per entry, in order, each
-        bit-identical to :meth:`execute_grid_tile` over the same bounds
-        (duplicate boxes share one read-only tensor). This is the
-        merged entry point of cross-query fusion (``docs/SERVICE.md``):
-        when the bounding box of all distinct boxes holds no more cells
-        than the individual passes would have computed anyway (and no
-        more than ``max_merged_cells``), one pass covers the bounding
-        box and every box becomes a read-only view into it; otherwise
-        the layer issues one pass per distinct box — fusion then
-        degrades to deduplication, never a loss.
-
-        A box spanning the full grid extent routes through
-        :meth:`execute_grid` so whole-grid materializations keep their
-        native path and counters.
+        Nothing in the package calls this; it stays because the
+        benchmark tracer (``perfbench/tracing.py``) wraps it by name on
+        every backend class.
         """
-        normalized = [_check_tile_bounds(space, lo, hi) for lo, hi in boxes]
-        unique = sorted(set(normalized))
-        full = ((0,) * space.d, tuple(space.max_coords))
-        tensors: dict[tuple, np.ndarray] = {}
-        if len(unique) > 1:
-            lo = tuple(
-                min(box[0][axis] for box in unique)
-                for axis in range(space.d)
-            )
-            hi = tuple(
-                max(box[1][axis] for box in unique)
-                for axis in range(space.d)
-            )
-            merged_cells = _box_cells(lo, hi)
-            summed = sum(_box_cells(*box) for box in unique)
-            within_cap = (
-                max_merged_cells is None or merged_cells <= max_merged_cells
-            )
-            if merged_cells <= summed and within_cap:
-                if (lo, hi) == full:
-                    parent = self.execute_grid(prepared, space)
-                else:
-                    parent = self.execute_grid_tile(prepared, space, lo, hi)
-                parent.setflags(write=False)
-                for box_lo, box_hi in unique:
-                    tensors[(box_lo, box_hi)] = parent[
-                        tuple(
-                            slice(l - p, h - p + 1)
-                            for l, h, p in zip(box_lo, box_hi, lo)
-                        )
-                    ]
-                return [tensors[box] for box in normalized]
-        for box in unique:
-            if box == full:
-                tensor = self.execute_grid(prepared, space)
-            else:
-                tensor = self.execute_grid_tile(prepared, space, *box)
-            tensor.setflags(write=False)
-            tensors[box] = tensor
-        return [tensors[box] for box in normalized]
+        return [
+            self.execute_grid_tile(prepared, space, lo, hi)
+            for lo, hi in boxes
+        ]
 
     def execute_box(
         self, prepared: PreparedQuery, scores: Sequence[float]
@@ -685,72 +579,6 @@ class EvaluationLayer:
                 else:
                     stats.cache_misses += 1
 
-    def count_parallel_tiles(self, tiles: int) -> None:
-        """Record ``tiles`` tile materializations dispatched to the
-        sharded tile pipeline's worker pool."""
-        with self._stats_lock:
-            for stats in _sinks(self.stats):
-                stats.parallel_tiles += tiles
-
-    def count_process_tiles(
-        self,
-        tiles: int = 0,
-        pools: int = 0,
-        fallbacks: int = 0,
-        shm_bytes: int = 0,
-        spawn_s: float = 0.0,
-        ipc_s: float = 0.0,
-    ) -> None:
-        """Record process-tier scheduler activity (see
-        :class:`ExecutionStats`): tiles fetched in worker processes,
-        pools spawned, in-process fallbacks after pool failures,
-        shared-memory bytes returned, and the observed spawn/IPC
-        overheads the plan calibration learns from."""
-        with self._stats_lock:
-            for stats in _sinks(self.stats):
-                stats.process_tiles += tiles
-                stats.process_pools += pools
-                stats.process_fallbacks += fallbacks
-                stats.shm_bytes += shm_bytes
-                stats.process_spawn_s += spawn_s
-                stats.process_ipc_s += ipc_s
-
-    def count_fused(
-        self, passes: int = 0, cells: int = 0, wait_s: float = 0.0
-    ) -> None:
-        """Record this request's share of cross-query fused passes
-        (see :class:`ExecutionStats`): backend passes it shared with
-        other in-flight requests, the grid cells those passes delivered
-        to it, and the time it spent parked in the coalescer's batching
-        window. Called on the beneficiary's own thread so its request
-        scopes are the ones credited."""
-        with self._stats_lock:
-            for stats in _sinks(self.stats):
-                stats.fused_passes += passes
-                stats.fused_cells += cells
-                stats.fusion_wait_s += wait_s
-
-    def merge_stats(self, delta: ExecutionStats) -> None:
-        """Fold a worker process's :meth:`ExecutionStats.since` delta
-        into this layer's counters.
-
-        Iterates dataclass fields so newly added counters are merged
-        automatically — the same no-drift discipline as ``since()``.
-        Used by the process tile scheduler: each worker snapshots its
-        own layer stats around a fetch and ships the delta home, so
-        ``cells_executed``-style accounting stays identical to the
-        thread tier.
-        """
-        with self._stats_lock:
-            for stats in _sinks(self.stats):
-                for field in fields(stats):
-                    setattr(
-                        stats,
-                        field.name,
-                        getattr(stats, field.name)
-                        + getattr(delta, field.name),
-                    )
-
     def _timed(self) -> _Timer:
         with self._stats_lock:
             return _Timer(self.stats, self._stats_lock)
@@ -784,14 +612,6 @@ def grid_identity_tensor(
     tensor = np.empty(shape + (len(identity),), dtype=np.float64)
     tensor[...] = identity
     return tensor
-
-
-def _box_cells(lo: Sequence[int], hi: Sequence[int]) -> int:
-    """Number of grid cells in the inclusive box ``[lo, hi]``."""
-    cells = 1
-    for low, high in zip(lo, hi):
-        cells *= high - low + 1
-    return cells
 
 
 def _check_tile_bounds(

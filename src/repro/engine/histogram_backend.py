@@ -100,21 +100,6 @@ class HistogramBackend(EvaluationLayer):
         # cross-process identity alongside the data digest.
         return ("HistogramBackend", self.bins, database_digest(self.database))
 
-    def backend_spec(self, prepared: _HistogramPrepared):
-        """Process-tier recipe: the histogram build is a deterministic
-        function of (tables, bins, max_rows), so a worker re-``prepare``
-        reproduces the parent's estimates bit for bit."""
-        from repro.core.tile_worker import BackendSpec, database_tables
-
-        return BackendSpec(
-            factory="repro.engine.histogram_backend:HistogramBackend",
-            tables=database_tables(self.database),
-            kwargs={"bins": self.bins, "max_rows": self.max_rows},
-            query=prepared.query,
-            dim_caps=tuple(prepared.dim_caps),
-            database_name=self.database.name,
-        )
-
     # ------------------------------------------------------------------
     def prepare(
         self, query: Query, dim_caps: Optional[Sequence[float]] = None

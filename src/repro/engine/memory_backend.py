@@ -82,7 +82,7 @@ class MemoryBackend(EvaluationLayer):
         self.vectorized_grid = vectorized_grid
         self.indexed = indexed
         # Guards the lazy grid rebuild in _grid_for against concurrent
-        # tile workers (the build is deterministic, so the lock only
+        # requests (the build is deterministic, so the lock only
         # prevents duplicated work and torn cache state).
         self._grid_build_lock = threading.Lock()
 
@@ -90,28 +90,6 @@ class MemoryBackend(EvaluationLayer):
         from repro.core.grid_cache import database_digest
 
         return ("MemoryBackend", database_digest(self.database))
-
-    def backend_spec(self, prepared: _MemoryPrepared):
-        """Process-tier recipe: plain column arrays + constructor args.
-
-        A worker re-``prepare``s from the shipped tables; the candidate
-        relation build is deterministic, so worker tile fetches are
-        bit-identical to the parent's.
-        """
-        from repro.core.tile_worker import BackendSpec, database_tables
-
-        return BackendSpec(
-            factory="repro.engine.memory_backend:MemoryBackend",
-            tables=database_tables(self.database),
-            kwargs={
-                "max_rows": self.max_rows,
-                "vectorized_grid": self.vectorized_grid,
-                "indexed": self.indexed,
-            },
-            query=prepared.query,
-            dim_caps=tuple(prepared.dim_caps),
-            database_name=self.database.name,
-        )
 
     # ------------------------------------------------------------------
     def prepare(

@@ -81,10 +81,8 @@ class SamplingBackend(EvaluationLayer):
         seed: int = 0,
         backend_factory: Optional[Callable[[Database], EvaluationLayer]] = None,
         tables: Optional[Sequence[str]] = None,
-        presampled: bool = False,
     ) -> None:
         super().__init__()
-        self._default_factory = backend_factory is None
         if backend_factory is None:
             from repro.engine.memory_backend import MemoryBackend
 
@@ -94,50 +92,10 @@ class SamplingBackend(EvaluationLayer):
             frozenset(tables) if tables is not None
             else frozenset(database.table_names)
         )
-        if presampled:
-            # ``database`` already *is* the sample (the process tier
-            # ships sampled tables so workers reproduce the parent's
-            # draw exactly); only the scale factor is reconstructed.
-            if not 0 < self.fraction <= 1:
-                raise EngineError(
-                    "sampling fraction must be in (0, 1], got "
-                    f"{self.fraction}"
-                )
-            self.sampled_database = database
-        else:
-            self.sampled_database = sample_database(
-                database, fraction, seed, tables
-            )
-        self._inner = backend_factory(self.sampled_database)
-
-    @property
-    def parallel_tile_scaling(self) -> bool:  # type: ignore[override]
-        """Thread-tier scaling is the inner layer's property."""
-        return bool(getattr(self._inner, "parallel_tile_scaling", False))
-
-    def backend_spec(self, prepared):
-        """Process-tier recipe: ship the *sampled* tables presampled.
-
-        Only available with the default (memory) inner factory — a
-        custom ``backend_factory`` callable is not picklable, so those
-        layers stay on the thread tier.
-        """
-        if not self._default_factory:
-            return None
-        from repro.core.tile_worker import BackendSpec, database_tables
-
-        return BackendSpec(
-            factory="repro.engine.sampling:SamplingBackend",
-            tables=database_tables(self.sampled_database),
-            kwargs={
-                "fraction": self.fraction,
-                "tables": sorted(self.sampled_tables),
-                "presampled": True,
-            },
-            query=prepared.query,
-            dim_caps=tuple(prepared.dim_caps),
-            database_name=self.sampled_database.name,
+        self.sampled_database = sample_database(
+            database, fraction, seed, tables
         )
+        self._inner = backend_factory(self.sampled_database)
 
     def persistent_cache_key(self) -> tuple:
         from repro.core.grid_cache import database_digest

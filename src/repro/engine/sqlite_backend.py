@@ -50,10 +50,6 @@ class _SQLitePrepared:
 class SQLiteBackend(EvaluationLayer):
     """Evaluation layer that compiles every request to SQL."""
 
-    #: The sqlite3 C library releases the GIL during statement
-    #: execution, so thread workers genuinely overlap tile fetches.
-    parallel_tile_scaling = True
-
     def __init__(
         self, database: Database, create_indexes: bool = True
     ) -> None:
@@ -64,13 +60,14 @@ class SQLiteBackend(EvaluationLayer):
             ":memory:", check_same_thread=False
         )
         self._owner_ident = threading.get_ident()
-        # Worker threads (the sharded tile pipeline) read through
-        # private deserialized snapshots of the primary database —
-        # shared-cache connections would serialize on the cache mutex,
-        # losing the fetch overlap the scheduler exists to create. A
-        # generation counter invalidates snapshots when later loads or
-        # index builds change the primary; each worker holds one full
-        # copy, so memory scales with ``tile_workers``, not tiles.
+        # Worker threads (service workers and the ``execute_cells``
+        # pool) read through private deserialized snapshots of the
+        # primary database — shared-cache connections would serialize
+        # on the cache mutex, losing the overlap the sqlite3 C library
+        # offers by releasing the GIL. A generation counter invalidates
+        # snapshots when later loads or index builds change the
+        # primary; each worker thread holds one full copy, so memory
+        # scales with threads, not requests.
         self._local = threading.local()
         self._readers: list[sqlite3.Connection] = []
         self._readers_lock = threading.Lock()
@@ -104,53 +101,12 @@ class SQLiteBackend(EvaluationLayer):
     def persistent_cache_key(self) -> tuple:
         return ("SQLiteBackend", database_digest(self.database))
 
-    def backend_spec(self, prepared: _SQLitePrepared):
-        """Process-tier recipe: tables + the primary's serialized image.
-
-        The snapshot (``Connection.serialize``, Python >= 3.11) lets
-        workers skip the CREATE TABLE + INSERT reload; older runtimes
-        ship tables only and workers reload through ``prepare``.
-        """
-        from repro.core.tile_worker import BackendSpec, database_tables
-
-        snapshot: Optional[bytes] = None
-        if hasattr(self._connection, "serialize"):
-            snapshot = self._snapshot()[1]
-        return BackendSpec(
-            factory="repro.engine.sqlite_backend:SQLiteBackend",
-            tables=database_tables(self.database),
-            kwargs={"create_indexes": self.create_indexes},
-            query=prepared.query,
-            dim_caps=tuple(prepared.dim_caps),
-            database_name=self.database.name,
-            sqlite_snapshot=snapshot,
-        )
-
-    def restore_snapshot(
-        self, snapshot: bytes, loaded: Sequence[str]
-    ) -> bool:
-        """Adopt a serialized database image (worker-side restore).
-
-        Marks ``loaded`` tables as installed so the subsequent
-        ``prepare`` skips re-inserting them; indexes already live in
-        the image, and ``CREATE INDEX IF NOT EXISTS`` makes the
-        re-ensure a no-op. Returns False (leaving the reload path to
-        ``prepare``) when this runtime cannot deserialize.
-        """
-        if not hasattr(self._connection, "deserialize"):
-            return False
-        with self._load_lock:
-            self._connection.deserialize(snapshot)
-            self._loaded.update(loaded)
-            self._load_generation += 1
-        return True
-
     def _snapshot(self) -> tuple[int, bytes]:
         """Serialized image of the primary database, memoized per load
         generation. All loads/index builds happen on the primary
-        connection before any worker reads (``_ensure_tiles`` installs
-        every table the prepared query touches), so a snapshot taken at
-        fetch time is complete for that query."""
+        connection before any worker reads (``prepare`` installs every
+        table the prepared query touches), so a snapshot taken at fetch
+        time is complete for that query."""
         with self._snapshot_lock:
             if self._snapshot_generation != self._load_generation:
                 self._snapshot_data = self._connection.serialize()
@@ -164,8 +120,8 @@ class SQLiteBackend(EvaluationLayer):
         The owning thread reads through the primary connection; worker
         threads get a lazily created per-thread private connection
         deserialized from the primary's current image. Private copies
-        (rather than shared-cache readers) keep concurrent tile fetches
-        off any shared page-cache mutex, so they genuinely overlap.
+        (rather than shared-cache readers) keep concurrent reads off
+        any shared page-cache mutex, so they genuinely overlap.
         """
         if threading.get_ident() == self._owner_ident:
             return self._connection.cursor()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.core.acquire import AcquireConfig
@@ -884,165 +883,6 @@ def grid_cache_sweep(
     )
 
 
-def sharded_tiles(
-    scale_rows: int = 6_000,
-    ratio: float = 0.25,
-    gamma: float = 10.0,
-    step: float = 2.0,
-    selectivity: float = BASE_SELECTIVITY,
-    backends: Sequence[str] = ("memory", "sqlite"),
-    workers: Sequence[int] = (1, 4),
-    executors: Sequence[str] = ("thread", "process"),
-    tile_width: int = 5,
-    repeats: int = 3,
-) -> ExperimentResult:
-    """Sharded tile pipeline: full-grid materialization, serial vs N
-    workers on each executor tier.
-
-    Times exactly the phase the tile schedulers parallelize — one
-    ``prime_cells`` of the whole down-set grid, every tile pending at
-    once — rather than a full ACQUIRE run, where driver scoring
-    dilutes the fetch overlap (Amdahl) and makes a wall-clock gate
-    flaky. Tile *fetches* are independent; only the seam stitching is
-    ordered, so every worker count on every tier must produce
-    bit-identical block states. Each ``executor`` in ``executors``
-    gets its own worker sweep (rows ``backend/executor/wN``); the
-    process tier's first repeat pays the pool spawn, which best-of-
-    ``repeats`` timing deliberately excludes (the pool is persistent —
-    steady state is the honest number; the spawn cost is reported
-    separately via ``process_spawn_s``). ``qscore`` carries the summed
-    finalized aggregate over the whole grid as an identity checksum,
-    and ``extra`` records the exact cell-by-cell comparison against
-    the serial arm (``identical_to_serial``), ``parallel_tiles``, and
-    the effective ``tile_executor`` after any runtime fallback.
-    """
-    import itertools as _it
-    import time as _time
-
-    import numpy as _np
-
-    from repro.core.grid_explore import TiledGridExplorer
-    from repro.core.refined_space import RefinedSpace
-
-    database = _tpch(_scaled(scale_rows))
-    workload = build_ratio_workload(
-        database,
-        Q2_TABLES,
-        q2_flex_specs(2, selectivity),
-        ratio,
-        aggregate="COUNT",
-        joins=Q2_JOINS,
-        name="sharded",
-    )
-    query = workload.query
-    aggregate = query.constraint.spec.aggregate
-    config = AcquireConfig(gamma=gamma, step=step)
-    rows: list[Row] = []
-    for backend in backends:
-        layer = make_backend(database, backend)
-        dim_caps = [config.dim_cap_default] * query.dimensionality
-        prepared = layer.prepare(query, dim_caps)
-        useful = layer.useful_max_scores(prepared)
-        max_scores = [min(c, s) for c, s in zip(dim_caps, useful)]
-        space = RefinedSpace(query, gamma, max_scores, config.norm, step)
-        corner = space.max_coords
-        grid_coords = list(
-            _it.product(*(range(limit + 1) for limit in corner))
-        )
-        serial_values: Optional[_np.ndarray] = None
-        for executor in executors:
-            for count in workers:
-                best_s = math.inf
-                explorer = None
-                stats_delta = None
-                for _ in range(max(repeats, 1)):
-                    candidate = TiledGridExplorer(
-                        layer,
-                        prepared,
-                        space,
-                        aggregate,
-                        tile_shape=(tile_width,) * space.d,
-                        tile_workers=count,
-                        tile_executor=executor,
-                    )
-                    before = layer.stats.snapshot()
-                    started = _time.perf_counter()
-                    candidate.prime_cells([corner])
-                    elapsed = _time.perf_counter() - started
-                    delta = layer.stats.since(before)
-                    if elapsed < best_s:
-                        if explorer is not None:
-                            explorer.close()
-                        best_s, explorer, stats_delta = (
-                            elapsed, candidate, delta,
-                        )
-                    else:
-                        candidate.close()
-                values = _np.array(
-                    [explorer.compute_aggregate(c) for c in grid_coords]
-                )
-                identical = (
-                    True
-                    if serial_values is None
-                    else bool(_np.array_equal(values, serial_values))
-                )
-                if serial_values is None:
-                    serial_values = values
-                rows.append(
-                    Row(
-                        x_name="workers",
-                        x_value=count,
-                        method=f"{backend}/{executor}/w{count}",
-                        time_ms=best_s * 1000.0,
-                        error=0.0,
-                        qscore=float(values.sum()),
-                        aggregate_value=float(values[-1]),
-                        queries=stats_delta.queries_executed,
-                        rows_scanned=stats_delta.rows_scanned,
-                        satisfied=identical,
-                        tiles=explorer.tiles_materialized,
-                        cache_hits=stats_delta.cache_hits,
-                        cache_misses=stats_delta.cache_misses,
-                        explore_mode="tiled",
-                        extra={
-                            "identical_to_serial": identical,
-                            "parallel_tiles": stats_delta.parallel_tiles,
-                            "process_tiles": stats_delta.process_tiles,
-                            "process_fallbacks": (
-                                stats_delta.process_fallbacks
-                            ),
-                            "tile_executor": explorer.tile_executor,
-                            "grid_cells": len(grid_coords),
-                        },
-                    )
-                )
-                explorer.close()
-    return ExperimentResult(
-        name="sharded_tiles",
-        title="Sharded tiles: tiled Explore at 1 vs N workers on the "
-              "thread and process tiers (bit-identical answers)",
-        paper_expectation=(
-            "Tile fetches carry no inter-tile dependency, so the "
-            "sharded pipeline overlaps backend work across workers — "
-            "threads sharing the interpreter, or processes escaping "
-            "the GIL over shared memory — while the ordered seam "
-            "stitching keeps every block state — and hence the answer "
-            "set — bit-identical to serial."
-        ),
-        rows=rows,
-        settings={
-            "scale_rows": _scaled(scale_rows),
-            "ratio": ratio,
-            "step": step,
-            "tile_width": tile_width,
-            "workers": list(workers),
-            "executors": list(executors),
-            "backends": list(backends),
-            "repeats": repeats,
-        },
-    )
-
-
 def persistent_cache(
     scale_rows: int = 4_000,
     ratios: Sequence[float] = (0.5, 0.3),
@@ -1279,13 +1119,10 @@ def service_load(
     corpus_requests: int = 8,
     corpus_seed: int = 7,
     open_loop_rps: float = 40.0,
-    fused_corpus_requests: int = 4,
-    fused_duplicate_fraction: float = 3.0,
-    fusion_window_ms: float = 25.0,
 ) -> ExperimentResult:
     """Load-generate against :class:`repro.service.AcquireService`.
 
-    Four arms, mirroring how a multi-tenant driver is actually judged:
+    Three arms, mirroring how a multi-tenant driver is actually judged:
 
     * ``service/closed/<backend>`` — closed-loop throughput sweep over
       worker counts: N clients per worker hammer one shared backend
@@ -1304,15 +1141,6 @@ def service_load(
       backend-query/row counts the regression baseline pins (the
       concurrent arms' counters depend on request interleaving — two
       simultaneous identical requests may both miss the cache).
-    * ``service/unfused/corpus`` vs ``service/fused/corpus`` — a
-      duplicate-heavy open-loop mix (each sampled triple immediately
-      followed by jittered near-duplicates, so same-key requests race
-      in flight) replayed at equal workers with cross-query pass
-      fusion off and on. The fused arm must complete everything with
-      zero rejections, report ``fused_passes > 0``, and issue
-      *strictly fewer* backend queries than the unfused arm — the
-      merged passes, not the cache, absorb the concurrency
-      (``benchmarks/smoke.py`` gates exactly that).
     """
     import time as _time
 
@@ -1488,80 +1316,6 @@ def service_load(
     finally:
         service.close()
 
-    # -- Arm D: fused vs unfused duplicate-heavy open loop ------------
-    # Batched incremental: the incremental engine never consults the
-    # grid cache, so with fusion off every request pays its own cell
-    # passes — the clean baseline against which the coalescer's merged
-    # passes show up as strictly fewer backend queries at equal
-    # workers (``batched=True`` routes each layer through
-    # ``prime_cells``, the coalescer's cell seam).
-    for method, fusion in (
-        ("service/unfused/corpus", False),
-        ("service/fused/corpus", True),
-    ):
-        service = AcquireService(
-            ServiceConfig(
-                workers=4,
-                max_queue=8,
-                admission="wait",
-                fusion=fusion,
-                fusion_window_ms=fusion_window_ms,
-            )
-        )
-        try:
-            requests = [
-                (name, query, replace(request_config, batched=True))
-                for name, query, request_config in sample_corpus_requests(
-                    service,
-                    fused_corpus_requests,
-                    seed=corpus_seed,
-                    duplicate_fraction=fused_duplicate_fraction,
-                    explore_mode="incremental",
-                    duplicate_placement="adjacent",
-                )
-            ]
-            report = run_open_loop(
-                service, requests, inter_arrival_s=0.002
-            )
-            stats = report.service
-            rows.append(
-                Row(
-                    x_name="fusion",
-                    x_value="on" if fusion else "off",
-                    method=method,
-                    time_ms=report.wall_s * 1000.0,
-                    error=0.0,
-                    qscore=0.0,
-                    aggregate_value=0.0,
-                    queries=report.queries_executed,
-                    rows_scanned=sum(
-                        r.rows_scanned for r in report.records
-                    ),
-                    satisfied=True,
-                    cache_hits=report.cache_hits,
-                    cache_misses=report.cache_misses,
-                    explore_mode="incremental",
-                    extra={
-                        "throughput_rps": report.throughput_rps,
-                        "p50_ms": report.latency_ms(0.50),
-                        "p99_ms": report.latency_ms(0.99),
-                        "requests": len(requests),
-                        "completed": report.completed,
-                        "rejected": report.rejected,
-                        "fused_passes": report.fused_passes,
-                        "fused_cells": report.fused_cells,
-                        "fused_groups": (
-                            stats.fused_groups if stats else 0
-                        ),
-                        "fused_fetches": (
-                            stats.fused_fetches if stats else 0
-                        ),
-                    },
-                )
-            )
-        finally:
-            service.close()
-
     return ExperimentResult(
         name="service_load",
         title="ACQ-as-a-service: latency/throughput under generated load",
@@ -1570,9 +1324,7 @@ def service_load(
             "deployment: throughput scales with service workers on a "
             "GIL-escaping backend, overlapping sweeps dedupe tile "
             "work through the shared target-independent grid cache "
-            "(cross-request cache hits > 0), and with pass fusion on, "
-            "duplicate-heavy in-flight traffic is served by strictly "
-            "fewer merged backend passes than the unfused replay."
+            "(cross-request cache hits > 0)."
         ),
         rows=rows,
         settings={
@@ -1583,9 +1335,6 @@ def service_load(
             "corpus_requests": corpus_requests,
             "corpus_seed": corpus_seed,
             "open_loop_rps": open_loop_rps,
-            "fused_corpus_requests": fused_corpus_requests,
-            "fused_duplicate_fraction": fused_duplicate_fraction,
-            "fusion_window_ms": fusion_window_ms,
         },
     )
 
@@ -1603,7 +1352,6 @@ EXPERIMENTS = {
     "layers": evaluation_layers,
     "explore": explore_modes,
     "grid_cache": grid_cache_sweep,
-    "sharded_tiles": sharded_tiles,
     "persistent_cache": persistent_cache,
     "calibration": plan_calibration,
     "shapes": shape_robustness,

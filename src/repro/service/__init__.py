@@ -24,17 +24,8 @@ Rejections raise :class:`~repro.exceptions.ServiceError` with a stable
 ``reason`` code. See ``docs/SERVICE.md`` for the full contract and the
 load-generator experiment, and :mod:`repro.service.loadgen` for the
 open/closed-loop harness.
-
-With ``ServiceConfig(fusion=True)`` the service additionally installs
-a cross-query :class:`~repro.service.fusion.PassCoalescer` on every
-registered backend: compatible cell/tile fetches from concurrent
-requests are batched during a short adaptive window and served by
-**one** merged backend pass, while results stay bit-identical to a
-serial replay (see the "Cross-query fusion" section of
-``docs/SERVICE.md``).
 """
 
-from repro.service.fusion import FusedFetch, PassCoalescer
 from repro.service.loadgen import (
     LoadReport,
     RequestRecord,
@@ -51,9 +42,7 @@ from repro.service.service import (
 
 __all__ = [
     "AcquireService",
-    "FusedFetch",
     "LoadReport",
-    "PassCoalescer",
     "RequestRecord",
     "ServiceConfig",
     "ServiceStats",

@@ -60,8 +60,6 @@ class RequestRecord:
     rows_scanned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    fused_passes: int = 0
-    fused_cells: int = 0
 
 
 @dataclass
@@ -110,16 +108,6 @@ class LoadReport:
         """Total backend queries issued across completed requests."""
         return sum(record.queries_executed for record in self.records)
 
-    @property
-    def fused_passes(self) -> int:
-        """Shared merged passes requests benefited from (fusion)."""
-        return sum(record.fused_passes for record in self.records)
-
-    @property
-    def fused_cells(self) -> int:
-        """Cells those shared merged passes delivered (fusion)."""
-        return sum(record.fused_cells for record in self.records)
-
 
 def percentile(ordered: Sequence[float], quantile: float) -> float:
     """Nearest-rank percentile of an ascending sequence (0 if empty)."""
@@ -142,7 +130,6 @@ def sample_corpus_requests(
     duplicate_fraction: float = 0.5,
     families: Optional[Sequence[str]] = None,
     explore_mode: str = "materialized",
-    duplicate_placement: str = "tail",
 ) -> list[Request]:
     """Register corpus backends on ``service`` and build a request mix.
 
@@ -161,23 +148,11 @@ def sample_corpus_requests(
     ``explore_mode`` overrides each realized config (the incremental
     engine never consults the grid cache, so the default forces the
     materializing path; pass ``""`` to keep the manifest's modes).
-
-    ``duplicate_placement`` shapes the arrival order: ``"tail"``
-    (default) appends every duplicate after the originals, so
-    duplicates find the cache warm; ``"adjacent"`` places each
-    original's duplicates immediately after it, so same-key requests
-    race *in flight* — the shape that exercises cross-query pass
-    fusion (``ServiceConfig(fusion=True)``) rather than the cache.
     """
     from repro.corpus.generator import realize
     from repro.corpus.manifest import DEFAULT_MANIFEST_PATH, load_manifest
     from repro.engine.memory_backend import MemoryBackend
 
-    if duplicate_placement not in ("tail", "adjacent"):
-        raise CorpusError(
-            "duplicate_placement must be 'tail' or 'adjacent', "
-            f"got {duplicate_placement!r}"
-        )
     triples = list(load_manifest(DEFAULT_MANIFEST_PATH).triples)
     if families:
         wanted = set(families)
@@ -208,15 +183,8 @@ def sample_corpus_requests(
             dups_by_original.setdefault(source, []).append(
                 (name, _jitter_target(query, rng), config)
             )
-        if duplicate_placement == "tail":
-            for source in sorted(dups_by_original):
-                requests.extend(dups_by_original[source])
-        else:
-            interleaved: list[Request] = []
-            for index, original in enumerate(requests):
-                interleaved.append(original)
-                interleaved.extend(dups_by_original.get(index, []))
-            requests = interleaved
+        for source in sorted(dups_by_original):
+            requests.extend(dups_by_original[source])
     return requests
 
 
@@ -268,8 +236,6 @@ def _record_result(record: RequestRecord, result: AcquireResult) -> None:
     record.rows_scanned = execution.rows_scanned
     record.cache_hits = execution.cache_hits
     record.cache_misses = execution.cache_misses
-    record.fused_passes = execution.fused_passes
-    record.fused_cells = execution.fused_cells
 
 
 def _closed_loop_client(

@@ -15,8 +15,10 @@ registry, the closed flag) is guarded by one service lock.
 Admission happens on the *submitting* thread: budget checks first,
 then a slot on the bounded admission semaphore (``workers +
 max_queue`` slots; the policy decides reject-vs-wait when none is
-free). The slot is released when the request finishes, so the semaphore
-bounds queued + in-flight work — classic bounded-queue backpressure.
+free). The slot is released when the request finishes — or, for a
+request cancelled while still queued, by its future's done-callback —
+so the semaphore bounds queued + in-flight work: classic bounded-queue
+backpressure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.core.query import Query
 from repro.core.result import AcquireResult
 from repro.engine.backends import EvaluationLayer
 from repro.exceptions import QueryModelError, ServiceError
-from repro.service.fusion import PassCoalescer
 
 DEFAULT_BACKEND = "default"
 
@@ -76,19 +77,6 @@ class ServiceConfig:
         cache_path: optional directory for a shared
             :class:`~repro.core.grid_cache.PersistentGridCache` tier
             under the shared memory cache.
-        fusion: enable cross-query pass fusion — a
-            :class:`~repro.service.fusion.PassCoalescer` is installed
-            on every registered backend so compatible cell/tile
-            fetches from concurrent in-flight requests merge into one
-            backend pass (see ``docs/SERVICE.md``). Results stay
-            bit-identical to serial; only the number of physical
-            passes changes. Off by default.
-        fusion_window_ms: upper bound on the batching window a fetch
-            may wait for co-travellers, in milliseconds. The
-            effective window adapts below this cap from observed pass
-            latency, and drops to zero when only one request is in
-            flight. ``0`` disables waiting entirely (merges then only
-            happen between fetches that collide spontaneously).
     """
 
     workers: int = 4
@@ -99,8 +87,6 @@ class ServiceConfig:
     max_rows_per_request: Optional[int] = None
     cache_bytes: int = DEFAULT_CACHE_BYTES
     cache_path: Optional[str] = None
-    fusion: bool = False
-    fusion_window_ms: float = 2.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -114,10 +100,6 @@ class ServiceConfig:
             )
         if self.cache_bytes < 0:
             raise QueryModelError("service cache_bytes must be >= 0")
-        if self.fusion_window_ms < 0:
-            raise QueryModelError(
-                "service fusion_window_ms must be >= 0"
-            )
 
 
 @dataclass
@@ -126,28 +108,23 @@ class ServiceStats:
 
     ``submitted`` counts every :meth:`AcquireService.submit` call;
     ``admitted`` the subset that passed budgets and backpressure;
-    ``completed``/``failed`` their outcomes. ``rejected_queue``,
-    ``rejected_budget`` and ``timeouts`` break down refusals by
-    reason, and ``peak_in_flight`` records the highest concurrent
-    execution observed (``in_flight`` is the live gauge).
-
-    With :attr:`ServiceConfig.fusion` enabled, ``fused_groups``
-    counts merged dispatches that actually served more than one
-    request and ``fused_fetches`` the fetches those groups absorbed
-    (``fused_fetches - fused_groups`` passes were saved).
+    ``completed``/``failed`` their outcomes, and ``cancelled`` the
+    admitted requests whose future was cancelled before they ran.
+    ``rejected_queue``, ``rejected_budget`` and ``timeouts`` break down
+    refusals by reason, and ``peak_in_flight`` records the highest
+    concurrent execution observed (``in_flight`` is the live gauge).
     """
 
     submitted: int = 0
     admitted: int = 0
     completed: int = 0
     failed: int = 0
+    cancelled: int = 0
     rejected_queue: int = 0
     rejected_budget: int = 0
     timeouts: int = 0
     in_flight: int = 0
     peak_in_flight: int = 0
-    fused_groups: int = 0
-    fused_fetches: int = 0
 
     def snapshot(self) -> "ServiceStats":
         return replace(self)
@@ -210,23 +187,6 @@ class AcquireService:
         )
         #: Shared cost-model calibration fed by every request.
         self.calibration = PlanCalibration()
-        #: Cross-query pass coalescer, installed on every registered
-        #: backend when fusion is enabled (None otherwise). Built
-        #: before the service lock exists conceptually: the coalescer
-        #: may call :meth:`_active_requests` / :meth:`_count_fused`
-        #: (which take the service lock) while holding its own lock,
-        #: so the service must never call into the coalescer while
-        #: holding ``_lock`` — the lock order is coalescer -> service.
-        self.pass_coalescer: Optional[PassCoalescer] = (
-            PassCoalescer(
-                window_s=self.config.fusion_window_ms / 1000.0,
-                calibration=self.calibration,
-                active_requests=self._active_requests,
-                on_fused=self._count_fused,
-            )
-            if self.config.fusion
-            else None
-        )
         self._lock = threading.Lock()
         self._stats = ServiceStats()
         self._backends: dict[str, tuple[EvaluationLayer, Acquire]] = {}
@@ -249,11 +209,6 @@ class AcquireService:
         keep the driver they were admitted with).
         """
         driver = Acquire(layer)
-        # Installed outside the service lock: the coalescer's methods
-        # take the service lock (lock order coalescer -> service), so
-        # the service never touches it while holding ``_lock``.
-        if self.pass_coalescer is not None:
-            layer.pass_coalescer = self.pass_coalescer
         with self._lock:
             if self._closed:
                 raise ServiceError("service is closed", reason="closed")
@@ -310,6 +265,7 @@ class AcquireService:
             future = self._pool.submit(
                 _execute_request, self, driver, query, effective
             )
+            future.add_done_callback(self._release_if_cancelled)
         except BaseException:
             self._slots.release()
             raise
@@ -413,23 +369,15 @@ class AcquireService:
         self._slots.release()
         return result
 
-    # -- fusion hooks ------------------------------------------------
-    def _active_requests(self) -> int:
-        """Live in-flight gauge for the coalescer's window sizing.
-
-        Called by the coalescer (possibly under its own lock); takes
-        only the service lock, honouring the coalescer -> service
-        lock order.
-        """
-        with self._lock:
-            return self._stats.in_flight
-
-    def _count_fused(self, groups: int, fetches: int) -> None:
-        """Coalescer callback: one merged dispatch served ``fetches``
-        fetches across ``groups`` group(s) of waiting requests."""
-        with self._lock:
-            self._stats.fused_groups += groups
-            self._stats.fused_fetches += fetches
+    def _release_if_cancelled(self, future: Future) -> None:
+        """Done-callback: return the slot of a request cancelled while
+        queued. A cancelled future never runs :meth:`_run_admitted`
+        (and a running one cannot be cancelled), so exactly one of the
+        two releases each admitted request's slot."""
+        if future.cancelled():
+            with self._lock:
+                self._stats.cancelled += 1
+            self._slots.release()
 
     # -- lifecycle / metrics -----------------------------------------
     def stats(self) -> ServiceStats:
@@ -450,11 +398,6 @@ class AcquireService:
                 already = False
                 self._closed = True
         if not already:
-            # Closed outside the service lock (coalescer -> service
-            # lock order); pending fused groups dispatch immediately
-            # so draining requests are never parked on a window.
-            if self.pass_coalescer is not None:
-                self.pass_coalescer.close()
             self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "AcquireService":

@@ -326,129 +326,6 @@ class TestStatsDrift:
 
 
 # ----------------------------------------------------------------------
-# EL5xx fork / process-pool safety
-# ----------------------------------------------------------------------
-PROC_SRC = """\
-from concurrent.futures import ProcessPoolExecutor
-
-from repro.core import tile_worker
-
-
-class Scheduler:
-    def __init__(self, pool):
-        self.pool = pool
-
-    def run(self, tiles):
-        futures = [self.pool.submit(self._fetch, t) for t in tiles]
-        self.pool.map(lambda t: t + 1, tiles)
-        return futures
-
-    def spawn(self):
-        def task():
-            return 1
-
-        return self.pool.submit(task)
-
-    def clean(self, tiles):
-        return [
-            self.pool.submit(tile_worker.fetch_tile, t) for t in tiles
-        ]
-
-    def _fetch(self, t):
-        return t
-
-
-def make_pool(spec):
-    return ProcessPoolExecutor(
-        initializer=lambda: spec,
-    )
-"""
-
-SHM_LEAK_SRC = """\
-from multiprocessing import shared_memory
-
-
-def reserve(nbytes):
-    block = shared_memory.SharedMemory(create=True, size=nbytes)
-    block.close()
-    return block.name
-"""
-
-SHM_ATTACH_SRC = """\
-from multiprocessing import shared_memory
-
-
-def peek(name):
-    block = shared_memory.SharedMemory(name=name)
-    return block.buf[0]
-"""
-
-SHM_OK_SRC = """\
-from multiprocessing import shared_memory
-
-
-def roundtrip(nbytes):
-    block = shared_memory.SharedMemory(create=True, size=nbytes)
-    try:
-        return bytes(block.buf[:1])
-    finally:
-        block.close()
-        block.unlink()
-"""
-
-
-class TestProcessSafety:
-    @pytest.fixture()
-    def report(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/core/proc.py": PROC_SRC})
-        return run_lint(tmp_path)
-
-    def test_el501_bound_method_task_span(self, report):
-        line = PROC_SRC.splitlines()[10]
-        col = line.index("self._fetch") + 1
-        assert spans(report, "EL501") == [
-            ("src/repro/core/proc.py", 11, col)
-        ]
-        (finding,) = [f for f in report.findings if f.code == "EL501"]
-        assert finding.symbol == "Scheduler.run"
-        assert "self._fetch" in finding.message
-
-    def test_el503_lambda_nested_def_and_initializer(self, report):
-        found = spans(report, "EL503")
-        assert ("src/repro/core/proc.py", 12, 23) in found  # pool.map lambda
-        lines = [line for _, line, _ in found]
-        assert 19 in lines  # nested def shipped to submit
-        assert 32 in lines  # lambda initializer
-        assert len(found) == 3
-
-    def test_module_function_task_is_clean(self, report):
-        # tile_worker.fetch_tile resolves through an import — picklable
-        # by reference, so Scheduler.clean produces no finding.
-        assert all(f.symbol != "Scheduler.clean" for f in report.findings)
-
-    def test_el502_create_without_unlink(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/core/leak.py": SHM_LEAK_SRC})
-        report = run_lint(tmp_path)
-        assert spans(report, "EL502") == [("src/repro/core/leak.py", 5, 13)]
-        (finding,) = report.findings
-        assert "unlink()" in finding.message
-        assert "close()" not in finding.message
-
-    def test_el502_attach_without_close(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/core/attach.py": SHM_ATTACH_SRC})
-        report = run_lint(tmp_path)
-        assert spans(report, "EL502") == [
-            ("src/repro/core/attach.py", 5, 13)
-        ]
-        (finding,) = report.findings
-        assert "close()" in finding.message
-
-    def test_el502_paired_lifecycle_is_clean(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/core/ok.py": SHM_OK_SRC})
-        assert run_lint(tmp_path).findings == ()
-
-
-# ----------------------------------------------------------------------
 # Baseline suppressions
 # ----------------------------------------------------------------------
 class TestBaseline:

@@ -15,6 +15,8 @@ from repro.datagen.synthetic import numeric_table, users_table
 from repro.datagen.tpch import TPCHConfig, generate_tpch
 from repro.engine.catalog import Database
 from repro.engine.expression import col
+from repro.engine.memory_backend import MemoryBackend
+from repro.exceptions import EngineError
 
 
 def pytest_collection_modifyitems(config, items):
@@ -84,3 +86,48 @@ def count_query(
 def xy_count_query() -> Query:
     """data.x <= 40 AND data.y <= 40, COUNT = 120."""
     return count_query("data", {"x": 40.0, "y": 40.0}, target=120)
+
+
+class FailingBackend(MemoryBackend):
+    """MemoryBackend whose ``fail_at``-th backend pass raises
+    :class:`~repro.exceptions.EngineError`, once; every other pass runs
+    normally. Cell, grid and tile passes count alike, so ``passes``
+    after a clean run (``fail_at=0`` never fails) tells a test where a
+    failure lands mid-search."""
+
+    def __init__(self, database: Database, fail_at: int = 0) -> None:
+        super().__init__(database)
+        self.fail_at = fail_at
+        self.passes = 0
+
+    def _enter_pass(self) -> None:
+        self.passes += 1
+        if self.passes == self.fail_at:
+            raise EngineError(f"injected failure in backend pass {self.passes}")
+
+    def execute_cell(self, prepared, space, coords):
+        self._enter_pass()
+        return super().execute_cell(prepared, space, coords)
+
+    def execute_grid(self, prepared, space):
+        self._enter_pass()
+        return super().execute_grid(prepared, space)
+
+    def execute_grid_tile(self, prepared, space, lo, hi):
+        self._enter_pass()
+        return super().execute_grid_tile(prepared, space, lo, hi)
+
+
+def answer_key(result) -> tuple:
+    """Everything a caller reads of an ACQUIRE answer set, exactly."""
+
+    def refined(answer):
+        return (
+            answer.pscores, answer.qscore, answer.aggregate_value,
+            answer.error,
+        )
+
+    return (
+        [refined(answer) for answer in result.answers],
+        None if result.closest is None else refined(result.closest),
+    )

@@ -434,7 +434,6 @@ _ENGINES = {
     "incremental": {"explore_mode": "incremental"},
     "materialized": {"explore_mode": "materialized"},
     "tiled": {"explore_mode": "tiled"},
-    "sharded": {"explore_mode": "tiled", "tile_workers": 2},
 }
 
 

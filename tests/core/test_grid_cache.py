@@ -1,31 +1,25 @@
-"""Concurrency and persistence suite for the sharded tile pipeline.
+"""Grid tensor cache suite: persistence, tiers, single-flight, faults.
 
-Proves the contracts of ``docs/PARALLELISM.md`` (sharded tiles) and
-``docs/EXPLORE_MODES.md`` (persistent cache tier):
+Proves the cache contracts of ``docs/EXPLORE_MODES.md``:
 
-* a :class:`TiledGridExplorer` with ``tile_workers > 1`` produces
-  block states **bit-identical** to the serial tiled explorer and the
-  serial incremental :class:`~repro.core.explore.Explorer`, on every
-  backend (exact, estimation, sampling), for randomized tile shapes
-  and worker counts (hypothesis);
-* a full ACQUIRE run is answer-identical at any worker count;
 * :class:`PersistentGridCache` round-trips tensors through its
   checksummed file format, detects corruption (truncation, bit flips,
   undecodable headers) as a counted miss that deletes the bad file,
-  releases its single-flight when the probe itself fails, never serves a torn
-  (unpublished) temp file, enforces its byte budget as LRU across
-  instances, and rejects oversized/non-float tensors as counted no-ops;
+  releases its single-flight when the probe itself fails, never serves
+  a torn (unpublished) temp file, enforces its byte budget as LRU
+  across instances, and rejects oversized/non-float tensors as counted
+  no-ops;
 * the two-tier :class:`GridTensorCache` promotes persistent hits into
   memory so a *fresh process* (modelled as a fresh cache instance over
   the same directory) serves tensors without backend work;
-* the base-class ``execute_cells`` fallback reuses one thread pool
-  across calls instead of constructing one per batch;
+* ``lookup_or_lead`` single-flights a cache miss: N threads missing one
+  key pay one backend pass, and N threads over a cold memory tier pay
+  at most one persistent-tier read;
+* a backend raising mid-pass on any Explore engine propagates, leaves
+  no flight behind, and a retry over the same cache answers exactly
+  like a clean run;
 * the ``auto`` planner short-circuits to ``materialized`` with reason
   ``warm-cache`` when the finished block tensor is already cached.
-
-Aggregate values are multiples of 0.25 (exact binary fractions), as in
-``tests/core/test_grid_explore.py``, so bit-identical assertions cannot
-be defeated by legitimate reassociation.
 """
 
 import os
@@ -39,35 +33,25 @@ import numpy as np
 import pytest
 
 import repro
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.core.acquire import Acquire, AcquireConfig
 from repro.core.aggregates import AggregateSpec, get_aggregate
-from repro.core.expand import make_traversal
-from repro.core.explore import Explorer
 from repro.core.grid_cache import (
     GridTensorCache,
     PersistentGridCache,
     TensorKey,
     database_digest,
 )
-from repro.core.grid_explore import TiledGridExplorer
+from repro.core.grid_explore import GridExplorer
 from repro.core.interval import Interval
 from repro.core.plan import choose_explore_mode
 from repro.core.predicate import Direction, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
-from repro.engine.backends import EvaluationLayer
 from repro.engine.catalog import Database
 from repro.engine.expression import col
-from repro.engine.histogram_backend import HistogramBackend
 from repro.engine.memory_backend import MemoryBackend
-from repro.engine.sampling import SamplingBackend
-from repro.engine.sqlite_backend import SQLiteBackend
-from repro.exceptions import QueryModelError, SearchError
-
-BACKENDS = ("memory", "sqlite", "histogram", "sampling")
+from repro.exceptions import EngineError, QueryModelError
+from tests.conftest import FailingBackend, answer_key, count_query
 
 
 def _database(seed: int, n: int) -> Database:
@@ -110,170 +94,6 @@ def _query(
     attr = col("t.v") if agg.needs_attribute else None
     constraint = AggregateConstraint(AggregateSpec(agg, attr), op, target)
     return Query.build("q", ("t",), predicates, constraint)
-
-
-def _make_layer(backend_name: str, database: Database) -> EvaluationLayer:
-    if backend_name == "memory":
-        return MemoryBackend(database)
-    if backend_name == "sqlite":
-        return SQLiteBackend(database)
-    if backend_name == "histogram":
-        return HistogramBackend(database)
-    if backend_name == "sampling":
-        return SamplingBackend(database, fraction=0.5, seed=3)
-    raise AssertionError(backend_name)
-
-
-def _grid_coords(space: RefinedSpace) -> list[tuple[int, ...]]:
-    return list(make_traversal(space, "lp"))
-
-
-def _sharded(
-    backend_name,
-    database,
-    query,
-    space,
-    tile_shape,
-    workers,
-    cache=None,
-):
-    layer = _make_layer(backend_name, database)
-    explorer = TiledGridExplorer(
-        layer,
-        layer.prepare(query, [100.0, 100.0]),
-        space,
-        query.constraint.spec.aggregate,
-        tile_shape=tile_shape,
-        tile_workers=workers,
-        cache=cache,
-    )
-    return explorer, layer
-
-
-# ----------------------------------------------------------------------
-# Sharded == serial, bit-identical
-# ----------------------------------------------------------------------
-class TestShardedMatchesSerial:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_all_backends(self, backend_name):
-        database = _database(seed=31, n=180)
-        query = _query("SUM")
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        serial_layer = _make_layer(backend_name, database)
-        serial = Explorer(
-            serial_layer,
-            serial_layer.prepare(query, [100.0, 100.0]),
-            space,
-            query.constraint.spec.aggregate,
-        )
-        sharded, layer = _sharded(
-            backend_name, database, query, space, (3, 3), workers=3
-        )
-        try:
-            sharded.prime_cells([space.max_coords])
-            for coords in _grid_coords(space):
-                assert sharded.block_state(coords) == serial.block_state(
-                    coords
-                ), coords
-            assert layer.stats.parallel_tiles > 0
-        finally:
-            sharded.close()
-
-    @pytest.mark.parametrize("aggregate", ("COUNT", "MAX", "AVG"))
-    def test_aggregates_match_serial_tiled(self, aggregate):
-        database = _database(seed=32, n=160)
-        query = _query(aggregate)
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        serial, _ = _sharded(
-            "memory", database, query, space, (2, 4), workers=1
-        )
-        sharded, _ = _sharded(
-            "memory", database, query, space, (2, 4), workers=4
-        )
-        try:
-            serial.prime_cells([space.max_coords])
-            sharded.prime_cells([space.max_coords])
-            assert set(serial._blocks) == set(sharded._blocks)
-            for tile, blocks in serial._blocks.items():
-                assert np.array_equal(
-                    blocks, sharded._blocks[tile]
-                ), tile
-        finally:
-            serial.close()
-            sharded.close()
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        width_x=st.integers(min_value=1, max_value=5),
-        width_y=st.integers(min_value=1, max_value=5),
-        workers=st.integers(min_value=2, max_value=5),
-    )
-    def test_hypothesis_shapes_and_workers(self, width_x, width_y, workers):
-        database = _database(seed=33, n=120)
-        query = _query("SUM")
-        space = RefinedSpace(query, 16.0, [40.0, 40.0])
-        serial, _ = _sharded(
-            "memory", database, query, space, (width_x, width_y), workers=1
-        )
-        sharded, _ = _sharded(
-            "memory",
-            database,
-            query,
-            space,
-            (width_x, width_y),
-            workers=workers,
-        )
-        try:
-            serial.prime_cells([space.max_coords])
-            sharded.prime_cells([space.max_coords])
-            for coords in _grid_coords(space):
-                assert sharded.block_state(coords) == serial.block_state(
-                    coords
-                ), (coords, width_x, width_y, workers)
-        finally:
-            serial.close()
-            sharded.close()
-
-    def test_invalid_worker_count(self):
-        database = _database(seed=34, n=30)
-        query = _query()
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        with pytest.raises(SearchError):
-            _sharded("memory", database, query, space, None, workers=0)
-
-
-# ----------------------------------------------------------------------
-# End-to-end: AcquireResult identical at every worker count
-# ----------------------------------------------------------------------
-class TestEndToEndIdentity:
-    @pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
-    def test_full_run(self, backend_name):
-        database = _database(seed=35, n=220)
-        query = _query("COUNT", target=120.0)
-
-        def run(workers):
-            layer = _make_layer(backend_name, database)
-            config = AcquireConfig(
-                gamma=20.0,
-                explore_mode="tiled",
-                materialize_cell_cap=9,
-                tile_workers=workers,
-            )
-            return Acquire(layer).run(query, config)
-
-        serial, sharded = run(1), run(4)
-        assert [a.pscores for a in sharded.answers] == [
-            a.pscores for a in serial.answers
-        ]
-        assert [a.qscore for a in sharded.answers] == [
-            a.qscore for a in serial.answers
-        ]
-        assert [a.aggregate_value for a in sharded.answers] == [
-            a.aggregate_value for a in serial.answers
-        ]
-        assert sharded.stats.tile_workers == 4
-        assert serial.stats.tile_workers == 1
-        assert sharded.stats.execution.parallel_tiles > 0
 
 
 # ----------------------------------------------------------------------
@@ -678,70 +498,6 @@ class TestTwoTierCache:
 
 
 # ----------------------------------------------------------------------
-# Satellite: the execute_cells fallback reuses one pool
-# ----------------------------------------------------------------------
-class _CellOnlyLayer(EvaluationLayer):
-    """Backend without a native bulk path — exercises the base-class
-    ``execute_cells`` fallback."""
-
-    def __init__(self, inner: EvaluationLayer) -> None:
-        super().__init__()
-        self._inner = inner
-
-    def prepare(self, query, dim_caps=None):
-        return self._inner.prepare(query, dim_caps)
-
-    def useful_max_scores(self, prepared):
-        return self._inner.useful_max_scores(prepared)
-
-    def execute_cell(self, prepared, space, coords):
-        self._count_query("cell")
-        return self._inner.execute_cell(prepared, space, coords)
-
-    def execute_box(self, prepared, scores):
-        self._count_query("box")
-        return self._inner.execute_box(prepared, scores)
-
-
-class TestExecutorReuse:
-    def test_pool_survives_across_batches(self):
-        database = _database(seed=37, n=60)
-        layer = _CellOnlyLayer(MemoryBackend(database))
-        query = _query()
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        prepared = layer.prepare(query, [100.0, 100.0])
-        coords = _grid_coords(space)
-        layer.execute_cells(prepared, space, coords[:4], parallelism=2)
-        pool = layer._cell_pool
-        assert pool is not None
-        layer.execute_cells(prepared, space, coords[4:8], parallelism=2)
-        assert layer._cell_pool is pool, (
-            "fallback must reuse one executor across batches"
-        )
-        # A different parallelism replaces the pool...
-        layer.execute_cells(prepared, space, coords[:4], parallelism=3)
-        assert layer._cell_pool is not pool
-        # ...and close() releases it; the layer still works afterwards.
-        layer.close()
-        assert layer._cell_pool is None
-        states = layer.execute_cells(
-            prepared, space, coords[:2], parallelism=2
-        )
-        assert len(states) == 2
-
-    def test_serial_path_needs_no_pool(self):
-        database = _database(seed=38, n=40)
-        layer = _CellOnlyLayer(MemoryBackend(database))
-        query = _query()
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        prepared = layer.prepare(query, [100.0, 100.0])
-        layer.execute_cells(
-            prepared, space, _grid_coords(space)[:4], parallelism=1
-        )
-        assert layer._cell_pool is None
-
-
-# ----------------------------------------------------------------------
 # Planner: warm cache short-circuits to materialized
 # ----------------------------------------------------------------------
 class TestWarmCachePlan:
@@ -777,3 +533,142 @@ class TestWarmCachePlan:
         config = AcquireConfig(explore_mode="auto", grid_cache=cache)
         choose_explore_mode(layer, query, space, config)
         assert cache.hits == 0 and cache.misses == 0
+
+
+# ----------------------------------------------------------------------
+# Single-flight: one backend pass per cold key, however many threads
+# ----------------------------------------------------------------------
+class _SlowGridBackend(MemoryBackend):
+    """MemoryBackend whose grid pass blocks long enough for a herd."""
+
+    def __init__(self, database, delay_s=0.1):
+        super().__init__(database)
+        self.delay_s = delay_s
+        self.grid_passes = 0
+        self._pass_lock = threading.Lock()
+
+    def execute_grid(self, prepared, space):
+        with self._pass_lock:
+            self.grid_passes += 1
+        time.sleep(self.delay_s)
+        return super().execute_grid(prepared, space)
+
+
+class TestSingleFlight:
+    THREADS = 8
+
+    def _setup(self):
+        rng = np.random.default_rng(5)
+        database = Database()
+        database.create_table(
+            "data",
+            {
+                "x": rng.uniform(0, 100, 300),
+                "y": rng.uniform(0, 100, 300),
+            },
+        )
+        query = count_query("data", {"x": 40.0, "y": 40.0}, target=90)
+        return database, query
+
+    def _race(self, layer, query, cache):
+        """Race THREADS GridExplorers over one shared cache."""
+        space = RefinedSpace(query, 20.0, [60.0, 60.0])
+        prepared = layer.prepare(query, [100.0, 100.0])
+        aggregate = query.constraint.spec.aggregate
+        barrier = threading.Barrier(self.THREADS)
+        states: list = [None] * self.THREADS
+        errors: list = []
+
+        def worker(index: int) -> None:
+            explorer = GridExplorer(
+                layer, prepared, space, aggregate, cache=cache
+            )
+            barrier.wait()
+            try:
+                states[index] = explorer.block_state(space.max_coords)
+            except Exception as error:  # noqa: BLE001 - for the assert
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, f"racing explorers crashed: {errors[:1]!r}"
+        assert all(state == states[0] for state in states)
+        return states
+
+    def test_thundering_herd_pays_one_backend_pass(self):
+        database, query = self._setup()
+        layer = _SlowGridBackend(database)
+        cache = GridTensorCache(max_bytes=1 << 24)
+        self._race(layer, query, cache)
+        assert layer.grid_passes == 1, (
+            f"{self.THREADS} threads missing one key executed "
+            f"{layer.grid_passes} grid passes — single-flight broke"
+        )
+        assert cache.inflight_waits >= 1, (
+            "no reader ever parked on the leader's flight"
+        )
+
+    def test_cold_memory_tier_pays_one_persistent_read(self, tmp_path):
+        database, query = self._setup()
+        layer = _SlowGridBackend(database)
+        persistent = PersistentGridCache(str(tmp_path))
+        warm = GridTensorCache(max_bytes=1 << 24, persistent=persistent)
+        self._race(layer, query, warm)
+        passes_after_warm = layer.grid_passes
+        # Fresh memory tier over the same file store: the herd must be
+        # absorbed by one leader's promotion, not N file reads (and no
+        # backend pass at all).
+        cold = GridTensorCache(max_bytes=1 << 24, persistent=persistent)
+        self._race(layer, query, cold)
+        assert layer.grid_passes == passes_after_warm, (
+            "a persistent-tier hit still re-executed the backend pass"
+        )
+        assert cold.persistent_hits == 1, (
+            f"{self.THREADS} threads over a cold memory tier paid "
+            f"{cold.persistent_hits} persistent reads — the leader "
+            "alone should probe the file store"
+        )
+
+
+# ----------------------------------------------------------------------
+# Fault injection: a backend raising mid-pass on every Explore engine
+# ----------------------------------------------------------------------
+#: The surviving Explore engines; the small cap splits the tiled grid
+#: into several tiles, so a failure can land between two of them.
+ENGINES = {
+    "incremental": {"explore_mode": "incremental"},
+    "materialized": {"explore_mode": "materialized"},
+    "tiled": {"explore_mode": "tiled", "materialize_cell_cap": 9},
+}
+
+
+class TestBackendFailsMidPass:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_error_propagates_and_retry_matches_clean_run(self, engine):
+        database = _database(seed=35, n=220)
+        query = _query("COUNT", target=120.0)
+
+        def config(cache):
+            return AcquireConfig(
+                gamma=20.0, grid_cache=cache, **ENGINES[engine]
+            )
+
+        probe = FailingBackend(database)
+        clean = Acquire(probe).run(query, config(GridTensorCache()))
+        assert clean.answers and probe.passes >= 1
+        layer = FailingBackend(database, fail_at=(probe.passes + 1) // 2)
+        cache = GridTensorCache()
+        with pytest.raises(EngineError):
+            Acquire(layer).run(query, config(cache))
+        # A failed pass aborts its flight: nothing is left for a later
+        # reader of the same key to park on.
+        assert not cache._flights
+        retry = Acquire(layer).run(query, config(cache))
+        assert not cache._flights
+        assert answer_key(retry) == answer_key(clean)

@@ -1402,16 +1402,10 @@ class TestPlanCalibration:
                 barrier.wait()
                 for step in range(per_thread):
                     calibration.observe(10, 20 if seed % 2 else 5)
-                    calibration.observe_pass(1000, 0.01)
-                    calibration.observe_spawn(1, 0.5)
-                    calibration.observe_ipc(4, 0.02)
                     # Interleave reads with writes: accessors must see
                     # internally consistent windows, never raise.
                     assert calibration.factor() > 0.0
                     assert calibration.correct(100) >= 1
-                    assert calibration.pass_rate() >= 0.0
-                    assert calibration.spawn_cost_rows(1000, 2) >= 0
-                    assert calibration.ipc_cost_rows(64) >= 0
             except BaseException as error:  # surfaced after join
                 errors.append(error)
 
@@ -1427,7 +1421,6 @@ class TestPlanCalibration:
         assert calibration.observations == threads_n * per_thread
         # 4 threads pushed ratio 2.0, 4 pushed 0.5: geo-mean is 1.0.
         assert calibration.factor() == pytest.approx(1.0)
-        assert calibration.pass_rate() == pytest.approx(100_000.0)
 
 
 # ----------------------------------------------------------------------

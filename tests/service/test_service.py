@@ -15,10 +15,15 @@ import numpy as np
 import pytest
 
 import repro.service.service as service_module
-from repro.core.acquire import AcquireConfig
+from repro.core.acquire import Acquire, AcquireConfig
 from repro.engine.catalog import Database
 from repro.engine.memory_backend import MemoryBackend
-from repro.exceptions import CorpusError, QueryModelError, ServiceError
+from repro.exceptions import (
+    CorpusError,
+    EngineError,
+    QueryModelError,
+    ServiceError,
+)
 from repro.service import (
     AcquireService,
     ServiceConfig,
@@ -28,7 +33,7 @@ from repro.service import (
     run_open_loop,
 )
 from repro.service.loadgen import RequestRecord, _jitter_target
-from tests.conftest import count_query
+from tests.conftest import FailingBackend, answer_key, count_query
 
 
 def _db(seed: int = 11, n: int = 400) -> Database:
@@ -136,7 +141,6 @@ def _stub_result():
     """The fields of an AcquireResult the load generators read."""
     execution = SimpleNamespace(
         queries_executed=0, rows_scanned=0, cache_hits=0, cache_misses=0,
-        fused_passes=0, fused_cells=0,
     )
     return SimpleNamespace(
         satisfied=True, stats=SimpleNamespace(execution=execution)
@@ -209,6 +213,31 @@ class TestBackpressure:
             gate.release.set()
             instance.close()
 
+    def test_cancelled_queued_requests_return_their_slots(self, gate):
+        """A request cancelled while queued never runs, so its slot must
+        come back through the future, not the request body."""
+        instance = AcquireService(ServiceConfig(workers=1, max_queue=2))
+        instance.register_backend("default", MemoryBackend(_db()))
+        try:
+            running = instance.submit(_query())
+            assert gate.entered.acquire(timeout=30.0)
+            queued = [instance.submit(_query()) for _ in range(2)]
+            assert all(future.cancel() for future in queued)
+            # Both slots came back: two more requests are admitted.
+            later = [instance.submit(_query()) for _ in range(2)]
+            stats = instance.stats()
+            assert stats.admitted == 5
+            assert stats.cancelled == 2
+            gate.release.set()
+            for future in [running, *later]:
+                future.result(timeout=30.0)
+            stats = instance.stats()
+            assert stats.completed == 3
+            assert stats.failed == 0
+        finally:
+            gate.release.set()
+            instance.close()
+
     def test_wait_policy_times_out(self, gate):
         instance = AcquireService(
             ServiceConfig(
@@ -277,6 +306,32 @@ class TestExecutionAccounting:
         with service._lock:
             service._backends["default"] = (layer, service_module.Acquire(layer))
         assert service.run(_query()).satisfied
+
+    def test_backend_raising_mid_pass_frees_its_slot(self):
+        """A backend failure inside a tiled search surfaces on the
+        future, leaves no cache flight behind, and returns the slot:
+        with one slot in total the next request is still admitted and
+        answers exactly like a clean run."""
+        database = _db()
+        query = _query()
+        config = AcquireConfig(
+            explore_mode="tiled", materialize_cell_cap=9, gamma=20.0
+        )
+        probe = FailingBackend(database)
+        clean = Acquire(probe).run(query, config)
+        layer = FailingBackend(database, fail_at=(probe.passes + 1) // 2)
+        with AcquireService(ServiceConfig(workers=1, max_queue=0)) as instance:
+            instance.register_backend("default", layer)
+            with pytest.raises(EngineError):
+                instance.run(query, config)
+            stats = instance.stats()
+            assert stats.in_flight == 0
+            assert stats.failed == 1
+            assert not instance.grid_cache._flights
+            retry = instance.run(query, config)
+            stats = instance.stats()
+        assert answer_key(retry) == answer_key(clean)
+        assert stats.admitted == 2 and stats.completed == 1
 
     def test_shared_cache_dedupes_across_requests(self, service):
         import random
