@@ -26,8 +26,10 @@ test-cov:
 
 # Quality-regression gate: replays every committed gold-standard
 # triple (tests/corpus/data/corpus_manifest.json) through the
-# incremental, materialized and tiled Explore engines and asserts 100%
-# oracle-optimality plus stable top-k rankings. See docs/CORPUS.md.
+# incremental, materialized, tiled and auto Explore engines, asserts
+# 100% oracle-optimality plus stable top-k rankings, and prints how
+# many triples the auto search switched to a grid pass on. See
+# docs/CORPUS.md.
 corpus-gate:
 	PYTHONPATH=src python -m repro.corpus gate
 
@@ -65,13 +67,13 @@ bench:
 # BENCH_layers.json + BENCH_explore.json, including the materialized
 # round-trip regression guard against BENCH_explore_baseline.json.
 bench-smoke:
-	python benchmarks/smoke.py
+	PYTHONPATH=src python benchmarks/smoke.py
 
 # Persistent-cache gates only: a warm cross-process cache run answers
 # like the cold one while issuing strictly fewer backend queries
 # (regression-guarded by BENCH_parallel_baseline.json).
 bench-parallel:
-	python benchmarks/smoke.py --parallel-only
+	PYTHONPATH=src python benchmarks/smoke.py --parallel-only
 
 # ACQ-as-a-service gates only: closed-loop p50/p99 + throughput vs
 # worker count (the 2x worker-scaling gate binds on >=4-core hosts),
@@ -79,7 +81,7 @@ bench-parallel:
 # replay's backend-query total regression-guarded by
 # BENCH_service_baseline.json. See docs/SERVICE.md.
 bench-service:
-	python benchmarks/smoke.py --service-only
+	PYTHONPATH=src python benchmarks/smoke.py --service-only
 
 # Repository benchmark smoke (also run by CI): every BENCHMARK.json
 # workload for 5 s with tracing on; fails unless each run's last JSON

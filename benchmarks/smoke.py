@@ -13,9 +13,10 @@ dependencies (no pytest-benchmark).
    the exact backends — writes ``BENCH_explore.json`` and checks that
    every mode returns the same answer, that materialization cuts
    round trips at least ``MIN_SPEEDUP``-fold versus serial, that auto
-   never does more round trips than the better fixed mode, and that
-   the materialized round-trip counts have not regressed above the
-   checked-in ``BENCH_explore_baseline.json``.
+   makes at most serial's round trips plus one grid pass and, when it
+   switched, exactly one grid pass, and that the materialized
+   round-trip counts have not regressed above the checked-in
+   ``BENCH_explore_baseline.json``.
 3. ``grid_cache_sweep`` — a constraint sweep run twice, without and
    with a shared grid tensor cache — writes ``BENCH_cache.json`` and
    checks that both arms agree on every answer, that the cached arm
@@ -135,15 +136,31 @@ def _check_explore(payload: dict) -> list[str]:
                 f"{materialized} round trips vs {serial} serial "
                 f"(need {MIN_SPEEDUP}x)"
             )
-        best_fixed = min(
-            per_mode[mode]["queries"]
-            for mode in ("serial", "batched", "materialized")
+        failures.extend(_check_switch(backend, per_mode["auto"], serial))
+    return failures
+
+
+def _check_switch(backend: str, auto: dict, serial: int) -> list[str]:
+    """The online switch's contract: auto's round trips are at most
+    serial's plus one grid pass, and a search that switched made
+    exactly one grid pass (it switches to tiles only over the cap)."""
+    failures = []
+    if auto["queries"] > serial + 1:
+        failures.append(
+            f"{backend}: auto did {auto['queries']} round trips; serial "
+            f"needs {serial}, so the bound is {serial + 1}"
         )
-        if per_mode["auto"]["queries"] > best_fixed:
-            failures.append(
-                f"{backend}: auto did {per_mode['auto']['queries']} round "
-                f"trips; the better fixed mode needs only {best_fixed}"
-            )
+    switched = auto["extra"].get("switched_after") is not None
+    passes = auto["materializations"]
+    if switched and (passes != 1 or auto["tiles"] != 0):
+        failures.append(
+            f"{backend}: auto switched but made {passes} grid passes "
+            f"({auto['tiles']} tiles); one whole-grid pass expected"
+        )
+    if not switched and passes != 0:
+        failures.append(
+            f"{backend}: auto never switched yet made {passes} grid passes"
+        )
     return failures
 
 

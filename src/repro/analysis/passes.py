@@ -34,7 +34,7 @@ ACQ501 WARNING  grid exceeds materialize_cell_cap (ERROR when the
                 materialized engine is forced — execution would raise)
 ACQ502 WARNING  config-derived axis extents defeat grid-cache key
                 sharing (only with a grid cache configured)
-ACQ503 INFO     predicted explore plan (mode, reason, visited cells)
+ACQ503 INFO     predicted explore plan (mode, reason, switch target)
 ====== ======== =====================================================
 """
 
@@ -504,9 +504,9 @@ def cost_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
 class _PlanProbe:
     """Minimal stand-in for an evaluation layer during planning.
 
-    :func:`~repro.core.plan.choose_explore_mode` only reads
-    ``layer.database`` (for statistics) and optional cache-key hooks
-    (absent here, so the probe always keys as a process-local layer).
+    :func:`~repro.core.plan.choose_explore_mode` only reads the
+    layer's optional cache-key hooks (absent here, so the probe always
+    keys as a process-local layer).
     """
 
     def __init__(self, database: Database) -> None:
@@ -529,8 +529,9 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     can never be shared with another — silently defeating the
     persistent tier.
 
-    ACQ503 reports the plan the driver would pick, so benchmark
-    configs see mode flips (incremental vs tiled) before running.
+    ACQ503 reports the plan the driver would start on and, under
+    ``auto``, the grid engine it would switch to, so benchmark configs
+    see mode flips (materialized vs tiled) before running.
     """
     from repro.core.grid_explore import tile_shape_for
     from repro.core.plan import choose_explore_mode
@@ -600,9 +601,10 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
         )
     except QueryModelError:
         return  # forced-materialized over cap: ACQ501 already reported
-    visited = (
-        f", estimated visited={plan.estimated_visited:g} cells"
-        if plan.estimated_visited
+    switch = (
+        f", switching to {plan.switch_to!r} once its cell round trips "
+        "cost one grid pass"
+        if plan.switch_to
         else ""
     )
     yield Diagnostic(
@@ -610,7 +612,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
         severity=Severity.INFO,
         message=(
             f"plan estimate: explore mode {plan.mode!r} "
-            f"({plan.reason}), grid={grid:g} cells{visited}"
+            f"({plan.reason}{switch}), grid={grid:g} cells"
         ),
     )
 

@@ -158,10 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explore-mode",
         choices=("auto", "incremental", "materialized", "tiled"),
-        default="incremental",
+        default="auto",
         help="Explore engine: per-cell round trips (incremental), one "
         "whole-grid pass (materialized), on-demand sub-grid passes "
-        "(tiled), or a cost-model choice (auto); see "
+        "(tiled), or per-cell until the round trips cost one grid "
+        "pass, then that pass (auto, the default); see "
         "docs/EXPLORE_MODES.md",
     )
     parser.add_argument(

@@ -34,17 +34,28 @@ from repro.core.expand import LAYER_DECIMALS, make_traversal
 from repro.core.explore import Explorer
 from repro.core.grid_cache import GridTensorCache, PersistentGridCache
 from repro.core.grid_explore import GridExplorer, TiledGridExplorer
-from repro.core.plan import PlanCalibration, choose_explore_mode
+from repro.core.plan import (
+    PASS_TIMES,
+    ExplorePlan,
+    choose_explore_mode,
+    pass_key,
+    switch_due,
+)
 from repro.core.query import ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
 from repro.core.result import AcquireResult, RefinedQuery, SearchStats
 from repro.core.scoring import (
     ConstraintDistance,
+    LInfNorm,
     LpNorm,
     MaxConstraintDistance,
     Norm,
 )
-from repro.engine.backends import EvaluationLayer, ExecutionStats
+from repro.engine.backends import (
+    EvaluationLayer,
+    ExecutionStats,
+    PreparedQuery,
+)
 from repro.exceptions import QueryModelError
 
 #: Tolerance when comparing QScores for layer membership.
@@ -84,29 +95,25 @@ class AcquireConfig:
         parallelism: worker threads for the batched path on backends
             without a native bulk implementation. ``> 1`` implies
             ``batched``.
-        explore_mode: Explore engine selection — ``incremental`` (the
-            default: one cell round trip per visited grid query),
-            ``materialized`` (compute the whole cell grid in one
-            backend pass, then answer every grid query from the
-            tensor), ``tiled`` (materialize rectangular sub-grids on
-            demand as the traversal reaches them, stitched with seam
-            carries), or ``auto`` (pick by the catalog-statistics cost
-            model in :mod:`repro.core.plan`). All modes produce
-            identical answer sets; see ``docs/EXPLORE_MODES.md``.
+        explore_mode: Explore engine selection — ``incremental`` (one
+            cell round trip per visited grid query), ``materialized``
+            (compute the whole cell grid in one backend pass, then
+            answer every grid query from the tensor), ``tiled``
+            (materialize rectangular sub-grids on demand as the
+            traversal reaches them, stitched with seam carries), or
+            ``auto`` (the default: start per-cell and switch to one
+            grid pass once the cell round trips have cost as much; see
+            :mod:`repro.core.plan`). All modes produce identical
+            answer sets; see ``docs/EXPLORE_MODES.md``.
         materialize_cell_cap: largest grid (in cells) the materialized
             engine may allocate — and the per-tile cell bound for the
-            tiled engine. ``auto`` falls back to tiled above the cap;
+            tiled engine. ``auto`` switches to tiled above the cap;
             forcing ``materialized`` above it raises.
         grid_cache: optional
             :class:`~repro.core.grid_cache.GridTensorCache` shared
             across runs; the materialized and tiled engines consult it
             before issuing the backend grid pass, so constraint sweeps
             over the same data pay for each tensor once.
-        calibration: optional
-            :class:`~repro.core.plan.PlanCalibration`; the driver
-            reports (estimated, actual) visited counts into it after
-            each search, and ``auto`` planning corrects later
-            estimates by the measured factor.
         top_k: how many distinct answer layers to complete before the
             traversal stops. 1 (default) reproduces the paper's
             stopping rule — finish the first layer that produced an
@@ -142,10 +149,9 @@ class AcquireConfig:
     use_bitmap_index: bool = False
     batched: bool = False
     parallelism: int = 1
-    explore_mode: str = "incremental"
+    explore_mode: str = "auto"
     materialize_cell_cap: int = 2_000_000
     grid_cache: Optional[GridTensorCache] = None
-    calibration: Optional[PlanCalibration] = None
     cache_path: Optional[str] = None
     top_k: int = 1
     constraint_distance: Optional[ConstraintDistance] = None
@@ -302,48 +308,28 @@ class Acquire:
         )
         plan = choose_explore_mode(self.layer, query, space, config)
         logger.debug(
-            "explore plan: %s (%s; grid=%d cells, est. visited=%d)",
-            plan.mode, plan.reason, plan.grid_cells, plan.estimated_visited,
+            "explore plan: %s (%s; grid=%d cells, switch to %s)",
+            plan.mode, plan.reason, plan.grid_cells, plan.switch_to or "-",
         )
-        grid_cache = config.resolve_grid_cache()
-        if plan.mode == "materialized":
-            # The bitmap index only saves per-cell round trips, which
-            # the materializing engines do not issue.
-            explorer: Explorer | GridExplorer | TiledGridExplorer = (
-                GridExplorer(
-                    self.layer, prepared, space, aggregate,
-                    cache=grid_cache,
-                )
-            )
-        elif plan.mode == "tiled":
-            explorer = TiledGridExplorer(
-                self.layer,
-                prepared,
-                space,
-                aggregate,
-                max_tile_cells=plan.tile_cells or min(
-                    config.max_grid_queries, config.materialize_cell_cap
-                ),
-                cache=grid_cache,
-            )
+        explorer: Explorer | GridExplorer | TiledGridExplorer
+        if plan.mode == "incremental":
+            explorer = self._cell_explorer(prepared, space, config)
         else:
-            bitmap = None
-            if config.use_bitmap_index:
-                bitmap = _maybe_bitmap_index(self.layer, prepared, space)
-            explorer = Explorer(
-                self.layer,
-                prepared,
-                space,
-                aggregate,
-                bitmap_index=bitmap,
-                parallelism=config.parallelism,
+            explorer = self._grid_explorer(
+                plan.mode, plan, prepared, space, config
             )
         stats = SearchStats(
             top_k=config.top_k,
             explore_mode=plan.mode,
             plan_reason=plan.reason,
-            estimated_visited=plan.estimated_visited,
         )
+        # ``auto``: the per-cell engine hands the remaining layers to
+        # ``plan.switch_to`` once its round trips have cost one pass.
+        switch_key = (
+            pass_key(self.layer, query, space) if plan.switch_to else None
+        )
+        pass_s = PASS_TIMES.get(switch_key) if plan.switch_to else None
+        switched: GridExplorer | TiledGridExplorer | None = None
 
         # Figure 2, step 1: estimate the original aggregate first; an
         # equality query that already overshoots cannot be fixed by
@@ -387,15 +373,19 @@ class Acquire:
             return answer_layers[config.top_k - 1]
 
         # Early-stop bookkeeping for monotone aggregates with equality
-        # constraints: every query in layer k+1 contains some query in
-        # layer k, so once an entire layer overshoots target*(1+delta)
-        # no later layer can come back within the threshold. A
-        # multi-constraint conjunction breaks the monotone argument
+        # constraints: when every query in layer k+1 contains some
+        # query in layer k, once an entire layer overshoots
+        # target*(1+delta) no later layer can come back within the
+        # threshold. Layers nest like that only under L1 or L-inf with
+        # equal weights: with unequal weights or another norm a later
+        # layer holds points that contain no point of an earlier one.
+        # A multi-constraint conjunction breaks the monotone argument
         # for the combined error, so extras disable the shortcut.
         check_overshoot = (
             constraint.op is ConstraintOp.EQ
             and aggregate.monotone_expanding
             and not extra_ctx
+            and _layers_nest(space)
         )
         layer_key: Optional[float] = None
         layer_min_actual = math.inf
@@ -424,6 +414,19 @@ class Acquire:
                     layer_min_actual = math.inf
             if stats.grid_queries_examined >= config.max_grid_queries:
                 break
+            if (
+                plan.switch_to
+                and isinstance(explorer, Explorer)
+                and switch_due(explorer, pass_s)
+            ):
+                stats.switched_after = explorer.cells_executed
+                stats.cells_executed = explorer.cells_executed
+                stats.cells_skipped = explorer.cells_skipped
+                stats.explore_mode = plan.switch_to
+                stats.plan_reason = "switched"
+                explorer = switched = self._grid_explorer(
+                    plan.switch_to, plan, prepared, space, config
+                )
             # Only what the examination loop can reach under the
             # query budget, so cells_executed is identical to serial
             # even when the budget truncates a layer.
@@ -507,8 +510,10 @@ class Acquire:
             if stop:
                 break
 
-        stats.cells_executed = explorer.cells_executed
-        stats.cells_skipped = explorer.cells_skipped
+        stats.cells_executed += explorer.cells_executed
+        stats.cells_skipped += explorer.cells_skipped
+        if switched is not None and switched.pass_s is not None:
+            PASS_TIMES.record(switch_key, switched.pass_s)
         # Every answer carries its QScore — including repartitioned
         # ones, whose grid ``coords`` are None — so count answer layers
         # from the QScores directly.
@@ -517,10 +522,6 @@ class Acquire:
         )
         stats.elapsed_s = time.perf_counter() - started
         stats.execution = layer_scope.snapshot()
-        if config.calibration is not None and plan.estimated_visited > 0:
-            config.calibration.observe(
-                plan.estimated_visited, stats.grid_queries_examined
-            )
         logger.info(
             "ACQUIRE %s: %d answers, %d grid queries, %d cells, %.1f ms",
             query.name,
@@ -546,6 +547,53 @@ class Acquire:
         )
 
     # ------------------------------------------------------------------
+    def _cell_explorer(
+        self,
+        prepared: PreparedQuery,
+        space: RefinedSpace,
+        config: AcquireConfig,
+    ) -> Explorer:
+        """The per-cell (incremental) Explore engine for this search."""
+        bitmap = None
+        if config.use_bitmap_index:
+            bitmap = _maybe_bitmap_index(self.layer, prepared, space)
+        return Explorer(
+            self.layer,
+            prepared,
+            space,
+            space.query.constraint.spec.aggregate,
+            bitmap_index=bitmap,
+            parallelism=config.parallelism,
+        )
+
+    def _grid_explorer(
+        self,
+        mode: str,
+        plan: ExplorePlan,
+        prepared: PreparedQuery,
+        space: RefinedSpace,
+        config: AcquireConfig,
+    ) -> GridExplorer | TiledGridExplorer:
+        """The materialized or tiled Explore engine for this search.
+
+        The bitmap index only saves per-cell round trips, which the
+        materializing engines do not issue.
+        """
+        aggregate = space.query.constraint.spec.aggregate
+        grid_cache = config.resolve_grid_cache()
+        if mode == "materialized":
+            return GridExplorer(
+                self.layer, prepared, space, aggregate, cache=grid_cache
+            )
+        return TiledGridExplorer(
+            self.layer,
+            prepared,
+            space,
+            aggregate,
+            max_tile_cells=plan.tile_cells,
+            cache=grid_cache,
+        )
+
     def _extra_aggregates(
         self,
         extra_ctx: Sequence[tuple],
@@ -651,6 +699,18 @@ def _closer(
     if (candidate.error, candidate.qscore) < (current.error, current.qscore):
         return candidate
     return current
+
+
+def _layers_nest(space: RefinedSpace) -> bool:
+    """Whether every grid query of a rounded-QScore layer contains one
+    of each earlier layer: L1 or L-inf with equal refinable weights."""
+    norm = space.norm
+    if not (
+        isinstance(norm, LInfNorm)
+        or (isinstance(norm, LpNorm) and norm.p == 1)
+    ):
+        return False
+    return len({float(weight) for weight in space.weights}) <= 1
 
 
 def _maybe_bitmap_index(

@@ -22,6 +22,7 @@ identity is used (equivalently ``O_i(u) = O_{i-1}(u)``).
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, Optional, Sequence
 
 from repro.core.aggregates import AggState, OSPAggregate
@@ -78,6 +79,9 @@ class Explorer:
             :meth:`~repro.engine.backends.EvaluationLayer.execute_cells`
             when :meth:`prime_cells` batches a layer; backends with a
             native bulk path ignore it.
+
+    ``cell_seconds`` is the time spent in cell round trips, which the
+    driver's ``auto`` plan weighs against one grid pass.
     """
 
     def __init__(
@@ -101,6 +105,7 @@ class Explorer:
         self.parallelism = parallelism
         self.cells_executed = 0
         self.cells_skipped = 0
+        self.cell_seconds = 0.0
         # Cell states batch-executed ahead of examination, consumed
         # (popped) by _cell_state so every cell still runs exactly once.
         self._primed: dict[Coords, AggState] = {}
@@ -165,12 +170,14 @@ class Explorer:
             pending.append(coords)
         if not pending:
             return 0
+        started = time.perf_counter()
         states = self.layer.execute_cells(
             self.prepared,
             self.space,
             pending,
             parallelism=self.parallelism,
         )
+        self.cell_seconds += time.perf_counter() - started
         self._primed.update(zip(pending, states))
         self.cells_executed += len(pending)
         return len(pending)
@@ -182,7 +189,10 @@ class Explorer:
             self.cells_skipped += 1
             return self.aggregate.identity()
         self.cells_executed += 1
-        return self.layer.execute_cell(self.prepared, self.space, coords)
+        started = time.perf_counter()
+        state = self.layer.execute_cell(self.prepared, self.space, coords)
+        self.cell_seconds += time.perf_counter() - started
+        return state
 
 
 class SupportsEmptyCheck:

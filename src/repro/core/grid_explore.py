@@ -54,6 +54,7 @@ driver picks each path.
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -91,7 +92,9 @@ class GridExplorer:
     once, in one pass), and ``cells_skipped`` stays 0 — the bitmap
     index is pointless here because emptiness falls out of the same
     pass. With a ``cache``, a hit serves the cell tensor without any
-    backend pass and ``cells_executed`` stays 0.
+    backend pass and ``cells_executed`` stays 0. ``pass_s`` is the
+    seconds of that backend pass and its prefix passes (None when the
+    cache served the tensor).
     """
 
     def __init__(
@@ -109,6 +112,7 @@ class GridExplorer:
         self.cache = cache
         self.cells_executed = 0
         self.cells_skipped = 0
+        self.pass_s: Optional[float] = None
         self._blocks: np.ndarray | None = None
 
     # -- Explorer interface --------------------------------------------
@@ -171,6 +175,7 @@ class GridExplorer:
                     )
                     self._blocks = cached
                     return cached
+            started = time.perf_counter()
             try:
                 tensor = self._fetch_grid()
                 blocks = prefix_combine(tensor, self.aggregate)
@@ -178,6 +183,8 @@ class GridExplorer:
                 if blocks_key is not None:
                     self.cache.abort_flight(blocks_key)
                 raise
+            if self.cells_executed:
+                self.pass_s = time.perf_counter() - started
             if blocks_key is not None:
                 blocks = self.cache.complete_flight(blocks_key, blocks)
             self._blocks = blocks
@@ -219,6 +226,9 @@ class TiledGridExplorer:
             tensors by the same box under distinct kinds, so replays
             hit tile by tile — a block hit skips the tile's backend
             pass and its prefix passes.
+
+    ``pass_s`` is the seconds of the last tile's backend pass and its
+    prefix passes (None until a tile is fetched from the backend).
     """
 
     def __init__(
@@ -253,6 +263,7 @@ class TiledGridExplorer:
         self.cells_skipped = 0
         self.tiles_materialized = 0
         self.tiles_restored = 0
+        self.pass_s: Optional[float] = None
         self._blocks: dict[Coords, np.ndarray] = {}
         self._seams: dict[tuple[Coords, int], np.ndarray] = {}
 
@@ -376,6 +387,8 @@ class TiledGridExplorer:
         return True
 
     def _materialize_tile(self, tile: Coords) -> None:
+        started = time.perf_counter()
+        executed = self.cells_executed
         tensor = self._fetch_tile(*self.tile_bounds(tile))
         carries: Carries = {}
         for axis in range(self.space.d):
@@ -385,6 +398,8 @@ class TiledGridExplorer:
                 )
                 carries[axis] = self._seams[(neighbour, axis)]
         blocks, seams = tile_prefix_combine(tensor, self.aggregate, carries)
+        if self.cells_executed > executed:
+            self.pass_s = time.perf_counter() - started
         if self.cache is not None:
             blocks = self.cache.put(self._tile_key(tile, "blocks"), blocks)
         self._blocks[tile] = blocks

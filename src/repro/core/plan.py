@@ -1,4 +1,4 @@
-"""Explore-plan selection: incremental vs materialized vs tiled grids.
+"""Explore-plan selection: a fixed engine, or the online switch.
 
 The driver has three Explore engines with different cost profiles:
 
@@ -14,112 +14,107 @@ The driver has three Explore engines with different cost profiles:
   traversal's layer prefix touches, so huge or budget-capped grids
   still get batched execution without the full-grid tensor.
 
-``choose_explore_mode`` picks between them from catalog statistics
-alone — no sub-query executes during planning. The model (documented
-in ``docs/EXPLORE_MODES.md``) prices an incremental cell round trip at
-one pass over the data (``N`` rows, the star-join heuristic: the
-largest referenced table), materialization at one data pass plus one
-unit per grid cell, and tiling at one data pass plus one unit per tile
-cell, per reached tile:
+A fixed ``explore_mode`` runs one of them. ``auto`` (the default)
+decides while the search runs, not from an estimate: the search starts
+on the per-cell engine, which times its cell round trips. At a layer
+boundary, once they have cost as much as one grid pass of this query on
+this layer (:func:`switch_due`), the driver hands the remaining layers
+to the materialized engine — or to the tiled one when the grid is over
+``materialize_cell_cap`` or ``max_grid_queries``. Every engine is
+bit-identical to serial, so the switch cannot change an answer. As in
+renting skis until the rent paid equals the price of a pair, a search
+costs at most about twice the better fixed engine.
 
-    incremental  ~ visited * N
-    materialized ~ N + |grid|          (grid within cap and budget)
-    tiled        ~ ceil(visited / |tile|) * (N + |tile|)
-
-``visited`` is estimated by walking L1 layers outward, predicting the
-aggregate at each layer's balanced point from per-dimension
-:class:`~repro.engine.statistics.ColumnStats` selectivities, until the
-constraint target is reached; the layer-point counts come from
-:meth:`~repro.core.refined_space.RefinedSpace.layer_sizes`. Queries
-whose dimensions lack catalog statistics (joins, categorical
-predicates, expression predicates, statless backends) fall back to a
-small-grid rule: materialize only when the whole grid is trivially
-cheap and within the query budget, tile when the grid exceeds the
-tensor cap or the budget, and run incrementally otherwise.
-
-The estimate can be *calibrated*: a :class:`PlanCalibration` collects
-(estimated, actually-visited) pairs from finished searches and applies
-their geometric-mean ratio to later estimates, closing the loop
-between the star-join cost heuristic and observed traversal behaviour.
+A pass costs what the last pass of the same query grid took on the
+same layer: the grid engines time each pass, and the driver keeps the
+last one in :data:`PASS_TIMES` under the grid cache's target-independent
+``blocks`` key, so the sweep points of one constraint share it. Until a
+pass has been timed, a pass is taken to cost :data:`COLD_PASS_CELLS`
+cell round trips. One shortcut remains: a finished block tensor
+already in the grid cache makes ``auto`` start (and stay) on the
+materialized engine, which reads it without any backend pass.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Optional
 
 from repro.core.grid_cache import GridTensorCache
-from repro.core.predicate import SelectPredicate
-from repro.core.query import ConstraintOp, Query
+from repro.core.query import Query
 from repro.core.refined_space import RefinedSpace
-from repro.engine.expression import ColumnRef
 from repro.exceptions import QueryModelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.acquire import AcquireConfig
+    from repro.core.explore import Explorer
     from repro.engine.backends import EvaluationLayer
-    from repro.engine.catalog import Database
-    from repro.engine.statistics import ColumnStats
 
-#: Grids at most this many cells are materialized even without
-#: statistics — the tensor is cheaper than any bookkeeping about it.
-SMALL_GRID_CELLS = 4096
+#: Cell round trips one grid pass is taken to cost until a pass of the
+#: query grid has been timed on its layer.
+COLD_PASS_CELLS = 64
 
-#: Layer-walk horizon for the visited-cells estimate; beyond it the
-#: search is treated as exploring the whole grid (capped elsewhere).
-_MAX_ESTIMATED_LAYERS = 2048
+#: Pass times kept by :data:`PASS_TIMES`; the least recently used go.
+PASS_TIMES_KEPT = 1024
 
 _MODES = ("auto", "incremental", "materialized", "tiled")
 
 
-class PlanCalibration:
-    """Feedback loop from observed searches into the visited estimate.
+class PassTimes:
+    """Seconds of the last grid pass, per layer and query grid.
 
-    After each search the driver reports the plan's
-    ``estimated_visited`` together with the number of grid queries
-    actually examined. The geometric mean of the ``actual / estimated``
-    ratios over a sliding window becomes a correction factor applied to
-    later estimates — systematic over- or under-estimation by the
-    star-join heuristic is measured once and compensated thereafter.
-
-    Thread-safe: one instance is shared per workload (the harness) or
-    per service (:class:`repro.service.AcquireService`), where
-    concurrent searches feed observations and read corrections at the
-    same time. All window access happens under an internal lock.
+    Keyed by the memory part of the grid cache's ``blocks`` key, which
+    names the layer instance and the cells of the query, not its
+    target. Bounded (least recently used out past ``capacity``) and
+    guarded by a lock, since service workers record and read it
+    concurrently.
     """
 
-    def __init__(self, window: int = 64) -> None:
-        if window < 1:
-            raise QueryModelError(
-                f"calibration window must be >= 1, got {window}"
-            )
+    def __init__(self, capacity: int = PASS_TIMES_KEPT) -> None:
+        self.capacity = capacity
         self._lock = threading.Lock()
-        self._log_ratios: deque[float] = deque(maxlen=window)
+        self._seconds: OrderedDict[Hashable, float] = OrderedDict()
 
-    def observe(self, estimated: int, actual: int) -> None:
-        """Record one (estimate, outcome) pair; zeros are ignored."""
-        if estimated > 0 and actual > 0:
-            with self._lock:
-                self._log_ratios.append(math.log(actual / estimated))
-
-    @property
-    def observations(self) -> int:
+    def get(self, key: Hashable) -> Optional[float]:
         with self._lock:
-            return len(self._log_ratios)
+            return self._seconds.get(key)
 
-    def factor(self) -> float:
-        """Geometric-mean correction factor (1.0 until observations)."""
+    def record(self, key: Hashable, seconds: float) -> None:
         with self._lock:
-            if not self._log_ratios:
-                return 1.0
-            return math.exp(sum(self._log_ratios) / len(self._log_ratios))
+            self._seconds[key] = seconds
+            self._seconds.move_to_end(key)
+            while len(self._seconds) > self.capacity:
+                self._seconds.popitem(last=False)
 
-    def correct(self, estimate: int) -> int:
-        """Apply the correction factor to a raw visited estimate."""
-        return max(int(round(estimate * self.factor())), 1)
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._seconds)
+
+
+#: Process-wide pass times the driver switches by.
+PASS_TIMES = PassTimes()
+
+
+def pass_key(
+    layer: "EvaluationLayer", query: Query, space: RefinedSpace
+) -> Hashable:
+    """The :data:`PASS_TIMES` key of a query grid on a layer."""
+    return GridTensorCache.key_for(layer, query, space, kind="blocks").memory
+
+
+def switch_due(explorer: "Explorer", pass_s: Optional[float]) -> bool:
+    """Whether the per-cell engine's round trips have cost one pass.
+
+    ``pass_s`` is the timed pass of this query grid on this layer, or
+    None, in which case a pass costs :data:`COLD_PASS_CELLS` round
+    trips of the search's own mean cost — a count, so it does not
+    depend on timing.
+    """
+    if pass_s is None:
+        return explorer.cells_executed >= COLD_PASS_CELLS
+    return explorer.cell_seconds >= pass_s
 
 
 @dataclass(frozen=True)
@@ -127,24 +122,23 @@ class ExplorePlan:
     """Outcome of plan selection, recorded for reports and tests.
 
     Attributes:
-        mode: the engine chosen — ``incremental``, ``materialized`` or
-            ``tiled``.
-        reason: short human-readable justification (``forced``,
-            ``grid-over-cap``, ``grid-over-budget``, ``cost-model``,
-            ``small-grid``, ...).
+        mode: the engine the search starts on — ``incremental``,
+            ``materialized`` or ``tiled``.
+        reason: ``forced`` (a fixed ``explore_mode``), ``warm-cache``
+            (``auto`` with the block tensor already cached) or
+            ``online`` (``auto``: per-cell until the switch).
         grid_cells: full grid size (``RefinedSpace.grid_size``).
-        estimated_visited: predicted visited-cell count for the
-            incremental engine (after calibration, when configured);
-            0 when no estimate was possible.
-        tile_cells: per-tile cell budget picked for a tiled plan (0
-            for non-tiled plans).
+        tile_cells: per-tile cell budget of the tiled engine, when the
+            plan starts on or switches to it (0 otherwise).
+        switch_to: the grid engine an ``online`` plan hands the
+            remaining layers to (empty for the other plans).
     """
 
     mode: str
     reason: str
     grid_cells: int
-    estimated_visited: int = 0
     tile_cells: int = 0
+    switch_to: str = ""
 
 
 def choose_explore_mode(
@@ -158,7 +152,8 @@ def choose_explore_mode(
     Fixed modes pass through (``materialized`` validates the grid
     against ``config.materialize_cell_cap`` and raises
     :class:`~repro.exceptions.QueryModelError` when the tensor would
-    not fit); ``auto`` applies the cost model above.
+    not fit); ``auto`` starts per-cell and names the grid engine it
+    may switch to. No sub-query executes.
     """
     if config.explore_mode not in _MODES:
         raise QueryModelError(
@@ -166,255 +161,45 @@ def choose_explore_mode(
             f"expected one of {_MODES}"
         )
     grid_cells = space.grid_size
-    database = getattr(layer, "database", None)
-    rows = (
-        _largest_table_rows(database, query) if database is not None else 1
-    )
-
-    def tiled_plan(reason: str, visited: int = 0) -> ExplorePlan:
-        tile_cells, _ = _pick_tile_plan(config, visited, grid_cells, rows)
-        return ExplorePlan(
-            "tiled", reason, grid_cells, visited, tile_cells=tile_cells
-        )
-
+    cap = config.materialize_cell_cap
     if config.explore_mode == "incremental":
         return ExplorePlan("incremental", "forced", grid_cells)
     if config.explore_mode == "materialized":
-        if grid_cells > config.materialize_cell_cap:
+        if grid_cells > cap:
             raise QueryModelError(
                 f"explore_mode='materialized' needs a {grid_cells}-cell "
-                f"tensor, over materialize_cell_cap="
-                f"{config.materialize_cell_cap}; raise the cap or use "
-                "explore_mode='auto'"
+                f"tensor, over materialize_cell_cap={cap}; raise the cap "
+                "or use explore_mode='auto'"
             )
         return ExplorePlan("materialized", "forced", grid_cells)
+    # Tiles as large as the tensor cap, the query budget and the grid
+    # allow: the fewest seams and backend passes.
+    tile_cells = max(min(cap, config.max_grid_queries, grid_cells), 1)
     if config.explore_mode == "tiled":
-        return tiled_plan("forced")
+        return ExplorePlan("tiled", "forced", grid_cells, tile_cells)
 
     # -- auto ----------------------------------------------------------
-    budget = config.max_grid_queries
-    cap = config.materialize_cell_cap
-    materialized_fits = grid_cells <= cap and grid_cells <= budget
-
-    # Warm tiers beat every cost estimate: a finished block tensor in
-    # the cache (memory or persistent) makes the materialized engine a
-    # pure lookup — no backend pass, no prefix passes.
-    resolver = getattr(config, "resolve_grid_cache", None)
-    grid_cache = (
-        resolver() if callable(resolver)
-        else getattr(config, "grid_cache", None)
-    )
-    if grid_cache is not None and materialized_fits:
-        blocks_key = GridTensorCache.key_for(
-            layer, query, space, kind="blocks"
+    if grid_cells > cap or grid_cells > config.max_grid_queries:
+        return ExplorePlan(
+            "incremental", "online", grid_cells, tile_cells,
+            switch_to="tiled",
         )
-        if grid_cache.contains(blocks_key):
-            return ExplorePlan("materialized", "warm-cache", grid_cells)
-
-    estimate = _estimate_visited_cells(database, query, space, config)
-    if estimate is None:
-        if grid_cells <= SMALL_GRID_CELLS and materialized_fits:
-            return ExplorePlan("materialized", "small-grid", grid_cells)
-        if grid_cells > cap:
-            return tiled_plan("grid-over-cap")
-        if grid_cells > budget:
-            return tiled_plan("grid-over-budget")
-        return ExplorePlan("incremental", "no-statistics", grid_cells)
-
-    calibration = getattr(config, "calibration", None)
-    if calibration is not None:
-        estimate = calibration.correct(estimate)
-    visited = min(estimate, grid_cells, budget)
-
-    # Cost of each engine, in row-access units (docstring formulas).
-    incremental_cost = visited * rows
-    materialized_cost = rows + grid_cells
-    tile_cells, tiled_cost = _pick_tile_plan(
-        config, visited, grid_cells, rows
-    )
-
-    best_mode, best_cost = "incremental", incremental_cost
-    if tiled_cost < best_cost:
-        best_mode, best_cost = "tiled", tiled_cost
-    # Prefer the simpler whole-grid tensor over tiles on equal cost,
-    # but keep the historical strict comparison against incremental.
-    if (
-        materialized_fits
-        and materialized_cost < incremental_cost
-        and materialized_cost <= best_cost
+    grid_cache = config.resolve_grid_cache()
+    if grid_cache is not None and grid_cache.contains(
+        GridTensorCache.key_for(layer, query, space, kind="blocks")
     ):
-        best_mode, best_cost = "materialized", materialized_cost
-    if best_mode != "tiled":
-        return ExplorePlan(best_mode, "cost-model", grid_cells, visited)
-    reason = "cost-model"
-    if grid_cells > cap:
-        reason = "grid-over-cap"
-    elif grid_cells > budget:
-        reason = "grid-over-budget"
+        return ExplorePlan("materialized", "warm-cache", grid_cells)
     return ExplorePlan(
-        "tiled", reason, grid_cells, visited, tile_cells=tile_cells
+        "incremental", "online", grid_cells, switch_to="materialized"
     )
-
-
-# ----------------------------------------------------------------------
-# Tiled-plan sizing
-# ----------------------------------------------------------------------
-def _pick_tile_plan(
-    config: "AcquireConfig",
-    visited: int,
-    grid_cells: int,
-    rows: int,
-) -> tuple[int, int]:
-    """Tile size and cost of a tiled plan: ``(tile_cells, cost)``.
-
-    Tiles are as large as the tensor cap, the query budget and the grid
-    allow (fewest seams and backend passes); the search then reaches
-    ``ceil(visited / tile_cells)`` of them, each costing one data pass
-    plus one unit per tile cell.
-    """
-    tile_cells = max(
-        min(config.materialize_cell_cap, config.max_grid_queries,
-            grid_cells),
-        1,
-    )
-    tiles = -(-max(int(visited), 1) // tile_cells)
-    return tile_cells, tiles * (rows + tile_cells)
-
-
-# ----------------------------------------------------------------------
-# Estimation helpers
-# ----------------------------------------------------------------------
-def _largest_table_rows(database: "Database", query: Query) -> int:
-    """Star-join heuristic: price a data pass at the fact-table size."""
-    rows = 1
-    for name in query.tables:
-        if database.has_table(name):
-            rows = max(rows, len(database.table(name)))
-    return rows
-
-
-def _dimension_stats(
-    database: "Database", space: RefinedSpace
-) -> Optional[list[tuple[SelectPredicate, "ColumnStats"]]]:
-    """Per-dimension (predicate, stats) pairs, or None if any dimension
-    is not a bare-column select predicate with catalog statistics."""
-    pairs = []
-    for predicate in space.dims:
-        if not isinstance(predicate, SelectPredicate):
-            return None
-        expr = predicate.expr
-        if not isinstance(expr, ColumnRef):
-            return None
-        if not database.has_table(expr.table):
-            return None
-        if not database.table(expr.table).schema.has_column(expr.column):
-            return None
-        stats = database.column_stats(expr.table, expr.column)
-        if math.isnan(stats.min_value) or stats.count == 0:
-            return None
-        pairs.append((predicate, stats))
-    return pairs
-
-
-def _admitted_fraction(
-    predicate: SelectPredicate, stats: "ColumnStats", score: float
-) -> float:
-    """Estimated fraction of the column admitted at PScore ``score``."""
-    interval = predicate.interval_at(score)
-    above = (
-        stats.selectivity_below(interval.lo) if math.isfinite(interval.lo)
-        else 0.0
-    )
-    below = (
-        stats.selectivity_below(interval.hi) if math.isfinite(interval.hi)
-        else 1.0
-    )
-    return max(below - above, 0.0)
-
-
-def _estimate_visited_cells(
-    database: Optional["Database"],
-    query: Query,
-    space: RefinedSpace,
-    config: "AcquireConfig",
-) -> Optional[int]:
-    """Predict how many cells the incremental search visits.
-
-    Walks L1 layers outward; layer ``k``'s balanced point has PScore
-    ``(k / d) * step`` on every dimension, and the aggregate there is
-    predicted under attribute-value independence as ``mass * prod(f_i)``
-    with ``mass`` the aggregate's whole-domain value (row count for
-    COUNT, column total for SUM). The first layer predicted to reach
-    the constraint target terminates the search; its cumulative point
-    count is the estimate. Returns None when the query's shape defeats
-    estimation (see :func:`_dimension_stats`).
-    """
-    if database is None:
-        return None
-    constraint = query.constraint
-    if constraint.op not in (
-        ConstraintOp.EQ, ConstraintOp.GE, ConstraintOp.GT
-    ):
-        return None
-    aggregate = constraint.spec.aggregate
-    if aggregate.name not in ("COUNT", "SUM"):
-        return None
-    pairs = _dimension_stats(database, space)
-    if pairs is None:
-        return None
-    if aggregate.name == "COUNT":
-        mass = float(_largest_table_rows(database, query))
-    else:
-        attribute = constraint.spec.attribute
-        if not isinstance(attribute, ColumnRef):
-            return None
-        if not database.has_table(attribute.table):
-            return None
-        stats = database.column_stats(attribute.table, attribute.column)
-        if math.isnan(stats.total):
-            return None
-        mass = stats.total
-    if mass <= 0:
-        return None
-
-    # An equality query predicted to overshoot at the origin is handed
-    # to the contraction extension before any expansion happens —
-    # materializing the expansion grid for it would be pure waste.
-    if constraint.op is ConstraintOp.EQ:
-        origin = _predicted_value(mass, pairs, 0.0)
-        if origin > constraint.target * (1 + config.delta):
-            return 1
-
-    max_layers = min(sum(space.max_coords), _MAX_ESTIMATED_LAYERS)
-    terminal = None
-    for k in range(max_layers + 1):
-        score = (k / space.d) * space.step
-        if _predicted_value(mass, pairs, score) >= constraint.target:
-            terminal = k
-            break
-    if terminal is None:
-        return space.grid_size
-    counts = space.layer_sizes(terminal)
-    return sum(counts)
-
-
-def _predicted_value(
-    mass: float,
-    pairs: Sequence[tuple[SelectPredicate, "ColumnStats"]],
-    score: float,
-) -> float:
-    value = mass
-    for predicate, stats in pairs:
-        capped = score
-        if predicate.limit is not None:
-            capped = min(capped, predicate.limit)
-        value *= _admitted_fraction(predicate, stats, capped)
-    return value
 
 
 __all__ = [
+    "COLD_PASS_CELLS",
     "ExplorePlan",
-    "PlanCalibration",
+    "PASS_TIMES",
+    "PassTimes",
     "choose_explore_mode",
-    "SMALL_GRID_CELLS",
+    "pass_key",
+    "switch_due",
 ]

@@ -69,15 +69,15 @@ class RefinedQuery:
 class SearchStats:
     """Work performed by one ACQUIRE run.
 
-    ``explore_mode`` records which Explore engine actually ran —
-    ``incremental``, ``materialized`` or ``tiled`` — after ``auto``
-    resolution (see :mod:`repro.core.plan`); ``plan_reason`` is the
-    plan's justification (``forced``, ``cost-model``, ...) and
-    ``estimated_visited`` its predicted visited-cell count, kept next
-    to ``grid_queries_examined`` so planner calibration can compare
-    prediction against outcome. Backend and cache counters live in
-    ``execution`` (``queries_executed``, ``persistent_hits``,
-    ``block_hits``, ...).
+    ``explore_mode`` records which Explore engine finished the search —
+    ``incremental``, ``materialized`` or ``tiled`` (see
+    :mod:`repro.core.plan`); ``plan_reason`` is the plan's
+    justification (``forced``, ``warm-cache``, ``online``, or
+    ``switched`` when an ``auto`` search handed its remaining layers
+    to a grid engine). ``switched_after`` is the number of cells the
+    per-cell engine executed before that switch, None when the search
+    did not switch. Backend and cache counters live in ``execution``
+    (``queries_executed``, ``persistent_hits``, ``block_hits``, ...).
     ``top_k`` is the ranking depth the search was asked for
     (``AcquireConfig.top_k``): the traversal keeps exploring layers
     until the k best answer layers are complete instead of just the
@@ -93,7 +93,7 @@ class SearchStats:
     elapsed_s: float = 0.0
     explore_mode: str = "incremental"
     plan_reason: str = ""
-    estimated_visited: int = 0
+    switched_after: Optional[int] = None
     execution: ExecutionStats = field(default_factory=ExecutionStats)
 
 
@@ -212,6 +212,15 @@ class AcquireResult:
             f"{self.stats.cells_executed} cell executions, "
             f"{self.stats.execution.queries_executed} backend queries, "
             f"{self.stats.elapsed_s * 1000:.1f} ms "
-            f"({self.stats.explore_mode} explore)"
+            f"({self._explore_note()})"
         )
         return "\n".join(lines)
+
+    def _explore_note(self) -> str:
+        stats = self.stats
+        if stats.switched_after is None:
+            return f"{stats.explore_mode} explore"
+        return (
+            f"incremental explore, switched to {stats.explore_mode} "
+            f"after {stats.switched_after} cells"
+        )

@@ -2,10 +2,13 @@
 
 For every committed triple the gate rebuilds the dataset from its
 recipe, re-certifies the label with the exhaustive oracle, then runs
-the full ACQUIRE driver under three Explore engine configurations —
-incremental, materialized and tiled — asserting each returns the
-oracle-optimal answer and a stable, score-monotone top-k ranking whose
-first element equals the single-answer (``top_k=1``) result.
+the full ACQUIRE driver under four Explore engine configurations —
+incremental, materialized, tiled and the default ``auto``, which
+switches from per-cell Explore to one grid pass mid-search — asserting
+each returns the oracle-optimal answer and a stable, score-monotone
+top-k ranking whose first element equals the single-answer
+(``top_k=1``) result. The report counts the triples whose ``auto``
+search switched.
 
 Run it via ``make corpus-gate`` or ``python -m repro.corpus gate``; on
 failure the report prints a per-triple diff of expected versus actual
@@ -36,6 +39,7 @@ ENGINE_CONFIGS: tuple[tuple[str, dict], ...] = (
     ("incremental", {"explore_mode": "incremental"}),
     ("materialized", {"explore_mode": "materialized"}),
     ("tiled", {"explore_mode": "tiled"}),
+    ("auto", {"explore_mode": "auto"}),
 )
 
 _TOL = dict(rel_tol=1e-9, abs_tol=1e-9)
@@ -56,6 +60,8 @@ class TripleCheck:
     triple_id: str
     family: str
     problems: list[str]
+    #: Whether the ``auto`` arm's search switched to a grid engine.
+    switched: bool = False
 
     @property
     def passed(self) -> bool:
@@ -80,9 +86,12 @@ class GateReport:
         families: dict[str, int] = {}
         for check in self.checks:
             families[check.family] = families.get(check.family, 0) + 1
+        switched = sum(check.switched for check in self.checks)
         lines = [
             f"corpus gate: {len(self.checks)} triples "
-            f"({', '.join(f'{k}={v}' for k, v in sorted(families.items()))})"
+            f"({', '.join(f'{k}={v}' for k, v in sorted(families.items()))})",
+            f"auto: {switched} of {len(self.checks)} triples switched "
+            "to a grid engine mid-search",
         ]
         if self.passed:
             lines.append(
@@ -229,9 +238,11 @@ def check_triple(labeled: LabeledTriple) -> TripleCheck:
 
     layer = MemoryBackend(database)
     driver = Acquire(layer)
+    switched = False
     for engine, overrides in ENGINE_CONFIGS:
         engine_config = replace(config, **overrides)
         result = driver.run(query, engine_config)
+        switched = switched or result.stats.switched_after is not None
         _check_ranking(engine, result, labeled, spec.top_k, problems)
 
         # The top-k ranking must be a pure extension of the single-answer
@@ -255,7 +266,7 @@ def check_triple(labeled: LabeledTriple) -> TripleCheck:
                 f"(k={spec.top_k}: {result.satisfied}, k=1: "
                 f"{single.satisfied})"
             )
-    return TripleCheck(spec.triple_id, spec.family, problems)
+    return TripleCheck(spec.triple_id, spec.family, problems, switched)
 
 
 def run_gate(

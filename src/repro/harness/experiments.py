@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from repro.core.acquire import AcquireConfig
 from repro.core.grid_cache import GridTensorCache
-from repro.core.plan import PlanCalibration
 from repro.core.query import ConstraintOp
 from repro.datagen.tpch import TPCHConfig, generate_tpch
 from repro.engine.backends import EvaluationLayer
@@ -756,7 +755,8 @@ def explore_modes(
     Runs one 2-dimensional COUNT ACQ on the Q2 join through serial
     (one query per cell), batched (one round trip per layer),
     materialized (one round trip for the whole grid), and auto
-    (cost-model choice) on each exact backend. All four produce
+    (per-cell until the round trips cost one grid pass) on each exact
+    backend. All four produce
     identical answer sets — ``benchmarks/smoke.py`` asserts the qscore
     column is constant per backend — so the interesting columns are
     ``queries`` (round trips), ``grids`` and ``explore``.
@@ -772,8 +772,8 @@ def explore_modes(
         name="explore",
     )
     modes = (
-        ("serial", {}),
-        ("batched", {"batched": True}),
+        ("serial", {"explore_mode": "incremental"}),
+        ("batched", {"explore_mode": "incremental", "batched": True}),
         ("materialized", {"explore_mode": "materialized"}),
         ("auto", {"explore_mode": "auto"}),
     )
@@ -795,8 +795,8 @@ def explore_modes(
         paper_expectation=(
             "All engines return identical answer sets; batching "
             "collapses round trips to one per layer and "
-            "materialization to one per search, while auto never does "
-            "more round trips than the better fixed mode."
+            "materialization to one per search, while auto makes at "
+            "most serial's round trips plus one grid pass."
         ),
         rows=rows,
         settings={
@@ -981,74 +981,6 @@ def persistent_cache(
             "gamma": gamma,
             "delta": delta,
             "step": step,
-        },
-    )
-
-
-def plan_calibration(
-    scale_rows: int = 6_000,
-    ratios: Sequence[float] = (0.5, 0.4, 0.3, 0.2),
-    gamma: float = 10.0,
-    delta: float = 0.05,
-    step: float = 5.0,
-    selectivity: float = BASE_SELECTIVITY,
-    backend: str = "memory",
-) -> ExperimentResult:
-    """Planner estimate vs observed traversal, with feedback.
-
-    Runs an ``auto`` sweep sharing one :class:`PlanCalibration`: each
-    row records the plan's ``estimated_visited`` next to the grid
-    queries actually examined, plus the correction factor in effect
-    *after* the run — the calibration table showing the estimate
-    converging onto observed behaviour.
-    """
-    database = _tpch(_scaled(scale_rows))
-    calibration = PlanCalibration()
-    layer = make_backend(database, backend)
-    rows: list[Row] = []
-    for ratio in ratios:
-        workload = build_ratio_workload(
-            database,
-            Q2_TABLES,
-            q2_flex_specs(2, selectivity),
-            ratio,
-            aggregate="COUNT",
-            joins=Q2_JOINS,
-            name=f"calib_{ratio:g}",
-        )
-        config = AcquireConfig(
-            gamma=gamma,
-            delta=delta,
-            step=step,
-            explore_mode="auto",
-            calibration=calibration,
-        )
-        run = run_method(
-            "ACQUIRE", layer, workload.query, acquire_config=config
-        )
-        run.method = f"{backend}/auto"
-        row = Row.from_run("ratio", ratio, run)
-        row.extra["calibration_factor"] = calibration.factor()
-        rows.append(row)
-    return ExperimentResult(
-        name="calibration",
-        title="Plan calibration: estimated vs actually-visited cells",
-        paper_expectation=(
-            "The star-join visited estimate is systematically biased "
-            "on any one workload; the geometric-mean feedback factor "
-            "measures that bias so later plans correct for it."
-        ),
-        rows=rows,
-        settings={
-            "scale_rows": _scaled(scale_rows),
-            "ratios": list(ratios),
-            "gamma": gamma,
-            "delta": delta,
-            "step": step,
-            "selectivity": selectivity,
-            "backend": backend,
-            "final_factor": calibration.factor(),
-            "observations": calibration.observations,
         },
     )
 
@@ -1353,7 +1285,6 @@ EXPERIMENTS = {
     "explore": explore_modes,
     "grid_cache": grid_cache_sweep,
     "persistent_cache": persistent_cache,
-    "calibration": plan_calibration,
     "shapes": shape_robustness,
     "service_load": service_load,
 }

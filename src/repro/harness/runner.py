@@ -106,7 +106,7 @@ def run_acquire(
             "original": result.original_value,
             "explore_mode": result.stats.explore_mode,
             "plan_reason": result.stats.plan_reason,
-            "estimated_visited": result.stats.estimated_visited,
+            "switched_after": result.stats.switched_after,
             "top_k": result.stats.top_k,
             # The certified ranking (qscore per rank) so reports can
             # surface alternatives without re-running the search.

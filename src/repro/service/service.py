@@ -5,8 +5,8 @@ Concurrency model: requests execute on a service-owned thread pool of
 :class:`~repro.core.acquire.Acquire` driver against a registered
 backend. Everything shared between requests is thread-safe by
 construction — the backends' counting seams serialize on their
-``_stats_lock``, the grid cache and plan calibration carry internal
-locks, and per-request attribution rides on the backends' request
+``_stats_lock``, the grid cache and the driver's pass times carry
+internal locks, and per-request attribution rides on the backends' request
 scopes (:meth:`~repro.engine.backends.EvaluationLayer.request_scope`),
 so concurrent requests report exactly the counters a serial replay
 would. Service bookkeeping (:class:`ServiceStats`, the backend
@@ -34,7 +34,6 @@ from repro.core.grid_cache import (
     GridTensorCache,
     PersistentGridCache,
 )
-from repro.core.plan import PlanCalibration
 from repro.core.query import Query
 from repro.core.result import AcquireResult
 from repro.engine.backends import EvaluationLayer
@@ -164,9 +163,8 @@ class AcquireService:
         result = future.result()
 
     Every admitted request runs with the service's shared grid cache
-    and plan calibration injected into its config, so overlapping
-    sweeps dedupe tile work across requests and the cost model learns
-    from all traffic. :meth:`run` is the synchronous convenience
+    injected into its config, so overlapping sweeps dedupe tile work
+    across requests. :meth:`run` is the synchronous convenience
     wrapper; :meth:`close` drains and shuts the pool down (the service
     is also a context manager).
     """
@@ -185,8 +183,6 @@ class AcquireService:
             if self.config.cache_bytes > 0
             else None
         )
-        #: Shared cost-model calibration fed by every request.
-        self.calibration = PlanCalibration()
         self._lock = threading.Lock()
         self._stats = ServiceStats()
         self._backends: dict[str, tuple[EvaluationLayer, Acquire]] = {}
@@ -311,12 +307,12 @@ class AcquireService:
     def _effective_config(self, base: AcquireConfig) -> AcquireConfig:
         """The caller's config with the service's shared state wired in.
 
-        The shared grid cache (when sharing is enabled) and calibration
-        replace whatever the caller set — cross-request dedupe and a
-        traffic-wide cost model are the service's contract — and the
-        query budget clamps ``max_grid_queries``.
+        The shared grid cache (when sharing is enabled) replaces
+        whatever the caller set — cross-request dedupe is the
+        service's contract — and the query budget clamps
+        ``max_grid_queries``.
         """
-        updates: dict = {"calibration": self.calibration}
+        updates: dict = {}
         if self.grid_cache is not None:
             updates["grid_cache"] = self.grid_cache
             updates["cache_path"] = None

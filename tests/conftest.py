@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import weakref
 
 import pytest
 
@@ -116,6 +117,23 @@ class FailingBackend(MemoryBackend):
     def execute_grid_tile(self, prepared, space, lo, hi):
         self._enter_pass()
         return super().execute_grid_tile(prepared, space, lo, hi)
+
+
+def switch_at(monkeypatch, boundary: int) -> None:
+    """Make every ``auto`` search switch to its grid engine at layer
+    boundary ``boundary`` (0 is before the first layer), whatever its
+    round trips cost. The driver asks ``switch_due`` once per boundary
+    until it switches, so the k-th call is boundary k."""
+    from repro.core import acquire
+
+    calls: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def due(explorer, pass_s):
+        seen = calls.get(explorer, 0)
+        calls[explorer] = seen + 1
+        return seen == boundary
+
+    monkeypatch.setattr(acquire, "switch_due", due)
 
 
 def answer_key(result) -> tuple:

@@ -430,6 +430,86 @@ class TestWeightedLInf:
             assert {a.qscore for a in result.answers} == {minimal}, target
 
 
+class TestWeightedOvershoot:
+    """The EQ overshoot early stop assumes every query of a layer
+    contains one of the layer before. With weights 5:1 that fails under
+    L1 and L2 alike: layer 20 = {(0, 4)} overshoots COUNT = 300 although
+    (1, 2), in a later layer, counts 287. Every answer must sit at the
+    smallest QScore of any grid point within delta, found here by brute
+    force."""
+
+    @pytest.fixture(scope="class")
+    def layer(self):
+        rng = np.random.default_rng(123)
+        database = Database()
+        database.create_table(
+            "data",
+            {"x": rng.uniform(0, 100, 2000), "y": rng.uniform(0, 100, 2000)},
+        )
+        return MemoryBackend(database)
+
+    @pytest.mark.parametrize("weights", [(5.0, 1.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("norm", [LpNorm(1), LpNorm(2)], ids=["L1", "L2"])
+    def test_eq_answers_are_minimal(self, layer, norm, weights):
+        config = AcquireConfig(
+            gamma=10,
+            delta=0.05,
+            norm=norm,
+            repartition_iterations=0,
+            explore_mode="incremental",
+        )
+        base = _weighted_count_query({"x": 30.0, "y": 30.0}, weights, 1)
+        space, prepared = _search_space(layer, base, config)
+        counts = {
+            coords: layer.execute_box(prepared, space.scores(coords))[0]
+            for coords in itertools.product(
+                *(range(extent + 1) for extent in space.max_coords)
+            )
+        }
+        error_fn = default_error_for(ConstraintOp.EQ)
+        for target in range(200, 1401, 50):
+            query = base.with_constraint(
+                AggregateConstraint(
+                    base.constraint.spec, ConstraintOp.EQ, target
+                )
+            )
+            result = Acquire(layer).run(query, config)
+            within = {
+                coords: space.qscore(coords)
+                for coords, count in counts.items()
+                if error_fn(target, count) <= config.delta
+            }
+            if not within:
+                assert not result.satisfied, target
+                continue
+            minimal = min(within.values())
+            assert result.satisfied, target
+            assert {a.qscore for a in result.answers} == {minimal}, target
+            assert {a.coords for a in result.answers} == {
+                coords
+                for coords, qscore in within.items()
+                if qscore == minimal
+            }, target
+
+    @pytest.mark.parametrize("norm", [LpNorm(1), LpNorm(2)], ids=["L1", "L2"])
+    def test_reported_misses(self, layer, norm):
+        """The two searches that stopped short before the fix."""
+        target, point, qscore = {
+            "L1": (300, (1, 2), 35.0),
+            "L2": (200, (1, 0), math.sqrt(125.0)),
+        }["L1" if norm.p == 1 else "L2"]
+        query = _weighted_count_query(
+            {"x": 30.0, "y": 30.0}, (5.0, 1.0), target
+        )
+        config = AcquireConfig(
+            gamma=10, delta=0.05, norm=norm, repartition_iterations=0
+        )
+        result = Acquire(layer).run(query, config)
+        assert result.satisfied
+        assert [a.coords for a in result.answers] == [point]
+        assert result.answers[0].qscore == pytest.approx(qscore)
+
+
 _ENGINES = {
     "incremental": {"explore_mode": "incremental"},
     "materialized": {"explore_mode": "materialized"},

@@ -16,10 +16,10 @@ Proves the contract of ``docs/EXPLORE_MODES.md``:
   counters (``grid_materializations`` / ``grid_tiles`` /
   ``grid_cells`` / ``queries_executed`` / cache counters), never in an
   answer;
-* the ``auto`` plan chooser never costs more round trips than the
-  better fixed mode, stays incremental for sparse / early-terminating
-  searches, and routes over-cap / over-budget grids to the tiled
-  engine.
+* an ``auto`` search answers like every fixed mode, makes at most
+  serial's round trips plus one grid pass, stays per-cell for
+  early-terminating searches, and switches over-cap / over-budget
+  grids to the tiled engine.
 
 Aggregate values are multiples of 0.25 (exact binary fractions), as in
 ``tests/engine/test_differential.py``, so the bit-identical assertions
@@ -52,11 +52,7 @@ from repro.core.grid_explore import (
     tile_shape_for,
 )
 from repro.core.interval import Interval
-from repro.core.plan import (
-    SMALL_GRID_CELLS,
-    PlanCalibration,
-    choose_explore_mode,
-)
+from repro.core.plan import COLD_PASS_CELLS, PassTimes, choose_explore_mode
 from repro.core.predicate import Direction, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
@@ -68,6 +64,7 @@ from repro.engine.memory_backend import MemoryBackend
 from repro.engine.sampling import SamplingBackend
 from repro.engine.sqlite_backend import SQLiteBackend
 from repro.exceptions import EngineError, QueryModelError, SearchError
+from tests.conftest import switch_at
 
 ALL_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 HISTOGRAM_AGGREGATES = ("COUNT", "SUM", "AVG")
@@ -604,36 +601,52 @@ def _plan(query, config, max_scores=(70.0, 70.0), n=400, seed=31):
 
 
 class TestPlanChooser:
-    def test_dense_search_materializes(self):
+    def test_auto_starts_per_cell_and_may_materialize(self):
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto"))
-        assert plan.mode == "materialized"
-        assert plan.reason == "cost-model"
-        assert plan.estimated_visited > 1
+        assert (plan.mode, plan.reason) == ("incremental", "online")
+        assert plan.switch_to == "materialized"
+
+    def test_dense_search_materializes(self):
+        """A search that walks more of the grid than a pass costs hands
+        its remaining layers to one materialized pass."""
+        database = _database(seed=33, n=200)
+        run = _run(database, _query("COUNT", target=380.0),
+                   explore_mode="auto")
+        assert run.stats.plan_reason == "switched"
+        assert run.stats.explore_mode == "materialized"
+        # A fresh layer has timed no pass: the cold prior decides.
+        assert run.stats.switched_after >= COLD_PASS_CELLS
+        assert run.stats.execution.grid_materializations == 1
 
     def test_eq_overshoot_stays_incremental(self):
-        """An equality target below the predicted origin value heads to
-        the contraction path; auto must not materialize for it."""
-        plan = _plan(_query("COUNT", target=5.0), AcquireConfig(
-            explore_mode="auto"))
-        assert plan.mode == "incremental"
-        assert plan.estimated_visited == 1
+        """An equality target below the origin value heads to the
+        contraction path; auto must not materialize for it."""
+        database = _database(seed=31, n=400)
+        run = _run(database, _query("COUNT", target=5.0),
+                   explore_mode="auto")
+        assert run.stats.switched_after is None
+        assert run.stats.execution.grid_materializations == 0
 
     def test_early_terminating_search_stays_incremental(self):
-        """A target predicted to be reached after one layer on a big
-        grid: visiting a handful of cells beats a full pass."""
-        query = _query("COUNT", target=45.0)
-        plan = _plan(query, AcquireConfig(explore_mode="auto"),
-                     max_scores=(340.0, 340.0))
-        assert plan.mode == "incremental"
-        assert plan.reason == "cost-model"
-        assert 0 < plan.estimated_visited < plan.grid_cells
+        """A target reached after a layer or two: visiting a handful of
+        cells beats a full pass, so the search never switches."""
+        database = _database(seed=31, n=400)
+        run = _run(database, _query("COUNT", target=45.0),
+                   explore_mode="auto")
+        assert run.satisfied
+        assert run.stats.grid_queries_examined < COLD_PASS_CELLS
+        assert (run.stats.explore_mode, run.stats.plan_reason) == (
+            "incremental", "online"
+        )
+        assert run.stats.switched_after is None
+        assert run.stats.execution.grid_materializations == 0
 
     def test_grid_over_cap_falls_back_to_tiled(self):
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto", materialize_cell_cap=4))
-        assert plan.mode == "tiled"
-        assert plan.reason == "grid-over-cap"
+        assert (plan.mode, plan.switch_to) == ("incremental", "tiled")
+        assert plan.tile_cells == 4
 
     def test_grid_over_budget_goes_tiled(self):
         """The materialized path must respect ``max_grid_queries``: a
@@ -641,8 +654,8 @@ class TestPlanChooser:
         when it fits the tensor cap."""
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto", max_grid_queries=4))
-        assert plan.mode == "tiled"
-        assert plan.reason == "grid-over-budget"
+        assert (plan.mode, plan.switch_to) == ("incremental", "tiled")
+        assert plan.tile_cells == 4
 
     def test_forced_tiled_passes_through(self):
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
@@ -654,25 +667,26 @@ class TestPlanChooser:
             _plan(_query("COUNT"), AcquireConfig(
                 explore_mode="materialized", materialize_cell_cap=4))
 
-    def test_statless_layer_uses_small_grid_rule(self):
+    def test_statless_layer_switches_online(self):
+        """The switch needs no catalog statistics: a layer without a
+        ``database`` switches like any other and answers like serial."""
         database = _database(seed=32, n=100)
-        layer = _NoGridWrapper(MemoryBackend(database))  # no .database
         query = _query("COUNT", target=380.0)
-        config = AcquireConfig(explore_mode="auto")
-        small = RefinedSpace(query, 20.0, [70.0, 70.0])
-        plan = choose_explore_mode(layer, query, small, config)
-        assert small.grid_size <= SMALL_GRID_CELLS
-        assert (plan.mode, plan.reason) == ("materialized", "small-grid")
-        big = RefinedSpace(query, 20.0, [3000.0, 3000.0])
-        plan = choose_explore_mode(layer, query, big, config)
-        assert big.grid_size > SMALL_GRID_CELLS
-        assert (plan.mode, plan.reason) == ("incremental", "no-statistics")
+        run = Acquire(_NoGridWrapper(MemoryBackend(database))).run(
+            query, AcquireConfig(explore_mode="auto"))
+        plain = Acquire(_NoGridWrapper(MemoryBackend(database))).run(
+            query, AcquireConfig(explore_mode="incremental"))
+        assert run.stats.plan_reason == "switched"
+        assert _answer_key(run) == _answer_key(plain)
 
     def test_config_validation(self):
         with pytest.raises(QueryModelError):
             AcquireConfig(explore_mode="bogus")
         with pytest.raises(QueryModelError):
             AcquireConfig(materialize_cell_cap=0)
+
+    def test_auto_is_the_default(self):
+        assert AcquireConfig().explore_mode == "auto"
 
 
 # ----------------------------------------------------------------------
@@ -695,31 +709,32 @@ class TestAcquireModes:
     @pytest.mark.parametrize("aggregate, target", [
         ("COUNT", 150.0), ("SUM", 400.0),
     ])
-    def test_modes_agree_and_auto_is_no_worse(self, aggregate, target):
+    def test_modes_agree_and_auto_is_at_most_serial_plus_one_pass(
+        self, aggregate, target
+    ):
         database = _database(seed=33, n=200)
         query = _query(aggregate, target=target)
         runs = {
             mode: _run(database, query, explore_mode=mode)
-            for mode in ("incremental", "materialized", "auto")
+            for mode in ("incremental", "materialized", "tiled", "auto")
         }
         baseline = _answer_key(runs["incremental"])
         assert runs["incremental"].stats.explore_mode == "incremental"
         assert runs["materialized"].stats.explore_mode == "materialized"
-        assert runs["auto"].stats.explore_mode in (
-            "incremental", "materialized"
-        )
-        for mode in ("materialized", "auto"):
+        for mode in ("materialized", "tiled", "auto"):
             assert _answer_key(runs[mode]) == baseline, mode
             assert runs[mode].satisfied == runs["incremental"].satisfied
         assert runs["materialized"].stats.execution.grid_materializations >= 1
         assert runs["incremental"].stats.execution.grid_materializations == 0
-        fixed_best = min(
-            runs["incremental"].stats.execution.queries_executed,
-            runs["materialized"].stats.execution.queries_executed,
+        auto = runs["auto"].stats
+        serial = runs["incremental"].stats.execution.queries_executed
+        assert auto.execution.queries_executed <= serial + 1
+        assert auto.execution.grid_materializations == (
+            0 if auto.switched_after is None else 1
         )
-        assert runs["auto"].stats.execution.queries_executed <= fixed_best
 
-    def test_auto_over_cap_runs_tiled(self):
+    def test_auto_over_cap_runs_tiled(self, monkeypatch):
+        switch_at(monkeypatch, 2)
         database = _database(seed=34, n=150)
         query = _query("COUNT", target=120.0)
         capped = _run(
@@ -727,9 +742,12 @@ class TestAcquireModes:
         )
         plain = _run(database, query, explore_mode="incremental")
         assert capped.stats.explore_mode == "tiled"
-        assert capped.stats.plan_reason == "grid-over-cap"
+        assert capped.stats.plan_reason == "switched"
         assert _answer_key(capped) == _answer_key(plain)
         assert capped.stats.execution.grid_tiles >= 1
+        assert capped.stats.execution.grid_materializations == (
+            capped.stats.execution.grid_tiles
+        )
 
     def test_forced_materialized_over_cap_raises_in_run(self):
         database = _database(seed=34, n=150)
@@ -752,10 +770,13 @@ class TestAcquireModes:
         assert _answer_key(tiled) == _answer_key(plain)
         assert tiled.satisfied == plain.satisfied
 
-    def test_grid_budget_respected_by_materializing_paths(self):
+    def test_grid_budget_respected_by_materializing_paths(
+        self, monkeypatch
+    ):
         """Satellite: ``max_grid_queries`` must bound the *backend*
         work of the auto path too — a grid larger than the budget may
         not be materialized whole."""
+        switch_at(monkeypatch, 1)
         database = _database(seed=36, n=150)
         query = _query("COUNT", target=120.0)
         budget = 6
@@ -766,8 +787,10 @@ class TestAcquireModes:
             max_grid_queries=budget,
         )
         assert run.stats.explore_mode == "tiled"
-        assert run.stats.plan_reason == "grid-over-budget"
+        assert run.stats.plan_reason == "switched"
         assert run.stats.grid_queries_examined <= budget
+        execution = run.stats.execution
+        assert execution.grid_cells <= execution.grid_tiles * budget
 
 
 # ----------------------------------------------------------------------
@@ -1333,94 +1356,100 @@ class TestCacheReplay:
 
 
 # ----------------------------------------------------------------------
-# PlanCalibration
+# Pass times the auto plan switches by
 # ----------------------------------------------------------------------
-class TestPlanCalibration:
-    def test_identity_until_observed(self):
-        calibration = PlanCalibration()
-        assert calibration.factor() == 1.0
-        assert calibration.correct(40) == 40
-        assert calibration.observations == 0
-
-    def test_geometric_mean_correction(self):
-        calibration = PlanCalibration()
-        calibration.observe(10, 20)
-        assert calibration.factor() == pytest.approx(2.0)
-        assert calibration.correct(10) == 20
-        calibration.observe(10, 5)  # ratios 2.0 and 0.5: geo-mean 1.0
-        assert calibration.factor() == pytest.approx(1.0)
-
-    def test_zero_observations_ignored(self):
-        calibration = PlanCalibration()
-        calibration.observe(0, 50)
-        calibration.observe(50, 0)
-        assert calibration.observations == 0
-        assert calibration.factor() == 1.0
-
-    def test_window_slides(self):
-        calibration = PlanCalibration(window=2)
-        calibration.observe(10, 80)  # falls out of the window
-        calibration.observe(10, 20)
-        calibration.observe(10, 20)
-        assert calibration.observations == 2
-        assert calibration.factor() == pytest.approx(2.0)
-
-    def test_correct_never_below_one(self):
-        calibration = PlanCalibration()
-        calibration.observe(100, 1)
-        assert calibration.correct(3) == 1
-
-    def test_window_validated(self):
-        with pytest.raises(QueryModelError):
-            PlanCalibration(window=0)
-
-    def test_driver_feeds_observations(self):
+class TestPassTimes:
+    def test_cold_prior_until_a_pass_is_timed(self):
+        """Before any pass of a query grid is timed on a layer, a pass
+        costs COLD_PASS_CELLS round trips: the switch lands there."""
         database = _database(seed=64, n=200)
-        calibration = PlanCalibration()
-        result = _run(
-            database,
-            _query("COUNT", target=150.0),
-            explore_mode="auto",
-            calibration=calibration,
+        run = _run(database, _query("COUNT", target=380.0),
+                   explore_mode="auto")
+        # The first layer boundary at or past the prior; an L1 layer
+        # of this 15 x 15 grid holds at most 15 points.
+        assert COLD_PASS_CELLS <= run.stats.switched_after
+        assert run.stats.switched_after < COLD_PASS_CELLS + 15
+
+    def test_driver_records_pass_seconds(self, monkeypatch):
+        """A switched search leaves its pass time under the layer's
+        target-independent key, so the next sweep point switches by
+        it; forced modes record nothing."""
+        from repro.core import acquire
+
+        times = PassTimes()
+        monkeypatch.setattr(acquire, "PASS_TIMES", times)
+        database = _database(seed=64, n=200)
+        layer = MemoryBackend(database)
+        Acquire(layer).run(
+            _query("COUNT", target=380.0),
+            AcquireConfig(explore_mode="materialized"),
         )
-        assert result.stats.estimated_visited > 0
-        assert calibration.observations == 1
+        assert len(times) == 0
+        run = Acquire(layer).run(
+            _query("COUNT", target=380.0),
+            AcquireConfig(explore_mode="auto"),
+        )
+        assert run.stats.plan_reason == "switched"
+        assert len(times) == 1
+        (key,) = list(times._seconds)
+        assert times.get(key) > 0.0
+        # Another target of the same query grid shares the key.
+        Acquire(layer).run(
+            _query("COUNT", target=390.0),
+            AcquireConfig(explore_mode="auto"),
+        )
+        assert len(times) == 1
+
+    def test_map_is_bounded(self):
+        times = PassTimes(capacity=2)
+        times.record("a", 1.0)
+        times.record("b", 2.0)
+        times.get("a")
+        times.record("a", 3.0)  # refreshed: "b" is now the oldest
+        times.record("c", 4.0)
+        assert len(times) == 2
+        assert times.get("b") is None
+        assert (times.get("a"), times.get("c")) == (3.0, 4.0)
 
     def test_concurrent_hammer(self):
-        """N threads feed and read one instance at once — the shared
-        service shape. Windowed counts must come out exact, and the
-        geometric mean well-defined, under any interleaving."""
+        """N threads record and read one map at once — the shared
+        service shape. The bound holds and every read is a recorded
+        value, under any interleaving."""
+        import sys
         import threading
 
-        threads_n, per_thread = 8, 200
-        calibration = PlanCalibration(window=threads_n * per_thread)
+        threads_n, per_thread = 8, 400
+        times = PassTimes(capacity=50)
         barrier = threading.Barrier(threads_n)
         errors: list[BaseException] = []
 
         def hammer(seed: int) -> None:
             try:
-                barrier.wait()
+                barrier.wait(timeout=30.0)
                 for step in range(per_thread):
-                    calibration.observe(10, 20 if seed % 2 else 5)
-                    # Interleave reads with writes: accessors must see
-                    # internally consistent windows, never raise.
-                    assert calibration.factor() > 0.0
-                    assert calibration.correct(100) >= 1
+                    key = (seed * per_thread + step) % 80
+                    times.record(key, float(key))
+                    value = times.get(key)
+                    assert value is None or value == float(key)
             except BaseException as error:  # surfaced after join
                 errors.append(error)
 
-        threads = [
-            threading.Thread(target=hammer, args=(seed,))
-            for seed in range(threads_n)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(seed,))
+                for seed in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert calibration.observations == threads_n * per_thread
-        # 4 threads pushed ratio 2.0, 4 pushed 0.5: geo-mean is 1.0.
-        assert calibration.factor() == pytest.approx(1.0)
+        assert len(times) == 50
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ Everything that *executes* an ACQ uses a tiny in-memory workload.
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 import repro.service.service as service_module
 from repro.core.acquire import Acquire, AcquireConfig
+from repro.engine.backends import ExecutionStats
 from repro.engine.catalog import Database
 from repro.engine.memory_backend import MemoryBackend
 from repro.exceptions import (
@@ -48,6 +50,22 @@ def _db(seed: int = 11, n: int = 400) -> Database:
 
 def _query(database=None, target: int = 120):
     return count_query("data", {"x": 30.0, "y": 30.0}, target=target)
+
+
+class BlockingGridBackend(MemoryBackend):
+    """MemoryBackend whose grid pass sets ``entered`` and then blocks
+    until the test sets ``release``; every other pass runs normally."""
+
+    def __init__(self, database: Database) -> None:
+        super().__init__(database)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def execute_grid(self, prepared, space):
+        self.entered.set()
+        if not self.release.wait(timeout=30.0):
+            raise EngineError("grid pass never released")
+        return super().execute_grid(prepared, space)
 
 
 @pytest.fixture
@@ -84,7 +102,6 @@ class TestServiceConfig:
                 AcquireConfig(max_grid_queries=10_000)
             )
             assert effective.grid_cache is instance.grid_cache
-            assert effective.calibration is instance.calibration
             assert effective.max_grid_queries == 5
 
 
@@ -276,6 +293,51 @@ class TestBackpressure:
         finally:
             gate.release.set()
             instance.close()
+
+
+    def test_grid_pass_slower_than_wait_timeout(self):
+        """The only slot is held by a request whose grid pass outlasts
+        ``wait_timeout_s``: the next submit times out. Released, the
+        pass completes its request and leaves no cache flight, the
+        per-request counters close the layer's books, and the slot
+        admits the next request."""
+        database = _db()
+        layer = BlockingGridBackend(database)
+        config = AcquireConfig(explore_mode="materialized")
+        instance = AcquireService(
+            ServiceConfig(
+                workers=1, max_queue=0,
+                admission="wait", wait_timeout_s=0.05,
+            )
+        )
+        instance.register_backend("default", layer)
+        try:
+            first = instance.submit(_query(), config)
+            assert layer.entered.wait(timeout=30.0)
+            with pytest.raises(ServiceError) as excinfo:
+                instance.submit(_query(), config)
+            assert excinfo.value.reason == "timeout"
+            assert instance.stats().timeouts == 1
+            assert not first.done()
+            layer.release.set()
+            results = [first.result(timeout=30.0)]
+            assert not instance.grid_cache._flights
+            assert instance.stats().in_flight == 0
+            results.append(instance.run(_query(target=130), config))
+            stats = instance.stats()
+        finally:
+            layer.release.set()
+            instance.close()
+        clean = Acquire(MemoryBackend(database)).run(_query(), config)
+        assert answer_key(results[0]) == answer_key(clean)
+        assert (stats.admitted, stats.completed, stats.timeouts) == (2, 2, 1)
+        assert stats.in_flight == 0 and stats.failed == 0
+        for field in fields(ExecutionStats):
+            if isinstance(getattr(layer.stats, field.name), int):
+                assert sum(
+                    getattr(result.stats.execution, field.name)
+                    for result in results
+                ) == getattr(layer.stats, field.name), field.name
 
 
 class TestExecutionAccounting:
