@@ -709,9 +709,9 @@ class TestAcquireModes:
     @pytest.mark.parametrize("aggregate, target", [
         ("COUNT", 150.0), ("SUM", 400.0),
     ])
-    def test_modes_agree_and_auto_is_at_most_serial_plus_one_pass(
-        self, aggregate, target
-    ):
+    def test_modes_agree_and_auto_is_no_worse(self, aggregate, target):
+        # "No worse" is the online switch's bound: at most serial's round
+        # trips plus the one grid pass, and a pass only when it switched.
         database = _database(seed=33, n=200)
         query = _query(aggregate, target=target)
         runs = {
