@@ -15,9 +15,7 @@ from repro.harness.report import save_json
 
 
 def test_evaluation_layers(benchmark, record_experiment):
-    result = run_once(
-        benchmark, evaluation_layers, scale_rows=30_000, batched=True
-    )
+    result = run_once(benchmark, evaluation_layers, scale_rows=30_000)
     record_experiment(result)
     json_path = save_json(
         result, os.path.join("benchmarks", "results", "BENCH_layers.json")
@@ -25,10 +23,6 @@ def test_evaluation_layers(benchmark, record_experiment):
     assert os.path.exists(json_path)
 
     rows = {row.method: row for row in result.rows}
-    # The batched path collapsed layers into bulk round trips on every
-    # backend (sampling delegates to memory, so it batches too).
-    for method in ("memory", "sqlite", "sampling", "histogram"):
-        assert rows[method].batches >= 1, method
     # Exact layers agree with each other on the recommendation.
     assert rows["memory"].qscore == rows["sqlite"].qscore
     assert rows["memory"].aggregate_value == rows["sqlite"].aggregate_value

@@ -6,11 +6,11 @@ and the harness report path cannot rot without CI noticing. Unlike
 ``bench_evaluation_layers.py`` this needs nothing beyond the runtime
 dependencies (no pytest-benchmark).
 
-1. ``evaluation_layers`` (batched) per backend — memory, sqlite,
-   sampling, histogram — writes ``BENCH_layers.json`` and checks the
-   batch counters plus memory/sqlite answer agreement.
-2. ``explore_modes`` — serial vs batched vs materialized vs auto on
-   the exact backends — writes ``BENCH_explore.json`` and checks that
+1. ``evaluation_layers`` per backend — memory, sqlite, sampling,
+   histogram — writes ``BENCH_layers.json`` and checks that every
+   layer issued queries plus memory/sqlite answer agreement.
+2. ``explore_modes`` — serial vs materialized vs auto on the exact
+   backends — writes ``BENCH_explore.json`` and checks that
    every mode returns the same answer, that materialization cuts
    round trips at least ``MIN_SPEEDUP``-fold versus serial, that auto
    makes at most serial's round trips plus one grid pass and, when it
@@ -57,7 +57,7 @@ import sys
 
 BACKENDS = ("memory", "sqlite", "sampling", "histogram")
 EXPLORE_BACKENDS = ("memory", "sqlite")
-EXPLORE_MODES = ("serial", "batched", "materialized", "auto")
+EXPLORE_MODES = ("serial", "materialized", "auto")
 
 #: Required round-trip reduction of materialized vs serial Explore.
 MIN_SPEEDUP = 5
@@ -93,8 +93,6 @@ def _check_layers(payload: dict) -> list[str]:
         row = rows.get(method)
         if row is None:
             continue
-        if row["batches"] < 1:
-            failures.append(f"{method}: batched run recorded no batches")
         if row["queries"] < 1:
             failures.append(f"{method}: no queries recorded")
     if "memory" in rows and "sqlite" in rows:
@@ -603,7 +601,7 @@ def main(argv=None) -> int:
             print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
         return 1 if failures else 0
 
-    result = evaluation_layers(scale_rows=args.scale_rows, batched=True)
+    result = evaluation_layers(scale_rows=args.scale_rows)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     path = save_json(result, args.out)
     with open(path, encoding="utf-8") as handle:

@@ -142,20 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="QScore norm: l1, l2, ... lp (any p>=1), or linf",
     )
     parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="execute each search layer's cell queries as one batched "
-        "round trip (see docs/PARALLELISM.md)",
-    )
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for batched cell execution on backends "
-        "without a native bulk path (N > 1 implies --batched)",
-    )
-    parser.add_argument(
         "--explore-mode",
         choices=("auto", "incremental", "materialized", "tiled"),
         default="auto",
@@ -440,8 +426,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         gamma=args.gamma,
         delta=args.delta,
         norm=_norm_from_name(args.norm),
-        batched=args.batched,
-        parallelism=args.parallelism,
         explore_mode=args.explore_mode,
         grid_cache=cache,
         top_k=args.top_k,

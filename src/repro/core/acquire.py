@@ -87,14 +87,6 @@ class AcquireConfig:
             :func:`repro.core.error.default_error_for`.
         use_bitmap_index: consult the section 7.4 bitmap index (only
             effective on backends that can build one).
-        batched: execute each Expand layer's cell queries through the
-            evaluation layer's batched path (one round trip per layer
-            on backends with a native bulk implementation) instead of
-            one query per cell. Answer sets are identical either way;
-            see ``docs/PARALLELISM.md``.
-        parallelism: worker threads for the batched path on backends
-            without a native bulk implementation. ``> 1`` implies
-            ``batched``.
         explore_mode: Explore engine selection — ``incremental`` (one
             cell round trip per visited grid query), ``materialized``
             (compute the whole cell grid in one backend pass, then
@@ -147,8 +139,6 @@ class AcquireConfig:
     max_grid_queries: int = 500_000
     error_fn: Optional[AggregateErrorFunction] = None
     use_bitmap_index: bool = False
-    batched: bool = False
-    parallelism: int = 1
     explore_mode: str = "auto"
     materialize_cell_cap: int = 2_000_000
     grid_cache: Optional[GridTensorCache] = None
@@ -165,8 +155,6 @@ class AcquireConfig:
             raise QueryModelError("delta must be >= 0")
         if self.repartition_iterations < 0:
             raise QueryModelError("repartition_iterations must be >= 0")
-        if self.parallelism < 1:
-            raise QueryModelError("parallelism must be >= 1")
         if self.explore_mode not in (
             "auto", "incremental", "materialized", "tiled"
         ):
@@ -176,11 +164,6 @@ class AcquireConfig:
             )
         if self.materialize_cell_cap < 1:
             raise QueryModelError("materialize_cell_cap must be >= 1")
-
-    @property
-    def use_batch(self) -> bool:
-        """Whether the driver should batch layers of cell queries."""
-        return self.batched or self.parallelism > 1
 
     def resolve_grid_cache(self) -> Optional[GridTensorCache]:
         """The tensor cache the Explore engines should consult.
@@ -392,11 +375,8 @@ class Acquire:
 
         # The traversal is consumed layer by layer (maximal runs of
         # equal rounded QScore). Concatenated, the layers reproduce the
-        # per-coordinate stream exactly, so serial behaviour and stats
-        # are unchanged; with ``config.use_batch`` each layer's cell
-        # queries are primed through the backend's batched path first.
-        # ``layers_scored`` carries each point's QScore along, so no
-        # grid point is ever scored twice.
+        # per-coordinate stream exactly. ``layers_scored`` carries each
+        # point's QScore along, so no grid point is ever scored twice.
         stop = False
         traversal = make_traversal(space, config.traversal)
         for layer_scored in traversal.layers_scored():
@@ -434,8 +414,6 @@ class Acquire:
                 config.max_grid_queries - stats.grid_queries_examined
             )
             reachable = [coords for coords, _ in layer_scored[:remaining]]
-            if config.use_batch:
-                explorer.prime_cells(reachable)
             # One read of the layer's values: a bulk gather on the
             # materialized engine, lazy on the others, which compute
             # a point only when ``next`` pulls it below.
@@ -563,7 +541,6 @@ class Acquire:
             space,
             space.query.constraint.spec.aggregate,
             bitmap_index=bitmap,
-            parallelism=config.parallelism,
         )
 
     def _grid_explorer(

@@ -74,7 +74,7 @@ class Traversal:
         *cell* aggregates (the Eq. 17 recurrence reads stored states of
         strictly contained queries only when combining, never when
         executing a cell), which is what makes a layer a safe unit of
-        batched execution.
+        bulk reads (``compute_aggregates``).
         """
         batch: list[tuple[Coords, float]] = []
         key = 0.0

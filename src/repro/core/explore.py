@@ -75,10 +75,6 @@ class Explorer:
         bitmap_index: optional empty-cell index (paper section 7.4);
             when it proves a cell empty, the identity state is used and
             no query is issued.
-        parallelism: worker count forwarded to
-            :meth:`~repro.engine.backends.EvaluationLayer.execute_cells`
-            when :meth:`prime_cells` batches a layer; backends with a
-            native bulk path ignore it.
 
     ``cell_seconds`` is the time spent in cell round trips, which the
     driver's ``auto`` plan weighs against one grid pass.
@@ -92,7 +88,6 @@ class Explorer:
         aggregate: OSPAggregate,
         bitmap_index: Optional["SupportsEmptyCheck"] = None,
         store: Optional[SubAggregateStore] = None,
-        parallelism: int = 1,
     ) -> None:
         self.layer = layer
         self.prepared = prepared
@@ -102,13 +97,9 @@ class Explorer:
         # Any object with the SubAggregateStore interface works — e.g.
         # repro.core.store.PagedSubAggregateStore for disk paging.
         self.store = store if store is not None else SubAggregateStore()
-        self.parallelism = parallelism
         self.cells_executed = 0
         self.cells_skipped = 0
         self.cell_seconds = 0.0
-        # Cell states batch-executed ahead of examination, consumed
-        # (popped) by _cell_state so every cell still runs exactly once.
-        self._primed: dict[Coords, AggState] = {}
 
     def compute_aggregate(self, coords: Sequence[int]) -> float:
         """Finalized aggregate value of the grid query at ``coords``."""
@@ -149,42 +140,15 @@ class Explorer:
         return states
 
     def prime_cells(self, coords_list: Sequence[Sequence[int]]) -> int:
-        """Batch-execute a layer's cell queries ahead of examination.
+        """No-op: a cell executes when its grid query is examined.
 
-        Filters the coordinates exactly as serial examination would —
-        already-computed queries and bitmap-proven-empty cells issue no
-        query — then executes the rest through the evaluation layer's
-        batched path and parks the states for :meth:`_cell_state` to
-        consume. Returns the number of cells executed (counted here,
-        not again at consumption).
+        Returns 0. All three Explore engines keep this method only
+        because the benchmark tracer (``perfbench/tracing.py``) wraps
+        it by name.
         """
-        pending: list[Coords] = []
-        for raw in coords_list:
-            coords = tuple(int(coord) for coord in raw)
-            if coords in self.store or coords in self._primed:
-                continue
-            if self.bitmap_index is not None and self.bitmap_index.is_empty(
-                coords
-            ):
-                continue
-            pending.append(coords)
-        if not pending:
-            return 0
-        started = time.perf_counter()
-        states = self.layer.execute_cells(
-            self.prepared,
-            self.space,
-            pending,
-            parallelism=self.parallelism,
-        )
-        self.cell_seconds += time.perf_counter() - started
-        self._primed.update(zip(pending, states))
-        self.cells_executed += len(pending)
-        return len(pending)
+        return 0
 
     def _cell_state(self, coords: Coords) -> AggState:
-        if coords in self._primed:
-            return self._primed.pop(coords)
         if self.bitmap_index is not None and self.bitmap_index.is_empty(coords):
             self.cells_skipped += 1
             return self.aggregate.identity()

@@ -83,7 +83,7 @@ class GridExplorer:
     """Drop-in Explore engine over a materialized cell grid.
 
     Exposes the same ``compute_aggregate`` / ``block_state`` /
-    ``prime_cells`` / counter interface as
+    counter interface as
     :class:`~repro.core.explore.Explorer`, so the ACQUIRE driver, its
     budget accounting and the repartitioning step work unchanged.
 
@@ -292,19 +292,8 @@ class TiledGridExplorer:
         return tuple(float(value) for value in blocks[local])
 
     def prime_cells(self, coords_list: Sequence[Sequence[int]]) -> int:
-        """Pre-materialize the tiles a layer's coordinates land in.
-
-        Returns the number of cells newly executed against the backend
-        (0 when every touched tile was already materialized or served
-        from cache), mirroring ``Explorer.prime_cells`` accounting.
-        """
-        before = self.cells_executed
-        tiles = {
-            tuple(int(c) // w for c, w in zip(coords, self.tile_shape))
-            for coords in coords_list
-        }
-        self._ensure_tiles(sorted(tiles))
-        return self.cells_executed - before
+        """No-op: tiles materialize when ``block_state`` reaches them."""
+        return 0
 
     # -- tiling --------------------------------------------------------
     def tile_bounds(self, tile: Sequence[int]) -> tuple[Coords, Coords]:

@@ -12,7 +12,7 @@ The driver has three Explore engines with different cost profiles:
 * tiled (:class:`~repro.core.grid_explore.TiledGridExplorer`) — one
   backend pass per *reached* tile; total work tracks the tiles the
   traversal's layer prefix touches, so huge or budget-capped grids
-  still get batched execution without the full-grid tensor.
+  still get one-pass execution without the full-grid tensor.
 
 A fixed ``explore_mode`` runs one of them. ``auto`` (the default)
 decides while the search runs, not from an estimate: the search starts

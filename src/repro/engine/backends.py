@@ -10,19 +10,16 @@ Execution requests come in four shapes:
 
 * *cell queries* — the highly selective unit of the Explore phase:
   tuples whose per-dimension minimal refinement falls in a grid cell's
-  annulus;
-* *batched cell queries* — a whole layer of independent cells at once
-  (:meth:`EvaluationLayer.execute_cells`); backends with a native bulk
-  path answer them in one pass / one statement, everyone else falls
-  back to a serial loop or an opt-in thread pool;
-* *grid materialization* — the entire cell tensor of a refined space in
-  one pass (:meth:`EvaluationLayer.execute_grid`); the materialized
-  Explore path computes it once and answers every later grid query from
-  memory (see ``docs/EXPLORE_MODES.md``);
-* *grid tiles* — a rectangular subgrid of the cell tensor in one pass
-  (:meth:`EvaluationLayer.execute_grid_tile`); the tiled Explore path
-  materializes only the tiles the search actually reaches, extending on
-  demand under the query budget;
+  annulus (:meth:`EvaluationLayer.execute_cell`);
+* *grid passes* — the cell tensor of an inclusive box of the grid in
+  one pass: the whole grid (:meth:`EvaluationLayer.execute_grid`, the
+  materialized Explore path) or a rectangular tile of it
+  (:meth:`EvaluationLayer.execute_grid_tile`, the tiled path). Both
+  are thin adapters over one primitive,
+  :meth:`EvaluationLayer._grid_pass`, which a backend overrides to
+  answer a box in a single pass; the base implementation assembles the
+  box from per-cell queries so any third-party layer works (see
+  ``docs/EXPLORE_MODES.md``);
 * *box queries* — a full refined query at an arbitrary (possibly
   off-grid) PScore vector; used by the repartitioning step and by every
   baseline technique;
@@ -30,9 +27,8 @@ Execution requests come in four shapes:
   distance and admit the first k; used by the Top-k baseline.
 
 All are instrumented (queries issued, rows scanned, execution time,
-batch round trips) so the harness can report machine-independent work
-alongside wall-clock time. See ``docs/PARALLELISM.md`` for the batched
-execution contract.
+grid passes) so the harness can report machine-independent work
+alongside wall-clock time.
 
 Per-request attribution: a layer shared by concurrent drivers keeps
 one global ``stats`` object, so snapshot/delta accounting would bleed
@@ -40,21 +36,26 @@ one request's counters into another's report. Drivers therefore open a
 :meth:`EvaluationLayer.request_scope` around each search: the scope is
 a private :class:`ExecutionStats` registered in a ``contextvars``
 context variable, and every counting seam credits the layer total
-*and* every scope active on the calling thread (all under the existing
-``_stats_lock``). Worker threads do not inherit the caller's context,
-so the pooled ``execute_cells`` fallback re-establishes the submitting
-request's scopes around each task — see :func:`scoped_stats`.
+*and* every scope active on the calling thread (all under
+``_stats_lock``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Iterator,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 import numpy as np
 
@@ -70,14 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 class ExecutionStats:
     """Counters accumulated by an evaluation layer.
 
-    ``queries_executed`` counts physical backend round trips; a batched
-    call is one round trip that answers many *logical* cell queries, so
-    ``cell_queries`` grows by the batch size while ``queries_executed``
-    grows by one. ``batches``/``batched_cells`` track native bulk
-    execution, ``parallel_cells`` the thread-pool fallback, and
-    ``grid_materializations``/``grid_cells`` grid materialization (one
-    round trip computing every cell of a refined space, or of one
-    rectangular tile of it — tile passes are additionally counted in
+    ``queries_executed`` counts physical backend round trips;
+    ``cell_queries``/``box_queries`` the logical requests of each kind,
+    and ``grid_materializations``/``grid_cells`` grid passes (one round
+    trip computing every cell of a refined space, or of one rectangular
+    tile of it — tile passes are additionally counted in
     ``grid_tiles``). ``cache_hits``/``cache_misses``/``cache_bytes``
     track :class:`~repro.core.grid_cache.GridTensorCache` lookups made
     on this layer's behalf; a hit serves ``cache_bytes`` tensor bytes
@@ -91,9 +89,6 @@ class ExecutionStats:
     queries_executed: int = 0
     cell_queries: int = 0
     box_queries: int = 0
-    batches: int = 0
-    batched_cells: int = 0
-    parallel_cells: int = 0
     grid_materializations: int = 0
     grid_tiles: int = 0
     grid_cells: int = 0
@@ -113,9 +108,7 @@ class ExecutionStats:
         """Counter deltas relative to an earlier snapshot.
 
         Computed over every dataclass field so newly added counters can
-        never silently drift out of the delta (a batch of N cells
-        landing between snapshots must show up as N ``cell_queries``,
-        not be dropped).
+        never silently drift out of the delta.
         """
         return ExecutionStats(
             **{
@@ -129,35 +122,10 @@ class ExecutionStats:
 #: Per-request stat scopes active on the current thread/context. Each
 #: entry is an :class:`ExecutionStats` private to one in-flight driver
 #: request; counting seams credit every active scope in addition to the
-#: layer's global totals. A tuple (not a list) so captured values are
-#: immutable snapshots safe to re-establish on worker threads.
+#: layer's global totals.
 _ACTIVE_SCOPES: contextvars.ContextVar[tuple[ExecutionStats, ...]] = (
     contextvars.ContextVar("repro_stat_scopes", default=())
 )
-
-
-def current_scopes() -> tuple[ExecutionStats, ...]:
-    """The per-request stat scopes active on the calling thread."""
-    return _ACTIVE_SCOPES.get()
-
-
-@contextlib.contextmanager
-def scoped_stats(
-    scopes: tuple[ExecutionStats, ...]
-) -> Iterator[tuple[ExecutionStats, ...]]:
-    """Re-establish captured request scopes on the current thread.
-
-    Pool workers start with an empty context, so tasks that execute
-    backend work on behalf of a request capture
-    :func:`current_scopes` at submit time and wrap their body in this
-    context manager; counters then credit the submitting request even
-    though the work ran on a pool thread.
-    """
-    token = _ACTIVE_SCOPES.set(scopes)
-    try:
-        yield scopes
-    finally:
-        _ACTIVE_SCOPES.reset(token)
 
 
 def _sinks(stats: "ExecutionStats") -> tuple["ExecutionStats", ...]:
@@ -231,14 +199,9 @@ class EvaluationLayer:
 
     def __init__(self) -> None:
         self.stats = ExecutionStats()
-        # Guards counter updates when execute_cells falls back to the
-        # thread pool; uncontended in the (default) serial path.
+        # Guards counter updates from concurrent drivers (service
+        # workers sharing one layer).
         self._stats_lock = threading.Lock()
-        # Lazily created, reused across layers/batches; see
-        # _cell_pool_for. Torn down by close().
-        self._cell_pool: Optional[ThreadPoolExecutor] = None
-        self._cell_pool_size = 0
-        self._cell_pool_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------
     def prepare(
@@ -247,16 +210,10 @@ class EvaluationLayer:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release pooled resources (worker threads, connections).
+        """Release held resources (connections, reader snapshots).
 
-        Safe to call more than once; the layer keeps working after a
-        close (pools are re-created on demand).
+        Safe to call more than once. The base class holds none.
         """
-        with self._cell_pool_lock:
-            pool, self._cell_pool = self._cell_pool, None
-            self._cell_pool_size = 0
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def persistent_cache_key(self) -> Optional[tuple]:
         """Stable cross-process identity of this layer's data, or None.
@@ -268,25 +225,6 @@ class EvaluationLayer:
         :class:`~repro.core.grid_cache.PersistentGridCache` tier.
         """
         return None
-
-    def _cell_pool_for(self, parallelism: int) -> ThreadPoolExecutor:
-        """The layer's shared fallback thread pool, (re)sized on demand.
-
-        One pool per layer, reused across every batch and traversal
-        layer — constructing/tearing down an executor per batch costs
-        more than the batch itself on small layers. Only replaced when
-        the requested ``parallelism`` changes.
-        """
-        with self._cell_pool_lock:
-            if self._cell_pool is None or self._cell_pool_size != parallelism:
-                stale = self._cell_pool
-                self._cell_pool = ThreadPoolExecutor(
-                    max_workers=parallelism
-                )
-                self._cell_pool_size = parallelism
-                if stale is not None:
-                    stale.shutdown(wait=False)
-            return self._cell_pool
 
     def useful_max_scores(self, prepared: PreparedQuery) -> list[float]:
         """Per-dimension maximum *useful* PScore.
@@ -313,53 +251,14 @@ class EvaluationLayer:
         prepared: PreparedQuery,
         space: RefinedSpace,
         coords_list: Sequence[Sequence[int]],
-        parallelism: int = 1,
     ) -> list[AggState]:
-        """Aggregate states of many independent grid cells.
-
-        Returns one state per entry of ``coords_list``, in the same
-        order. Backends with a native bulk path (one pass / one SQL
-        statement for the whole batch) override this; the base
-        implementation loops over :meth:`execute_cell` — serially, or
-        via a ``ThreadPoolExecutor`` when ``parallelism > 1``. Either
-        way results are merged in input order, so answer sets and
-        sub-aggregate stores are bit-identical to serial execution;
-        only timing (and ``parallel_cells``) can differ.
-        """
-        coords_batch = [tuple(int(c) for c in coords) for coords in coords_list]
-        if not coords_batch:
-            return []
-        if parallelism > 1 and len(coords_batch) > 1:
-            pool = self._cell_pool_for(parallelism)
-            # Pool threads don't inherit the caller's context; carry
-            # the request scopes over so per-request attribution holds.
-            scopes = current_scopes()
-            states = list(
-                pool.map(
-                    lambda coords: self._execute_cell_scoped(
-                        scopes, prepared, space, coords
-                    ),
-                    coords_batch,
-                )
-            )
-            with self._stats_lock:
-                self.stats.parallel_cells += len(coords_batch)
-            return states
+        """Aggregate states of many grid cells, in input order: one
+        :meth:`execute_cell` each. The base-class grid pass assembles
+        its tensor through this loop."""
         return [
-            self.execute_cell(prepared, space, coords)
-            for coords in coords_batch
+            self.execute_cell(prepared, space, tuple(int(c) for c in coords))
+            for coords in coords_list
         ]
-
-    def _execute_cell_scoped(
-        self,
-        scopes: tuple[ExecutionStats, ...],
-        prepared: PreparedQuery,
-        space: RefinedSpace,
-        coords: Sequence[int],
-    ) -> AggState:
-        """One pooled cell fetch under the submitting request's scopes."""
-        with scoped_stats(scopes):
-            return self.execute_cell(prepared, space, coords)
 
     def execute_grid(
         self, prepared: PreparedQuery, space: RefinedSpace
@@ -369,25 +268,17 @@ class EvaluationLayer:
         Returns a float64 tensor of shape
         ``(*[m + 1 for m in space.max_coords], state_arity)`` whose
         entry at grid coordinates ``u`` is the aggregate state of the
-        cell at ``u`` (empty cells hold the aggregate's identity state).
-        This is the bulk entry point of the materialized Explore path
-        (``docs/EXPLORE_MODES.md``): backends with a single-pass
-        implementation override it; this fallback assembles the tensor
-        from :meth:`execute_cells` so any third-party layer works.
+        cell at ``u`` (empty cells hold the aggregate's identity state):
+        one :meth:`_grid_pass` over the full box, the bulk entry point
+        of the materialized Explore path (``docs/EXPLORE_MODES.md``).
 
         Callers are responsible for bounding ``space.grid_size`` (the
         driver's ``materialize_cell_cap``) — a refined space can be
         astronomically large.
         """
-        aggregate = prepared.query.constraint.spec.aggregate
-        tensor = grid_identity_tensor(space, aggregate)
-        coords_list = list(np.ndindex(tensor.shape[:-1]))
-        states = self.execute_cells(prepared, space, coords_list)
-        for coords, state in zip(coords_list, states):
-            tensor[coords] = state
-        # execute_cells already counted the physical round trip(s).
-        self._count_grid(len(coords_list), round_trip=False)
-        return tensor
+        return self._grid_pass(
+            prepared, space, space.origin, space.max_coords, tile=False
+        )
 
     def execute_grid_tile(
         self,
@@ -401,27 +292,45 @@ class EvaluationLayer:
         ``lo`` and ``hi`` are inclusive per-dimension grid coordinates;
         the returned float64 tensor has shape
         ``(*[hi_i - lo_i + 1], state_arity)`` and its entry at local
-        offset ``u - lo`` is the aggregate state of the cell at ``u`` —
-        bit-identical to :meth:`execute_cell` at the same coordinates,
-        with empty cells holding the aggregate's identity state.
-
-        This is the bulk entry point of the *tiled* Explore path
-        (``docs/EXPLORE_MODES.md``): backends with a single-pass
-        implementation override it; this fallback assembles the tile
-        from :meth:`execute_cells` so any third-party layer works.
+        offset ``u - lo`` is the aggregate state of the cell at ``u``.
+        Validates the box, then runs one :meth:`_grid_pass` over it —
+        the bulk entry point of the *tiled* Explore path
+        (``docs/EXPLORE_MODES.md``).
         """
         lo, hi = _check_tile_bounds(space, lo, hi)
-        aggregate = prepared.query.constraint.spec.aggregate
-        tensor = grid_identity_tensor(space, aggregate, lo, hi)
-        coords_list = [
-            tuple(c + o for c, o in zip(local, lo))
-            for local in np.ndindex(tensor.shape[:-1])
-        ]
+        return self._grid_pass(prepared, space, lo, hi, tile=True)
+
+    def _grid_pass(
+        self,
+        prepared: PreparedQuery,
+        space: RefinedSpace,
+        lo: Sequence[int],
+        hi: Sequence[int],
+        tile: bool,
+    ) -> np.ndarray:
+        """Cell tensor of the inclusive box ``[lo, hi]``, counted as one
+        grid pass (``tile`` marks an :meth:`execute_grid_tile` request,
+        also counted in ``grid_tiles``).
+
+        The one grid primitive a backend overrides: every entry must be
+        bit-identical to :meth:`execute_cell` at the same coordinates,
+        with empty cells holding the aggregate's identity state. This
+        fallback assembles the box from :meth:`execute_cells`, so a
+        third-party layer that implements only :meth:`execute_cell`
+        works.
+        """
+        coords_list = list(
+            itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        )
         states = self.execute_cells(prepared, space, coords_list)
-        for local, state in zip(np.ndindex(tensor.shape[:-1]), states):
-            tensor[local] = state
-        # execute_cells already counted the physical round trip(s).
-        self._count_grid(len(coords_list), round_trip=False, tile=True)
+        tensor = box_tensor(
+            prepared.query.constraint.spec.aggregate,
+            lo,
+            hi,
+            dict(zip(coords_list, states)),
+        )
+        # execute_cells already counted the physical round trips.
+        self._count_grid(len(coords_list), round_trip=False, tile=tile)
         return tensor
 
     def execute_grid_tiles(
@@ -482,9 +391,9 @@ class EvaluationLayer:
 
         Yields a private :class:`ExecutionStats` that accumulates
         exactly the backend work performed while the scope is active on
-        the executing thread (pooled paths re-establish it on their
-        workers). Scopes nest: inner work credits every enclosing
-        scope, mirroring what nested snapshot/delta windows reported.
+        the executing thread. Scopes nest: inner work credits every
+        enclosing scope, mirroring what nested snapshot/delta windows
+        reported.
         Drivers read the scope instead of ``stats.since(snapshot)`` so
         concurrent requests on a shared layer cannot attribute each
         other's work.
@@ -517,16 +426,6 @@ class EvaluationLayer:
                 elif kind == "box":
                     stats.box_queries += 1
 
-    def _count_batch(self, cells: int, rows: int = 0) -> None:
-        """Record one physical round trip answering ``cells`` cell queries."""
-        with self._stats_lock:
-            for stats in _sinks(self.stats):
-                stats.queries_executed += 1
-                stats.batches += 1
-                stats.cell_queries += cells
-                stats.batched_cells += cells
-                stats.rows_scanned += rows
-
     def _count_grid(
         self,
         cells: int,
@@ -539,8 +438,7 @@ class EvaluationLayer:
         ``round_trip=False`` is for the base-class fallback, whose
         physical round trips were already counted by
         :meth:`execute_cells`. ``tile=True`` marks a rectangular-subgrid
-        pass (:meth:`execute_grid_tile`), additionally counted in
-        ``grid_tiles``.
+        pass, additionally counted in ``grid_tiles``.
         """
         with self._stats_lock:
             for stats in _sinks(self.stats):
@@ -588,29 +486,28 @@ class EvaluationLayer:
             self.stats = ExecutionStats()
 
 
-def grid_identity_tensor(
-    space: "RefinedSpace",
+def box_tensor(
     aggregate: "OSPAggregate",
-    lo: Optional[Sequence[int]] = None,
-    hi: Optional[Sequence[int]] = None,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    states: Mapping[tuple[int, ...], "AggState"],
 ) -> np.ndarray:
-    """Identity-filled cell tensor for a refined space (or a tile of it).
+    """Cell tensor of the inclusive box ``[lo, hi]``.
 
-    Without bounds the shape is
-    ``(*[m + 1 for m in space.max_coords], state_arity)``; with
-    inclusive ``lo``/``hi`` bounds it is the tile's
-    ``(*[hi_i - lo_i + 1], state_arity)``. Every entry starts at the
-    aggregate's identity state so cells a backend never touches (empty
-    regions) finalize exactly as a serial query over an empty region
-    would.
+    Shape ``(*[hi_i - lo_i + 1], state_arity)``, float64. ``states``
+    (cell coordinates -> aggregate state) are scattered to their local
+    offsets ``u - lo``; cells outside the box are dropped. Every other
+    entry holds the aggregate's identity state, so cells a backend
+    never touches (empty regions) finalize exactly as a serial query
+    over an empty region would.
     """
-    if lo is None or hi is None:
-        shape = tuple(limit + 1 for limit in space.max_coords)
-    else:
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     identity = aggregate.identity()
     tensor = np.empty(shape + (len(identity),), dtype=np.float64)
     tensor[...] = identity
+    for cell, state in states.items():
+        if all(l <= c <= h for c, l, h in zip(cell, lo, hi)):
+            tensor[tuple(c - l for c, l in zip(cell, lo))] = state
     return tensor
 
 
@@ -639,7 +536,5 @@ __all__ = [
     "ExecutionStats",
     "PreparedQuery",
     "TopKAdmission",
-    "current_scopes",
-    "grid_identity_tensor",
-    "scoped_stats",
+    "box_tensor",
 ]

@@ -178,25 +178,6 @@ class HistogramBackend(EvaluationLayer):
         # AVG: (sum, count) with the mean-value heuristic.
         return (count * prepared.mean_agg_value, count)
 
-    def _cell_state(
-        self,
-        prepared: _HistogramPrepared,
-        space: RefinedSpace,
-        coords: Sequence[int],
-    ) -> AggState:
-        """Pure histogram arithmetic for one cell (no bookkeeping)."""
-        fractions = []
-        for histogram, (low, high) in zip(
-            prepared.histograms, space.cell_ranges(coords)
-        ):
-            if low < 0:
-                fractions.append(histogram.fraction_at_most(0.0))
-            else:
-                fractions.append(histogram.fraction_in(low, high))
-        return self._state_for(
-            prepared, self._estimate_count(prepared, fractions)
-        )
-
     def execute_cell(
         self,
         prepared: _HistogramPrepared,
@@ -204,90 +185,29 @@ class HistogramBackend(EvaluationLayer):
         coords: Sequence[int],
     ) -> AggState:
         with self._timed():
-            state = self._cell_state(prepared, space, coords)
+            fractions = []
+            for histogram, (low, high) in zip(
+                prepared.histograms, space.cell_ranges(coords)
+            ):
+                if low < 0:
+                    fractions.append(histogram.fraction_at_most(0.0))
+                else:
+                    fractions.append(histogram.fraction_in(low, high))
+            state = self._state_for(
+                prepared, self._estimate_count(prepared, fractions)
+            )
         self._count_query("cell")
         return state
 
-    def execute_cells(
-        self,
-        prepared: _HistogramPrepared,
-        space: RefinedSpace,
-        coords_list: Sequence[Sequence[int]],
-        parallelism: int = 1,
-    ) -> list[AggState]:
-        """Native batch: histogram arithmetic for the whole layer.
-
-        Estimation never touches tuples, so a batch is simply one
-        bookkeeping round trip around the same per-cell arithmetic —
-        estimates are bit-identical to serial by construction.
-        ``parallelism`` is ignored (O(bins) per cell leaves nothing to
-        parallelize).
-        """
-        coords_batch = [tuple(int(c) for c in coords) for coords in coords_list]
-        if not coords_batch:
-            return []
-        with self._timed():
-            states = [
-                self._cell_state(prepared, space, coords)
-                for coords in coords_batch
-            ]
-        self._count_batch(len(coords_batch))
-        return states
-
-    def execute_grid(
-        self, prepared: _HistogramPrepared, space: RefinedSpace
-    ) -> np.ndarray:
-        """Native grid materialization: one estimation sweep.
-
-        Under attribute-value independence a cell's estimated count is
-        ``total * f_1 * ... * f_d`` with ``f_i`` the dimension-i annulus
-        fraction — so the whole grid is the outer product of d per-level
-        fraction vectors. The broadcasted multiply applies the factors
-        in the same order as the serial per-cell loop, keeping every
-        estimate bit-identical to :meth:`execute_cell`.
-        """
-        with self._timed():
-            tensor = self._fraction_tensor(
-                prepared,
-                space,
-                (0,) * len(prepared.histograms),
-                space.max_coords,
-            )
-        self._count_grid(
-            int(np.prod(tensor.shape[:-1], dtype=np.int64))
-        )
-        return tensor
-
-    def execute_grid_tile(
+    def _grid_pass(
         self,
         prepared: _HistogramPrepared,
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        tile: bool,
     ) -> np.ndarray:
-        """Native tile materialization: the same outer product over the
-        per-level fraction vectors sliced to ``lo..hi`` per dimension —
-        each estimate is the identical product of the identical factors,
-        so the tile is bit-identical to the full grid's ``[lo, hi]``
-        box."""
-        from repro.engine.backends import _check_tile_bounds
-
-        lo, hi = _check_tile_bounds(space, lo, hi)
-        with self._timed():
-            tensor = self._fraction_tensor(prepared, space, lo, hi)
-        self._count_grid(
-            int(np.prod(tensor.shape[:-1], dtype=np.int64)), tile=True
-        )
-        return tensor
-
-    def _fraction_tensor(
-        self,
-        prepared: _HistogramPrepared,
-        space: RefinedSpace,
-        lo: Sequence[int],
-        hi: Sequence[int],
-    ) -> np.ndarray:
-        """Cell tensor of the inclusive ``[lo, hi]`` box (no counters).
+        """One estimation sweep over the inclusive ``[lo, hi]`` box.
 
         Under attribute-value independence a cell's estimated count is
         ``total * f_1 * ... * f_d`` with ``f_i`` the dimension-i annulus
@@ -299,26 +219,31 @@ class HistogramBackend(EvaluationLayer):
         """
         aggregate = prepared.query.constraint.spec.aggregate
         step = space.step
-        count = np.array(float(prepared.total_rows))
-        for histogram, low, high in zip(prepared.histograms, lo, hi):
-            fractions = np.empty(high - low + 1)
-            for level in range(low, high + 1):
-                if level == 0:
-                    fractions[0] = histogram.fraction_at_most(0.0)
-                else:
-                    fractions[level - low] = histogram.fraction_in(
-                        (level - 1) * step, level * step
-                    )
-            count = count[..., None] * fractions
-        if aggregate.name == "COUNT":
-            tensor = count[..., None]
-        elif aggregate.name == "SUM":
-            tensor = (count * prepared.mean_agg_value)[..., None]
-        else:  # AVG: (sum, count) with the mean-value heuristic.
-            tensor = np.stack(
-                (count * prepared.mean_agg_value, count), axis=-1
-            )
-        return np.ascontiguousarray(tensor, dtype=np.float64)
+        with self._timed():
+            count = np.array(float(prepared.total_rows))
+            for histogram, low, high in zip(prepared.histograms, lo, hi):
+                fractions = np.empty(high - low + 1)
+                for level in range(low, high + 1):
+                    if level == 0:
+                        fractions[0] = histogram.fraction_at_most(0.0)
+                    else:
+                        fractions[level - low] = histogram.fraction_in(
+                            (level - 1) * step, level * step
+                        )
+                count = count[..., None] * fractions
+            if aggregate.name == "COUNT":
+                tensor = count[..., None]
+            elif aggregate.name == "SUM":
+                tensor = (count * prepared.mean_agg_value)[..., None]
+            else:  # AVG: (sum, count) with the mean-value heuristic.
+                tensor = np.stack(
+                    (count * prepared.mean_agg_value, count), axis=-1
+                )
+            tensor = np.ascontiguousarray(tensor, dtype=np.float64)
+        self._count_grid(
+            int(np.prod(tensor.shape[:-1], dtype=np.int64)), tile=tile
+        )
+        return tensor
 
     def execute_box(
         self, prepared: _HistogramPrepared, scores: Sequence[float]

@@ -28,11 +28,7 @@ import numpy as np
 from repro.core.aggregates import AggState
 from repro.core.query import Query
 from repro.core.refined_space import RefinedSpace
-from repro.engine.backends import (
-    EvaluationLayer,
-    TopKAdmission,
-    grid_identity_tensor,
-)
+from repro.engine.backends import EvaluationLayer, TopKAdmission, box_tensor
 from repro.engine.bitmap_index import GridBitmapIndex
 from repro.engine.catalog import Database
 from repro.engine.executor import (
@@ -129,91 +125,26 @@ class MemoryBackend(EvaluationLayer):
         self._count_query("cell", rows=candidate.nrows)
         return state
 
-    def execute_cells(
-        self,
-        prepared: _MemoryPrepared,
-        space: RefinedSpace,
-        coords_list: Sequence[Sequence[int]],
-        parallelism: int = 1,
-    ) -> list[AggState]:
-        """Native batch: one vectorized pass answers the whole layer.
-
-        Digitizes every tuple's score vector into grid coordinates once
-        and group-aggregates (the :meth:`_build_grid` sweep), then reads
-        the requested cells out of the grouped result. ``np.lexsort`` is
-        stable, so within each cell the aggregate values are combined in
-        ascending original-row order — the same order the serial mask
-        extraction produces — making SUM/AVG bit-identical to
-        :meth:`execute_cell`. ``parallelism`` is ignored: the single
-        pass is already the fastest path.
-        """
-        coords_batch = [tuple(int(c) for c in coords) for coords in coords_list]
-        if not coords_batch:
-            return []
-        aggregate = prepared.query.constraint.spec.aggregate
-        if self.vectorized_grid:
-            grid = self._grid_for(prepared, space)
-            self._count_batch(len(coords_batch))
-        else:
-            with self._timed():
-                grid = self._build_grid(prepared, space)
-            self._count_batch(
-                len(coords_batch), rows=prepared.candidate.nrows
-            )
-        return [
-            grid.get(coords, aggregate.identity()) for coords in coords_batch
-        ]
-
-    def execute_grid(
-        self,
-        prepared: _MemoryPrepared,
-        space: RefinedSpace,
-    ) -> np.ndarray:
-        """Native grid materialization: one digitize + group-by sweep.
-
-        Runs the same :meth:`_build_grid` pass the batched path uses
-        (stable ``np.lexsort`` grouping, so per-cell aggregate states
-        are bit-identical to serial :meth:`execute_cell`) and scatters
-        the grouped states into the full cell tensor. Tuples whose
-        score exceeds the grid extent on any dimension belong to no
-        in-grid cell and are dropped, exactly as serial cell queries
-        would never see them.
-        """
-        aggregate = prepared.query.constraint.spec.aggregate
-        if self.vectorized_grid:
-            grid = self._grid_for(prepared, space)
-            rows = 0
-        else:
-            with self._timed():
-                grid = self._build_grid(prepared, space)
-            rows = prepared.candidate.nrows
-        with self._timed():
-            tensor = grid_identity_tensor(space, aggregate)
-            max_coords = space.max_coords
-            for cell, state in grid.items():
-                if all(c <= m for c, m in zip(cell, max_coords)):
-                    tensor[cell] = state
-        cells = int(np.prod(tensor.shape[:-1], dtype=np.int64))
-        self._count_grid(cells, rows=rows)
-        return tensor
-
-    def execute_grid_tile(
+    def _grid_pass(
         self,
         prepared: _MemoryPrepared,
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        tile: bool,
     ) -> np.ndarray:
-        """Native tile materialization: one digitize + group-by sweep.
+        """One digitize + group-by sweep over every candidate tuple.
 
-        The same :meth:`_build_grid` pass as :meth:`execute_grid`
-        (per-cell states are bit-identical to serial
-        :meth:`execute_cell` by the stable-lexsort argument), scattering
-        only the cells that fall inside the inclusive ``[lo, hi]`` box.
+        Runs :meth:`_build_grid` (cached per space under
+        ``vectorized_grid``) and scatters the grouped states that fall
+        inside the inclusive ``[lo, hi]`` box. ``np.lexsort`` is
+        stable, so within each cell the aggregate values are combined
+        in ascending original-row order — the order the serial mask
+        extraction produces — making every state bit-identical to
+        :meth:`execute_cell`. Tuples outside the box (or past the grid
+        extent) belong to no cell of it, exactly as serial cell
+        queries would never see them.
         """
-        from repro.engine.backends import _check_tile_bounds
-
-        lo, hi = _check_tile_bounds(space, lo, hi)
         aggregate = prepared.query.constraint.spec.aggregate
         if self.vectorized_grid:
             grid = self._grid_for(prepared, space)
@@ -223,12 +154,9 @@ class MemoryBackend(EvaluationLayer):
                 grid = self._build_grid(prepared, space)
             rows = prepared.candidate.nrows
         with self._timed():
-            tensor = grid_identity_tensor(space, aggregate, lo, hi)
-            for cell, state in grid.items():
-                if all(l <= c <= h for c, l, h in zip(cell, lo, hi)):
-                    tensor[tuple(c - l for c, l in zip(cell, lo))] = state
+            tensor = box_tensor(aggregate, lo, hi, grid)
         cells = int(np.prod(tensor.shape[:-1], dtype=np.int64))
-        self._count_grid(cells, rows=rows, tile=True)
+        self._count_grid(cells, rows=rows, tile=tile)
         return tensor
 
     def _execute_cell_indexed(

@@ -137,80 +137,52 @@ class SamplingBackend(EvaluationLayer):
     def useful_max_scores(self, prepared) -> list[float]:
         return self._inner.useful_max_scores(prepared)
 
-    def _scale(self, query: Query, state: AggState) -> AggState:
-        aggregate = query.constraint.spec.aggregate
-        if aggregate.name not in _EXTENSIVE:
-            return state
-        # Sampled tables thin the result independently, so the
-        # join/cross result scales by the product of the fractions of
-        # the *sampled* tables referenced by the query.
+    def _factor(self, query: Query) -> float:
+        """The share of the query's result rows the sample keeps.
+
+        Sampled tables thin a join/cross result independently, so the
+        share is the product of the fractions of the *sampled* tables
+        the query references: 1.0 for a query on unsampled tables only
+        (or should the product underflow to zero).
+        """
         sampled = sum(
             1 for table in query.tables if table in self.sampled_tables
         )
-        factor = self.fraction ** sampled
-        if factor == 0:
+        return self.fraction ** sampled or 1.0
+
+    def _scale(self, query: Query, state):
+        """Scale an extensive aggregate state — one state tuple or a
+        cell tensor — back up by :meth:`_factor`. The tensor takes the
+        same elementwise division as each tuple component, so a
+        rescaled grid is bit-identical to rescaling each cell."""
+        if query.constraint.spec.aggregate.name not in _EXTENSIVE:
             return state
+        factor = self._factor(query)
+        if isinstance(state, np.ndarray):
+            return state / factor
         return tuple(value / factor for value in state)
 
     def execute_cell(self, prepared, space: RefinedSpace, coords) -> AggState:
         state = self._inner.execute_cell(prepared, space, coords)
         return self._scale(prepared.query, state)
 
-    def execute_cells(
-        self, prepared, space: RefinedSpace, coords_list, parallelism: int = 1
-    ) -> list[AggState]:
-        """Delegate the batch to the inner layer, then scale each state."""
-        states = self._inner.execute_cells(
-            prepared, space, coords_list, parallelism=parallelism
-        )
-        return [self._scale(prepared.query, state) for state in states]
-
-    def execute_grid(self, prepared, space: RefinedSpace) -> np.ndarray:
-        """Delegate grid materialization, then rescale the tensor.
-
-        The elementwise ``tensor / factor`` applies the exact division
-        :meth:`_scale` performs per state component, so the rescaled
-        grid is bit-identical to scaling each cell individually.
-        """
-        tensor = self._inner.execute_grid(prepared, space)
-        aggregate = prepared.query.constraint.spec.aggregate
-        if aggregate.name not in _EXTENSIVE:
-            return tensor
-        sampled = sum(
-            1 for table in prepared.query.tables
-            if table in self.sampled_tables
-        )
-        factor = self.fraction ** sampled
-        if factor == 0:
-            return tensor
-        return tensor / factor
-
-    def execute_grid_tile(self, prepared, space, lo, hi) -> np.ndarray:
-        """Delegate tile materialization, then rescale like
-        :meth:`execute_grid` — the same elementwise division keeps the
-        tile bit-identical to the rescaled full grid's ``[lo, hi]``
-        box."""
-        tensor = self._inner.execute_grid_tile(prepared, space, lo, hi)
-        aggregate = prepared.query.constraint.spec.aggregate
-        if aggregate.name not in _EXTENSIVE:
-            return tensor
-        sampled = sum(
-            1 for table in prepared.query.tables
-            if table in self.sampled_tables
-        )
-        factor = self.fraction ** sampled
-        if factor == 0:
-            return tensor
-        return tensor / factor
+    def _grid_pass(self, prepared, space, lo, hi, tile) -> np.ndarray:
+        """The inner layer's grid pass over the box, rescaled."""
+        tensor = self._inner._grid_pass(prepared, space, lo, hi, tile)
+        return self._scale(prepared.query, tensor)
 
     def execute_box(self, prepared, scores) -> AggState:
         state = self._inner.execute_box(prepared, scores)
         return self._scale(prepared.query, state)
 
     def topk_admission(self, prepared, k: int) -> TopKAdmission:
-        scaled_k = max(int(round(k * self.fraction)), 1)
+        """Top-k on the sample: ``k`` shrinks by :meth:`_factor`, the
+        share of the result the sample keeps, and the admitted count
+        scales back up."""
+        factor = self._factor(prepared.query)
+        scaled_k = max(int(round(k * factor)), 1)
         admission = self._inner.topk_admission(prepared, scaled_k)
         return TopKAdmission(
-            admitted=min(int(round(admission.admitted / self.fraction)), k),
+            admitted=min(int(round(admission.admitted / factor)), k),
             max_scores=admission.max_scores,
         )

@@ -29,11 +29,7 @@ from repro.core.predicate import (
 )
 from repro.core.query import Query
 from repro.core.refined_space import RefinedSpace
-from repro.engine.backends import (
-    EvaluationLayer,
-    TopKAdmission,
-    grid_identity_tensor,
-)
+from repro.engine.backends import EvaluationLayer, TopKAdmission, box_tensor
 from repro.core.grid_cache import database_digest
 from repro.engine.catalog import Database
 from repro.engine.schema import ColumnType
@@ -60,14 +56,13 @@ class SQLiteBackend(EvaluationLayer):
             ":memory:", check_same_thread=False
         )
         self._owner_ident = threading.get_ident()
-        # Worker threads (service workers and the ``execute_cells``
-        # pool) read through private deserialized snapshots of the
-        # primary database — shared-cache connections would serialize
-        # on the cache mutex, losing the overlap the sqlite3 C library
-        # offers by releasing the GIL. A generation counter invalidates
-        # snapshots when later loads or index builds change the
-        # primary; each worker thread holds one full copy, so memory
-        # scales with threads, not requests.
+        # Worker threads (service workers) read through private
+        # deserialized snapshots of the primary database — shared-cache
+        # connections would serialize on the cache mutex, losing the
+        # overlap the sqlite3 C library offers by releasing the GIL. A
+        # generation counter invalidates snapshots when later loads or
+        # index builds change the primary; each worker thread holds one
+        # full copy, so memory scales with threads, not requests.
         self._local = threading.local()
         self._readers: list[sqlite3.Connection] = []
         self._readers_lock = threading.Lock()
@@ -283,143 +278,44 @@ class SQLiteBackend(EvaluationLayer):
             conditions.append(predicate.sql_annulus(low, high))
         return self._run_aggregate(prepared, conditions, "cell")
 
-    def execute_cells(
-        self,
-        prepared: _SQLitePrepared,
-        space: RefinedSpace,
-        coords_list: Sequence[Sequence[int]],
-        parallelism: int = 1,
-    ) -> list[AggState]:
-        """Native batch: one ``GROUP BY`` statement answers the layer.
-
-        Each dimension gets a CASE ladder over the same
-        ``sql_condition`` thresholds the serial annulus uses; the first
-        (smallest) matching level is the tuple's minimal refinement
-        coordinate, so grouping by the ladders buckets tuples exactly
-        as N per-cell round trips would. Cells absent from the result
-        are empty; their state is the aggregate identity, which is what
-        ``state_from_sql`` yields for an all-NULL row too.
-
-        ``parallelism`` is ignored: one statement is already the
-        fastest path, and sqlite3 connections are not shareable across
-        threads anyway.
-        """
-        coords_batch = [tuple(int(c) for c in coords) for coords in coords_list]
-        if not coords_batch:
-            return []
-        dims = space.dims
-        if not dims:
-            return super().execute_cells(prepared, space, coords_batch)
-        max_coords = [
-            max(coords[d] for coords in coords_batch)
-            for d in range(len(dims))
-        ]
-        grouped = self._grouped_cell_states(prepared, space, max_coords)
-        self._count_batch(len(coords_batch))
-        identity = prepared.query.constraint.spec.aggregate.identity()
-        return [grouped.get(coords, identity) for coords in coords_batch]
-
-    def execute_grid(
-        self, prepared: _SQLitePrepared, space: RefinedSpace
-    ) -> np.ndarray:
-        """Native grid materialization: one ``GROUP BY`` over the full
-        grid's bucket expressions.
-
-        The same CASE-ladder statement the batched path issues, with the
-        ladders spanning every level of each dimension's extent; the
-        grouped states are scattered into the identity-filled tensor.
-        """
-        dims = space.dims
-        if not dims:
-            return super().execute_grid(prepared, space)
-        aggregate = prepared.query.constraint.spec.aggregate
-        grouped = self._grouped_cell_states(
-            prepared, space, list(space.max_coords)
-        )
-        with self._timed():
-            tensor = grid_identity_tensor(space, aggregate)
-            max_coords = space.max_coords
-            for cell, state in grouped.items():
-                if all(c <= m for c, m in zip(cell, max_coords)):
-                    tensor[cell] = state
-        cells = int(np.prod(tensor.shape[:-1], dtype=np.int64))
-        self._count_grid(cells)
-        return tensor
-
-    def execute_grid_tile(
+    def _grid_pass(
         self,
         prepared: _SQLitePrepared,
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        tile: bool,
     ) -> np.ndarray:
-        """Native tile materialization: one bounded ``GROUP BY``.
-
-        The same CASE-ladder statement as :meth:`execute_grid` with the
-        ladders spanning only levels ``lo..hi`` per dimension and the
-        WHERE clause excluding tuples already admitted below ``lo``
-        (their minimal coordinate belongs to another tile), so each
-        group is exactly the annulus a serial cell query would see.
-        """
-        from repro.engine.backends import _check_tile_bounds
-
-        lo, hi = _check_tile_bounds(space, lo, hi)
-        dims = space.dims
-        if not dims:
-            return super().execute_grid_tile(prepared, space, lo, hi)
-        aggregate = prepared.query.constraint.spec.aggregate
-        grouped = self._grouped_cell_states(
-            prepared, space, list(hi), min_coords=list(lo)
-        )
-        with self._timed():
-            tensor = grid_identity_tensor(space, aggregate, lo, hi)
-            for cell, state in grouped.items():
-                if all(l <= c <= h for c, l, h in zip(cell, lo, hi)):
-                    tensor[tuple(c - l for c, l in zip(cell, lo))] = state
-        cells = int(np.prod(tensor.shape[:-1], dtype=np.int64))
-        self._count_grid(cells, tile=True)
-        return tensor
-
-    def _grouped_cell_states(
-        self,
-        prepared: _SQLitePrepared,
-        space: RefinedSpace,
-        max_coords: Sequence[int],
-        min_coords: Optional[Sequence[int]] = None,
-    ) -> dict[tuple[int, ...], AggState]:
-        """One ``GROUP BY`` statement bucketing tuples into grid cells.
+        """One ``GROUP BY`` statement bucketing tuples into the cells of
+        the inclusive box ``[lo, hi]``.
 
         Each dimension gets a CASE ladder over the same
-        ``sql_condition`` thresholds the serial annulus uses; the first
-        (smallest) matching level is the tuple's minimal refinement
-        coordinate, so grouping by the ladders buckets tuples exactly
-        as per-cell round trips would. Cells absent from the result are
-        empty; their state is the aggregate identity.
-
-        ``min_coords`` restricts the bucketing to the box
-        ``[min_coords, max_coords]``: ladders start at the lower bound
-        and tuples admitted at level ``min_coords[d] - 1`` (minimal
-        coordinate below the box) are filtered out, so the first
-        matching level is still each tuple's true minimal coordinate.
+        ``sql_condition`` thresholds the serial annulus uses, spanning
+        levels ``lo..hi``; the first (smallest) matching level is the
+        tuple's minimal refinement coordinate, so grouping by the
+        ladders buckets tuples exactly as per-cell round trips would.
+        The WHERE clause keeps tuples admitted at level ``hi`` and drops
+        those already admitted at level ``lo - 1`` (their minimal
+        coordinate lies below the box), so each group is exactly the
+        annulus a serial cell query would see. Cells absent from the
+        result are empty and keep the aggregate identity.
         """
         dims = space.dims
         spec = prepared.query.constraint.spec
         step = space.step
-        if min_coords is None:
-            min_coords = [0] * len(dims)
         aliases = [f"cell_b{d}" for d in range(len(dims))]
         bucket_exprs = []
         for d, predicate in enumerate(dims):
             ladder = " ".join(
                 f"WHEN {predicate.sql_condition(level * step)} THEN {level}"
-                for level in range(min_coords[d], max_coords[d] + 1)
+                for level in range(lo[d], hi[d] + 1)
             )
             bucket_exprs.append(f"CASE {ladder} ELSE -1 END")
         conditions = list(prepared.fixed_sql)
         for d, predicate in enumerate(dims):
-            conditions.append(predicate.sql_condition(max_coords[d] * step))
-            if min_coords[d] > 0:
-                below = predicate.sql_condition((min_coords[d] - 1) * step)
+            conditions.append(predicate.sql_condition(hi[d] * step))
+            if lo[d] > 0:
+                below = predicate.sql_condition((lo[d] - 1) * step)
                 conditions.append(f"NOT ({below})")
         where = " AND ".join(f"({c})" for c in conditions) or "1=1"
         attribute_sql = (
@@ -446,7 +342,11 @@ class SQLiteBackend(EvaluationLayer):
             grouped[key] = spec.aggregate.state_from_sql(
                 tuple(row[len(dims):])
             )
-        return grouped
+        with self._timed():
+            tensor = box_tensor(spec.aggregate, lo, hi, grouped)
+        cells = int(np.prod(tensor.shape[:-1], dtype=np.int64))
+        self._count_grid(cells, tile=tile)
+        return tensor
 
     def execute_box(
         self, prepared: _SQLitePrepared, scores: Sequence[float]

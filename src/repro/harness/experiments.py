@@ -177,8 +177,6 @@ def fig9_dimensionality(
     delta: float = 0.05,
     step: float = 5.0,
     tqgen: Optional[dict] = None,
-    batched: bool = False,
-    parallelism: int = 1,
 ) -> ExperimentResult:
     """Figure 9: ratio fixed at 0.3, flexible predicates swept 1-5.
 
@@ -193,13 +191,7 @@ def fig9_dimensionality(
     tqgen = tqgen or {"grid_points": 4, "rounds": 4}
     database = _tpch(_scaled(scale_rows))
     layer = make_backend(database, backend)
-    config = AcquireConfig(
-        gamma=gamma,
-        delta=delta,
-        step=step,
-        batched=batched,
-        parallelism=parallelism,
-    )
+    config = AcquireConfig(gamma=gamma, delta=delta, step=step)
     # Per-d base selectivity: keeps the original cardinality
     # non-degenerate while the growth to the ratio-0.3 target stays
     # within a few grid steps per dimension at every d.
@@ -232,8 +224,6 @@ def fig9_dimensionality(
             "ratio": ratio,
             "backend": backend,
             "tqgen": tqgen,
-            "batched": batched,
-            "parallelism": parallelism,
         },
     )
 
@@ -655,8 +645,6 @@ def evaluation_layers(
     delta: float = 0.05,
     sampling_fraction: float = 0.1,
     selectivity: float = BASE_SELECTIVITY,
-    batched: bool = False,
-    parallelism: int = 1,
     explore_mode: str = "incremental",
 ) -> ExperimentResult:
     """Paper section 3: "the evaluation layer is modular and can be
@@ -685,11 +673,7 @@ def evaluation_layers(
         name="layers",
     )
     config = AcquireConfig(
-        gamma=gamma,
-        delta=delta,
-        batched=batched,
-        parallelism=parallelism,
-        explore_mode=explore_mode,
+        gamma=gamma, delta=delta, explore_mode=explore_mode
     )
     validator = MemoryBackend(database)
     validator_prepared = validator.prepare(
@@ -731,15 +715,13 @@ def evaluation_layers(
             "scale_rows": _scaled(scale_rows),
             "ratio": ratio,
             "sampling_fraction": sampling_fraction,
-            "batched": batched,
-            "parallelism": parallelism,
             "explore_mode": explore_mode,
         },
     )
 
 
 # ----------------------------------------------------------------------
-# Tentpole benchmark: incremental vs batched vs materialized Explore
+# Round trips of the Explore engines: incremental vs materialized vs auto
 # ----------------------------------------------------------------------
 def explore_modes(
     scale_rows: int = 8_000,
@@ -750,14 +732,13 @@ def explore_modes(
     selectivity: float = BASE_SELECTIVITY,
     backends: Sequence[str] = ("memory", "sqlite"),
 ) -> ExperimentResult:
-    """Round-trip profile of the four Explore configurations.
+    """Round-trip profile of the three Explore configurations.
 
     Runs one 2-dimensional COUNT ACQ on the Q2 join through serial
-    (one query per cell), batched (one round trip per layer),
-    materialized (one round trip for the whole grid), and auto
-    (per-cell until the round trips cost one grid pass) on each exact
-    backend. All four produce
-    identical answer sets — ``benchmarks/smoke.py`` asserts the qscore
+    (one query per cell), materialized (one round trip for the whole
+    grid), and auto (per-cell until the round trips cost one grid
+    pass) on each exact backend. All three produce identical answer
+    sets — ``benchmarks/smoke.py`` asserts the qscore
     column is constant per backend — so the interesting columns are
     ``queries`` (round trips), ``grids`` and ``explore``.
     """
@@ -772,17 +753,17 @@ def explore_modes(
         name="explore",
     )
     modes = (
-        ("serial", {"explore_mode": "incremental"}),
-        ("batched", {"explore_mode": "incremental", "batched": True}),
-        ("materialized", {"explore_mode": "materialized"}),
-        ("auto", {"explore_mode": "auto"}),
+        ("serial", "incremental"),
+        ("materialized", "materialized"),
+        ("auto", "auto"),
     )
     rows: list[Row] = []
     for backend in backends:
         layer = make_backend(database, backend)
-        for mode, overrides in modes:
+        for mode, explore_mode in modes:
             config = AcquireConfig(
-                gamma=gamma, delta=delta, step=step, **overrides
+                gamma=gamma, delta=delta, step=step,
+                explore_mode=explore_mode,
             )
             run = run_method("ACQUIRE", layer, workload.query,
                              acquire_config=config)
@@ -790,13 +771,12 @@ def explore_modes(
             rows.append(Row.from_run("mode", mode, run))
     return ExperimentResult(
         name="explore",
-        title="Explore engines: serial vs batched vs materialized "
-              "vs auto (round trips)",
+        title="Explore engines: serial vs materialized vs auto "
+              "(round trips)",
         paper_expectation=(
-            "All engines return identical answer sets; batching "
-            "collapses round trips to one per layer and "
-            "materialization to one per search, while auto makes at "
-            "most serial's round trips plus one grid pass."
+            "All engines return identical answer sets; materialization "
+            "collapses round trips to one per search, while auto makes "
+            "at most serial's round trips plus one grid pass."
         ),
         rows=rows,
         settings={

@@ -28,7 +28,6 @@ class Row:
     queries: int
     rows_scanned: int
     satisfied: bool
-    batches: int = 0
     materializations: int = 0
     tiles: int = 0
     cache_hits: int = 0
@@ -53,7 +52,6 @@ class Row:
             queries=run.execution.queries_executed,
             rows_scanned=run.execution.rows_scanned,
             satisfied=run.satisfied,
-            batches=run.execution.batches,
             materializations=run.execution.grid_materializations,
             tiles=run.execution.grid_tiles,
             cache_hits=run.execution.cache_hits,

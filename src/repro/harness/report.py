@@ -16,7 +16,6 @@ _COLUMNS = (
     ("qscore", lambda row: _fmt_float(row.qscore, 2)),
     ("A_actual", lambda row: _fmt_float(row.aggregate_value, 1)),
     ("queries", lambda row: str(row.queries)),
-    ("batches", lambda row: str(row.batches)),
     ("grids", lambda row: str(row.materializations)),
     ("tiles", lambda row: str(row.tiles)),
     ("cache", lambda row: _fmt_cache(row)),
@@ -191,9 +190,9 @@ def save_csv(result: ExperimentResult, path: str) -> str:
 
     fields = (
         "x_name", "x_value", "method", "time_ms", "error", "qscore",
-        "aggregate_value", "queries", "rows_scanned", "batches",
-        "materializations", "tiles", "cache_hits", "cache_misses",
-        "persistent_hits", "block_hits", "cache_bytes",
+        "aggregate_value", "queries", "rows_scanned", "materializations",
+        "tiles", "cache_hits", "cache_misses", "persistent_hits",
+        "block_hits", "cache_bytes",
         "explore_mode", "top_k", "satisfied",
     )
     with open(path, "w", newline="", encoding="utf-8") as handle:

@@ -1,12 +1,15 @@
-"""End-to-end determinism of batched / parallel execution.
+"""End-to-end determinism of batched and concurrent execution.
 
-The batched-execution contract (``docs/PARALLELISM.md``): turning on
-``batched`` or raising ``parallelism`` changes *how many round trips*
-the evaluation layer makes, never *what* ACQUIRE answers. Same data and
-configuration must yield identical answer sets, QScores, aggregate
-values, and ``cells_executed`` for every execution mode — the only
-counters allowed to move are the batching ones.
+A grid pass answers a whole batch of cells in one round trip; the
+explore modes (``docs/EXPLORE_MODES.md``) only decide *how many round
+trips* the evaluation layer makes, never *what* ACQUIRE answers. Nor do
+concurrent requests sharing one layer (``docs/SERVICE.md``). Same data
+and configuration must yield identical answer sets, QScores, aggregate
+values and examined grid queries however the cells were batched and
+however many threads asked.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from repro.core.acquire import Acquire, AcquireConfig
 from repro.engine.catalog import Database
 from repro.engine.memory_backend import MemoryBackend
 from repro.engine.sqlite_backend import SQLiteBackend
-from repro.exceptions import QueryModelError
 from tests.conftest import count_query
 
 
@@ -42,124 +44,112 @@ def _run(database, query, backend_factory, **config_kwargs):
     return result, layer.stats
 
 
-class TestDeterminism:
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_parallelism_levels_identical(self, parallelism):
-        """Same seed, parallelism in {1, 4} -> identical AcquireResult
-        answer sets, QScores, and cells_executed."""
-        database = _db(seed=42)
-        query = count_query("data", {"x": 30.0, "y": 30.0}, target=900)
-        serial, _ = _run(database, query, MemoryBackend)
-        other, _ = _run(
-            database, query, MemoryBackend, parallelism=parallelism
+def _run_shared(layer, query, workers, requests=8, **config_kwargs):
+    """``requests`` runs of ``query`` on one shared ``layer`` from a
+    pool of ``workers`` threads."""
+    config = AcquireConfig(**config_kwargs)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(
+            pool.map(
+                lambda _: Acquire(layer).run(query, config), range(requests)
+            )
         )
-        assert _answer_key(other) == _answer_key(serial)
-        assert other.stats.cells_executed == serial.stats.cells_executed
-        assert (
-            other.stats.grid_queries_examined
-            == serial.stats.grid_queries_examined
-        )
-        assert other.original_value == serial.original_value
 
+
+class TestDeterminism:
     @pytest.mark.parametrize(
         "backend_factory", [MemoryBackend, SQLiteBackend]
     )
     def test_batched_identical_across_backends(self, backend_factory):
+        """One grid pass per layer answers what one cell query per cell
+        answers, in fewer round trips."""
         database = _db(seed=7, n=2000)
         query = count_query("data", {"x": 25.0, "y": 25.0}, target=700)
-        serial, _ = _run(database, query, backend_factory)
-        batched, batched_exec = _run(
-            database, query, backend_factory, batched=True
+        serial, serial_exec = _run(
+            database, query, backend_factory, explore_mode="incremental"
         )
-        assert _answer_key(batched) == _answer_key(serial)
-        assert batched.stats.cells_executed == serial.stats.cells_executed
-        assert batched_exec.batches >= 1
+        passes, passes_exec = _run(
+            database, query, backend_factory, explore_mode="materialized"
+        )
+        assert _answer_key(passes) == _answer_key(serial)
+        assert (
+            passes.stats.grid_queries_examined
+            == serial.stats.grid_queries_examined
+        )
+        assert passes_exec.grid_materializations >= 1
+        assert passes_exec.queries_executed < serial_exec.queries_executed
 
     def test_thread_pool_fallback_identical(self):
-        """A backend without a native batch goes through the
-        ThreadPoolExecutor; answers must still match serial exactly."""
-        from tests.engine.test_differential import _NoBatchWrapper
+        """A backend without a native grid pass assembles each pass from
+        its cell queries; requests from a thread pool sharing it must
+        still match serial exactly."""
+        from tests.engine.test_differential import _CellOnlyLayer
 
         database = _db(seed=13, n=1500)
         query = count_query("data", {"x": 30.0, "y": 30.0}, target=450)
         serial, _ = _run(database, query, MemoryBackend)
-        wrapped, stats = _run(
-            database,
-            query,
-            lambda db: _NoBatchWrapper(MemoryBackend(db)),
-            parallelism=4,
+        wrapped = _CellOnlyLayer(MemoryBackend(database))
+        results = _run_shared(
+            wrapped, query, workers=4, explore_mode="materialized"
         )
-        assert _answer_key(wrapped) == _answer_key(serial)
-        assert wrapped.stats.cells_executed == serial.stats.cells_executed
-        assert stats.parallel_cells > 0
+        for other in results:
+            assert _answer_key(other) == _answer_key(serial)
+            assert (
+                other.stats.grid_queries_examined
+                == serial.stats.grid_queries_examined
+            )
+        assert wrapped.stats.grid_materializations >= len(results)
+        assert wrapped.stats.cell_queries > 0
 
     def test_budget_truncation_identical(self):
-        """When max_grid_queries cuts a layer short, the batched path
-        must prime only what serial would have examined."""
+        """When max_grid_queries cuts a layer short, every explore mode
+        must examine only what per-cell search would have examined."""
         database = _db(seed=21, n=1200)
         query = count_query("data", {"x": 20.0, "y": 20.0}, target=1100)
         serial, _ = _run(
-            database, query, MemoryBackend, max_grid_queries=37
+            database,
+            query,
+            MemoryBackend,
+            max_grid_queries=37,
+            explore_mode="incremental",
         )
-        batched, _ = _run(
-            database, query, MemoryBackend, max_grid_queries=37, batched=True
-        )
-        assert _answer_key(batched) == _answer_key(serial)
-        assert batched.stats.cells_executed == serial.stats.cells_executed
-        assert (
-            batched.stats.grid_queries_examined
-            == serial.stats.grid_queries_examined
-        )
-
-    def test_parallelism_validated(self):
-        with pytest.raises(QueryModelError):
-            AcquireConfig(parallelism=0)
+        for mode in ("materialized", "tiled", "auto"):
+            other, _ = _run(
+                database,
+                query,
+                MemoryBackend,
+                max_grid_queries=37,
+                explore_mode=mode,
+            )
+            assert _answer_key(other) == _answer_key(serial), mode
+            assert (
+                other.stats.grid_queries_examined
+                == serial.stats.grid_queries_examined
+                == 37
+            ), mode
 
 
 class TestRoundTripReduction:
-    """Acceptance criterion: the fig9-style dimensionality workload on
-    the memory backend — batched + parallelism=4 — yields identical
-    answers with at least 2x fewer backend round trips; on sqlite,
-    whole layers collapse into single GROUP BY statements, visible in
-    ``ExecutionStats.batches``."""
-
-    def test_fig9_memory_parallel_batched(self):
-        from repro.harness.experiments import fig9_dimensionality
-
-        kwargs = dict(
-            scale_rows=1200,
-            dims=(1, 2, 3),
-            methods=("ACQUIRE",),
-            backend="memory",
-        )
-        serial = fig9_dimensionality(**kwargs)
-        batched = fig9_dimensionality(**kwargs, batched=True, parallelism=4)
-        for row_s, row_b in zip(serial.rows, batched.rows):
-            assert row_b.qscore == row_s.qscore, row_s.x_value
-            assert row_b.aggregate_value == row_s.aggregate_value
-            assert row_b.error == row_s.error
-            assert row_b.satisfied == row_s.satisfied
-        queries_serial = sum(row.queries for row in serial.rows)
-        queries_batched = sum(row.queries for row in batched.rows)
-        assert queries_batched * 2 <= queries_serial
-        assert sum(row.batches for row in batched.rows) >= 1
-        assert all(row.batches == 0 for row in serial.rows)
-
     def test_sqlite_one_group_by_per_layer(self):
+        """On SQLite a grid pass is one GROUP BY statement: explored
+        layers collapse into at most one statement each."""
         database = _db(seed=5, n=2500)
         query = count_query("data", {"x": 25.0, "y": 25.0}, target=800)
-        serial, serial_exec = _run(database, query, SQLiteBackend)
-        batched, batched_exec = _run(
-            database, query, SQLiteBackend, batched=True
+        serial, serial_exec = _run(
+            database, query, SQLiteBackend, explore_mode="incremental"
         )
-        assert _answer_key(batched) == _answer_key(serial)
-        # Every cell after the origin probe went through a batch...
-        assert (
-            batched_exec.batched_cells >= batched_exec.cell_queries - 1
+        layer = SQLiteBackend(database)
+        statements = []
+        layer._connection.set_trace_callback(statements.append)
+        passes = Acquire(layer).run(
+            query, AcquireConfig(explore_mode="materialized")
         )
-        # ...and batches (one GROUP BY statement each) number far fewer
-        # than the cells they answered.
-        assert batched_exec.batches * 2 <= batched_exec.batched_cells
-        assert batched_exec.queries_executed * 2 <= (
+        passes_exec = layer.stats
+        assert _answer_key(passes) == _answer_key(serial)
+        group_bys = [s for s in statements if "GROUP BY" in s]
+        assert len(group_bys) == passes_exec.grid_materializations >= 1
+        assert len(group_bys) <= passes.stats.layers_explored
+        assert passes_exec.cell_queries == 0
+        assert passes_exec.queries_executed * 2 <= (
             serial_exec.queries_executed
         )

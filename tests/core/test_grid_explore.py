@@ -117,10 +117,10 @@ def _grid_coords(space: RefinedSpace) -> list[tuple[int, ...]]:
 
 
 class _NoGridWrapper(EvaluationLayer):
-    """Delegating layer hiding the inner backend's native bulk paths —
-    its ``execute_grid`` / ``execute_cells`` run the base-class
-    assembly, the path a third-party ``EvaluationLayer`` subclass
-    without a bulk implementation takes."""
+    """Delegating layer hiding the inner backend's native grid pass —
+    its ``execute_grid`` / ``execute_grid_tile`` run the base-class
+    per-cell assembly, the path a third-party ``EvaluationLayer``
+    subclass without a one-pass implementation takes."""
 
     def __init__(self, inner: EvaluationLayer) -> None:
         super().__init__()
@@ -963,23 +963,6 @@ class TestTiledMatchesSerial:
         # The far corner needs the full down-set: every tile.
         tiled.block_state(space.max_coords)
         assert tiled.cells_executed == space.grid_size
-
-    def test_prime_cells_reports_new_work_only(self):
-        database = _database(seed=48, n=120)
-        query = _query("COUNT")
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        _, tiled, _ = _tiled_pair(
-            "memory",
-            query,
-            [100.0, 100.0],
-            space,
-            query.constraint.spec.aggregate,
-            database,
-            tile_shape=(2, 2),
-        )
-        executed = tiled.prime_cells([space.origin])
-        assert executed == 4
-        assert tiled.prime_cells([space.origin]) == 0
 
     @settings(max_examples=15, deadline=None)
     @given(

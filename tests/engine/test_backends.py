@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import AggregateSpec, get_aggregate
-from repro.core.expand import LpBestFirstTraversal, make_traversal
+from repro.core.expand import LpBestFirstTraversal
 from repro.core.interval import Interval
 from repro.core.predicate import Direction, JoinPredicate, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
-from repro.engine.backends import EvaluationLayer, ExecutionStats
+from repro.engine.backends import ExecutionStats
 from repro.engine.catalog import Database
 from repro.engine.expression import col
 from repro.engine.memory_backend import MemoryBackend
@@ -73,9 +73,9 @@ class TestExecutionStats:
         assert snap.queries_executed == 5
 
     def test_since_covers_every_field(self):
-        """Regression: ``since`` must delta every counter, so a batched
-        call landing between snapshots shows up in full — a batch of N
-        cells is N cell queries, not 1 and not 0."""
+        """Regression: ``since`` must delta every counter, so work
+        landing between snapshots shows up in full, whatever counter
+        it moves."""
         from dataclasses import fields
 
         stats = ExecutionStats()
@@ -90,8 +90,8 @@ class TestExecutionStats:
         for index, field_info in enumerate(fields(ExecutionStats), start=1):
             assert getattr(delta, field_info.name) == index, field_info.name
 
-    def test_since_sees_batched_cells(self):
-        """The drift scenario end-to-end: a real batched call between
+    def test_since_sees_grid_pass(self):
+        """The drift scenario end-to-end: a real grid pass between
         snapshot and since."""
         database = _db(seed=30, n=100)
         query = _query()
@@ -99,13 +99,14 @@ class TestExecutionStats:
         prepared = layer.prepare(query, [100.0, 100.0])
         space = RefinedSpace(query, 10.0, [70.0, 70.0])
         snap = layer.stats.snapshot()
-        coords = [(0, 0), (1, 0), (0, 1), (2, 2), (5, 5)]
-        layer.execute_cells(prepared, space, coords)
+        layer.execute_grid_tile(prepared, space, (1, 0), (3, 1))
         delta = layer.stats.since(snap)
-        assert delta.cell_queries == len(coords)
-        assert delta.batched_cells == len(coords)
         assert delta.queries_executed == 1
-        assert delta.batches == 1
+        assert delta.grid_materializations == 1
+        assert delta.grid_tiles == 1
+        assert delta.grid_cells == 6
+        assert delta.rows_scanned == prepared.candidate.nrows
+        assert delta.cell_queries == 0
 
 
 class TestMemoryBackend:
@@ -342,68 +343,3 @@ class TestIndexedMemoryBackend:
         assert indexed.best.pscores == plain.best.pscores
         assert indexed.best.aggregate_value == plain.best.aggregate_value
         assert len(indexed.answers) == len(plain.answers)
-
-
-# ----------------------------------------------------------------------
-# The execute_cells fallback reuses one thread pool
-# ----------------------------------------------------------------------
-class _CellOnlyLayer(EvaluationLayer):
-    """Backend without a native bulk path — exercises the base-class
-    ``execute_cells`` fallback."""
-
-    def __init__(self, inner: EvaluationLayer) -> None:
-        super().__init__()
-        self._inner = inner
-
-    def prepare(self, query, dim_caps=None):
-        return self._inner.prepare(query, dim_caps)
-
-    def useful_max_scores(self, prepared):
-        return self._inner.useful_max_scores(prepared)
-
-    def execute_cell(self, prepared, space, coords):
-        self._count_query("cell")
-        return self._inner.execute_cell(prepared, space, coords)
-
-    def execute_box(self, prepared, scores):
-        self._count_query("box")
-        return self._inner.execute_box(prepared, scores)
-
-
-class TestExecutorReuse:
-    def test_pool_survives_across_batches(self):
-        database = _db(seed=37, n=60)
-        layer = _CellOnlyLayer(MemoryBackend(database))
-        query = _query()
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        prepared = layer.prepare(query, [100.0, 100.0])
-        coords = list(make_traversal(space, "lp"))
-        layer.execute_cells(prepared, space, coords[:4], parallelism=2)
-        pool = layer._cell_pool
-        assert pool is not None
-        layer.execute_cells(prepared, space, coords[4:8], parallelism=2)
-        assert layer._cell_pool is pool, (
-            "fallback must reuse one executor across batches"
-        )
-        # A different parallelism replaces the pool...
-        layer.execute_cells(prepared, space, coords[:4], parallelism=3)
-        assert layer._cell_pool is not pool
-        # ...and close() releases it; the layer still works afterwards.
-        layer.close()
-        assert layer._cell_pool is None
-        states = layer.execute_cells(
-            prepared, space, coords[:2], parallelism=2
-        )
-        assert len(states) == 2
-
-    def test_serial_path_needs_no_pool(self):
-        database = _db(seed=38, n=40)
-        layer = _CellOnlyLayer(MemoryBackend(database))
-        query = _query()
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        prepared = layer.prepare(query, [100.0, 100.0])
-        layer.execute_cells(
-            prepared, space, list(make_traversal(space, "lp"))[:4],
-            parallelism=1,
-        )
-        assert layer._cell_pool is None

@@ -1,24 +1,32 @@
-"""Cross-backend differential suite for batched cell execution.
+"""Cross-backend differential suite for one-pass grid execution.
 
 Three independent implementations of the same cell-query semantics —
 numpy score filters (memory), generated SQL (sqlite), and marginal
-histograms (histogram) — each with a serial path and a native batched
-path, plus the base-class thread-pool fallback. This module drives all
+histograms (histogram) — each answer a grid cell two ways: one query
+per cell (``execute_cell``) and one pass over an inclusive box of cells
+(``execute_grid`` over the whole grid, ``execute_grid_tile`` over a
+proper sub-box; both run the backend's single ``_grid_pass``). The
+base class's per-cell assembly — the path a third-party layer without
+a one-pass implementation takes — is a fourth. This module drives all
 of them over hypothesis-generated grids and asserts:
 
-* batched == serial, *exactly*, per backend (the batched contract of
-  ``docs/PARALLELISM.md``: bit-identical states, not approximately
-  equal);
+* grid pass == per-cell, *exactly*, per backend (bit-identical states,
+  not approximately equal);
 * the exact backends (memory in every mode, sqlite) agree with each
-  other;
-* empty cells, empty batches, empty tables, and float values all
-  behave.
+  other within 1e-9;
+* the base-class ``execute_cells`` loop keeps each request's input
+  order and counts exactly per request scope when threads share a
+  layer;
+* empty cells, empty tables, and float values all behave.
 
 Aggregate values are drawn as multiples of 0.25 — exactly representable
 in binary floating point — so sums are order-independent and the
 bit-identical assertions cannot be defeated by legitimate
 reassociation inside a backend.
 """
+
+import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -82,11 +90,78 @@ def _grid_coords(space: RefinedSpace) -> list[tuple[int, ...]]:
     return list(make_traversal(space, "lp"))
 
 
-class _NoBatchWrapper(EvaluationLayer):
-    """Delegating layer that hides the inner backend's native batch,
-    forcing ``execute_cells`` through the base-class serial loop or
-    thread pool — the path third-party backends without a bulk
-    implementation take."""
+def _box_coords(lo, hi) -> list[tuple[int, ...]]:
+    """Every coordinate of the inclusive box ``[lo, hi]``."""
+    return list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
+
+
+def _sub_box(space: RefinedSpace):
+    """A proper sub-box of the grid: one level in from both ends of
+    every axis long enough, so the tile starts above the origin (its
+    pass must drop tuples admitted below it) and stops short of the
+    grid extent."""
+    lo = tuple(1 if m >= 2 else 0 for m in space.max_coords)
+    hi = tuple(m - 1 if m >= 2 else m for m in space.max_coords)
+    assert lo != space.origin
+    return lo, hi
+
+
+def _state(values) -> tuple[float, ...]:
+    """An aggregate state (tuple or tensor entry) as plain floats."""
+    return tuple(float(value) for value in values)
+
+
+def _box_states(tensor: np.ndarray, lo, coords) -> dict:
+    """States of ``coords`` read from the cell tensor of a box at
+    ``lo``."""
+    return {
+        c: _state(tensor[tuple(x - l for x, l in zip(c, lo))]) for c in coords
+    }
+
+
+def _passes(layer, prepared, space) -> tuple[dict, dict]:
+    """Cell states from one full-grid pass and from one pass over the
+    proper sub-box, keyed by grid coordinates."""
+    full = _box_coords(space.origin, space.max_coords)
+    lo, hi = _sub_box(space)
+    grid = layer.execute_grid(prepared, space)
+    tile = layer.execute_grid_tile(prepared, space, lo, hi)
+    assert grid.shape[:-1] == tuple(m + 1 for m in space.max_coords)
+    assert tile.shape[:-1] == tuple(h - l + 1 for l, h in zip(lo, hi))
+    return (
+        _box_states(grid, space.origin, full),
+        _box_states(tile, lo, _box_coords(lo, hi)),
+    )
+
+
+def _check_passes_match_cells(
+    make, database, query, space, make_serial=None, caps=(100.0, 100.0)
+) -> tuple[dict, dict]:
+    """``execute_grid`` and a sub-box ``execute_grid_tile`` on one
+    layer equal ``execute_cell`` on another, bit for bit, and count as
+    two grid passes (one of them a tile). Returns the two passes'
+    states."""
+    passes = make(database)
+    serial = (make_serial or make)(database)
+    prepared_p = passes.prepare(query, list(caps))
+    prepared_s = serial.prepare(query, list(caps))
+    grid, tile = _passes(passes, prepared_p, space)
+    expected = {
+        c: _state(serial.execute_cell(prepared_s, space, c)) for c in grid
+    }
+    assert grid == expected
+    assert tile == {c: expected[c] for c in tile}
+    assert passes.stats.grid_materializations == 2
+    assert passes.stats.grid_tiles == 1
+    assert passes.stats.grid_cells == len(grid) + len(tile)
+    return grid, tile
+
+
+class _CellOnlyLayer(EvaluationLayer):
+    """Delegating layer that hides the inner backend's grid pass,
+    forcing ``execute_grid`` / ``execute_grid_tile`` through the
+    base-class per-cell assembly — the path third-party backends
+    without a one-pass implementation take."""
 
     def __init__(self, inner: EvaluationLayer) -> None:
         super().__init__()
@@ -108,108 +183,132 @@ class _NoBatchWrapper(EvaluationLayer):
 
 
 # ----------------------------------------------------------------------
-# Batched == serial, per backend, bit-identical
+# One-pass grid execution == serial, per backend, bit-identical
 # ----------------------------------------------------------------------
 class TestBatchedMatchesSerial:
+    """A grid pass answers a batch of cells at once; the batch equals
+    per-cell execution bit for bit."""
+
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     @pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
     def test_exact_backends(self, backend_name, aggregate):
-        database = _database(seed=11, n=180)
-        query = _query(aggregate)
         make = MemoryBackend if backend_name == "memory" else SQLiteBackend
-        serial = make(database)
-        batched = make(database)
-        prepared_s = serial.prepare(query, [100.0, 100.0])
-        prepared_b = batched.prepare(query, [100.0, 100.0])
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        coords = _grid_coords(space)
-        states_b = batched.execute_cells(prepared_b, space, coords)
-        states_s = [
-            serial.execute_cell(prepared_s, space, c) for c in coords
-        ]
-        assert states_b == states_s
-        assert batched.stats.batches == 1
-        assert batched.stats.batched_cells == len(coords)
-        assert batched.stats.cell_queries == serial.stats.cell_queries
+        query = _query(aggregate)
+        _check_passes_match_cells(
+            make,
+            _database(seed=11, n=180),
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0]),
+        )
 
     @pytest.mark.parametrize("aggregate", HISTOGRAM_AGGREGATES)
     def test_histogram_backend(self, aggregate):
-        database = _database(seed=12, n=180)
         query = _query(aggregate)
-        serial = HistogramBackend(database)
-        batched = HistogramBackend(database)
-        prepared_s = serial.prepare(query, [100.0, 100.0])
-        prepared_b = batched.prepare(query, [100.0, 100.0])
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        coords = _grid_coords(space)
-        states_b = batched.execute_cells(prepared_b, space, coords)
-        states_s = [
-            serial.execute_cell(prepared_s, space, c) for c in coords
-        ]
-        assert states_b == states_s
-        assert batched.stats.batches == 1
+        _check_passes_match_cells(
+            HistogramBackend,
+            _database(seed=12, n=180),
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0]),
+        )
 
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     @pytest.mark.parametrize("mode", ["vectorized_grid", "indexed"])
     def test_memory_accelerator_modes(self, mode, aggregate):
-        database = _database(seed=13, n=180)
         query = _query(aggregate)
-        kwargs = {mode: True}
-        serial = MemoryBackend(database, **kwargs)
-        batched = MemoryBackend(database, **kwargs)
-        prepared_s = serial.prepare(query, [100.0, 100.0])
-        prepared_b = batched.prepare(query, [100.0, 100.0])
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        coords = _grid_coords(space)
-        states_b = batched.execute_cells(prepared_b, space, coords)
-        states_s = [
-            serial.execute_cell(prepared_s, space, c) for c in coords
-        ]
-        assert states_b == states_s
+        _check_passes_match_cells(
+            lambda database: MemoryBackend(database, **{mode: True}),
+            _database(seed=13, n=180),
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0]),
+        )
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
-    def test_thread_pool_fallback(self, aggregate, parallelism):
-        """The base-class loop/pool merges results in input order."""
+    def test_base_class_fallback(self, aggregate):
+        """The base-class pass assembles its box from one cell query
+        per cell: the same states, each cell counted as a round trip
+        and the pass itself as none."""
         database = _database(seed=14, n=150)
         query = _query(aggregate)
-        serial = MemoryBackend(database)
-        wrapped = _NoBatchWrapper(MemoryBackend(database))
-        prepared_s = serial.prepare(query, [100.0, 100.0])
-        prepared_w = wrapped.prepare(query, [100.0, 100.0])
         space = RefinedSpace(query, 20.0, [70.0, 70.0])
+        wrapped = _CellOnlyLayer(MemoryBackend(database))
+        prepared = wrapped.prepare(query, [100.0, 100.0])
+        grid, tile = _passes(wrapped, prepared, space)
+        serial = MemoryBackend(database)
+        prepared_s = serial.prepare(query, [100.0, 100.0])
+        assert grid == {
+            c: _state(serial.execute_cell(prepared_s, space, c)) for c in grid
+        }
+        assert tile == {c: grid[c] for c in tile}
+        cells = len(grid) + len(tile)
+        assert wrapped.stats.cell_queries == cells
+        assert wrapped.stats.queries_executed == cells
+        assert wrapped.stats.grid_materializations == 2
+        assert wrapped.stats.grid_tiles == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    def test_thread_pool_fallback(self, aggregate, workers):
+        """Requests sharing one layer from a pool of ``workers`` threads
+        (the service's shape) each get the base-class ``execute_cells``
+        loop's states in their own input order, and each request scope
+        counts exactly its own cells."""
+        database = _database(seed=14, n=150)
+        query = _query(aggregate)
+        space = RefinedSpace(query, 20.0, [70.0, 70.0])
+        serial = MemoryBackend(database)
+        prepared_s = serial.prepare(query, [100.0, 100.0])
         coords = _grid_coords(space)
-        states_w = wrapped.execute_cells(
-            prepared_w, space, coords, parallelism=parallelism
-        )
-        states_s = [
-            serial.execute_cell(prepared_s, space, c) for c in coords
+        expected = {c: serial.execute_cell(prepared_s, space, c) for c in coords}
+        shared = MemoryBackend(database)
+        prepared = shared.prepare(query, [100.0, 100.0])
+        shared.reset_stats()
+        requests = 8
+        # Every request takes its own slice of the grid; odd ones ask
+        # for it backwards, so input order differs from traversal order.
+        slices = [
+            coords[i::requests][:: -1 if i % 2 else 1] for i in range(requests)
         ]
-        assert states_w == states_s
-        if parallelism > 1:
-            assert wrapped.stats.parallel_cells == len(coords)
-        else:
-            assert wrapped.stats.parallel_cells == 0
+
+        def request(batch):
+            with shared.request_scope() as scope:
+                states = shared.execute_cells(prepared, space, batch)
+            return states, scope
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(request, slices))
+        for batch, (states, scope) in zip(slices, results):
+            assert states == [expected[c] for c in batch]
+            assert scope.cell_queries == len(batch)
+            assert scope.queries_executed == len(batch)
+        assert shared.stats.cell_queries == len(coords)
+        assert shared.stats.queries_executed == len(coords)
 
 
 # ----------------------------------------------------------------------
-# Cross-backend agreement of the batched paths
+# Cross-backend agreement of the grid passes
 # ----------------------------------------------------------------------
+def _assert_close(memory: dict, sqlite: dict) -> None:
+    assert memory.keys() == sqlite.keys()
+    for c in memory:
+        assert memory[c] == pytest.approx(sqlite[c], rel=1e-9, abs=1e-9), c
+
+
 class TestCrossBackendAgreement:
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     def test_memory_and_sqlite_batches_agree(self, aggregate):
         database = _database(seed=15, n=200)
         query = _query(aggregate)
+        space = RefinedSpace(query, 20.0, [70.0, 70.0])
         memory = MemoryBackend(database)
         sqlite = SQLiteBackend(database)
-        prepared_m = memory.prepare(query, [100.0, 100.0])
-        prepared_q = sqlite.prepare(query, [100.0, 100.0])
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        coords = _grid_coords(space)
-        states_m = memory.execute_cells(prepared_m, space, coords)
-        states_q = sqlite.execute_cells(prepared_q, space, coords)
-        for c, m, q in zip(coords, states_m, states_q):
-            assert m == pytest.approx(q, rel=1e-9, abs=1e-9), c
+        grid_m, tile_m = _passes(
+            memory, memory.prepare(query, [100.0, 100.0]), space
+        )
+        grid_q, tile_q = _passes(
+            sqlite, sqlite.prepare(query, [100.0, 100.0]), space
+        )
+        _assert_close(grid_m, grid_q)
+        _assert_close(tile_m, tile_q)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -221,10 +320,10 @@ class TestCrossBackendAgreement:
         gamma=st.floats(min_value=10.0, max_value=40.0),
     )
     def test_random_grids(self, seed, n, aggregate, bound_x, bound_y, gamma):
-        """Property: over random data, grids and aggregates, the
-        batched paths of both exact backends and the serial path all
-        produce the same states — including empty cells (sparse data)
-        and empty tables (n == 0)."""
+        """Property: over random data, grids and aggregates, the grid
+        passes of both exact backends and the serial path all produce
+        the same states — including empty cells (sparse data) and
+        empty tables (n == 0)."""
         database = _database(seed=seed, n=n)
         query = _query(aggregate, (bound_x, bound_y))
         memory = MemoryBackend(database)
@@ -232,22 +331,26 @@ class TestCrossBackendAgreement:
         prepared_m = memory.prepare(query, [150.0, 150.0])
         prepared_q = sqlite.prepare(query, [150.0, 150.0])
         space = RefinedSpace(query, gamma, [80.0, 80.0])
-        coords = _grid_coords(space)[:40]
-        states_m = memory.execute_cells(prepared_m, space, coords)
-        states_q = sqlite.execute_cells(prepared_q, space, coords)
-        states_serial = [
-            memory.execute_cell(prepared_m, space, c) for c in coords
-        ]
-        assert states_m == states_serial
-        for c, m, q in zip(coords, states_m, states_q):
-            assert m == pytest.approx(q, rel=1e-9, abs=1e-9), c
+        grid_m, tile_m = _passes(memory, prepared_m, space)
+        grid_q, tile_q = _passes(sqlite, prepared_q, space)
+        for c in _grid_coords(space)[:40]:
+            assert grid_m[c] == _state(
+                memory.execute_cell(prepared_m, space, c)
+            ), c
+        assert tile_m == {c: grid_m[c] for c in tile_m}
+        _assert_close(grid_m, grid_q)
+        _assert_close(tile_m, tile_q)
 
 
 # ----------------------------------------------------------------------
 # Contract edges
 # ----------------------------------------------------------------------
 class TestBatchContract:
+    """Edges of the multi-cell paths: the per-cell loop a grid pass
+    falls back on, boundary-adjacent scores and empty cells."""
+
     def test_empty_batch(self):
+        """The base-class per-cell loop issues nothing for no cells."""
         database = _database(seed=16, n=50)
         query = _query("COUNT")
         for layer in (
@@ -261,7 +364,7 @@ class TestBatchContract:
             assert layer.execute_cells(prepared, space, []) == []
             delta = layer.stats.since(before)
             assert delta.queries_executed == 0
-            assert delta.batches == 0
+            assert delta.cell_queries == 0
 
     def test_result_order_matches_input_order(self):
         database = _database(seed=17, n=150)
@@ -283,15 +386,15 @@ class TestBatchContract:
         float-*product* predicate ``(c-1)*step < s <= c*step``."""
         database = _database(seed=0, n=17)
         query = _query("COUNT", (5.0, 5.0))
-        memory = MemoryBackend(database)
-        prepared = memory.prepare(query, [150.0, 150.0])
         space = RefinedSpace(query, 16.999999999999993, [80.0, 80.0])
-        coords = _grid_coords(space)[:40]
-        states_b = memory.execute_cells(prepared, space, coords)
-        states_s = [
-            memory.execute_cell(prepared, space, c) for c in coords
-        ]
-        assert states_b == states_s
+        grid_m, tile_m = _check_passes_match_cells(
+            MemoryBackend, database, query, space, caps=(150.0, 150.0)
+        )
+        grid_q, tile_q = _check_passes_match_cells(
+            SQLiteBackend, database, query, space, caps=(150.0, 150.0)
+        )
+        _assert_close(grid_m, grid_q)
+        _assert_close(tile_m, tile_q)
 
     def test_empty_cells_get_identity_state(self):
         """Coordinates past the data's reach hold the identity state,
@@ -299,16 +402,16 @@ class TestBatchContract:
         database = _database(seed=18, n=40)
         for aggregate in ALL_AGGREGATES:
             query = _query(aggregate, (1.0, 1.0))
-            agg = query.constraint.spec.aggregate
-            memory = MemoryBackend(database)
-            sqlite = SQLiteBackend(database)
-            prepared_m = memory.prepare(query, [400.0, 400.0])
-            prepared_q = sqlite.prepare(query, [400.0, 400.0])
+            identity = _state(query.constraint.spec.aggregate.identity())
             space = RefinedSpace(query, 20.0, [390.0, 390.0])
-            far = [tuple(space.max_coords)]
-            assert memory.execute_cells(prepared_m, space, far) == [
-                agg.identity()
-            ]
-            assert sqlite.execute_cells(prepared_q, space, far) == [
-                agg.identity()
-            ]
+            far = tuple(space.max_coords)
+            for layer in (MemoryBackend(database), SQLiteBackend(database)):
+                prepared = layer.prepare(query, [400.0, 400.0])
+                grid = layer.execute_grid(prepared, space)
+                tile = layer.execute_grid_tile(prepared, space, far, far)
+                assert tile.shape[:-1] == (1, 1)
+                assert _state(grid[far]) == identity
+                assert _state(tile[0, 0]) == identity
+                assert _state(
+                    layer.execute_cell(prepared, space, far)
+                ) == identity

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.acquire import Acquire, AcquireConfig
+from repro.core.query import Query
 from repro.engine.catalog import Database
+from repro.engine.memory_backend import MemoryBackend
 from repro.engine.sampling import SamplingBackend, sample_database
 from repro.exceptions import EngineError
 from tests.conftest import count_query
@@ -107,3 +109,66 @@ class TestFactTableSampling:
         prepared = layer.prepare(workload.query, [100.0, 100.0])
         estimate = layer.execute_box(prepared, (0.0, 0.0))[0]
         assert estimate == pytest.approx(workload.original_value, rel=0.4)
+
+
+def _two_table_db() -> Database:
+    rng = np.random.default_rng(23)
+    database = Database()
+    database.create_table(
+        "data",
+        {"x": rng.uniform(0, 100, 2000), "y": rng.uniform(0, 100, 2000)},
+    )
+    database.create_table("other", {"z": rng.uniform(0, 100, 40)})
+    return database
+
+
+class _TopKRecorder(MemoryBackend):
+    """MemoryBackend that records the k of every top-k request."""
+
+    def __init__(self, database: Database) -> None:
+        super().__init__(database)
+        self.asked: list[int] = []
+
+    def topk_admission(self, prepared, k):
+        self.asked.append(k)
+        return super().topk_admission(prepared, k)
+
+
+class TestSampledTopK:
+    """Top-k on a sample shrinks k by the share of the query's result
+    the sample keeps: the factor the aggregates are scaled by."""
+
+    def test_unsampled_tables_only_equal_exact_layer(self):
+        database = _two_table_db()
+        query = count_query("data", {"x": 20.0, "y": 20.0}, target=500)
+        exact = MemoryBackend(database)
+        layer = SamplingBackend(
+            database, fraction=0.1, seed=1, tables=("other",)
+        )
+        exact_prepared = exact.prepare(query, [100.0, 100.0])
+        prepared = layer.prepare(query, [100.0, 100.0])
+        for k in (1, 37, 500, 5000):
+            expected = exact.topk_admission(exact_prepared, k)
+            assert layer.topk_admission(prepared, k) == expected, k
+        assert exact.topk_admission(exact_prepared, 500).max_scores[0] > 0
+
+    def test_two_sampled_tables_scale_k_by_fraction_squared(self):
+        database = _two_table_db()
+        on_data = count_query("data", {"x": 20.0}, target=100)
+        on_other = count_query("other", {"z": 50.0}, target=100)
+        query = Query.build(
+            "cross",
+            ("data", "other"),
+            on_data.predicates + on_other.predicates,
+            on_data.constraint,
+        )
+        layer = SamplingBackend(
+            database, fraction=0.5, seed=2, backend_factory=_TopKRecorder
+        )
+        prepared = layer.prepare(query, [100.0, 100.0])
+        admission = layer.topk_admission(prepared, 400)
+        assert layer._inner.asked == [100]
+        assert admission.admitted <= 400
+        # A sampled scale-up of the inner admission, as for COUNT.
+        inner = layer._inner.topk_admission(prepared, 100)
+        assert admission.admitted == min(round(inner.admitted / 0.25), 400)

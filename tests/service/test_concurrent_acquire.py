@@ -2,17 +2,18 @@
 
 The service's whole contract is that concurrency is *invisible* in the
 results: N in-flight requests against shared backends, one shared grid
-cache, and one shared calibration must answer exactly what a serial
-replay answers, and each request's reported counters must be its own
-work — nothing bled in from neighbours, nothing leaked out.
+cache, and the shared pass times (``repro.core.plan.PASS_TIMES``) must
+answer exactly what a serial replay answers, and each request's
+reported counters must be its own work — nothing bled in from
+neighbours, nothing leaked out.
 
 Three suites:
 
 * ``TestConcurrentMatchesSerial`` replays a cross-family corpus subset
   through a 4-worker service and a 1-worker service, per explore mode,
   and demands bit-identical answer sets; for the fixed modes it also
-  demands identical per-request counters (``auto``'s plan choice may
-  legitimately differ — the shared calibration has seen different
+  demands identical per-request counters (``auto``'s switch point may
+  legitimately differ — the shared pass times have seen different
   traffic — but its answers may not).
 * The same test closes the books: summed per-request
   :class:`~repro.engine.backends.ExecutionStats` must equal each
