@@ -518,9 +518,10 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
 
     ACQ501 fires when the refined grid cannot fit a whole-grid tensor
     (``materialize_cell_cap``) — a WARNING under ``auto``/``tiled``
-    (the tiled engine absorbs it at a seam-stitching cost), an ERROR
-    when ``explore_mode='materialized'`` is forced, because execution
-    would raise :class:`~repro.exceptions.QueryModelError`.
+    (the tiled engine absorbs it at a seam-stitching cost, in tiles of
+    the size the driver's plan gives it), an ERROR when
+    ``explore_mode='materialized'`` is forced, because execution would
+    raise :class:`~repro.exceptions.QueryModelError`.
 
     ACQ502 fires when a grid cache is configured but some axis extent
     derives from ``dim_cap_default`` rather than the query or the data
@@ -534,7 +535,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     see mode flips (materialized vs tiled) before running.
     """
     from repro.core.grid_explore import tile_shape_for
-    from repro.core.plan import choose_explore_mode
+    from repro.core.plan import ExplorePlan, choose_explore_mode
     from repro.exceptions import QueryModelError
 
     query = ctx.query
@@ -544,30 +545,36 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     space, unbounded = _build_space(ctx)
     grid = space.grid_size
     cap = ctx.config.materialize_cell_cap
+    try:
+        plan: Optional[ExplorePlan] = choose_explore_mode(
+            _PlanProbe(ctx.database), query, space, ctx.config
+        )
+    except QueryModelError:
+        plan = None  # forced materialized over the cap: execution raises
 
     if grid > cap:
-        tile_shape = tile_shape_for(space, cap)
-        tile_cells = math.prod(tile_shape)
-        tiles = math.prod(
-            -(-(limit + 1) // width)
-            for limit, width in zip(space.max_coords, tile_shape)
-        )
-        forced = ctx.config.explore_mode == "materialized"
+        if plan is None:
+            detail = "explore_mode='materialized' would raise at run time"
+        elif plan.tile_cells:
+            # The tile shape the grid engine derives from the plan.
+            tile_shape = tile_shape_for(space, plan.tile_cells)
+            tiles = math.prod(
+                -(-(limit + 1) // width)
+                for limit, width in zip(space.max_coords, tile_shape)
+            )
+            detail = (
+                f"the tiled engine splits it into {tiles} tiles of "
+                f"{math.prod(tile_shape):g} cells (shape "
+                f"{list(tile_shape)})"
+            )
+        else:
+            detail = "explore_mode='incremental' reads it cell by cell"
         yield Diagnostic(
             code="ACQ501",
-            severity=Severity.ERROR if forced else Severity.WARNING,
+            severity=Severity.ERROR if plan is None else Severity.WARNING,
             message=(
                 f"the refined grid holds {grid:g} cells, over "
-                f"materialize_cell_cap ({cap:g}); "
-                + (
-                    "explore_mode='materialized' would raise at run time"
-                    if forced
-                    else (
-                        f"the tiled engine splits it into {tiles} tiles "
-                        f"of {tile_cells:g} cells (shape "
-                        f"{list(tile_shape)})"
-                    )
-                )
+                f"materialize_cell_cap ({cap:g}); {detail}"
             ),
             hint=(
                 "raise gamma or add predicate limits to shrink the grid, "
@@ -595,11 +602,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
                 ),
             )
 
-    try:
-        plan = choose_explore_mode(
-            _PlanProbe(ctx.database), query, space, ctx.config
-        )
-    except QueryModelError:
+    if plan is None:
         return  # forced-materialized over cap: ACQ501 already reported
     switch = (
         f", switching to {plan.switch_to!r} once its cell round trips "

@@ -1,14 +1,14 @@
 """Cross-query cache of materialized grid-cell tensors.
 
-The Explore phase's materialized and tiled modes both reduce to "build
-an immutable tensor of per-cell aggregate states, then run prefix
-passes over a private copy". The tensor itself depends only on the
-*data-side* identity of the request — which evaluation layer produced
-it, which tables/predicates/aggregate define the cells, and the refined
-space's geometry — and **not** on the constraint target. A constraint
-sweep (the harness's bread and butter) therefore re-materializes the
-identical tensor once per sweep point; this module makes every point
-after the first a cache hit.
+The Explore phase's grid engine, in its materialized and tiled modes
+alike, reduces to "build an immutable tensor of per-cell aggregate
+states, then run prefix passes over a private copy". The tensor itself
+depends only on the *data-side* identity of the request — which
+evaluation layer produced it, which tables/predicates/aggregate define
+the cells, and the refined space's geometry — and **not** on the
+constraint target. A constraint sweep (the harness's bread and butter)
+therefore re-materializes the identical tensor once per sweep point;
+this module makes every point after the first a cache hit.
 
 Keying. A cache key is ``(layer token, query fingerprint, space
 geometry, tile box)``:
@@ -29,7 +29,7 @@ geometry, tile box)``:
 Tensors are stored with ``writeable=False`` so a hit can be handed out
 by reference; consumers that need to mutate (the prefix passes) copy
 first, which they must do anyway for correctness (see the
-``prefix_combine`` aliasing contract in ``grid_explore``).
+``tile_prefix_combine`` aliasing contract in ``grid_explore``).
 
 Tiers. :class:`GridTensorCache` is the in-process memory tier; it can
 be backed by a :class:`PersistentGridCache` — a directory of
@@ -447,9 +447,10 @@ class GridTensorCache:
     leader and computes the tensor once; every other thread missing the
     same key before the leader publishes parks on the leader's flight
     instead of paying its own backend pass (``inflight_waits`` counts
-    those parked reads). The plain :meth:`lookup`/:meth:`put` pair
-    ignores flights entirely; the tiled engine uses it for the block
-    and seam slabs it restores and stores.
+    those parked reads). The grid Explore engine single-flights its
+    cell and block tensors this way; the plain :meth:`lookup`/:meth:`put`
+    pair ignores flights entirely, and serves the seam slabs a tile's
+    flight leader puts before it completes the flight.
     """
 
     def __init__(

@@ -1,32 +1,32 @@
 """Explore-plan selection: a fixed engine, or the online switch.
 
-The driver has three Explore engines with different cost profiles:
+The driver has two Explore engines with different cost profiles:
 
-* incremental (:class:`~repro.core.explore.Explorer`) — one backend
-  round trip per *visited* cell; total work tracks how far the search
-  expands before the constraint is met;
-* materialized (:class:`~repro.core.grid_explore.GridExplorer`) — one
-  backend pass computes *every* cell, after which grid queries are
-  free; total work tracks the full grid size regardless of where the
-  search terminates;
-* tiled (:class:`~repro.core.grid_explore.TiledGridExplorer`) — one
-  backend pass per *reached* tile; total work tracks the tiles the
-  traversal's layer prefix touches, so huge or budget-capped grids
-  still get one-pass execution without the full-grid tensor.
+* the per-cell engine (:class:`~repro.core.explore.Explorer`, mode
+  ``incremental``) — one backend round trip per *visited* cell; total
+  work tracks how far the search expands before the constraint is
+  met;
+* the grid engine (:class:`~repro.core.grid_explore.TiledGridExplorer`)
+  — one backend pass per *reached* tile; total work tracks the tiles
+  the traversal's layer prefix touches. Mode ``materialized`` runs one
+  tile as large as the grid, so every grid query after the one pass is
+  free; mode ``tiled`` runs tiles under ``materialize_cell_cap`` and
+  ``max_grid_queries``, so huge or budget-capped grids never build the
+  full-grid tensor.
 
-A fixed ``explore_mode`` runs one of them. ``auto`` (the default)
+A fixed ``explore_mode`` runs one of these. ``auto`` (the default)
 decides while the search runs, not from an estimate: the search starts
 on the per-cell engine, which times its cell round trips. At a layer
 boundary, once they have cost as much as one grid pass of this query on
 this layer (:func:`switch_due`), the driver hands the remaining layers
-to the materialized engine — or to the tiled one when the grid is over
+to the grid engine: materialized, or tiled when the grid is over
 ``materialize_cell_cap`` or ``max_grid_queries``. Every engine is
 bit-identical to serial, so the switch cannot change an answer. As in
 renting skis until the rent paid equals the price of a pair, a search
 costs at most about twice the better fixed engine.
 
 A pass costs what the last pass of the same query grid took on the
-same layer: the grid engines time each pass, and the driver keeps the
+same layer: the grid engine times each pass, and the driver keeps the
 last one in :data:`PASS_TIMES` under the grid cache's target-independent
 ``blocks`` key, so the sweep points of one constraint share it. Until a
 pass has been timed, a pass is taken to cost :data:`COLD_PASS_CELLS`
@@ -128,8 +128,9 @@ class ExplorePlan:
             (``auto`` with the block tensor already cached) or
             ``online`` (``auto``: per-cell until the switch).
         grid_cells: full grid size (``RefinedSpace.grid_size``).
-        tile_cells: per-tile cell budget of the tiled engine, when the
-            plan starts on or switches to it (0 otherwise).
+        tile_cells: per-tile cell budget of the grid engine the plan
+            starts on or switches to — the whole grid for
+            ``materialized`` (0 for a forced ``incremental`` plan).
         switch_to: the grid engine an ``online`` plan hands the
             remaining layers to (empty for the other plans).
     """
@@ -171,9 +172,10 @@ def choose_explore_mode(
                 f"tensor, over materialize_cell_cap={cap}; raise the cap "
                 "or use explore_mode='auto'"
             )
-        return ExplorePlan("materialized", "forced", grid_cells)
+        return ExplorePlan("materialized", "forced", grid_cells, grid_cells)
     # Tiles as large as the tensor cap, the query budget and the grid
-    # allow: the fewest seams and backend passes.
+    # allow: the fewest seams and backend passes. Under both caps that
+    # is the whole grid, the one tile of the materialized plans below.
     tile_cells = max(min(cap, config.max_grid_queries, grid_cells), 1)
     if config.explore_mode == "tiled":
         return ExplorePlan("tiled", "forced", grid_cells, tile_cells)
@@ -188,9 +190,10 @@ def choose_explore_mode(
     if grid_cache is not None and grid_cache.contains(
         GridTensorCache.key_for(layer, query, space, kind="blocks")
     ):
-        return ExplorePlan("materialized", "warm-cache", grid_cells)
+        return ExplorePlan("materialized", "warm-cache", grid_cells, tile_cells)
     return ExplorePlan(
-        "incremental", "online", grid_cells, switch_to="materialized"
+        "incremental", "online", grid_cells, tile_cells,
+        switch_to="materialized",
     )
 
 

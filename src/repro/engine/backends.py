@@ -12,9 +12,10 @@ Execution requests come in four shapes:
   tuples whose per-dimension minimal refinement falls in a grid cell's
   annulus (:meth:`EvaluationLayer.execute_cell`);
 * *grid passes* — the cell tensor of an inclusive box of the grid in
-  one pass: the whole grid (:meth:`EvaluationLayer.execute_grid`, the
-  materialized Explore path) or a rectangular tile of it
-  (:meth:`EvaluationLayer.execute_grid_tile`, the tiled path). Both
+  one pass: a rectangular tile of it
+  (:meth:`EvaluationLayer.execute_grid_tile`, the grid Explore
+  engine's entry point, whose materialized tile is the whole grid) or
+  the whole grid (:meth:`EvaluationLayer.execute_grid`). Both
   are thin adapters over one primitive,
   :meth:`EvaluationLayer._grid_pass`, which a backend overrides to
   answer a box in a single pass; the base implementation assembles the
@@ -45,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass, fields, replace
@@ -75,8 +77,8 @@ class ExecutionStats:
     ``cell_queries``/``box_queries`` the logical requests of each kind,
     and ``grid_materializations``/``grid_cells`` grid passes (one round
     trip computing every cell of a refined space, or of one rectangular
-    tile of it — tile passes are additionally counted in
-    ``grid_tiles``). ``cache_hits``/``cache_misses``/``cache_bytes``
+    tile of it — a tile smaller than the grid is additionally counted
+    in ``grid_tiles``). ``cache_hits``/``cache_misses``/``cache_bytes``
     track :class:`~repro.core.grid_cache.GridTensorCache` lookups made
     on this layer's behalf; a hit serves ``cache_bytes`` tensor bytes
     without any backend pass. ``persistent_hits``/``persistent_bytes``
@@ -269,16 +271,15 @@ class EvaluationLayer:
         ``(*[m + 1 for m in space.max_coords], state_arity)`` whose
         entry at grid coordinates ``u`` is the aggregate state of the
         cell at ``u`` (empty cells hold the aggregate's identity state):
-        one :meth:`_grid_pass` over the full box, the bulk entry point
-        of the materialized Explore path (``docs/EXPLORE_MODES.md``).
+        one :meth:`_grid_pass` over the full box, which counts like
+        the materialized Explore engine's one whole-grid tile
+        (``docs/EXPLORE_MODES.md``).
 
         Callers are responsible for bounding ``space.grid_size`` (the
         driver's ``materialize_cell_cap``) — a refined space can be
         astronomically large.
         """
-        return self._grid_pass(
-            prepared, space, space.origin, space.max_coords, tile=False
-        )
+        return self._grid_pass(prepared, space, space.origin, space.max_coords)
 
     def execute_grid_tile(
         self,
@@ -294,11 +295,11 @@ class EvaluationLayer:
         ``(*[hi_i - lo_i + 1], state_arity)`` and its entry at local
         offset ``u - lo`` is the aggregate state of the cell at ``u``.
         Validates the box, then runs one :meth:`_grid_pass` over it —
-        the bulk entry point of the *tiled* Explore path
+        the bulk entry point of the grid Explore engine
         (``docs/EXPLORE_MODES.md``).
         """
         lo, hi = _check_tile_bounds(space, lo, hi)
-        return self._grid_pass(prepared, space, lo, hi, tile=True)
+        return self._grid_pass(prepared, space, lo, hi)
 
     def _grid_pass(
         self,
@@ -306,11 +307,9 @@ class EvaluationLayer:
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
-        tile: bool,
     ) -> np.ndarray:
         """Cell tensor of the inclusive box ``[lo, hi]``, counted as one
-        grid pass (``tile`` marks an :meth:`execute_grid_tile` request,
-        also counted in ``grid_tiles``).
+        grid pass (:meth:`_count_grid`).
 
         The one grid primitive a backend overrides: every entry must be
         bit-identical to :meth:`execute_cell` at the same coordinates,
@@ -330,7 +329,7 @@ class EvaluationLayer:
             dict(zip(coords_list, states)),
         )
         # execute_cells already counted the physical round trips.
-        self._count_grid(len(coords_list), round_trip=False, tile=tile)
+        self._count_grid(space, lo, hi, round_trip=False)
         return tensor
 
     def execute_grid_tiles(
@@ -428,18 +427,21 @@ class EvaluationLayer:
 
     def _count_grid(
         self,
-        cells: int,
+        space: RefinedSpace,
+        lo: Sequence[int],
+        hi: Sequence[int],
         rows: int = 0,
         round_trip: bool = True,
-        tile: bool = False,
     ) -> None:
-        """Record one grid materialization covering ``cells`` cells.
+        """Record one grid pass over the inclusive box ``[lo, hi]``.
 
         ``round_trip=False`` is for the base-class fallback, whose
         physical round trips were already counted by
-        :meth:`execute_cells`. ``tile=True`` marks a rectangular-subgrid
+        :meth:`execute_cells`. A box smaller than the grid is a tile
         pass, additionally counted in ``grid_tiles``.
         """
+        cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
+        tile = cells < space.grid_size
         with self._stats_lock:
             for stats in _sinks(self.stats):
                 if round_trip:

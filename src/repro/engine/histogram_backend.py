@@ -205,7 +205,6 @@ class HistogramBackend(EvaluationLayer):
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
-        tile: bool,
     ) -> np.ndarray:
         """One estimation sweep over the inclusive ``[lo, hi]`` box.
 
@@ -240,9 +239,7 @@ class HistogramBackend(EvaluationLayer):
                     (count * prepared.mean_agg_value, count), axis=-1
                 )
             tensor = np.ascontiguousarray(tensor, dtype=np.float64)
-        self._count_grid(
-            int(np.prod(tensor.shape[:-1], dtype=np.int64)), tile=tile
-        )
+        self._count_grid(space, lo, hi)
         return tensor
 
     def execute_box(

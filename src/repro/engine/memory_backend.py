@@ -131,7 +131,6 @@ class MemoryBackend(EvaluationLayer):
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
-        tile: bool,
     ) -> np.ndarray:
         """One digitize + group-by sweep over every candidate tuple.
 
@@ -155,8 +154,7 @@ class MemoryBackend(EvaluationLayer):
             rows = prepared.candidate.nrows
         with self._timed():
             tensor = box_tensor(aggregate, lo, hi, grid)
-        cells = int(np.prod(tensor.shape[:-1], dtype=np.int64))
-        self._count_grid(cells, rows=rows, tile=tile)
+        self._count_grid(space, lo, hi, rows=rows)
         return tensor
 
     def _execute_cell_indexed(

@@ -284,7 +284,6 @@ class SQLiteBackend(EvaluationLayer):
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
-        tile: bool,
     ) -> np.ndarray:
         """One ``GROUP BY`` statement bucketing tuples into the cells of
         the inclusive box ``[lo, hi]``.
@@ -344,8 +343,7 @@ class SQLiteBackend(EvaluationLayer):
             )
         with self._timed():
             tensor = box_tensor(spec.aggregate, lo, hi, grouped)
-        cells = int(np.prod(tensor.shape[:-1], dtype=np.int64))
-        self._count_grid(cells, tile=tile)
+        self._count_grid(space, lo, hi)
         return tensor
 
     def execute_box(

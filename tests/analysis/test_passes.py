@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import analyze, analyze_sql
 from repro.core.acquire import AcquireConfig
 from repro.core.aggregates import AggregateSpec, get_aggregate
+from repro.core.grid_explore import TiledGridExplorer
 from repro.core.interval import Interval
 from repro.core.predicate import Direction, JoinPredicate, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
@@ -282,6 +283,40 @@ class TestPlanPass:
         assert "ACQ501" in codes(report) and report.has_errors
         # execution would raise, so no plan estimate is possible
         assert "ACQ503" not in codes(report)
+
+    def test_acq501_tile_shape_is_the_engines(self, monkeypatch):
+        """ACQ501 names the tile shape the driver's grid engine runs:
+        both come from the plan, which caps tiles by
+        ``max_grid_queries`` as well as ``materialize_cell_cap``."""
+        from repro.core import acquire
+        from repro.engine.memory_backend import MemoryBackend
+
+        rng = np.random.default_rng(3)
+        database = Database("g")
+        database.create_table(
+            "data", {c: rng.uniform(0, 100, 200) for c in ("x", "y")}
+        )
+        query = count_query("data", {"x": 30.0, "y": 30.0}, target=150)
+        config = AcquireConfig(  # an 8x8 grid, 20-cell tiles
+            gamma=20.0, materialize_cell_cap=50, max_grid_queries=20,
+            explore_mode="tiled",
+        )
+        engines = []
+
+        def record(*args, **kwargs):
+            engines.append(TiledGridExplorer(*args, **kwargs))
+            return engines[-1]
+
+        monkeypatch.setattr(acquire, "TiledGridExplorer", record)
+        acquire.Acquire(MemoryBackend(database)).run(query, config)
+        (engine,) = engines
+        assert engine.space.grid_size == 64
+        (diag,) = [
+            d for d in analyze(query, database, config).diagnostics
+            if d.code == "ACQ501"
+        ]
+        assert engine.tile_shape == (4, 4)
+        assert "4 tiles of 16 cells (shape [4, 4])" in diag.message
 
     def test_grid_within_cap_has_no_acq501(self, shop_db):
         report = sql(

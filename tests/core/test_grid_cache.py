@@ -14,7 +14,8 @@ Proves the cache contracts of ``docs/EXPLORE_MODES.md``:
   the same directory) serves tensors without backend work;
 * ``lookup_or_lead`` single-flights a cache miss: N threads missing one
   key pay one backend pass, and N threads over a cold memory tier pay
-  at most one persistent-tier read;
+  at most one persistent-tier read — for the whole grid and for each
+  tile of a tiled one;
 * a backend raising mid-pass on any Explore engine propagates, leaves
   no flight behind, and a retry over the same cache answers exactly
   like a clean run;
@@ -41,7 +42,7 @@ from repro.core.grid_cache import (
     TensorKey,
     database_digest,
 )
-from repro.core.grid_explore import GridExplorer
+from repro.core.grid_explore import TiledGridExplorer
 from repro.core.interval import Interval
 from repro.core.plan import choose_explore_mode
 from repro.core.predicate import Direction, SelectPredicate
@@ -547,11 +548,11 @@ class _SlowGridBackend(MemoryBackend):
         self.grid_passes = 0
         self._pass_lock = threading.Lock()
 
-    def execute_grid(self, prepared, space):
+    def _grid_pass(self, prepared, space, lo, hi):
         with self._pass_lock:
             self.grid_passes += 1
         time.sleep(self.delay_s)
-        return super().execute_grid(prepared, space)
+        return super()._grid_pass(prepared, space, lo, hi)
 
 
 class TestSingleFlight:
@@ -570,18 +571,25 @@ class TestSingleFlight:
         query = count_query("data", {"x": 40.0, "y": 40.0}, target=90)
         return database, query
 
-    def _race(self, layer, query, cache):
-        """Race THREADS GridExplorers over one shared cache."""
+    #: Tile shape splitting the 7x7 grid of ``_race`` into 3x3 tiles.
+    TILE_SHAPE = (3, 3)
+    TILES = 9
+
+    def _race(self, layer, query, cache, tile_shape=None):
+        """Race THREADS explorers over one shared cache, with tiles of
+        ``tile_shape`` (default: the whole grid). Returns them."""
         space = RefinedSpace(query, 20.0, [60.0, 60.0])
         prepared = layer.prepare(query, [100.0, 100.0])
         aggregate = query.constraint.spec.aggregate
         barrier = threading.Barrier(self.THREADS)
         states: list = [None] * self.THREADS
+        explorers: list = [None] * self.THREADS
         errors: list = []
 
         def worker(index: int) -> None:
-            explorer = GridExplorer(
-                layer, prepared, space, aggregate, cache=cache
+            explorer = explorers[index] = TiledGridExplorer(
+                layer, prepared, space, aggregate,
+                tile_shape=tile_shape, cache=cache,
             )
             barrier.wait()
             try:
@@ -596,10 +604,11 @@ class TestSingleFlight:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads), "explorers deadlocked"
         assert not errors, f"racing explorers crashed: {errors[:1]!r}"
         assert all(state == states[0] for state in states)
-        return states
+        return explorers
 
     def test_thundering_herd_pays_one_backend_pass(self):
         database, query = self._setup()
@@ -634,6 +643,32 @@ class TestSingleFlight:
             f"{cold.persistent_hits} persistent reads — the leader "
             "alone should probe the file store"
         )
+
+    def test_tiled_herd_pays_one_pass_and_one_read_per_tile(self, tmp_path):
+        """Tile blocks are single-flighted too: a herd racing one
+        3x3-tiled grid pays one backend pass per tile, and over the
+        warm file tier and a fresh memory tier no pass and one blocks
+        file read per tile, by the leader of its flight."""
+        database, query = self._setup()
+        layer = _SlowGridBackend(database, delay_s=0.05)
+        persistent = PersistentGridCache(str(tmp_path))
+        warm = GridTensorCache(max_bytes=1 << 24, persistent=persistent)
+        explorers = self._race(layer, query, warm, self.TILE_SHAPE)
+        assert layer.grid_passes == self.TILES
+        assert sum(e.tiles_materialized for e in explorers) == self.TILES
+        kinds: list = []  # the kind of every file read; append is atomic
+        read = persistent.get
+
+        def counted_read(key):
+            kinds.append(key[-1])
+            return read(key)
+
+        persistent.get = counted_read
+        cold = GridTensorCache(max_bytes=1 << 24, persistent=persistent)
+        explorers = self._race(layer, query, cold, self.TILE_SHAPE)
+        assert layer.grid_passes == self.TILES
+        assert kinds.count("blocks") == self.TILES
+        assert all(e.tiles_restored == self.TILES for e in explorers)
 
 
 # ----------------------------------------------------------------------

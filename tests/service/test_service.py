@@ -61,11 +61,11 @@ class BlockingGridBackend(MemoryBackend):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def execute_grid(self, prepared, space):
+    def _grid_pass(self, prepared, space, lo, hi):
         self.entered.set()
         if not self.release.wait(timeout=30.0):
             raise EngineError("grid pass never released")
-        return super().execute_grid(prepared, space)
+        return super()._grid_pass(prepared, space, lo, hi)
 
 
 @pytest.fixture
