@@ -53,7 +53,6 @@ from dataclasses import dataclass, fields, replace
 from typing import (
     TYPE_CHECKING,
     Iterator,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -322,11 +321,10 @@ class EvaluationLayer:
             itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
         )
         states = self.execute_cells(prepared, space, coords_list)
-        tensor = box_tensor(
-            prepared.query.constraint.spec.aggregate,
-            lo,
-            hi,
-            dict(zip(coords_list, states)),
+        # itertools.product walks the box in C order: the states are
+        # the tensor's rows, in order.
+        tensor = np.array(states, dtype=np.float64).reshape(
+            tuple(high - low + 1 for low, high in zip(lo, hi)) + (-1,)
         )
         # execute_cells already counted the physical round trips.
         self._count_grid(space, lo, hi, round_trip=False)
@@ -488,28 +486,37 @@ class EvaluationLayer:
             self.stats = ExecutionStats()
 
 
-def box_tensor(
+def grouped_cell_tensor(
     aggregate: "OSPAggregate",
-    lo: Sequence[int],
-    hi: Sequence[int],
-    states: Mapping[tuple[int, ...], "AggState"],
+    shape: Sequence[int],
+    cells: np.ndarray,
+    values: np.ndarray,
 ) -> np.ndarray:
-    """Cell tensor of the inclusive box ``[lo, hi]``.
+    """Cell tensor of a box of ``shape`` from rows bucketed into it.
 
-    Shape ``(*[hi_i - lo_i + 1], state_arity)``, float64. ``states``
-    (cell coordinates -> aggregate state) are scattered to their local
-    offsets ``u - lo``; cells outside the box are dropped. Every other
-    entry holds the aggregate's identity state, so cells a backend
-    never touches (empty regions) finalize exactly as a serial query
-    over an empty region would.
+    ``cells[i]`` is row ``i``'s C-order linear index into the box and
+    ``values[i]`` its aggregate input. One stable sort groups the rows
+    by cell and keeps their input order within each cell, so each
+    group's :meth:`~repro.core.aggregates.OSPAggregate.lift` sees its
+    values in the order a per-cell query extracts them; one fancy-index
+    assignment then writes every group's state. Cells no row reaches
+    hold the aggregate's identity state, so they finalize exactly as a
+    query over an empty region would. Shape
+    ``(*shape, state_arity)``, float64.
     """
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     identity = aggregate.identity()
-    tensor = np.empty(shape + (len(identity),), dtype=np.float64)
+    tensor = np.empty(tuple(shape) + (len(identity),), dtype=np.float64)
     tensor[...] = identity
-    for cell, state in states.items():
-        if all(l <= c <= h for c, l, h in zip(cell, lo, hi)):
-            tensor[tuple(c - l for c, l in zip(cell, lo))] = state
+    if len(cells):
+        order = np.argsort(cells, kind="stable")
+        cells, values = cells[order], values[order]
+        firsts = np.flatnonzero(np.diff(cells, prepend=-1))
+        edges = firsts.tolist() + [len(cells)]
+        states = [
+            aggregate.lift(values[start:stop])
+            for start, stop in zip(edges, edges[1:])
+        ]
+        tensor.reshape(-1, len(identity))[cells[firsts]] = states
     return tensor
 
 
@@ -538,5 +545,5 @@ __all__ = [
     "ExecutionStats",
     "PreparedQuery",
     "TopKAdmission",
-    "box_tensor",
+    "grouped_cell_tensor",
 ]

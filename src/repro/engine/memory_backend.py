@@ -28,7 +28,11 @@ import numpy as np
 from repro.core.aggregates import AggState
 from repro.core.query import Query
 from repro.core.refined_space import RefinedSpace
-from repro.engine.backends import EvaluationLayer, TopKAdmission, box_tensor
+from repro.engine.backends import (
+    EvaluationLayer,
+    TopKAdmission,
+    grouped_cell_tensor,
+)
 from repro.engine.bitmap_index import GridBitmapIndex
 from repro.engine.catalog import Database
 from repro.engine.executor import (
@@ -132,29 +136,28 @@ class MemoryBackend(EvaluationLayer):
         lo: Sequence[int],
         hi: Sequence[int],
     ) -> np.ndarray:
-        """One digitize + group-by sweep over every candidate tuple.
+        """One digitize sweep over every candidate tuple, grouped into
+        the inclusive ``[lo, hi]`` box by :func:`grouped_cell_tensor`.
 
-        Runs :meth:`_build_grid` (cached per space under
-        ``vectorized_grid``) and scatters the grouped states that fall
-        inside the inclusive ``[lo, hi]`` box. ``np.lexsort`` is
-        stable, so within each cell the aggregate values are combined
-        in ascending original-row order — the order the serial mask
-        extraction produces — making every state bit-identical to
-        :meth:`execute_cell`. Tuples outside the box (or past the grid
-        extent) belong to no cell of it, exactly as serial cell
-        queries would never see them.
+        Its stable grouping keeps original-row order within each cell —
+        the order the serial mask extraction produces — so every state
+        is bit-identical to :meth:`execute_cell`. Tuples outside the box
+        (or past the grid extent) belong to no cell of it, exactly as
+        serial cell queries would never see them.
         """
-        aggregate = prepared.query.constraint.spec.aggregate
-        if self.vectorized_grid:
-            grid = self._grid_for(prepared, space)
-            rows = 0
-        else:
-            with self._timed():
-                grid = self._build_grid(prepared, space)
-            rows = prepared.candidate.nrows
+        candidate = prepared.candidate
+        shape = tuple(high - low + 1 for low, high in zip(lo, hi))
         with self._timed():
-            tensor = box_tensor(aggregate, lo, hi, grid)
-        self._count_grid(space, lo, hi, rows=rows)
+            coords = _digitize(candidate.scores, space.step)
+            inside = np.all((coords >= lo) & (coords <= hi), axis=1)
+            cells = np.ravel_multi_index((coords[inside] - lo).T, shape)
+            tensor = grouped_cell_tensor(
+                prepared.query.constraint.spec.aggregate,
+                shape,
+                cells,
+                candidate.agg_values[inside],
+            )
+        self._count_grid(space, lo, hi, rows=candidate.nrows)
         return tensor
 
     def _execute_cell_indexed(
@@ -286,36 +289,32 @@ class MemoryBackend(EvaluationLayer):
         return index
 
     def _grid_for(self, prepared: _MemoryPrepared, space: RefinedSpace) -> dict:
+        """State of every non-empty cell of ``space``, keyed by its
+        coordinates: one sweep, cached per space."""
         key = id(space)
         with self._grid_build_lock:
             if key not in prepared.grid_cache:
+                candidate = prepared.candidate
                 with self._timed():
-                    grid = self._build_grid(prepared, space)
+                    coords = _digitize(candidate.scores, space.step)
+                    cells, groups = np.unique(
+                        coords, axis=0, return_inverse=True
+                    )
+                    states = grouped_cell_tensor(
+                        prepared.query.constraint.spec.aggregate,
+                        (len(cells),),
+                        groups.reshape(-1),
+                        candidate.agg_values,
+                    )
                     prepared.grid_cache.clear()
-                    prepared.grid_cache[key] = grid
-                self._count_rows(prepared.candidate.nrows)
+                    prepared.grid_cache[key] = dict(
+                        zip(
+                            map(tuple, cells.tolist()),
+                            map(tuple, states.tolist()),
+                        )
+                    )
+                self._count_rows(candidate.nrows)
             return prepared.grid_cache[key]
-
-    def _build_grid(
-        self, prepared: _MemoryPrepared, space: RefinedSpace
-    ) -> dict:
-        """Aggregate every non-empty grid cell in one sweep."""
-        candidate = prepared.candidate
-        aggregate = prepared.query.constraint.spec.aggregate
-        coords = _digitize(candidate.scores, space.step)
-        grid: dict[tuple[int, ...], AggState] = {}
-        if candidate.nrows == 0:
-            return grid
-        order = np.lexsort(coords.T[::-1])
-        sorted_coords = coords[order]
-        sorted_values = candidate.agg_values[order]
-        boundaries = np.any(np.diff(sorted_coords, axis=0) != 0, axis=1)
-        starts = np.concatenate(([0], np.nonzero(boundaries)[0] + 1))
-        ends = np.concatenate((starts[1:], [len(sorted_coords)]))
-        for start, end in zip(starts, ends):
-            cell = tuple(int(c) for c in sorted_coords[start])
-            grid[cell] = aggregate.lift(sorted_values[start:end])
-        return grid
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -131,8 +131,9 @@ class TestDeterminism:
 
 class TestRoundTripReduction:
     def test_sqlite_one_group_by_per_layer(self):
-        """On SQLite a grid pass is one GROUP BY statement: explored
-        layers collapse into at most one statement each."""
+        """On SQLite a grid pass is one fetch of its box's rows: explored
+        layers collapse into at most one fetch each. (The test keeps
+        its name from when the pass was a ``GROUP BY`` statement.)"""
         database = _db(seed=5, n=2500)
         query = count_query("data", {"x": 25.0, "y": 25.0}, target=800)
         serial, serial_exec = _run(
@@ -146,9 +147,11 @@ class TestRoundTripReduction:
         )
         passes_exec = layer.stats
         assert _answer_key(passes) == _answer_key(serial)
-        group_bys = [s for s in statements if "GROUP BY" in s]
-        assert len(group_bys) == passes_exec.grid_materializations >= 1
-        assert len(group_bys) <= passes.stats.layers_explored
+        fetches = [
+            s for s in statements if s.startswith("SELECT data.x, data.y FROM")
+        ]
+        assert len(fetches) == passes_exec.grid_materializations >= 1
+        assert len(fetches) <= passes.stats.layers_explored
         assert passes_exec.cell_queries == 0
         assert passes_exec.queries_executed * 2 <= (
             serial_exec.queries_executed

@@ -11,7 +11,9 @@ a one-pass implementation takes — is a fourth. This module drives all
 of them over hypothesis-generated grids and asserts:
 
 * grid pass == per-cell, *exactly*, per backend (bit-identical states,
-  not approximately equal);
+  not approximately equal), on every kind of dimension a pass buckets
+  (UPPER, LOWER and POINT selects, band joins, ontology dimensions)
+  and on SQLite with NULL attributes and misread threshold literals;
 * the exact backends (memory in every mode, sqlite) agree with each
   other within 1e-9;
 * the base-class ``execute_cells`` loop keeps each request's input
@@ -36,7 +38,13 @@ from hypothesis import strategies as st
 from repro.core.aggregates import AggregateSpec, get_aggregate
 from repro.core.expand import make_traversal
 from repro.core.interval import Interval
-from repro.core.predicate import Direction, SelectPredicate
+from repro.core.ontology import OntologyTree
+from repro.core.predicate import (
+    CategoricalPredicate,
+    Direction,
+    JoinPredicate,
+    SelectPredicate,
+)
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
 from repro.engine.backends import EvaluationLayer
@@ -51,18 +59,21 @@ ALL_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 HISTOGRAM_AGGREGATES = ("COUNT", "SUM", "AVG")
 
 
-def _database(seed: int, n: int) -> Database:
-    """Random two-column table; values are exact binary fractions."""
+def _columns(seed: int, n: int) -> dict[str, np.ndarray]:
+    """Random predicate columns ``x``, ``y`` and aggregate column
+    ``v``; values are exact binary fractions."""
     rng = np.random.default_rng(seed)
+    return {
+        "x": np.floor(rng.uniform(0, 400, n)) / 4.0,
+        "y": np.floor(rng.uniform(0, 400, n)) / 4.0,
+        "v": np.floor(rng.uniform(-200, 200, n)) / 4.0,
+    }
+
+
+def _database(seed: int, n: int) -> Database:
+    """Table ``t`` of random ``_columns``."""
     database = Database()
-    database.create_table(
-        "t",
-        {
-            "x": np.floor(rng.uniform(0, 400, n)) / 4.0,
-            "y": np.floor(rng.uniform(0, 400, n)) / 4.0,
-            "v": np.floor(rng.uniform(-200, 200, n)) / 4.0,
-        },
-    )
+    database.create_table("t", _columns(seed, n))
     return database
 
 
@@ -83,6 +94,74 @@ def _query(aggregate: str, bounds=(30.0, 30.0)) -> Query:
         AggregateSpec(agg, attr), ConstraintOp.EQ, 100.0
     )
     return Query.build("q", ("t",), predicates, constraint)
+
+
+#: Refinable dimension kinds beside the UPPER select of ``_query``.
+PREDICATE_KINDS = ("lower", "point", "band_join", "categorical")
+
+
+def _cities() -> OntologyTree:
+    ontology = OntologyTree(root="World")
+    ontology.add_path("US", "East", "Boston")
+    ontology.add_path("US", "East", "NewYork")
+    ontology.add_path("US", "West", "Seattle")
+    ontology.add_path("EU", "Paris")
+    ontology.add_path("EU", "Berlin")
+    return ontology
+
+
+def _kinds_database(seed: int = 19, n: int = 90) -> Database:
+    """Table ``t`` of random ``_columns`` plus a city column, and a
+    table ``u`` to band-join on; every number is an exact binary
+    fraction."""
+    rng = np.random.default_rng(seed + 1)
+    cities = np.array(
+        ["Boston", "NewYork", "Seattle", "Paris", "Berlin"], dtype=object
+    )
+    database = Database()
+    database.create_table(
+        "t", {**_columns(seed, n), "city": rng.choice(cities, n)}
+    )
+    database.create_table("u", {"w": np.floor(rng.uniform(0, 400, 9)) / 4.0})
+    return database
+
+
+def _kind_query(kind: str, aggregate: str) -> Query:
+    """A two-dimension query: a ``kind`` dimension, then ``_query``'s
+    UPPER select on ``t.y``."""
+    tables = ("t",)
+    if kind == "lower":
+        first = SelectPredicate(
+            name="k",
+            expr=col("t.x"),
+            interval=Interval(70.0, 100.0),
+            direction=Direction.LOWER,
+            denominator=100.0,
+        )
+    elif kind == "point":
+        first = SelectPredicate(
+            name="k",
+            expr=col("t.x"),
+            interval=Interval.point(50.0),
+            direction=Direction.POINT,
+            denominator=100.0,
+        )
+    elif kind == "band_join":
+        tables = ("t", "u")
+        first = JoinPredicate(
+            name="k", left=col("t.x"), right=col("u.w"), tolerance=2.5
+        )
+    else:
+        first = CategoricalPredicate(
+            name="k",
+            column=col("t.city"),
+            accepted=frozenset({"Boston"}),
+            ontology=_cities(),
+        )
+    base = _query(aggregate)
+    return Query.build(
+        "q", tables, [first, base.predicates[1]], base.constraint
+    )
 
 
 def _grid_coords(space: RefinedSpace) -> list[tuple[int, ...]]:
@@ -197,6 +276,23 @@ class TestBatchedMatchesSerial:
         _check_passes_match_cells(
             make,
             _database(seed=11, n=180),
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0]),
+        )
+
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    @pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
+    @pytest.mark.parametrize("kind", PREDICATE_KINDS)
+    def test_predicate_kinds(self, kind, backend_name, aggregate):
+        """Each kind of dimension a pass buckets on beside UPPER: a
+        LOWER or POINT select, a refinable band join and an ontology
+        dimension. Keys fall on level thresholds exactly, so boundary
+        ties must land where the per-cell annulus puts them."""
+        make = MemoryBackend if backend_name == "memory" else SQLiteBackend
+        query = _kind_query(kind, aggregate)
+        _check_passes_match_cells(
+            make,
+            _kinds_database(),
             query,
             RefinedSpace(query, 20.0, [70.0, 70.0]),
         )
@@ -395,6 +491,63 @@ class TestBatchContract:
         )
         _assert_close(grid_m, grid_q)
         _assert_close(tile_m, tile_q)
+
+    def test_sqlite_misparsed_threshold(self):
+        """Regression: SQLite 3.40.1 reads the literal
+        ``-479377.9545921924`` as ``-479377.95459219243``, one ulp below
+        the double whose ``repr`` it is, so a stored value equal to
+        that double fails ``x <= -479377.9545921924``. Level 0's
+        threshold here is that double: the pass must bucket against
+        the threshold as SQLite reads it, as the per-cell query
+        compares (cells 0 and 1 hold 1 and 2 rows on such a SQLite)."""
+        x0 = -479377.9545921924
+        database = Database()
+        database.create_table(
+            "t",
+            {
+                "x": np.array(
+                    [np.nextafter(x0, -np.inf), x0, np.nextafter(x0, np.inf)]
+                )
+            },
+        )
+        query = Query.build(
+            "q",
+            ("t",),
+            [
+                SelectPredicate(
+                    name="p",
+                    expr=col("t.x"),
+                    interval=Interval(-1e6, x0),
+                    direction=Direction.UPPER,
+                    denominator=100.0,
+                )
+            ],
+            AggregateConstraint(
+                AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 2.0
+            ),
+        )
+        space = RefinedSpace(query, 1.0, [3.0])
+        _check_passes_match_cells(
+            SQLiteBackend, database, query, space, caps=(10.0,)
+        )
+
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    def test_sqlite_null_attributes(self, aggregate):
+        """A NaN in the catalog is stored as NULL in SQLite, and SQL
+        aggregates skip NULLs: the pass drops them before lifting, as
+        the per-cell SUM, MIN, MAX and AVG do. Every other value is
+        NULL, so some cells hold only NULLs."""
+        columns = _columns(seed=20, n=150)
+        columns["v"][::2] = np.nan
+        database = Database()
+        database.create_table("t", columns)
+        query = _query(aggregate)
+        _check_passes_match_cells(
+            SQLiteBackend,
+            database,
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0]),
+        )
 
     def test_empty_cells_get_identity_state(self):
         """Coordinates past the data's reach hold the identity state,
