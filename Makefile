@@ -28,8 +28,8 @@ test-cov:
 # triple (tests/corpus/data/corpus_manifest.json) through the
 # incremental, materialized, tiled and auto Explore engines, asserts
 # 100% oracle-optimality plus stable top-k rankings, and prints how
-# many triples the auto search switched to a grid pass on. See
-# docs/CORPUS.md.
+# many triples the auto search read in QScore shells and their shell
+# passes. See docs/CORPUS.md.
 corpus-gate:
 	PYTHONPATH=src python -m repro.corpus gate
 

@@ -13,9 +13,10 @@ dependencies (no pytest-benchmark).
    backends — writes ``BENCH_explore.json`` and checks that
    every mode returns the same answer, that materialization cuts
    round trips at least ``MIN_SPEEDUP``-fold versus serial, that auto
-   makes at most serial's round trips plus one grid pass and, when it
-   switched, exactly one grid pass, and that the materialized
-   round-trip counts have not regressed above the checked-in
+   reads QScore shells with at most serial's round trips plus one, no
+   cell query and at most ``1 + ceil(log_growth(last QScore / first
+   bound))`` grid passes, and that the materialized round-trip counts
+   have not regressed above the checked-in
    ``BENCH_explore_baseline.json``.
 3. ``grid_cache_sweep`` — a constraint sweep run twice, without and
    with a shared grid tensor cache — writes ``BENCH_cache.json`` and
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -134,30 +136,45 @@ def _check_explore(payload: dict) -> list[str]:
                 f"{materialized} round trips vs {serial} serial "
                 f"(need {MIN_SPEEDUP}x)"
             )
-        failures.extend(_check_switch(backend, per_mode["auto"], serial))
+        failures.extend(
+            _check_shells(
+                backend, per_mode["auto"], serial, payload["settings"]["step"]
+            )
+        )
     return failures
 
 
-def _check_switch(backend: str, auto: dict, serial: int) -> list[str]:
-    """The online switch's contract: auto's round trips are at most
-    serial's plus one grid pass, and a search that switched made
-    exactly one grid pass (it switches to tiles only over the cap)."""
+def _check_shells(
+    backend: str, auto: dict, serial: int, first: float
+) -> list[str]:
+    """The shell reads' contract: auto answers in QScore shells with
+    at most serial's round trips plus one and no cell query, and makes
+    at most one grid pass per growth factor between the first bound
+    (one grid step ``first`` under the workload's unit weights) and the
+    last QScore it examined."""
+    from repro.core.grid_explore import BALL_GROWTH
+
     failures = []
+    if auto["explore_mode"] != "shells" or auto["tiles"] != 0:
+        failures.append(
+            f"{backend}: auto ran {auto['explore_mode']!r} with "
+            f"{auto['tiles']} tiles; shell reads expected"
+        )
     if auto["queries"] > serial + 1:
         failures.append(
             f"{backend}: auto did {auto['queries']} round trips; serial "
             f"needs {serial}, so the bound is {serial + 1}"
         )
-    switched = auto["extra"].get("switched_after") is not None
+    cells = auto["extra"]["cell_queries"]
+    if cells:
+        failures.append(f"{backend}: auto issued {cells} cell queries")
+    reach = max(auto["extra"]["last_qscore"] / first, 1.0)
+    bound = 1 + math.ceil(math.log(reach, BALL_GROWTH))
     passes = auto["materializations"]
-    if switched and (passes != 1 or auto["tiles"] != 0):
+    if not 1 <= passes <= bound:
         failures.append(
-            f"{backend}: auto switched but made {passes} grid passes "
-            f"({auto['tiles']} tiles); one whole-grid pass expected"
-        )
-    if not switched and passes != 0:
-        failures.append(
-            f"{backend}: auto never switched yet made {passes} grid passes"
+            f"{backend}: auto made {passes} shell passes; 1 to {bound} "
+            f"reach QScore {auto['extra']['last_qscore']:g}"
         )
     return failures
 

@@ -34,7 +34,7 @@ ACQ501 WARNING  grid exceeds materialize_cell_cap (ERROR when the
                 materialized engine is forced — execution would raise)
 ACQ502 WARNING  config-derived axis extents defeat grid-cache key
                 sharing (only with a grid cache configured)
-ACQ503 INFO     predicted explore plan (mode, reason, switch target)
+ACQ503 INFO     predicted explore plan (mode, reason; shell reads under auto)
 ====== ======== =====================================================
 """
 
@@ -501,18 +501,6 @@ def cost_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
 # ----------------------------------------------------------------------
 # Pass 5: plan-cost / cache-geometry checks (ACQ5xx)
 # ----------------------------------------------------------------------
-class _PlanProbe:
-    """Minimal stand-in for an evaluation layer during planning.
-
-    :func:`~repro.core.plan.choose_explore_mode` only reads the
-    layer's optional cache-key hooks (absent here, so the probe always
-    keys as a process-local layer).
-    """
-
-    def __init__(self, database: Database) -> None:
-        self.database = database
-
-
 def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     """Predict the explore plan and flag grid/cache geometry hazards.
 
@@ -530,9 +518,10 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     can never be shared with another — silently defeating the
     persistent tier.
 
-    ACQ503 reports the plan the driver would start on and, under
-    ``auto``, the grid engine it would switch to, so benchmark configs
-    see mode flips (materialized vs tiled) before running.
+    ACQ503 reports the plan the driver would run — under ``auto``,
+    shell reads, or the whole-grid engine when a grid cache is
+    configured — so benchmark configs see mode flips (materialized vs
+    tiled) before running.
     """
     from repro.core.grid_explore import tile_shape_for
     from repro.core.plan import ExplorePlan, choose_explore_mode
@@ -546,9 +535,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     grid = space.grid_size
     cap = ctx.config.materialize_cell_cap
     try:
-        plan: Optional[ExplorePlan] = choose_explore_mode(
-            _PlanProbe(ctx.database), query, space, ctx.config
-        )
+        plan: Optional[ExplorePlan] = choose_explore_mode(space, ctx.config)
     except QueryModelError:
         plan = None  # forced materialized over the cap: execution raises
 
@@ -567,6 +554,11 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
                 f"{math.prod(tile_shape):g} cells (shape "
                 f"{list(tile_shape)})"
             )
+            if plan.mode == "shells":
+                detail = (
+                    "shell reads hand over to tiles once a shell's "
+                    f"bounding box would exceed the cap; {detail}"
+                )
         else:
             detail = "explore_mode='incremental' reads it cell by cell"
         yield Diagnostic(
@@ -604,10 +596,11 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
 
     if plan is None:
         return  # forced-materialized over cap: ACQ501 already reported
-    switch = (
-        f", switching to {plan.switch_to!r} once its cell round trips "
-        "cost one grid pass"
-        if plan.switch_to
+    shells = (
+        ": one grid pass per QScore shell of the cells the search "
+        "reaches, tiles once a shell's box would exceed "
+        "materialize_cell_cap"
+        if plan.mode == "shells"
         else ""
     )
     yield Diagnostic(
@@ -615,7 +608,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
         severity=Severity.INFO,
         message=(
             f"plan estimate: explore mode {plan.mode!r} "
-            f"({plan.reason}{switch}), grid={grid:g} cells"
+            f"({plan.reason}{shells}), grid={grid:g} cells"
         ),
     )
 

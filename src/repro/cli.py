@@ -147,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="Explore engine: per-cell round trips (incremental), one "
         "whole-grid pass (materialized), on-demand sub-grid passes "
-        "(tiled), or per-cell until the round trips cost one grid "
-        "pass, then that pass (auto, the default); see "
-        "docs/EXPLORE_MODES.md",
+        "(tiled), or one grid pass per QScore shell of the cells the "
+        "search reaches (auto, the default; the whole grid with a grid "
+        "cache); see docs/EXPLORE_MODES.md",
     )
     parser.add_argument(
         "--grid-cache-mb",

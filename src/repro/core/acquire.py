@@ -33,14 +33,8 @@ from repro.core.error import AggregateErrorFunction, default_error_for
 from repro.core.expand import LAYER_DECIMALS, make_traversal
 from repro.core.explore import Explorer
 from repro.core.grid_cache import GridTensorCache, PersistentGridCache
-from repro.core.grid_explore import TiledGridExplorer
-from repro.core.plan import (
-    PASS_TIMES,
-    ExplorePlan,
-    choose_explore_mode,
-    pass_key,
-    switch_due,
-)
+from repro.core.grid_explore import ShellGridExplorer, TiledGridExplorer
+from repro.core.plan import ExplorePlan, choose_explore_mode
 from repro.core.query import ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
 from repro.core.result import AcquireResult, RefinedQuery, SearchStats
@@ -93,14 +87,16 @@ class AcquireConfig:
             answer every grid query from the tensor), ``tiled``
             (materialize rectangular sub-grids on demand as the
             traversal reaches them, stitched with seam carries), or
-            ``auto`` (the default: start per-cell and switch to one
-            grid pass once the cell round trips have cost as much; see
+            ``auto`` (the default: read the cells the traversal has
+            reached in growing QScore shells, one grid pass per shell;
+            the whole grid when a grid cache is configured; see
             :mod:`repro.core.plan`). All modes produce identical
             answer sets; see ``docs/EXPLORE_MODES.md``.
         materialize_cell_cap: largest grid (in cells) the materialized
             engine may allocate — and the per-tile cell bound for the
-            tiled engine. ``auto`` switches to tiled above the cap;
-            forcing ``materialized`` above it raises.
+            tiled engine. ``auto`` goes to tiles once its shells' box
+            would exceed the cap; forcing ``materialized`` above it
+            raises.
         grid_cache: optional
             :class:`~repro.core.grid_cache.GridTensorCache` shared
             across runs; the grid engine consults it before issuing
@@ -289,14 +285,23 @@ class Acquire:
         space = RefinedSpace(
             query, config.gamma, max_scores, config.norm, config.step
         )
-        plan = choose_explore_mode(self.layer, query, space, config)
+        plan = choose_explore_mode(space, config)
         logger.debug(
-            "explore plan: %s (%s; grid=%d cells, switch to %s)",
-            plan.mode, plan.reason, plan.grid_cells, plan.switch_to or "-",
+            "explore plan: %s (%s; grid=%d cells)",
+            plan.mode, plan.reason, plan.grid_cells,
         )
-        explorer: Explorer | TiledGridExplorer
+        explorer: Explorer | TiledGridExplorer | ShellGridExplorer
         if plan.mode == "incremental":
             explorer = self._cell_explorer(prepared, space, config)
+        elif plan.mode == "shells":
+            explorer = ShellGridExplorer(
+                self.layer,
+                prepared,
+                space,
+                aggregate,
+                config.materialize_cell_cap,
+                plan.tile_cells,
+            )
         else:
             explorer = self._grid_explorer(plan, prepared, space, config)
         stats = SearchStats(
@@ -304,13 +309,6 @@ class Acquire:
             explore_mode=plan.mode,
             plan_reason=plan.reason,
         )
-        # ``auto``: the per-cell engine hands the remaining layers to
-        # ``plan.switch_to`` once its round trips have cost one pass.
-        switch_key = (
-            pass_key(self.layer, query, space) if plan.switch_to else None
-        )
-        pass_s = PASS_TIMES.get(switch_key) if plan.switch_to else None
-        switched: TiledGridExplorer | None = None
 
         # Figure 2, step 1: estimate the original aggregate first; an
         # equality query that already overshoots cannot be fixed by
@@ -392,19 +390,6 @@ class Acquire:
                     layer_min_actual = math.inf
             if stats.grid_queries_examined >= config.max_grid_queries:
                 break
-            if (
-                plan.switch_to
-                and isinstance(explorer, Explorer)
-                and switch_due(explorer, pass_s)
-            ):
-                stats.switched_after = explorer.cells_executed
-                stats.cells_executed = explorer.cells_executed
-                stats.cells_skipped = explorer.cells_skipped
-                stats.explore_mode = plan.switch_to
-                stats.plan_reason = "switched"
-                explorer = switched = self._grid_explorer(
-                    plan, prepared, space, config
-                )
             # Only what the examination loop can reach under the
             # query budget, so cells_executed is identical to serial
             # even when the budget truncates a layer.
@@ -413,9 +398,9 @@ class Acquire:
             )
             reachable = [coords for coords, _ in layer_scored[:remaining]]
             # One read of the layer's values, lazy: a cell executes,
-            # or a tile materializes, only when ``next`` pulls its
-            # first point below; a grid engine of one tile gathers the
-            # whole layer at once.
+            # a tile materializes or a shell is read only when ``next``
+            # pulls its first point below; a grid engine of one tile
+            # and the shell engine gather the whole layer at once.
             values = explorer.compute_aggregates(reachable)
             for coords, qscore in layer_scored:
                 if qscore > answer_threshold() + _LAYER_EPS:
@@ -425,6 +410,7 @@ class Acquire:
                     stop = True
                     break
                 stats.grid_queries_examined += 1
+                stats.last_qscore = qscore
 
                 actual = next(values)
                 primary_error = error_fn(target, actual)
@@ -487,10 +473,10 @@ class Acquire:
             if stop:
                 break
 
-        stats.cells_executed += explorer.cells_executed
-        stats.cells_skipped += explorer.cells_skipped
-        if switched is not None and switched.pass_s is not None:
-            PASS_TIMES.record(switch_key, switched.pass_s)
+        stats.cells_executed = explorer.cells_executed
+        stats.cells_skipped = explorer.cells_skipped
+        if isinstance(explorer, ShellGridExplorer):
+            stats.explore_mode = explorer.mode
         # Every answer carries its QScore — including repartitioned
         # ones, whose grid ``coords`` are None — so count answer layers
         # from the QScores directly.

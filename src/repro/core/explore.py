@@ -22,7 +22,6 @@ identity is used (equivalently ``O_i(u) = O_{i-1}(u)``).
 
 from __future__ import annotations
 
-import time
 from typing import Iterator, Optional, Sequence
 
 from repro.core.aggregates import AggState, OSPAggregate
@@ -75,9 +74,6 @@ class Explorer:
         bitmap_index: optional empty-cell index (paper section 7.4);
             when it proves a cell empty, the identity state is used and
             no query is issued.
-
-    ``cell_seconds`` is the time spent in cell round trips, which the
-    driver's ``auto`` plan weighs against one grid pass.
     """
 
     def __init__(
@@ -99,7 +95,6 @@ class Explorer:
         self.store = store if store is not None else SubAggregateStore()
         self.cells_executed = 0
         self.cells_skipped = 0
-        self.cell_seconds = 0.0
 
     def compute_aggregate(self, coords: Sequence[int]) -> float:
         """Finalized aggregate value of the grid query at ``coords``."""
@@ -142,9 +137,9 @@ class Explorer:
     def prime_cells(self, coords_list: Sequence[Sequence[int]]) -> int:
         """No-op: a cell executes when its grid query is examined.
 
-        Returns 0. All three Explore engines keep this method only
-        because the benchmark tracer (``perfbench/tracing.py``) wraps
-        it by name.
+        Returns 0. This engine and the tile engines keep this method
+        only because the benchmark tracer (``perfbench/tracing.py``)
+        wraps it by name.
         """
         return 0
 
@@ -153,10 +148,7 @@ class Explorer:
             self.cells_skipped += 1
             return self.aggregate.identity()
         self.cells_executed += 1
-        started = time.perf_counter()
-        state = self.layer.execute_cell(self.prepared, self.space, coords)
-        self.cell_seconds += time.perf_counter() - started
-        return state
+        return self.layer.execute_cell(self.prepared, self.space, coords)
 
 
 class SupportsEmptyCheck:

@@ -39,7 +39,12 @@ The materialized mode is the one-tile case: a tile as large as the
 grid (:class:`GridExplorer` is that preset), so one backend pass and
 no seams.
 
-The engine optionally consults a
+:class:`ShellGridExplorer` serves ``explore_mode='auto'``: it reads
+only the cells the traversal's QScore order has reached, in growing
+QScore balls, one backend pass per shell of the ball, and reruns the
+prefix passes over the ball's bounding box.
+
+The tiled engine optionally consults a
 :class:`~repro.core.grid_cache.GridTensorCache`, at two granularities:
 raw *cell* tensors (kind ``"cells"``), so constraint sweeps re-use the
 expensive backend pass; and finished *block* tensors plus tile seam
@@ -55,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -111,9 +115,7 @@ class TiledGridExplorer:
 
     ``cells_executed`` counts the cells of tiles fetched from the
     backend; ``cells_skipped`` stays 0 — the bitmap index is pointless
-    here because emptiness falls out of the same pass. ``pass_s`` is
-    the seconds of the last tile's backend pass and its prefix passes
-    (None until a tile is fetched from the backend).
+    here because emptiness falls out of the same pass.
     """
 
     def __init__(
@@ -149,7 +151,6 @@ class TiledGridExplorer:
         self.cells_skipped = 0
         self.tiles_materialized = 0
         self.tiles_restored = 0
-        self.pass_s: Optional[float] = None
         self._blocks: dict[Coords, np.ndarray] = {}
         self._seams: dict[tuple[Coords, int], np.ndarray] = {}
 
@@ -296,8 +297,6 @@ class TiledGridExplorer:
         """Fetch a tile's cells, stitch them to the seams of its lower
         neighbours, and return its block tensor; its own seams are
         stored (and cached) for the tiles above it."""
-        started = time.perf_counter()
-        executed = self.cells_executed
         tensor = self._fetch_tile(*self.tile_bounds(tile))
         carries: Carries = {}
         for axis in range(self.space.d):
@@ -307,8 +306,6 @@ class TiledGridExplorer:
                 )
                 carries[axis] = self._seams[(neighbour, axis)]
         blocks, seams = tile_prefix_combine(tensor, self.aggregate, carries)
-        if self.cells_executed > executed:
-            self.pass_s = time.perf_counter() - started
         for axis in self._seam_axes(tile):
             seam = seams[axis]
             if self.cache is not None:
@@ -373,6 +370,180 @@ class GridExplorer(TiledGridExplorer):
         super().__init__(
             layer, prepared, space, aggregate, tile_shape=extents, cache=cache
         )
+
+
+#: Each ball bound is this multiple of the one before, unless the layer
+#: the driver reads lies further out. Every shell pays a fixed cost per
+#: backend pass (a few ms of SQLite join set-up on the Fig 8 query), so
+#: the bounds grow geometrically; the expected-cost optimum of such a
+#: search lies near e, and the fixed cost pushes it up.
+BALL_GROWTH = 3.0
+
+#: Relative slack on every ball bound, the precision the driver's layers
+#: round QScores to (``LAYER_DECIMALS`` = 9 places): a bound built from
+#: growth factors, like ``3 * 3 * (10 / 3)``, may fall an ulp below the
+#: QScore of the layer it nominally reaches.
+BOUND_SLACK = 1e-9
+
+
+class ShellGridExplorer:
+    """Explore engine over a QScore ball grown one backend pass a shell.
+
+    The traversal reads grid queries in non-decreasing QScore, and a
+    QScore never falls as a coordinate grows, so the down-set of a grid
+    query with QScore <= ``B`` (every cell its block state folds) lies
+    in the ball ``{cell QScore <= B}``. The engine keeps the cell tensor
+    of the ball over its bounding box ``[0, hi]``, with the identity
+    state in the box's cells outside the ball, and that box's block
+    tensor from :func:`tile_prefix_combine`. Inside the ball each block
+    state equals the materialized engine's: the same cell states fold
+    in the same order.
+
+    When the driver reads a layer past ``B``, one backend pass
+    (``execute_grid_tile(..., shell=(B, B_next))``) fetches the cells
+    whose QScore lies in ``(B, B_next]`` over the next ball's bounding
+    box, and the prefix passes rerun over that box. ``B_next`` is
+    :data:`BALL_GROWTH` times ``B`` (the smallest first-step QScore of
+    an axis to begin with), or the layer's QScore when that is larger,
+    clamped at the grid's largest QScore and widened by
+    :data:`BOUND_SLACK`. Cell QScores come from
+    :meth:`~repro.core.refined_space.RefinedSpace.grid_qscores`, the
+    function every backend's shell filter uses.
+
+    A ball whose bounding box would hold more than ``cell_cap`` cells is
+    never allocated: that read and every later one go to a
+    :class:`TiledGridExplorer` with tiles of ``tile_cells`` cells.
+    Shells never touch a grid cache.
+
+    ``cells_executed`` counts the ball's cells (and the tiles' after a
+    handover).
+    """
+
+    def __init__(
+        self,
+        layer: EvaluationLayer,
+        prepared: PreparedQuery,
+        space: RefinedSpace,
+        aggregate: OSPAggregate,
+        cell_cap: int,
+        tile_cells: int,
+    ) -> None:
+        self.layer = layer
+        self.prepared = prepared
+        self.space = space
+        self.aggregate = aggregate
+        self.cell_cap = cell_cap
+        self.tile_cells = tile_cells
+        self.bound: Optional[float] = None
+        self.cells_skipped = 0
+        self.tiled: Optional[TiledGridExplorer] = None
+        self._ball_cells = 0
+        self._hi: Coords = ()
+        self._cells: Optional[np.ndarray] = None
+        self._blocks: Optional[np.ndarray] = None
+        origin = space.origin
+        # Each axis' QScores bound the ball's box along that axis.
+        self._axes = [
+            space.box_qscores(
+                origin, origin[:axis] + (limit,) + origin[axis + 1:]
+            ).ravel()
+            for axis, limit in enumerate(space.max_coords)
+        ]
+        self._max_qscore = float(
+            space.box_qscores(space.max_coords, space.max_coords).item()
+        )
+
+    @property
+    def cells_executed(self) -> int:
+        tiled = 0 if self.tiled is None else self.tiled.cells_executed
+        return self._ball_cells + tiled
+
+    @property
+    def mode(self) -> str:
+        """``shells``, or ``tiled`` once the reads went to tiles."""
+        return "shells" if self.tiled is None else "tiled"
+
+    # -- Explorer interface --------------------------------------------
+    def compute_aggregate(self, coords: Sequence[int]) -> float:
+        """Finalized aggregate value of the grid query at ``coords``."""
+        return self.aggregate.finalize(self.block_state(coords))
+
+    def compute_aggregates(
+        self, coords_list: Sequence[Sequence[int]]
+    ) -> Iterator[float]:
+        """Finalized aggregate values of a layer's grid queries, lazily.
+
+        The first pull grows the ball over every point of the layer (one
+        shell at most) and gathers them with one fancy index; the
+        gathered states are the Python floats (or state tuples)
+        ``block_state`` reads.
+        """
+        points = np.asarray(coords_list, dtype=np.intp).reshape(
+            -1, self.space.d
+        )
+        if not len(points):
+            return
+        self._reach(points)
+        if self.tiled is not None:
+            yield from self.tiled.compute_aggregates(coords_list)
+            return
+        states = self._blocks[tuple(points.T)]
+        if states.dtype != object:
+            states = map(tuple, states.tolist())
+        yield from map(self.aggregate.finalize, states)
+
+    def block_state(self, coords: Sequence[int]) -> AggState:
+        """Aggregate state of the full query at ``coords`` (``O_{d+1}``)."""
+        key = tuple(int(coord) for coord in coords)
+        self._reach(np.array([key], dtype=np.intp))
+        if self.tiled is not None:
+            return self.tiled.block_state(key)
+        if self._blocks.dtype == object:
+            return self._blocks[key]
+        return tuple(float(value) for value in self._blocks[key])
+
+    # -- the ball ------------------------------------------------------
+    def _reach(self, points: np.ndarray) -> None:
+        """Grow the ball by one shell to hold ``points`` (an ``(n, d)``
+        array), unless it holds them already or reads go to tiles."""
+        if self.tiled is not None:
+            return
+        qscore = float(self.space.grid_qscores(points.T).max())
+        if self.bound is not None and qscore <= self.bound:
+            return
+        if self.bound is None:
+            first = [float(axis[1]) for axis in self._axes if len(axis) > 1]
+            bound = max(min(first, default=0.0), qscore)
+        else:
+            bound = max(self.bound * BALL_GROWTH, qscore)
+        bound = min(bound, self._max_qscore) * (1.0 + BOUND_SLACK)
+        hi = tuple(
+            int(np.searchsorted(axis, bound, side="right")) - 1
+            for axis in self._axes
+        )
+        if math.prod(high + 1 for high in hi) > self.cell_cap:
+            self.tiled = TiledGridExplorer(
+                self.layer, self.prepared, self.space, self.aggregate,
+                max_tile_cells=self.tile_cells,
+            )
+            return
+        lower = -math.inf if self.bound is None else self.bound
+        origin = self.space.origin
+        cells = self.layer.execute_grid_tile(
+            self.prepared, self.space, origin, hi, shell=(lower, bound)
+        )
+        qscores = self.space.box_qscores(origin, hi)
+        if self._cells is not None:
+            # The earlier ball's cells keep their states.
+            box = tuple(slice(0, high + 1) for high in self._hi)
+            ball = qscores[box] <= self.bound
+            cells[box][ball] = self._cells[ball]
+        self._blocks, _ = tile_prefix_combine(cells, self.aggregate)
+        self._cells, self._hi = cells, hi
+        self._ball_cells += int(
+            np.count_nonzero((qscores > lower) & (qscores <= bound))
+        )
+        self.bound = bound
 
 
 def tile_shape_for(space: RefinedSpace, max_tile_cells: int) -> Coords:
@@ -491,7 +662,10 @@ def _generic_tile_prefix_combine(
 
 
 __all__ = [
+    "BALL_GROWTH",
+    "BOUND_SLACK",
     "GridExplorer",
+    "ShellGridExplorer",
     "TiledGridExplorer",
     "tile_prefix_combine",
     "tile_shape_for",

@@ -19,13 +19,16 @@ past the domain admits no new tuples).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.interval import Interval
 from repro.core.predicate import Predicate
 from repro.core.query import Query
-from repro.core.scoring import LpNorm, Norm
+from repro.core.scoring import LInfNorm, LpNorm, Norm
 from repro.exceptions import QueryModelError
 
 #: Grid cells at coordinate 0 cover exactly PScore 0 (the original
@@ -110,6 +113,56 @@ class RefinedSpace:
     def qscore_of_scores(self, scores: Sequence[float]) -> float:
         """QScore of an arbitrary (possibly off-grid) PScore vector."""
         return self.norm.qscore(list(scores), self.weights)
+
+    def grid_qscores(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """QScores of many grid queries, one coordinate array per
+        dimension; the arrays broadcast together (a column of points,
+        or the open mesh of a box).
+
+        Under L1 the terms ``w_i * (c_i * step)`` are summed left to
+        right and under L-inf their maximum is taken, the float
+        operations of :meth:`qscore`, so those values equal it bit for
+        bit. Other p-norms sum ``w_i * (c_i * step) ** p`` and take the
+        p-th root; any other norm calls :meth:`qscore` per point. Every
+        value is monotone in each coordinate, which is all the shell
+        reads of the grid engine need: they and every backend's shell
+        filter compare these values, never :meth:`qscore`'s.
+        """
+        norm = self.norm
+        columns = [np.asarray(column, dtype=np.int64) for column in coords]
+        shape = np.broadcast_shapes(*(column.shape for column in columns))
+        if type(norm) is LInfNorm or type(norm) is LpNorm:
+            pairs = [
+                (weight, column * self.step)
+                for weight, column in zip(self.weights, columns)
+            ]
+            if type(norm) is LInfNorm:
+                total = functools.reduce(
+                    np.maximum, [weight * score for weight, score in pairs]
+                )
+            else:
+                total = 0
+                for weight, score in pairs:
+                    total = total + (
+                        weight * score if norm.p == 1.0
+                        else weight * score ** norm.p
+                    )
+                if norm.p != 1.0:
+                    total = total ** (1.0 / norm.p)
+            return np.broadcast_to(np.asarray(total, dtype=np.float64), shape)
+        points = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns))
+        return np.array(
+            [self.qscore(point) for point in points], dtype=np.float64
+        ).reshape(shape)
+
+    def box_qscores(
+        self, lo: Sequence[int], hi: Sequence[int]
+    ) -> np.ndarray:
+        """:meth:`grid_qscores` of every grid query in the inclusive box
+        ``[lo, hi]``, shape ``(hi_i - lo_i + 1, ...)``."""
+        return self.grid_qscores(
+            np.ix_(*(np.arange(low, high + 1) for low, high in zip(lo, hi)))
+        )
 
     def intervals_at(self, coords: Sequence[int]) -> list[Interval]:
         """Refined value intervals of each dimension's predicate."""

@@ -70,14 +70,14 @@ class SearchStats:
     """Work performed by one ACQUIRE run.
 
     ``explore_mode`` records which Explore engine finished the search —
-    ``incremental``, ``materialized`` or ``tiled`` (see
+    ``incremental``, ``materialized``, ``tiled`` or ``shells`` (``tiled``
+    when a shell search handed its reads to tiles over the cell cap; see
     :mod:`repro.core.plan`); ``plan_reason`` is the plan's
-    justification (``forced``, ``warm-cache``, ``online``, or
-    ``switched`` when an ``auto`` search handed its remaining layers
-    to a grid engine). ``switched_after`` is the number of cells the
-    per-cell engine executed before that switch, None when the search
-    did not switch. Backend and cache counters live in ``execution``
-    (``queries_executed``, ``persistent_hits``, ``block_hits``, ...).
+    justification (``forced``, ``auto`` or ``grid-cache``).
+    ``last_qscore`` is the QScore of the last grid query examined.
+    Backend and cache counters live in ``execution``
+    (``queries_executed``, ``grid_materializations`` — one per shell of
+    a shell search —, ``persistent_hits``, ``block_hits``, ...).
     ``top_k`` is the ranking depth the search was asked for
     (``AcquireConfig.top_k``): the traversal keeps exploring layers
     until the k best answer layers are complete instead of just the
@@ -93,7 +93,7 @@ class SearchStats:
     elapsed_s: float = 0.0
     explore_mode: str = "incremental"
     plan_reason: str = ""
-    switched_after: Optional[int] = None
+    last_qscore: float = 0.0
     execution: ExecutionStats = field(default_factory=ExecutionStats)
 
 
@@ -218,9 +218,9 @@ class AcquireResult:
 
     def _explore_note(self) -> str:
         stats = self.stats
-        if stats.switched_after is None:
+        if stats.explore_mode != "shells":
             return f"{stats.explore_mode} explore"
         return (
-            f"incremental explore, switched to {stats.explore_mode} "
-            f"after {stats.switched_after} cells"
+            f"shells explore, {stats.execution.grid_materializations} "
+            "shell passes"
         )

@@ -4,11 +4,11 @@ For every committed triple the gate rebuilds the dataset from its
 recipe, re-certifies the label with the exhaustive oracle, then runs
 the full ACQUIRE driver under four Explore engine configurations —
 incremental, materialized, tiled (64-cell tiles) and the default
-``auto``, which switches from per-cell Explore to one grid pass
-mid-search — asserting each returns the oracle-optimal answer and a
-stable, score-monotone top-k ranking whose first element equals the
-single-answer (``top_k=1``) result. The report counts the triples
-whose ``auto`` search switched.
+``auto``, which reads the grid in growing QScore shells, one grid
+pass per shell — asserting each returns the oracle-optimal answer and
+a stable, score-monotone top-k ranking whose first element equals the
+single-answer (``top_k=1``) result. The report counts the triples the
+``auto`` arm read in shells and their shell passes.
 
 Run it via ``make corpus-gate`` or ``python -m repro.corpus gate``; on
 failure the report prints a per-triple diff of expected versus actual
@@ -62,8 +62,9 @@ class TripleCheck:
     triple_id: str
     family: str
     problems: list[str]
-    #: Whether the ``auto`` arm's search switched to a grid engine.
-    switched: bool = False
+    #: Grid passes of the ``auto`` arm's shell search; None when that
+    #: search ran no shells (contraction).
+    shell_passes: Optional[int] = None
 
     @property
     def passed(self) -> bool:
@@ -88,12 +89,15 @@ class GateReport:
         families: dict[str, int] = {}
         for check in self.checks:
             families[check.family] = families.get(check.family, 0) + 1
-        switched = sum(check.switched for check in self.checks)
+        shells = [
+            check.shell_passes for check in self.checks
+            if check.shell_passes is not None
+        ]
         lines = [
             f"corpus gate: {len(self.checks)} triples "
             f"({', '.join(f'{k}={v}' for k, v in sorted(families.items()))})",
-            f"auto: {switched} of {len(self.checks)} triples switched "
-            "to a grid engine mid-search",
+            f"auto: {len(shells)} of {len(self.checks)} triples read in "
+            f"QScore shells, {sum(shells)} shell passes",
         ]
         if self.passed:
             lines.append(
@@ -240,11 +244,12 @@ def check_triple(labeled: LabeledTriple) -> TripleCheck:
 
     layer = MemoryBackend(database)
     driver = Acquire(layer)
-    switched = False
+    shell_passes = None
     for engine, overrides in ENGINE_CONFIGS:
         engine_config = replace(config, **overrides)
         result = driver.run(query, engine_config)
-        switched = switched or result.stats.switched_after is not None
+        if engine == "auto" and result.stats.plan_reason == "auto":
+            shell_passes = result.stats.execution.grid_materializations
         _check_ranking(engine, result, labeled, spec.top_k, problems)
 
         # The top-k ranking must be a pure extension of the single-answer
@@ -268,7 +273,7 @@ def check_triple(labeled: LabeledTriple) -> TripleCheck:
                 f"(k={spec.top_k}: {result.satisfied}, k=1: "
                 f"{single.satisfied})"
             )
-    return TripleCheck(spec.triple_id, spec.family, problems, switched)
+    return TripleCheck(spec.triple_id, spec.family, problems, shell_passes)
 
 
 def run_gate(

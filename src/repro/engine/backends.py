@@ -15,12 +15,12 @@ Execution requests come in four shapes:
   one pass: a rectangular tile of it
   (:meth:`EvaluationLayer.execute_grid_tile`, the grid Explore
   engine's entry point, whose materialized tile is the whole grid) or
-  the whole grid (:meth:`EvaluationLayer.execute_grid`). Both
-  are thin adapters over one primitive,
-  :meth:`EvaluationLayer._grid_pass`, which a backend overrides to
-  answer a box in a single pass; the base implementation assembles the
-  box from per-cell queries so any third-party layer works (see
-  ``docs/EXPLORE_MODES.md``);
+  the whole grid (:meth:`EvaluationLayer.execute_grid`), optionally
+  restricted to the cells of one QScore shell. Both are thin adapters
+  over one primitive, :meth:`EvaluationLayer._grid_pass`, which a
+  backend overrides to answer a box in a single pass; the base
+  implementation assembles the box from per-cell queries so any
+  third-party layer works (see ``docs/EXPLORE_MODES.md``);
 * *box queries* — a full refined query at an arbitrary (possibly
   off-grid) PScore vector; used by the repartitioning step and by every
   baseline technique;
@@ -67,6 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.query import Query
     from repro.core.refined_space import RefinedSpace
 
+#: ``(lower, upper)``: the grid cells whose QScore lies in
+#: ``(lower, upper]``, the cells one shell read of the grid engine needs.
+Shell = tuple[float, float]
+
 
 @dataclass
 class ExecutionStats:
@@ -75,9 +79,10 @@ class ExecutionStats:
     ``queries_executed`` counts physical backend round trips;
     ``cell_queries``/``box_queries`` the logical requests of each kind,
     and ``grid_materializations``/``grid_cells`` grid passes (one round
-    trip computing every cell of a refined space, or of one rectangular
+    trip computing every cell of a refined space, of one rectangular
     tile of it — a tile smaller than the grid is additionally counted
-    in ``grid_tiles``). ``cache_hits``/``cache_misses``/``cache_bytes``
+    in ``grid_tiles`` — or of one QScore shell, whose cells alone count
+    in ``grid_cells``). ``cache_hits``/``cache_misses``/``cache_bytes``
     track :class:`~repro.core.grid_cache.GridTensorCache` lookups made
     on this layer's behalf; a hit serves ``cache_bytes`` tensor bytes
     without any backend pass. ``persistent_hits``/``persistent_bytes``
@@ -286,6 +291,7 @@ class EvaluationLayer:
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        shell: Optional[Shell] = None,
     ) -> np.ndarray:
         """Cell-aggregate tensor of the rectangular subgrid ``[lo, hi]``.
 
@@ -293,12 +299,15 @@ class EvaluationLayer:
         the returned float64 tensor has shape
         ``(*[hi_i - lo_i + 1], state_arity)`` and its entry at local
         offset ``u - lo`` is the aggregate state of the cell at ``u``.
-        Validates the box, then runs one :meth:`_grid_pass` over it —
-        the bulk entry point of the grid Explore engine
-        (``docs/EXPLORE_MODES.md``).
+        With ``shell=(lower, upper)`` only the cells whose
+        :meth:`~repro.core.refined_space.RefinedSpace.box_qscores` value
+        lies in ``(lower, upper]`` are computed; every other cell holds
+        the aggregate's identity state. Validates the box, then runs one
+        :meth:`_grid_pass` over it — the bulk entry point of the grid
+        Explore engines (``docs/EXPLORE_MODES.md``).
         """
         lo, hi = _check_tile_bounds(space, lo, hi)
-        return self._grid_pass(prepared, space, lo, hi)
+        return self._grid_pass(prepared, space, lo, hi, shell=shell)
 
     def _grid_pass(
         self,
@@ -306,28 +315,41 @@ class EvaluationLayer:
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        shell: Optional[Shell] = None,
     ) -> np.ndarray:
-        """Cell tensor of the inclusive box ``[lo, hi]``, counted as one
-        grid pass (:meth:`_count_grid`).
+        """Cell tensor of the inclusive box ``[lo, hi]``, or of its
+        cells in ``shell``, counted as one grid pass
+        (:meth:`_count_grid`).
 
-        The one grid primitive a backend overrides: every entry must be
-        bit-identical to :meth:`execute_cell` at the same coordinates,
-        with empty cells holding the aggregate's identity state. This
-        fallback assembles the box from :meth:`execute_cells`, so a
-        third-party layer that implements only :meth:`execute_cell`
-        works.
+        The one grid primitive a backend overrides: every computed entry
+        must equal :meth:`execute_cell` at the same coordinates, with
+        empty cells and cells outside the shell holding the aggregate's
+        identity state. This fallback runs :meth:`execute_cells` over
+        the box's cells (the shell's only, given one), so a third-party
+        layer that implements only :meth:`execute_cell` works.
         """
+        shape = tuple(high - low + 1 for low, high in zip(lo, hi))
         coords_list = list(
             itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
         )
+        # itertools.product walks the box in C order, so a point's
+        # position in the list is its cell's flat index.
+        mask = shell_mask(space, lo, hi, shell)
+        flat = np.flatnonzero(mask) if mask is not None else None
+        if flat is not None:
+            coords_list = [coords_list[index] for index in flat.tolist()]
         states = self.execute_cells(prepared, space, coords_list)
-        # itertools.product walks the box in C order: the states are
-        # the tensor's rows, in order.
-        tensor = np.array(states, dtype=np.float64).reshape(
-            tuple(high - low + 1 for low, high in zip(lo, hi)) + (-1,)
-        )
+        identity = prepared.query.constraint.spec.aggregate.identity()
+        tensor = np.empty(shape + (len(identity),), dtype=np.float64)
+        tensor[...] = identity
+        if states:
+            rows = tensor.reshape(-1, len(identity))
+            rows[slice(None) if flat is None else flat] = states
         # execute_cells already counted the physical round trips.
-        self._count_grid(space, lo, hi, round_trip=False)
+        self._count_grid(
+            space, lo, hi, round_trip=False,
+            cells=None if flat is None else len(states),
+        )
         return tensor
 
     def execute_grid_tiles(
@@ -430,16 +452,21 @@ class EvaluationLayer:
         hi: Sequence[int],
         rows: int = 0,
         round_trip: bool = True,
+        cells: Optional[int] = None,
     ) -> None:
         """Record one grid pass over the inclusive box ``[lo, hi]``.
 
         ``round_trip=False`` is for the base-class fallback, whose
         physical round trips were already counted by
         :meth:`execute_cells`. A box smaller than the grid is a tile
-        pass, additionally counted in ``grid_tiles``.
+        pass, additionally counted in ``grid_tiles``. ``cells`` is the
+        number of cells a shell read of the box computed: ``grid_cells``
+        counts those, and a shell read is no tile pass.
         """
-        cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
-        tile = cells < space.grid_size
+        tile = False
+        if cells is None:
+            cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
+            tile = cells < space.grid_size
         with self._stats_lock:
             for stats in _sinks(self.stats):
                 if round_trip:
@@ -520,6 +547,23 @@ def grouped_cell_tensor(
     return tensor
 
 
+def shell_mask(
+    space: "RefinedSpace",
+    lo: Sequence[int],
+    hi: Sequence[int],
+    shell: Optional[Shell],
+) -> Optional[np.ndarray]:
+    """Which cells of the inclusive box ``[lo, hi]`` lie in ``shell``:
+    a boolean tensor of the box's shape, True where the cell's
+    :meth:`~repro.core.refined_space.RefinedSpace.box_qscores` value
+    lies in ``(lower, upper]``. None when there is no shell."""
+    if shell is None:
+        return None
+    lower, upper = shell
+    qscores = space.box_qscores(lo, hi)
+    return (qscores > lower) & (qscores <= upper)
+
+
 def _check_tile_bounds(
     space: "RefinedSpace", lo: Sequence[int], hi: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -546,4 +590,5 @@ __all__ = [
     "PreparedQuery",
     "TopKAdmission",
     "grouped_cell_tensor",
+    "shell_mask",
 ]

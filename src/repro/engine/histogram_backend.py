@@ -27,7 +27,12 @@ import numpy as np
 from repro.core.aggregates import AggState
 from repro.core.query import Query
 from repro.core.refined_space import RefinedSpace
-from repro.engine.backends import EvaluationLayer, TopKAdmission
+from repro.engine.backends import (
+    EvaluationLayer,
+    Shell,
+    TopKAdmission,
+    shell_mask,
+)
 from repro.engine.catalog import Database
 from repro.engine.executor import DEFAULT_MAX_ROWS, build_candidate
 from repro.exceptions import EngineError, OSPViolationError
@@ -205,6 +210,7 @@ class HistogramBackend(EvaluationLayer):
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        shell: Optional[Shell] = None,
     ) -> np.ndarray:
         """One estimation sweep over the inclusive ``[lo, hi]`` box.
 
@@ -214,7 +220,8 @@ class HistogramBackend(EvaluationLayer):
         product of d per-level fraction vectors. The broadcasted
         multiply applies the factors in the same order as the serial
         per-cell loop, keeping every estimate bit-identical to
-        :meth:`execute_cell`.
+        :meth:`execute_cell`. Cells outside ``shell`` are then reset to
+        the identity state.
         """
         aggregate = prepared.query.constraint.spec.aggregate
         step = space.step
@@ -239,7 +246,13 @@ class HistogramBackend(EvaluationLayer):
                     (count * prepared.mean_agg_value, count), axis=-1
                 )
             tensor = np.ascontiguousarray(tensor, dtype=np.float64)
-        self._count_grid(space, lo, hi)
+            mask = shell_mask(space, lo, hi, shell)
+            if mask is not None:
+                tensor[~mask] = aggregate.identity()
+        self._count_grid(
+            space, lo, hi,
+            cells=None if mask is None else int(np.count_nonzero(mask)),
+        )
         return tensor
 
     def execute_box(

@@ -30,8 +30,10 @@ from repro.core.query import Query
 from repro.core.refined_space import RefinedSpace
 from repro.engine.backends import (
     EvaluationLayer,
+    Shell,
     TopKAdmission,
     grouped_cell_tensor,
+    shell_mask,
 )
 from repro.engine.bitmap_index import GridBitmapIndex
 from repro.engine.catalog import Database
@@ -135,6 +137,7 @@ class MemoryBackend(EvaluationLayer):
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        shell: Optional[Shell] = None,
     ) -> np.ndarray:
         """One digitize sweep over every candidate tuple, grouped into
         the inclusive ``[lo, hi]`` box by :func:`grouped_cell_tensor`.
@@ -143,7 +146,8 @@ class MemoryBackend(EvaluationLayer):
         the order the serial mask extraction produces — so every state
         is bit-identical to :meth:`execute_cell`. Tuples outside the box
         (or past the grid extent) belong to no cell of it, exactly as
-        serial cell queries would never see them.
+        serial cell queries would never see them; given a shell, tuples
+        whose cell lies outside it are dropped too.
         """
         candidate = prepared.candidate
         shape = tuple(high - low + 1 for low, high in zip(lo, hi))
@@ -151,13 +155,18 @@ class MemoryBackend(EvaluationLayer):
             coords = _digitize(candidate.scores, space.step)
             inside = np.all((coords >= lo) & (coords <= hi), axis=1)
             cells = np.ravel_multi_index((coords[inside] - lo).T, shape)
+            values = candidate.agg_values[inside]
+            mask = shell_mask(space, lo, hi, shell)
+            if mask is not None:
+                keep = mask.ravel()[cells]
+                cells, values = cells[keep], values[keep]
             tensor = grouped_cell_tensor(
-                prepared.query.constraint.spec.aggregate,
-                shape,
-                cells,
-                candidate.agg_values[inside],
+                prepared.query.constraint.spec.aggregate, shape, cells, values
             )
-        self._count_grid(space, lo, hi, rows=candidate.nrows)
+        self._count_grid(
+            space, lo, hi, rows=candidate.nrows,
+            cells=None if mask is None else int(np.count_nonzero(mask)),
+        )
         return tensor
 
     def _execute_cell_indexed(

@@ -166,9 +166,9 @@ class SamplingBackend(EvaluationLayer):
         state = self._inner.execute_cell(prepared, space, coords)
         return self._scale(prepared.query, state)
 
-    def _grid_pass(self, prepared, space, lo, hi) -> np.ndarray:
+    def _grid_pass(self, prepared, space, lo, hi, shell=None) -> np.ndarray:
         """The inner layer's grid pass over the box, rescaled."""
-        tensor = self._inner._grid_pass(prepared, space, lo, hi)
+        tensor = self._inner._grid_pass(prepared, space, lo, hi, shell=shell)
         return self._scale(prepared.query, tensor)
 
     def execute_box(self, prepared, scores) -> AggState:

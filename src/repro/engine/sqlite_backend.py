@@ -7,7 +7,9 @@ in-memory :mod:`sqlite3` database loaded from the catalog, so each cell
 query is a genuine database query with real planning, filtering and
 aggregation cost. A grid pass is one plain ``SELECT`` of the rows in
 its box: SQLite filters and joins them, and numpy buckets them into
-cells and aggregates each cell (:meth:`SQLiteBackend._grid_pass`).
+cells and aggregates each cell (:meth:`SQLiteBackend._grid_pass`); a
+shell read adds a bound on the rows' weighted need sum to the same
+``SELECT``.
 Bucketing inside SQLite, with a ``CASE`` ladder per dimension under a
 ``GROUP BY``, cost 2.5-4x a plain fetch of the same rows on a 2-core
 x86 host.
@@ -34,10 +36,13 @@ from repro.core.predicate import (
 )
 from repro.core.query import Query
 from repro.core.refined_space import RefinedSpace
+from repro.core.scoring import LpNorm
 from repro.engine.backends import (
     EvaluationLayer,
+    Shell,
     TopKAdmission,
     grouped_cell_tensor,
+    shell_mask,
 )
 from repro.core.grid_cache import database_digest
 from repro.engine.catalog import Database
@@ -293,21 +298,25 @@ class SQLiteBackend(EvaluationLayer):
         space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
+        shell: Optional[Shell] = None,
     ) -> np.ndarray:
         """One plain ``SELECT`` of the rows in the inclusive box
         ``[lo, hi]``, bucketed into its cells in numpy.
 
         The WHERE clause keeps tuples admitted at level ``hi`` and drops
         those already admitted at level ``lo - 1`` (their minimal
-        coordinate lies below the box). Each row brings one key per
-        dimension (:func:`_key_sql`) and its aggregate attribute. Its
-        coordinate on a dimension is the first level in ``lo..hi`` whose
-        ``sql_condition`` admits the key, found against the thresholds
-        as SQLite reads them (:func:`_parsed_bounds`), so each cell holds
-        exactly the annulus a per-cell query would see. NULL attributes
-        are dropped, as SQL aggregates drop them, and
-        :func:`grouped_cell_tensor` lifts each cell's values; cells no
-        row reaches keep the aggregate identity.
+        coordinate lies below the box); given a shell it also bounds the
+        rows' weighted need sum (:func:`_shell_sql`). Each row brings
+        one key per dimension (:func:`_key_sql`) and its aggregate
+        attribute. Its coordinate on a dimension is the first level in
+        ``lo..hi`` whose ``sql_condition`` admits the key, found against
+        the thresholds as SQLite reads them (:func:`_parsed_bounds`), so
+        each cell holds exactly the annulus a per-cell query would see.
+        Rows whose cell lies outside the shell are then dropped: the
+        shell's SQL bound only narrows the fetch, it never decides a
+        cell. NULL attributes are dropped, as SQL aggregates drop them,
+        and :func:`grouped_cell_tensor` lifts each cell's values; cells
+        no row reaches keep the aggregate identity.
         """
         dims = space.dims
         spec = prepared.query.constraint.spec
@@ -319,6 +328,8 @@ class SQLiteBackend(EvaluationLayer):
             if lo[d] > 0:
                 below = predicate.sql_condition((lo[d] - 1) * step)
                 conditions.append(f"NOT ({below})")
+        if shell is not None:
+            conditions.extend(_shell_sql(space, hi, shell))
         where = " AND ".join(f"({c})" for c in conditions)
         columns = [_key_sql(predicate) for predicate in dims]
         fields = [
@@ -352,8 +363,15 @@ class SQLiteBackend(EvaluationLayer):
             else:
                 present = ~np.isnan(rows["value"])
                 cells, values = cells[present], rows["value"][present]
+            mask = shell_mask(space, lo, hi, shell)
+            if mask is not None:
+                keep = mask.ravel()[cells]
+                cells, values = cells[keep], values[keep]
             tensor = grouped_cell_tensor(spec.aggregate, shape, cells, values)
-        self._count_grid(space, lo, hi)
+        self._count_grid(
+            space, lo, hi,
+            cells=None if mask is None else int(np.count_nonzero(mask)),
+        )
         return tensor
 
     def execute_box(
@@ -492,6 +510,59 @@ def _need_sql(predicate: Predicate) -> str:
             f"THEN {level * predicate.level_scale!r}"
         )
     return "CASE " + " ".join(clauses) + " ELSE 1e18 END"
+
+
+#: Relative rounding slack of a shell's SQL need-sum bound.
+_SHELL_SLACK = 1e-9
+
+
+def _shell_sql(
+    space: RefinedSpace, hi: Sequence[int], shell: Shell
+) -> list[str]:
+    """WHERE conditions a grid pass over ``[0, hi]`` adds to fetch a
+    superset of the rows whose cell lies in ``shell``.
+
+    Under the L1 norm a row in cell ``c`` has need ``n_i`` in
+    ``((c_i - 1) * step, c_i * step]`` on each dimension, so its
+    weighted need sum lies within one weighted grid step per dimension
+    below its cell's QScore, and not above it. The sum is bounded on
+    both sides with that slack, plus a relative :data:`_SHELL_SLACK` of
+    the PScore magnitudes involved for the rounding of SQLite's float
+    arithmetic and of the rendered thresholds. No condition under other
+    norms: the box alone bounds the fetch.
+    """
+    norm = space.norm
+    if type(norm) is not LpNorm or norm.p != 1.0:
+        return []
+    lower, upper = shell
+    weights = space.weights
+    total = " + ".join(
+        f"{weight!r} * ({_need_sql(predicate)})"
+        for weight, predicate in zip(weights, space.dims)
+    )
+    magnitude = abs(upper) + sum(
+        weight * _need_magnitude(predicate, level * space.step)
+        for weight, predicate, level in zip(weights, space.dims, hi)
+    )
+    slack = _SHELL_SLACK * magnitude
+    conditions = [f"{total} <= {upper + slack!r}"]
+    if math.isfinite(lower):
+        below = lower - sum(weight * space.step for weight in weights)
+        conditions.append(f"{total} > {below - slack!r}")
+    return conditions
+
+
+def _need_magnitude(predicate: Predicate, score: float) -> float:
+    """A bound, in PScore units, on the keys ``sql_condition(score)``
+    admits: the scale a rounding error in a row's need is relative to.
+    A categorical level adds one level, for ``level_at``'s 1e-9 nudge."""
+    if isinstance(predicate, SelectPredicate):
+        refined = predicate.interval_at(score)
+        ends = [abs(end) for end in (refined.lo, refined.hi) if math.isfinite(end)]
+        return max(ends, default=0.0) * 100.0 / predicate.effective_denominator
+    if isinstance(predicate, JoinPredicate):
+        return predicate.band_at(score) * 100.0 / predicate.denominator
+    return (predicate.level_at(score) + 1) * predicate.level_scale
 
 
 def _admissible_sql(predicate: Predicate, cap: float) -> str | None:

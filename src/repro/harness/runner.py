@@ -106,7 +106,8 @@ def run_acquire(
             "original": result.original_value,
             "explore_mode": result.stats.explore_mode,
             "plan_reason": result.stats.plan_reason,
-            "switched_after": result.stats.switched_after,
+            "last_qscore": result.stats.last_qscore,
+            "cell_queries": result.stats.execution.cell_queries,
             "top_k": result.stats.top_k,
             # The certified ranking (qscore per rank) so reports can
             # surface alternatives without re-running the search.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import random
-import weakref
 
 import pytest
 
@@ -114,26 +113,9 @@ class FailingBackend(MemoryBackend):
         self._enter_pass()
         return super().execute_grid(prepared, space)
 
-    def execute_grid_tile(self, prepared, space, lo, hi):
+    def execute_grid_tile(self, prepared, space, lo, hi, shell=None):
         self._enter_pass()
-        return super().execute_grid_tile(prepared, space, lo, hi)
-
-
-def switch_at(monkeypatch, boundary: int) -> None:
-    """Make every ``auto`` search switch to its grid engine at layer
-    boundary ``boundary`` (0 is before the first layer), whatever its
-    round trips cost. The driver asks ``switch_due`` once per boundary
-    until it switches, so the k-th call is boundary k."""
-    from repro.core import acquire
-
-    calls: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    def due(explorer, pass_s):
-        seen = calls.get(explorer, 0)
-        calls[explorer] = seen + 1
-        return seen == boundary
-
-    monkeypatch.setattr(acquire, "switch_due", due)
+        return super().execute_grid_tile(prepared, space, lo, hi, shell)
 
 
 def answer_key(result) -> tuple:

@@ -659,7 +659,8 @@ class TestResultShape:
     def test_stats_and_summary(self, grid_db):
         query = count_query("data", {"x": 30.0, "y": 30.0}, target=1300)
         result = Acquire(MemoryBackend(grid_db)).run(
-            query, AcquireConfig(gamma=10, delta=0.05)
+            query,
+            AcquireConfig(gamma=10, delta=0.05, explore_mode="incremental"),
         )
         stats = result.stats
         assert stats.grid_queries_examined > 0
@@ -668,6 +669,29 @@ class TestResultShape:
         assert stats.execution.queries_executed >= stats.cells_executed
         text = result.summary()
         assert "answers" in text and "QScore" in text
+        assert "incremental explore" in text
+
+    def test_shell_stats_and_summary(self, grid_db):
+        """The default ``auto`` search reads shells: one grid pass and
+        one round trip each, its cells counted once, and the summary
+        names the shell passes."""
+        query = count_query("data", {"x": 30.0, "y": 30.0}, target=1300)
+        result = Acquire(MemoryBackend(grid_db)).run(
+            query, AcquireConfig(gamma=10, delta=0.05)
+        )
+        stats = result.stats
+        execution = stats.execution
+        assert (stats.explore_mode, stats.plan_reason) == ("shells", "auto")
+        assert stats.grid_queries_examined > 0
+        assert execution.cell_queries == 0
+        assert execution.grid_materializations >= 1
+        assert execution.queries_executed == (
+            execution.grid_materializations + execution.box_queries
+        )
+        assert stats.cells_executed == execution.grid_cells
+        assert stats.cells_executed >= stats.grid_queries_examined
+        passes = execution.grid_materializations
+        assert f"shells explore, {passes} shell passes" in result.summary()
 
     def test_refined_query_describe_sql(self, grid_db):
         query = count_query("data", {"x": 30.0, "y": 30.0}, target=1300)

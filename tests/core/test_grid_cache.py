@@ -19,8 +19,9 @@ Proves the cache contracts of ``docs/EXPLORE_MODES.md``:
 * a backend raising mid-pass on any Explore engine propagates, leaves
   no flight behind, and a retry over the same cache answers exactly
   like a clean run;
-* the ``auto`` planner short-circuits to ``materialized`` with reason
-  ``warm-cache`` when the finished block tensor is already cached.
+* the ``auto`` planner runs the whole-grid engine (reason
+  ``grid-cache``) whenever a grid cache is configured, so a warm block
+  tensor is read with no backend pass and a cold one is written.
 """
 
 import os
@@ -503,24 +504,39 @@ class TestTwoTierCache:
 # ----------------------------------------------------------------------
 class TestWarmCachePlan:
     def test_auto_prefers_warm_blocks(self):
+        """With a grid cache configured ``auto`` plans the whole-grid
+        engine, cold or warm, instead of shells (which never touch the
+        cache): the cold search writes its block tensor, and a warm
+        search reads it with no backend pass."""
         database = _database(seed=39, n=80)
         layer = MemoryBackend(database)
         query = _query()
         space = RefinedSpace(query, 20.0, [70.0, 70.0])
         cache = GridTensorCache()
         config = AcquireConfig(explore_mode="auto", grid_cache=cache)
-        cold = choose_explore_mode(layer, query, space, config)
-        assert cold.reason != "warm-cache"
-        blocks_key = GridTensorCache.key_for(
-            layer, query, space, kind="blocks"
+        plan = choose_explore_mode(space, config)
+        assert (plan.mode, plan.reason) == ("materialized", "grid-cache")
+        assert plan.tile_cells == space.grid_size
+        uncached = choose_explore_mode(
+            space, AcquireConfig(explore_mode="auto")
         )
-        shape = tuple(limit + 1 for limit in space.max_coords)
-        cache.put(blocks_key, np.zeros(shape))
-        warm = choose_explore_mode(layer, query, space, config)
-        assert warm.mode == "materialized"
-        assert warm.reason == "warm-cache"
+        assert (uncached.mode, uncached.reason) == ("shells", "auto")
+
+        cold = Acquire(layer).run(query, config)
+        assert cold.stats.explore_mode == "materialized"
+        assert cold.stats.execution.grid_materializations == 1
+        warm = Acquire(layer).run(query, config)
+        assert (warm.stats.explore_mode, warm.stats.plan_reason) == (
+            "materialized", "grid-cache"
+        )
+        assert warm.stats.execution.grid_materializations == 0
+        assert warm.stats.execution.cell_queries == 0
+        assert warm.stats.execution.block_hits == 1
+        assert answer_key(warm) == answer_key(cold)
 
     def test_warm_peek_does_not_touch_counters(self):
+        """Planning consults no cache entry, warm or cold: the cache
+        rule reads only whether a cache is configured."""
         database = _database(seed=40, n=80)
         layer = MemoryBackend(database)
         query = _query()
@@ -532,8 +548,27 @@ class TestWarmCachePlan:
         shape = tuple(limit + 1 for limit in space.max_coords)
         cache.put(blocks_key, np.zeros(shape))
         config = AcquireConfig(explore_mode="auto", grid_cache=cache)
-        choose_explore_mode(layer, query, space, config)
+        choose_explore_mode(space, config)
         assert cache.hits == 0 and cache.misses == 0
+
+    def test_grid_cache_over_the_caps_plans_tiles(self):
+        """A cached ``auto`` search over ``materialize_cell_cap`` or the
+        query budget plans tiles, which the cache keeps tile by tile."""
+        database = _database(seed=41, n=80)
+        layer = MemoryBackend(database)
+        query = _query()
+        space = RefinedSpace(query, 20.0, [70.0, 70.0])
+        for overrides in (
+            {"materialize_cell_cap": 4}, {"max_grid_queries": 4}
+        ):
+            config = AcquireConfig(
+                explore_mode="auto", grid_cache=GridTensorCache(),
+                **overrides,
+            )
+            plan = choose_explore_mode(space, config)
+            assert (plan.mode, plan.reason, plan.tile_cells) == (
+                "tiled", "grid-cache", 4
+            )
 
 
 # ----------------------------------------------------------------------
@@ -548,11 +583,11 @@ class _SlowGridBackend(MemoryBackend):
         self.grid_passes = 0
         self._pass_lock = threading.Lock()
 
-    def _grid_pass(self, prepared, space, lo, hi):
+    def _grid_pass(self, prepared, space, lo, hi, shell=None):
         with self._pass_lock:
             self.grid_passes += 1
         time.sleep(self.delay_s)
-        return super()._grid_pass(prepared, space, lo, hi)
+        return super()._grid_pass(prepared, space, lo, hi, shell=shell)
 
 
 class TestSingleFlight:

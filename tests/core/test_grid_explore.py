@@ -16,16 +16,19 @@ Proves the contract of ``docs/EXPLORE_MODES.md``:
   counters (``grid_materializations`` / ``grid_tiles`` /
   ``grid_cells`` / ``queries_executed`` / cache counters), never in an
   answer;
-* an ``auto`` search answers like every fixed mode, makes at most
-  serial's round trips plus one grid pass, stays per-cell for
-  early-terminating searches, and switches over-cap / over-budget
-  grids to the tiled engine.
+* an ``auto`` search reads QScore shells, answers like every fixed
+  mode, makes at most serial's round trips plus one and one grid pass
+  per growth factor of the QScore it reaches, reads few cells for
+  early-terminating searches, and hands over-cap grids to the tiled
+  engine; with a grid cache it plans the whole-grid engine, tiled over
+  the caps.
 
 Aggregate values are multiples of 0.25 (exact binary fractions), as in
 ``tests/engine/test_differential.py``, so the bit-identical assertions
 cannot be defeated by legitimate reassociation.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -47,13 +50,14 @@ from repro.core.grid_cache import (
     query_fingerprint,
 )
 from repro.core.grid_explore import (
+    BALL_GROWTH,
     GridExplorer,
     TiledGridExplorer,
     tile_prefix_combine,
     tile_shape_for,
 )
 from repro.core.interval import Interval
-from repro.core.plan import COLD_PASS_CELLS, PassTimes, choose_explore_mode
+from repro.core.plan import choose_explore_mode
 from repro.core.predicate import Direction, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
@@ -65,7 +69,6 @@ from repro.engine.memory_backend import MemoryBackend
 from repro.engine.sampling import SamplingBackend
 from repro.engine.sqlite_backend import SQLiteBackend
 from repro.exceptions import EngineError, QueryModelError, SearchError
-from tests.conftest import switch_at
 
 ALL_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 HISTOGRAM_AGGREGATES = ("COUNT", "SUM", "AVG")
@@ -594,68 +597,93 @@ class TestPrefixCombine:
 # ----------------------------------------------------------------------
 # Plan chooser (explore_mode='auto')
 # ----------------------------------------------------------------------
-def _plan(query, config, max_scores=(70.0, 70.0), n=400, seed=31):
-    database = _database(seed=seed, n=n)
-    layer = MemoryBackend(database)
+def _plan(query, config, max_scores=(70.0, 70.0)):
     space = RefinedSpace(query, 20.0, list(max_scores))
-    return choose_explore_mode(layer, query, space, config)
+    return choose_explore_mode(space, config)
 
 
 class TestPlanChooser:
-    def test_auto_starts_per_cell_and_may_materialize(self):
+    def test_auto_reads_shells(self):
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto"))
-        assert (plan.mode, plan.reason) == ("incremental", "online")
-        assert plan.switch_to == "materialized"
+        assert (plan.mode, plan.reason) == ("shells", "auto")
+        assert plan.tile_cells == plan.grid_cells
+
+    def test_dense_search_reads_few_shells(self):
+        """A search that walks most of the grid reads it in a few
+        shells, never cell by cell, and answers like serial."""
+        database = _database(seed=33, n=200)
+        query = _query("COUNT", target=380.0)
+        run = _run(database, query, explore_mode="auto")
+        plain = _run(database, query, explore_mode="incremental")
+        assert (run.stats.explore_mode, run.stats.plan_reason) == (
+            "shells", "auto"
+        )
+        execution = run.stats.execution
+        assert execution.cell_queries == 0
+        assert 1 < execution.grid_materializations <= _shell_bound(run)
+        assert run.stats.grid_queries_examined > 100
+        assert _answer_key(run) == _answer_key(plain)
 
     def test_dense_search_materializes(self):
-        """A search that walks more of the grid than a pass costs hands
-        its remaining layers to one materialized pass."""
+        """With a grid cache configured, ``auto`` runs the whole-grid
+        engine: a dense search makes one materialized pass, whose block
+        tensor the cache keeps, and answers like serial."""
         database = _database(seed=33, n=200)
-        run = _run(database, _query("COUNT", target=380.0),
-                   explore_mode="auto")
-        assert run.stats.plan_reason == "switched"
-        assert run.stats.explore_mode == "materialized"
-        # A fresh layer has timed no pass: the cold prior decides.
-        assert run.stats.switched_after >= COLD_PASS_CELLS
+        query = _query("COUNT", target=380.0)
+        run = _run(database, query, explore_mode="auto",
+                   grid_cache=GridTensorCache())
+        plain = _run(database, query, explore_mode="incremental")
+        assert (run.stats.explore_mode, run.stats.plan_reason) == (
+            "materialized", "grid-cache"
+        )
         assert run.stats.execution.grid_materializations == 1
+        assert run.stats.execution.cell_queries == 0
+        assert _answer_key(run) == _answer_key(plain)
 
-    def test_eq_overshoot_stays_incremental(self):
+    def test_eq_overshoot_reads_one_shell(self):
         """An equality target below the origin value heads to the
-        contraction path; auto must not materialize for it."""
+        contraction path; auto reads only the first shell, the ball of
+        the origin's nearest neighbours, before handing over."""
         database = _database(seed=31, n=400)
         run = _run(database, _query("COUNT", target=5.0),
                    explore_mode="auto")
-        assert run.stats.switched_after is None
-        assert run.stats.execution.grid_materializations == 0
+        assert run.stats.execution.grid_materializations == 1
+        assert run.stats.execution.grid_cells == 3
 
-    def test_early_terminating_search_stays_incremental(self):
-        """A target reached after a layer or two: visiting a handful of
-        cells beats a full pass, so the search never switches."""
+    def test_early_terminating_search_reads_few_cells(self):
+        """A target reached after a layer or two: the search's shells
+        read a handful of cells, not the 225-cell grid."""
         database = _database(seed=31, n=400)
         run = _run(database, _query("COUNT", target=45.0),
                    explore_mode="auto")
         assert run.satisfied
-        assert run.stats.grid_queries_examined < COLD_PASS_CELLS
         assert (run.stats.explore_mode, run.stats.plan_reason) == (
-            "incremental", "online"
+            "shells", "auto"
         )
-        assert run.stats.switched_after is None
-        assert run.stats.execution.grid_materializations == 0
+        execution = run.stats.execution
+        assert execution.cell_queries == 0
+        assert execution.grid_materializations <= _shell_bound(run)
+        assert execution.grid_cells == run.stats.cells_executed <= 10
 
     def test_grid_over_cap_falls_back_to_tiled(self):
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto", materialize_cell_cap=4))
-        assert (plan.mode, plan.switch_to) == ("incremental", "tiled")
-        assert plan.tile_cells == 4
+        assert (plan.mode, plan.tile_cells) == ("shells", 4)
+        run = _run(_database(seed=33, n=200), _query("COUNT", target=380.0),
+                   explore_mode="auto", materialize_cell_cap=4)
+        assert run.stats.explore_mode == "tiled"
+        execution = run.stats.execution
+        assert execution.grid_cells <= 4 * execution.grid_materializations
 
     def test_grid_over_budget_goes_tiled(self):
-        """The materialized path must respect ``max_grid_queries``: a
-        grid bigger than the budget may not be materialized whole even
-        when it fits the tensor cap."""
+        """The whole-grid plan ``auto`` runs with a grid cache must
+        respect ``max_grid_queries``: a grid bigger than the budget may
+        not be materialized whole even when it fits the tensor cap."""
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
-            explore_mode="auto", max_grid_queries=4))
-        assert (plan.mode, plan.switch_to) == ("incremental", "tiled")
+            explore_mode="auto", max_grid_queries=4,
+            grid_cache=GridTensorCache()))
+        assert (plan.mode, plan.reason) == ("tiled", "grid-cache")
         assert plan.tile_cells == 4
 
     def test_forced_tiled_passes_through(self):
@@ -668,16 +696,19 @@ class TestPlanChooser:
             _plan(_query("COUNT"), AcquireConfig(
                 explore_mode="materialized", materialize_cell_cap=4))
 
-    def test_statless_layer_switches_online(self):
-        """The switch needs no catalog statistics: a layer without a
-        ``database`` switches like any other and answers like serial."""
+    def test_statless_layer_reads_shells(self):
+        """Shells need no catalog statistics and no native grid pass: a
+        layer without either runs the base-class shell read, one cell
+        query per shell cell, and answers like serial."""
         database = _database(seed=32, n=100)
         query = _query("COUNT", target=380.0)
         run = Acquire(_NoGridWrapper(MemoryBackend(database))).run(
             query, AcquireConfig(explore_mode="auto"))
         plain = Acquire(_NoGridWrapper(MemoryBackend(database))).run(
             query, AcquireConfig(explore_mode="incremental"))
-        assert run.stats.plan_reason == "switched"
+        assert run.stats.explore_mode == "shells"
+        assert run.stats.execution.grid_materializations >= 1
+        assert run.stats.execution.grid_cells == run.stats.cells_executed
         assert _answer_key(run) == _answer_key(plain)
 
     def test_config_validation(self):
@@ -706,13 +737,21 @@ def _answer_key(result):
     ]
 
 
+def _shell_bound(result, first=5.0):
+    """Most shell passes a search may make: one, plus one per growth
+    factor between the first bound (the grid step under unit L1
+    weights) and the last QScore it examined."""
+    ratio = max(result.stats.last_qscore / first, 1.0)
+    return 1 + math.ceil(math.log(ratio, BALL_GROWTH))
+
+
 class TestAcquireModes:
     @pytest.mark.parametrize("aggregate, target", [
         ("COUNT", 150.0), ("SUM", 400.0),
     ])
     def test_modes_agree_and_auto_is_no_worse(self, aggregate, target):
-        # "No worse" is the online switch's bound: at most serial's round
-        # trips plus the one grid pass, and a pass only when it switched.
+        # "No worse" is the shell contract: at most serial's round trips
+        # plus one, no cell queries, and one pass per growth factor.
         database = _database(seed=33, n=200)
         query = _query(aggregate, target=target)
         runs = {
@@ -727,15 +766,17 @@ class TestAcquireModes:
             assert runs[mode].satisfied == runs["incremental"].satisfied
         assert runs["materialized"].stats.execution.grid_materializations >= 1
         assert runs["incremental"].stats.execution.grid_materializations == 0
-        auto = runs["auto"].stats
+        auto = runs["auto"]
         serial = runs["incremental"].stats.execution.queries_executed
-        assert auto.execution.queries_executed <= serial + 1
-        assert auto.execution.grid_materializations == (
-            0 if auto.switched_after is None else 1
-        )
+        assert auto.stats.explore_mode == "shells"
+        assert auto.stats.execution.queries_executed <= serial + 1
+        assert auto.stats.execution.cell_queries == 0
+        assert 1 <= auto.stats.execution.grid_materializations
+        assert auto.stats.execution.grid_materializations <= _shell_bound(auto)
 
-    def test_auto_over_cap_runs_tiled(self, monkeypatch):
-        switch_at(monkeypatch, 2)
+    def test_auto_over_cap_runs_tiled(self):
+        """The first ball's box (2 x 2 cells) is over a 2-cell cap, so
+        every read goes to 2-cell tiles; no shell is read."""
         database = _database(seed=34, n=150)
         query = _query("COUNT", target=120.0)
         capped = _run(
@@ -743,7 +784,7 @@ class TestAcquireModes:
         )
         plain = _run(database, query, explore_mode="incremental")
         assert capped.stats.explore_mode == "tiled"
-        assert capped.stats.plan_reason == "switched"
+        assert capped.stats.plan_reason == "auto"
         assert _answer_key(capped) == _answer_key(plain)
         assert capped.stats.execution.grid_tiles >= 1
         assert capped.stats.execution.grid_materializations == (
@@ -771,13 +812,11 @@ class TestAcquireModes:
         assert _answer_key(tiled) == _answer_key(plain)
         assert tiled.satisfied == plain.satisfied
 
-    def test_grid_budget_respected_by_materializing_paths(
-        self, monkeypatch
-    ):
+    def test_grid_budget_respected_by_materializing_paths(self):
         """Satellite: ``max_grid_queries`` must bound the *backend*
-        work of the auto path too — a grid larger than the budget may
-        not be materialized whole."""
-        switch_at(monkeypatch, 1)
+        work of the auto path too — a shell search reads no further
+        than the ball of ``BALL_GROWTH`` times the last QScore it
+        examined, never the whole grid for a small budget."""
         database = _database(seed=36, n=150)
         query = _query("COUNT", target=120.0)
         budget = 6
@@ -787,11 +826,14 @@ class TestAcquireModes:
             explore_mode="auto",
             max_grid_queries=budget,
         )
-        assert run.stats.explore_mode == "tiled"
-        assert run.stats.plan_reason == "switched"
+        assert run.stats.explore_mode == "shells"
         assert run.stats.grid_queries_examined <= budget
+        space = RefinedSpace(query, 10.0, [70.0, 70.0])
+        reach = BALL_GROWTH * run.stats.last_qscore * (1 + 1e-6)
+        ball = space.box_qscores(space.origin, space.max_coords) <= reach
         execution = run.stats.execution
-        assert execution.grid_cells <= execution.grid_tiles * budget
+        assert execution.grid_cells <= int(np.count_nonzero(ball))
+        assert execution.grid_cells < space.grid_size
 
 
 # ----------------------------------------------------------------------
@@ -1358,103 +1400,6 @@ class TestCacheReplay:
             cached_delta.queries_executed
             < fresh_layer.stats.queries_executed
         )
-
-
-# ----------------------------------------------------------------------
-# Pass times the auto plan switches by
-# ----------------------------------------------------------------------
-class TestPassTimes:
-    def test_cold_prior_until_a_pass_is_timed(self):
-        """Before any pass of a query grid is timed on a layer, a pass
-        costs COLD_PASS_CELLS round trips: the switch lands there."""
-        database = _database(seed=64, n=200)
-        run = _run(database, _query("COUNT", target=380.0),
-                   explore_mode="auto")
-        # The first layer boundary at or past the prior; an L1 layer
-        # of this 15 x 15 grid holds at most 15 points.
-        assert COLD_PASS_CELLS <= run.stats.switched_after
-        assert run.stats.switched_after < COLD_PASS_CELLS + 15
-
-    def test_driver_records_pass_seconds(self, monkeypatch):
-        """A switched search leaves its pass time under the layer's
-        target-independent key, so the next sweep point switches by
-        it; forced modes record nothing."""
-        from repro.core import acquire
-
-        times = PassTimes()
-        monkeypatch.setattr(acquire, "PASS_TIMES", times)
-        database = _database(seed=64, n=200)
-        layer = MemoryBackend(database)
-        Acquire(layer).run(
-            _query("COUNT", target=380.0),
-            AcquireConfig(explore_mode="materialized"),
-        )
-        assert len(times) == 0
-        run = Acquire(layer).run(
-            _query("COUNT", target=380.0),
-            AcquireConfig(explore_mode="auto"),
-        )
-        assert run.stats.plan_reason == "switched"
-        assert len(times) == 1
-        (key,) = list(times._seconds)
-        assert times.get(key) > 0.0
-        # Another target of the same query grid shares the key.
-        Acquire(layer).run(
-            _query("COUNT", target=390.0),
-            AcquireConfig(explore_mode="auto"),
-        )
-        assert len(times) == 1
-
-    def test_map_is_bounded(self):
-        times = PassTimes(capacity=2)
-        times.record("a", 1.0)
-        times.record("b", 2.0)
-        times.get("a")
-        times.record("a", 3.0)  # refreshed: "b" is now the oldest
-        times.record("c", 4.0)
-        assert len(times) == 2
-        assert times.get("b") is None
-        assert (times.get("a"), times.get("c")) == (3.0, 4.0)
-
-    def test_concurrent_hammer(self):
-        """N threads record and read one map at once — the shared
-        service shape. The bound holds and every read is a recorded
-        value, under any interleaving."""
-        import sys
-        import threading
-
-        threads_n, per_thread = 8, 400
-        times = PassTimes(capacity=50)
-        barrier = threading.Barrier(threads_n)
-        errors: list[BaseException] = []
-
-        def hammer(seed: int) -> None:
-            try:
-                barrier.wait(timeout=30.0)
-                for step in range(per_thread):
-                    key = (seed * per_thread + step) % 80
-                    times.record(key, float(key))
-                    value = times.get(key)
-                    assert value is None or value == float(key)
-            except BaseException as error:  # surfaced after join
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=hammer, args=(seed,))
-                for seed in range(threads_n)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert len(times) == 50
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ reassociation inside a backend.
 """
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -162,6 +163,35 @@ def _kind_query(kind: str, aggregate: str) -> Query:
     return Query.build(
         "q", tables, [first, base.predicates[1]], base.constraint
     )
+
+
+def _misparsed_threshold_case() -> tuple[Database, Query, RefinedSpace]:
+    """Rows at and one ulp either side of ``-479377.9545921924``, the
+    level-0 threshold of a one-dimension COUNT query; SQLite 3.40.1
+    reads that literal one ulp low."""
+    x0 = -479377.9545921924
+    database = Database()
+    database.create_table(
+        "t",
+        {"x": np.array([np.nextafter(x0, -np.inf), x0, np.nextafter(x0, np.inf)])},
+    )
+    query = Query.build(
+        "q",
+        ("t",),
+        [
+            SelectPredicate(
+                name="p",
+                expr=col("t.x"),
+                interval=Interval(-1e6, x0),
+                direction=Direction.UPPER,
+                denominator=100.0,
+            )
+        ],
+        AggregateConstraint(
+            AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 2.0
+        ),
+    )
+    return database, query, RefinedSpace(query, 1.0, [3.0])
 
 
 def _grid_coords(space: RefinedSpace) -> list[tuple[int, ...]]:
@@ -439,6 +469,135 @@ class TestCrossBackendAgreement:
 
 
 # ----------------------------------------------------------------------
+# Shell reads: a grid pass restricted to one QScore shell
+# ----------------------------------------------------------------------
+SHELL_BACKENDS = {
+    "memory": MemoryBackend,
+    "sqlite": SQLiteBackend,
+    "fallback": lambda database: _CellOnlyLayer(MemoryBackend(database)),
+}
+
+
+def _shells(space: RefinedSpace, count: int = 4) -> list[tuple[float, float]]:
+    """Consecutive shells covering the grid. The inner bounds are cell
+    QScores, so cells on a bound test both of its sides."""
+    qscores = np.unique(space.box_qscores(space.origin, space.max_coords))
+    picks = np.linspace(0, len(qscores) - 1, count + 1).astype(int)[1:-1]
+    bounds = [-math.inf, *qscores[picks].tolist(), float(qscores[-1])]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _check_shells_match_grid(
+    layer, database, query, space, caps=(100.0, 100.0)
+) -> None:
+    """Over the whole grid and a proper sub-box, every shell read of
+    ``layer`` equals its whole-grid pass on the shell's cells and
+    holds the identity elsewhere, bit for bit, and counts as one grid
+    pass of the shell's cells, no tile; the base-class fallback makes
+    one ``execute_cell`` per shell cell."""
+    prepared = layer.prepare(query, list(caps))
+    whole = layer.execute_grid(prepared, space)
+    identity = _state(query.constraint.spec.aggregate.identity())
+    qscores = space.box_qscores(space.origin, space.max_coords)
+    fallback = isinstance(layer, _CellOnlyLayer)
+    for lo, hi in ((space.origin, space.max_coords), _sub_box(space)):
+        box = tuple(slice(low, high + 1) for low, high in zip(lo, hi))
+        for lower, upper in _shells(space):
+            inside = (qscores[box] > lower) & (qscores[box] <= upper)
+            before = layer.stats.snapshot()
+            tensor = layer.execute_grid_tile(
+                prepared, space, lo, hi, shell=(lower, upper)
+            )
+            delta = layer.stats.since(before)
+            assert tensor.shape == whole[box].shape
+            for index in np.ndindex(inside.shape):
+                expected = (
+                    _state(whole[box][index]) if inside[index] else identity
+                )
+                assert _state(tensor[index]) == expected, (lower, index)
+            cells = int(np.count_nonzero(inside))
+            assert delta.grid_materializations == 1
+            assert delta.grid_tiles == 0
+            assert delta.grid_cells == cells
+            assert delta.cell_queries == (cells if fallback else 0)
+            assert delta.queries_executed == (cells if fallback else 1)
+
+
+def _weighted_query(aggregate: str) -> Query:
+    base = _query(aggregate)
+    predicates = [
+        predicate.with_weight(weight)
+        for predicate, weight in zip(base.predicates, (1.0, 2.5))
+    ]
+    return Query.build("q", ("t",), predicates, base.constraint)
+
+
+class TestShellReads:
+    """``execute_grid_tile(..., shell=(lower, upper))`` computes exactly
+    the cells whose QScore lies in ``(lower, upper]``."""
+
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    @pytest.mark.parametrize("backend_name", sorted(SHELL_BACKENDS))
+    @pytest.mark.parametrize(
+        "kind", ("upper", "weighted_l1") + PREDICATE_KINDS
+    )
+    def test_shell_equals_whole_grid(self, kind, backend_name, aggregate):
+        if kind == "upper":
+            database, query = _database(seed=11, n=180), _query(aggregate)
+        elif kind == "weighted_l1":
+            database = _database(seed=12, n=180)
+            query = _weighted_query(aggregate)
+        else:
+            database = _kinds_database()
+            query = _kind_query(kind, aggregate)
+        _check_shells_match_grid(
+            SHELL_BACKENDS[backend_name](database),
+            database,
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0]),
+        )
+
+    @pytest.mark.parametrize("norm", ["L2", "Linf"])
+    @pytest.mark.parametrize("backend_name", sorted(SHELL_BACKENDS))
+    def test_other_norms(self, backend_name, norm):
+        """Without the L1 need-sum bound, SQLite fetches the box and
+        numpy alone drops the rows outside the shell."""
+        from repro.core.scoring import LInfNorm, LpNorm
+
+        database = _database(seed=13, n=180)
+        query = _weighted_query("SUM")
+        norm = LpNorm(2) if norm == "L2" else LInfNorm()
+        _check_shells_match_grid(
+            SHELL_BACKENDS[backend_name](database),
+            database,
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0], norm),
+        )
+
+    def test_sqlite_misparsed_threshold(self):
+        """The data of ``TestBatchContract::test_sqlite_misparsed_threshold``:
+        a key equal to a threshold SQLite misreads by one ulp."""
+        database, query, space = _misparsed_threshold_case()
+        _check_shells_match_grid(
+            SQLiteBackend(database), database, query, space, caps=(10.0,)
+        )
+
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    def test_sqlite_null_attributes(self, aggregate):
+        columns = _columns(seed=20, n=150)
+        columns["v"][::2] = np.nan
+        database = Database()
+        database.create_table("t", columns)
+        query = _query(aggregate)
+        _check_shells_match_grid(
+            SQLiteBackend(database),
+            database,
+            query,
+            RefinedSpace(query, 20.0, [70.0, 70.0]),
+        )
+
+
+# ----------------------------------------------------------------------
 # Contract edges
 # ----------------------------------------------------------------------
 class TestBatchContract:
@@ -500,33 +659,7 @@ class TestBatchContract:
         threshold here is that double: the pass must bucket against
         the threshold as SQLite reads it, as the per-cell query
         compares (cells 0 and 1 hold 1 and 2 rows on such a SQLite)."""
-        x0 = -479377.9545921924
-        database = Database()
-        database.create_table(
-            "t",
-            {
-                "x": np.array(
-                    [np.nextafter(x0, -np.inf), x0, np.nextafter(x0, np.inf)]
-                )
-            },
-        )
-        query = Query.build(
-            "q",
-            ("t",),
-            [
-                SelectPredicate(
-                    name="p",
-                    expr=col("t.x"),
-                    interval=Interval(-1e6, x0),
-                    direction=Direction.UPPER,
-                    denominator=100.0,
-                )
-            ],
-            AggregateConstraint(
-                AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 2.0
-            ),
-        )
-        space = RefinedSpace(query, 1.0, [3.0])
+        database, query, space = _misparsed_threshold_case()
         _check_passes_match_cells(
             SQLiteBackend, database, query, space, caps=(10.0,)
         )

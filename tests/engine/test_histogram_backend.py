@@ -121,13 +121,27 @@ class TestAcquireOverEstimates:
     def test_estimation_is_cheap(self, independent_db):
         query = count_query("data", {"x": 30.0, "y": 30.0}, target=5000)
         layer = HistogramBackend(independent_db)
-        result = Acquire(layer).run(query, AcquireConfig(gamma=10,
-                                                         delta=0.05))
+        result = Acquire(layer).run(
+            query,
+            AcquireConfig(gamma=10, delta=0.05, explore_mode="incremental"),
+        )
         # Exactly one scan (at prepare); every query afterwards touched
         # no rows, however many the search issued.
         table_size = 30_000
         assert result.stats.execution.rows_scanned == table_size
         assert result.stats.execution.queries_executed >= 10
+
+    def test_shell_estimation_is_cheap(self, independent_db):
+        """Shell reads of the estimate grid touch no rows either."""
+        query = count_query("data", {"x": 30.0, "y": 30.0}, target=5000)
+        layer = HistogramBackend(independent_db)
+        result = Acquire(layer).run(query, AcquireConfig(gamma=10,
+                                                         delta=0.05))
+        execution = result.stats.execution
+        assert result.stats.explore_mode == "shells"
+        assert execution.rows_scanned == 30_000
+        assert execution.grid_materializations >= 1
+        assert execution.cell_queries == 0
 
 
 class TestLimitations:

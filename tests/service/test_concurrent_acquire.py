@@ -1,20 +1,18 @@
 """Concurrent ACQ execution: bit-identity and per-request attribution.
 
 The service's whole contract is that concurrency is *invisible* in the
-results: N in-flight requests against shared backends, one shared grid
-cache, and the shared pass times (``repro.core.plan.PASS_TIMES``) must
-answer exactly what a serial replay answers, and each request's
-reported counters must be its own work — nothing bled in from
-neighbours, nothing leaked out.
+results: N in-flight requests against shared backends and one shared
+grid cache must answer exactly what a serial replay answers, and each
+request's reported counters must be its own work — nothing bled in
+from neighbours, nothing leaked out.
 
 Three suites:
 
 * ``TestConcurrentMatchesSerial`` replays a cross-family corpus subset
   through a 4-worker service and a 1-worker service, per explore mode,
-  and demands bit-identical answer sets; for the fixed modes it also
-  demands identical per-request counters (``auto``'s switch point may
-  legitimately differ — the shared pass times have seen different
-  traffic — but its answers may not).
+  and demands bit-identical answer sets and identical per-request
+  counters; no plan depends on a clock or on process-wide state (under
+  the service's shared cache ``auto`` plans the whole-grid engine).
 * The same test closes the books: summed per-request
   :class:`~repro.engine.backends.ExecutionStats` must equal each
   backend's own totals, counter for counter — the request scopes
@@ -152,10 +150,9 @@ class TestConcurrentMatchesSerial:
                 f"request {index}: concurrent answers diverged"
             )
             assert concurrent.satisfied == serial.satisfied
-            if mode != "auto":
-                assert _execution_key(concurrent) == _execution_key(
-                    serial
-                ), f"request {index}: concurrent counters diverged"
+            assert _execution_key(concurrent) == _execution_key(
+                serial
+            ), f"request {index}: concurrent counters diverged"
         _assert_attribution_closes(requests, results, layers)
 
 

@@ -61,11 +61,11 @@ class BlockingGridBackend(MemoryBackend):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def _grid_pass(self, prepared, space, lo, hi):
+    def _grid_pass(self, prepared, space, lo, hi, shell=None):
         self.entered.set()
         if not self.release.wait(timeout=30.0):
             raise EngineError("grid pass never released")
-        return super()._grid_pass(prepared, space, lo, hi)
+        return super()._grid_pass(prepared, space, lo, hi, shell=shell)
 
 
 @pytest.fixture

@@ -155,7 +155,10 @@ class TestStatsConsistency:
     def test_work_counters_add_up(self, tpch):
         acq = q2_prime_query(tpch, target=120_000)
         layer = MemoryBackend(tpch)
-        result = Acquire(layer).run(acq, AcquireConfig(gamma=10, delta=0.05))
+        result = Acquire(layer).run(
+            acq,
+            AcquireConfig(gamma=10, delta=0.05, explore_mode="incremental"),
+        )
         stats = result.stats
         assert stats.cells_executed <= stats.grid_queries_examined + 1
         assert (
@@ -164,3 +167,18 @@ class TestStatsConsistency:
         assert stats.execution.queries_executed == (
             stats.execution.cell_queries + stats.execution.box_queries
         )
+
+    def test_shell_work_counters_add_up(self, tpch):
+        """Under the default ``auto`` plan every round trip is a shell
+        pass or a box query, and the shells' cells are the ball's."""
+        acq = q2_prime_query(tpch, target=120_000)
+        layer = MemoryBackend(tpch)
+        result = Acquire(layer).run(acq, AcquireConfig(gamma=10, delta=0.05))
+        stats = result.stats
+        execution = stats.execution
+        assert stats.explore_mode == "shells"
+        assert execution.cell_queries == 0
+        assert execution.queries_executed == (
+            execution.grid_materializations + execution.box_queries
+        )
+        assert stats.cells_executed == execution.grid_cells
