@@ -19,6 +19,12 @@ QScore. For each grid query, compute the aggregate incrementally
 
 If no query ever satisfies the constraint, the query attaining the
 closest aggregate value is returned, as in the paper.
+
+Contraction (section 7.2) runs the same loop,
+:meth:`Acquire._search`, over a
+:class:`~repro.core.contraction.ContractionSpace`; the rules that depend
+on the direction ask the space (``contracts``, ``overshoots``,
+``inner_corner``).
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.core.error import AggregateErrorFunction, default_error_for
 from repro.core.expand import LAYER_DECIMALS, make_traversal
-from repro.core.explore import Explorer
+from repro.core.explore import BoxExplorer, Explorer
 from repro.core.grid_cache import GridTensorCache, PersistentGridCache
 from repro.core.grid_explore import ShellGridExplorer, TiledGridExplorer
 from repro.core.plan import ExplorePlan, choose_explore_mode
@@ -91,7 +97,10 @@ class AcquireConfig:
             reached in growing QScore shells, one grid pass per shell;
             the whole grid when a grid cache is configured; see
             :mod:`repro.core.plan`). All modes produce identical
-            answer sets; see ``docs/EXPLORE_MODES.md``.
+            answer sets; see ``docs/EXPLORE_MODES.md``. Contraction
+            searches ignore the mode: they read each examined grid
+            query with one box query (``explore_mode`` ``box`` in
+            their stats).
         materialize_cell_cap: largest grid (in cells) the materialized
             engine may allocate — and the per-tile cell bound for the
             tiled engine. ``auto`` goes to tiles once its shells' box
@@ -198,11 +207,11 @@ class Acquire:
     ) -> AcquireResult:
         """Process an ACQ, producing the refined answer set.
 
-        Expansion constraints (``=``, ``>=``, ``>``) run the main
-        Expand/Explore loop. Contraction constraints (``<=``, ``<``) —
-        and equality constraints whose original query already
-        overshoots — are delegated to the section 7.2 contraction
-        extension.
+        Expansion constraints (``=``, ``>=``, ``>``) search the
+        expansion grid. Contraction constraints (``<=``, ``<``) — and
+        equality constraints whose original query already overshoots —
+        go to :func:`~repro.core.contraction.contract_query`, which
+        runs the same loop over the section 7.2 contraction grid.
 
         With ``strict=True`` the query is statically analyzed first
         (:mod:`repro.analysis`) and ERROR-level diagnostics — provably
@@ -214,9 +223,11 @@ class Acquire:
         if strict:
             self._preflight(query, config)
         if not query.constraint.op.is_expansion:
-            from repro.core.contraction import contract_query
+            # Looked up through the module at call time, so a wrapper
+            # installed on ``contraction.contract_query`` sees the call.
+            from repro.core import contraction
 
-            return contract_query(self.layer, query, config)
+            return contraction.contract_query(self.layer, query, config)
         return self._expand(query, config)
 
     # ------------------------------------------------------------------
@@ -258,7 +269,6 @@ class Acquire:
         aggregate = constraint.spec.aggregate
         target = constraint.target
         error_fn = config.error_fn or default_error_for(constraint.op)
-        distance = config.constraint_distance or MaxConstraintDistance()
 
         dim_caps = [
             predicate.limit if predicate.limit is not None
@@ -266,18 +276,7 @@ class Acquire:
             for predicate in query.refinable_predicates
         ]
         prepared = self.layer.prepare(query, dim_caps)
-        # Each extra constraint of a multi-constraint ACQ evaluates
-        # through its own prepared handle: the Explore recurrence only
-        # carries the primary aggregate's cell states, so the extras are
-        # measured with direct box queries at each examined grid point.
-        extra_ctx = [
-            (
-                extra,
-                self.layer.prepare(query.with_only_constraint(extra), dim_caps),
-                default_error_for(extra.op),
-            )
-            for extra in query.extra_constraints
-        ]
+        extra_ctx = self._extra_handles(query, dim_caps)
         useful = self.layer.useful_max_scores(prepared)
         max_scores = [
             min(cap, score) for cap, score in zip(dim_caps, useful)
@@ -320,15 +319,47 @@ class Acquire:
             and original_value > target
             and error_fn(target, original_value) > config.delta
         ):
-            from repro.core.contraction import contract_query
+            from repro.core import contraction
 
-            result = contract_query(self.layer, query, config)
+            result = contraction.contract_query(self.layer, query, config)
             # Report the outer scope: it credited the overshoot
             # probe above *and* (scopes nest) every backend event
             # of the contraction search, so per-request stats stay
             # an exact partition of the layer's work.
             result.stats.execution = layer_scope.snapshot()
             return result
+        return self._search(
+            config, explorer, extra_ctx, stats, original_value, started,
+            layer_scope,
+        )
+
+    def _search(
+        self,
+        config: AcquireConfig,
+        explorer: Explorer | TiledGridExplorer | ShellGridExplorer | BoxExplorer,
+        extra_ctx: Sequence[tuple],
+        stats: SearchStats,
+        original_value: float,
+        started: float,
+        layer_scope: "ExecutionStats",
+    ) -> AcquireResult:
+        """The search loop of both directions (Algorithm 4).
+
+        Walks the explorer's space layer by layer and reads each
+        examined grid query through ``explorer``, whose origin value
+        the caller has read already. The space decides what differs by
+        direction: the traversal (a contraction grid is always walked
+        best-first), the EQ layer early stop (expansion only), what
+        overshooting means and where a repartitioned cell's inner
+        corner lies, and the section 7.2 prune (contraction only).
+        """
+        space, prepared = explorer.space, explorer.prepared
+        query = space.query
+        constraint = query.constraint
+        aggregate = constraint.spec.aggregate
+        target = constraint.target
+        error_fn = config.error_fn or default_error_for(constraint.op)
+        distance = config.constraint_distance or MaxConstraintDistance()
 
         answers: list[RefinedQuery] = []
         # The closest examined query: its (error, qscore) rank and
@@ -361,7 +392,8 @@ class Acquire:
         # A multi-constraint conjunction breaks the monotone argument
         # for the combined error, so extras disable the shortcut.
         check_overshoot = (
-            constraint.op is ConstraintOp.EQ
+            not space.contracts
+            and constraint.op is ConstraintOp.EQ
             and aggregate.monotone_expanding
             and not extra_ctx
             and _layers_nest(space)
@@ -373,9 +405,19 @@ class Acquire:
         # equal rounded QScore). Concatenated, the layers reproduce the
         # per-coordinate stream exactly. ``layers_scored`` carries each
         # point's QScore along, so no grid point is ever scored twice.
+        kind = "lp" if space.contracts else config.traversal
+        layers = make_traversal(space, kind).layers_scored()
+        pruned: Optional[set[tuple[int, ...]]] = None
+        if (
+            space.contracts
+            and config.top_k == 1
+            and aggregate.monotone_expanding
+            and not extra_ctx
+        ):
+            pruned = set()
+            layers = _reachable(layers, space, pruned)
         stop = False
-        traversal = make_traversal(space, config.traversal)
-        for layer_scored in traversal.layers_scored():
+        for layer_scored in layers:
             first_qscore = layer_scored[0][1]
             if first_qscore > answer_threshold() + _LAYER_EPS:
                 break  # the k-th answer layer is fully explored
@@ -398,9 +440,10 @@ class Acquire:
             )
             reachable = [coords for coords, _ in layer_scored[:remaining]]
             # One read of the layer's values, lazy: a cell executes,
-            # a tile materializes or a shell is read only when ``next``
-            # pulls its first point below; a grid engine of one tile
-            # and the shell engine gather the whole layer at once.
+            # a tile materializes, a shell or a box is read only when
+            # ``next`` pulls its first point below; a grid engine of
+            # one tile and the shell engine gather the whole layer at
+            # once.
             values = explorer.compute_aggregates(reachable)
             for coords, qscore in layer_scored:
                 if qscore > answer_threshold() + _LAYER_EPS:
@@ -452,8 +495,7 @@ class Acquire:
                 elif (
                     constraint.op is ConstraintOp.EQ
                     and not extra_ctx
-                    and not math.isnan(actual)
-                    and actual > target
+                    and space.overshoots(actual, target)
                 ):
                     # Off-grid bisection probes only measure the
                     # primary aggregate, so repartitioning is
@@ -470,6 +512,8 @@ class Acquire:
                         if candidate.error <= config.delta:
                             answers.append(candidate)
                             answer_layers.append(qscore)
+                if pruned is not None and space.overshoots(actual, target):
+                    pruned.add(coords)
             if stop:
                 break
 
@@ -550,6 +594,22 @@ class Acquire:
             cache=config.resolve_grid_cache(),
         )
 
+    def _extra_handles(
+        self, query: Query, dim_caps: Sequence[float]
+    ) -> list[tuple]:
+        """Each extra constraint of a multi-constraint ACQ with its own
+        prepared handle and error function. The Explore recurrence only
+        carries the primary aggregate's cell states, so the extras are
+        measured with direct box queries at each examined grid point."""
+        return [
+            (
+                extra,
+                self.layer.prepare(query.with_only_constraint(extra), dim_caps),
+                default_error_for(extra.op),
+            )
+            for extra in query.extra_constraints
+        ]
+
     def _extra_aggregates(
         self,
         extra_ctx: Sequence[tuple],
@@ -607,19 +667,19 @@ class Acquire:
     ) -> Optional[RefinedQuery]:
         """Probe refined queries inside the overshooting cell.
 
-        Bisects the segment between the cell's inner corner (the
-        contained grid query one step back on every non-zero dimension)
-        and the overshooting query itself. For monotone aggregates the
-        aggregate is non-decreasing along the segment, so bisection
-        converges; for non-monotone aggregates the probes still improve
-        the "closest query" answer.
+        Bisects the segment between the cell's inner corner (the grid
+        query one step back toward the original on every dimension that
+        has left it, ``space.inner_corner``) and the overshooting query
+        itself, backing off whenever a probe overshoots too. For
+        monotone aggregates the aggregate moves one way along the
+        segment, so bisection converges; for non-monotone aggregates
+        (expansion only) the probes still improve the "closest query"
+        answer.
         """
         if config.repartition_iterations == 0:
             return None
         hi_scores = space.scores(coords)
-        lo_scores = tuple(
-            max(score - space.step, 0.0) for score in hi_scores
-        )
+        lo_scores = space.inner_corner(hi_scores)
         if hi_scores == lo_scores:
             return None
         aggregate = space.query.constraint.spec.aggregate
@@ -639,7 +699,7 @@ class Acquire:
                 space.query, space, coords, actual, error, scores=scores
             )
             best = _closer(best, candidate)
-            if math.isnan(actual) or actual > target:
+            if math.isnan(actual) or space.overshoots(actual, target):
                 high = midpoint
             else:
                 low = midpoint
@@ -655,6 +715,45 @@ def _closer(
     if (candidate.error, candidate.qscore) < (current.error, current.qscore):
         return candidate
     return current
+
+
+def _reachable(
+    layers: Iterator[list[tuple[tuple[int, ...], float]]],
+    space: RefinedSpace,
+    pruned: set[tuple[int, ...]],
+) -> Iterator[list[tuple[tuple[int, ...], float]]]:
+    """The traversal's layers cut down to what the section 7.2 prune
+    leaves reachable, one point per layer.
+
+    With one answer asked for, a monotone aggregate and no extra
+    constraint, a contraction query whose aggregate has fallen below the
+    target only falls further as it shrinks. So a point is yielded only
+    if it is the origin, or if a predecessor (one coordinate one step
+    lower) was examined and not pruned; the caller adds each pruned
+    point to ``pruned`` before it asks for the next layer. The stream
+    ends once no later point can be reached. A predecessor may share
+    its successor's rounded layer, hence one point per layer.
+    """
+    reached = {space.origin}
+    unexamined = 1
+    for layer in layers:
+        for point in layer:
+            coords = point[0]
+            if coords not in reached:
+                continue
+            yield [point]
+            unexamined -= 1
+            if coords not in pruned:
+                for dim, limit in enumerate(space.max_coords):
+                    if coords[dim] < limit:
+                        successor = (
+                            coords[:dim] + (coords[dim] + 1,) + coords[dim + 1:]
+                        )
+                        if successor not in reached:
+                            reached.add(successor)
+                            unexamined += 1
+            if not unexamined:
+                return
 
 
 def _layers_nest(space: RefinedSpace) -> bool:

@@ -5,328 +5,118 @@ query set to its minimum value; the refined space is then bounded by
 ``Q`` and ``Q'_min`` and traversed "minimizing refinement with respect
 to Q instead of Q'_min".
 
-Implementation notes. Contraction reuses the signed-score predicate
-algebra: a grid point at contraction coordinates ``(c_1 .. c_d)``
-corresponds to the query with every dimension shrunk by ``c_i * step``
-percent (signed PScore ``-c_i * step``). Queries are generated
-best-first in order of increasing QScore magnitude — i.e. closest to
-``Q`` first — exactly mirroring the Expand phase.
+Contraction is a space and a way of reading it; the search loop is the
+driver's (:class:`~repro.core.acquire.Acquire`). A grid point at
+coordinates ``(c_1 .. c_d)`` is the query with every dimension shrunk
+by ``c_i * step`` percent: signed PScores ``-c_i * step``, QScores of
+their magnitudes. The driver walks the grid best-first, closest to
+``Q`` first, exactly like the Expand phase, and the rules that depend
+on the direction read it off the space: "past the target" means below
+it, a repartitioned cell's inner corner lies one step toward ``Q``,
+and the EQ overshoot rules of expansion do not apply.
 
-One deliberate departure from the expansion path: aggregates are
-computed by executing each shrunk query as a *box* query rather than
-through the incremental cell recurrence. The Explore recurrence
-(Equation 17) consumes sub-aggregates of *contained* queries, which the
-expansion traversal visits first; a contraction traversal ordered by
-proximity to ``Q`` visits *containing* queries first, so the recurrence
-inputs are not yet available. The paper gives no algorithmic detail for
-7.2 beyond the paragraph quoted above; the monotone pruning below
-(children of an over-shrunk query are skipped for monotone aggregates)
-keeps the number of executed queries close to the number of useful
-grid points.
+Each examined grid query is read with one box query
+(:class:`~repro.core.explore.BoxExplorer`) rather than through the
+incremental cell recurrence: the Eq. 17 recurrence consumes stored
+sub-aggregates of *contained* queries, and a traversal ordered by
+proximity to ``Q`` visits the *containing* queries first. With one
+answer asked for, a monotone aggregate and no extra constraint, the
+driver prunes instead: a query whose aggregate has fallen below the
+target only falls further as it shrinks, so the search does not shrink
+it any further. That keeps the number of box queries close to the
+number of useful grid points. See "Contraction (§7.2)" in
+docs/ALGORITHM.md.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.error import default_error_for
-from repro.core.query import ConstraintOp, Query
-from repro.core.result import AcquireResult, RefinedQuery, SearchStats
-from repro.core.scoring import MaxConstraintDistance, Norm
-from repro.engine.backends import EvaluationLayer, ExecutionStats
-from repro.exceptions import QueryModelError
-
-if TYPE_CHECKING:  # pragma: no cover - circular import guard
-    from repro.core.acquire import AcquireConfig
-
-_LAYER_EPS = 1e-9
-
-Coords = tuple[int, ...]
+from repro.core.acquire import Acquire, AcquireConfig
+from repro.core.explore import BoxExplorer
+from repro.core.query import Query
+from repro.core.refined_space import RefinedSpace
+from repro.core.result import AcquireResult, SearchStats
+from repro.core.scoring import Norm
+from repro.engine.backends import EvaluationLayer
 
 
-class ContractionSpace:
-    """Grid over shrinkage scores, bounded by ``Q`` and ``Q'_min``."""
+class ContractionSpace(RefinedSpace):
+    """Grid over shrinkage scores, bounded by ``Q`` and ``Q'_min``.
+
+    A dimension's extent is the score at which its predicate collapses
+    to a point (``max_shrink_score``), clipped to its refinement limit.
+    Scores are signed (all <= 0); QScores, those of their magnitudes,
+    are the expansion grid's.
+    """
+
+    contracts = True
 
     def __init__(
         self,
         query: Query,
         gamma: float,
-        norm: Norm,
+        norm: Optional[Norm] = None,
         step: Optional[float] = None,
     ) -> None:
-        self.query = query
-        self.dims = query.refinable_predicates
-        self.d = len(self.dims)
-        if self.d == 0:
-            raise QueryModelError(
-                "query has no refinable predicates; nothing to contract"
-            )
-        self.norm = norm
-        self.step = float(step) if step is not None else gamma / self.d
-        if self.step <= 0:
-            raise QueryModelError("grid step must be > 0")
-        self.weights = query.weights
-        self.max_coords = tuple(
-            int(math.ceil(self._shrink_cap(predicate) / self.step - 1e-9))
-            if self._shrink_cap(predicate) > 0
-            else 0
-            for predicate in self.dims
+        super().__init__(
+            query,
+            gamma,
+            [
+                predicate.max_shrink_score
+                for predicate in query.refinable_predicates
+            ],
+            norm,
+            step,
         )
-
-    @staticmethod
-    def _shrink_cap(predicate: object) -> float:
-        limit = getattr(predicate, "limit", None)
-        cap = predicate.max_shrink_score  # type: ignore[attr-defined]
-        if limit is not None:
-            cap = min(cap, limit)
-        return cap
-
-    @property
-    def origin(self) -> Coords:
-        return (0,) * self.d
+        self.monotone = query.constraint.spec.aggregate.monotone_expanding
 
     def scores(self, coords: Sequence[int]) -> tuple[float, ...]:
         """Signed PScores (all <= 0) of a contraction grid point."""
+        self._check(coords)
         return tuple(-coord * self.step for coord in coords)
 
-    def qscore(self, coords: Sequence[int]) -> float:
-        magnitudes = [coord * self.step for coord in coords]
-        return self.norm.qscore(magnitudes, self.weights)
+    def overshoots(self, value: float, target: float) -> bool:
+        """Below ``target``, and only for a monotone aggregate, whose
+        value keeps falling as the query shrinks."""
+        return self.monotone and value < target
 
-    def qscore_of_scores(self, scores: Sequence[float]) -> float:
-        return self.norm.qscore([abs(score) for score in scores], self.weights)
+    def inner_corner(self, scores: Sequence[float]) -> tuple[float, ...]:
+        return tuple(min(score + self.step, 0.0) for score in scores)
 
 
 def contract_query(
-    layer: EvaluationLayer, query: Query, config: "AcquireConfig"
+    layer: EvaluationLayer, query: Query, config: AcquireConfig
 ) -> AcquireResult:
     """Shrink ``query`` until its aggregate meets the constraint.
 
     Handles ``<=``/``<`` constraints, and ``=`` constraints whose
     original query overshoots the target (the :class:`Acquire` driver
-    delegates both cases here).
+    delegates both cases here). ``config.explore_mode`` and
+    ``config.traversal`` do not apply: the grid is read box by box, in
+    best-first order.
     """
     # One stat scope per search (nested inside the expansion scope on
     # the EQ-overshoot delegation path, where the inner scope reports
     # exactly what the old snapshot/delta window did).
     with layer.request_scope() as layer_scope:
-        return _contract_scoped(layer, query, config, layer_scope)
-
-
-def _contract_scoped(
-    layer: EvaluationLayer,
-    query: Query,
-    config: "AcquireConfig",
-    layer_scope: ExecutionStats,
-) -> AcquireResult:
-    started = time.perf_counter()
-    constraint = query.constraint
-    aggregate = constraint.spec.aggregate
-    target = constraint.target
-    error_fn = config.error_fn or default_error_for(constraint.op)
-    distance = config.constraint_distance or MaxConstraintDistance()
-
-    prepared = layer.prepare(query, [0.0] * query.dimensionality)
-    # Extra constraints of a multi-constraint ACQ evaluate through their
-    # own prepared handles, one box query per examined shrink point.
-    extra_ctx = [
-        (
-            extra,
-            layer.prepare(
-                query.with_only_constraint(extra),
-                [0.0] * query.dimensionality,
-            ),
-            default_error_for(extra.op),
+        started = time.perf_counter()
+        driver = Acquire(layer)
+        caps = [0.0] * query.dimensionality
+        prepared = layer.prepare(query, caps)
+        extra_ctx = driver._extra_handles(query, caps)
+        space = ContractionSpace(query, config.gamma, config.norm, config.step)
+        explorer = BoxExplorer(
+            layer, prepared, space, query.constraint.spec.aggregate
         )
-        for extra in query.extra_constraints
-    ]
-    space = ContractionSpace(query, config.gamma, config.norm, config.step)
-    stats = SearchStats(top_k=config.top_k)
-
-    original_state = layer.execute_box(prepared, (0.0,) * space.d)
-    original_value = aggregate.finalize(original_state)
-
-    answers: list[RefinedQuery] = []
-    closest: Optional[RefinedQuery] = None
-    # Heap-pop QScores at which answers were recorded (non-decreasing);
-    # the stop threshold is the k-th smallest, exactly the expansion
-    # path's generalized answer-layer rule.
-    answer_layers: list[float] = []
-
-    def answer_threshold() -> float:
-        if len(answer_layers) < config.top_k:
-            return math.inf
-        return answer_layers[config.top_k - 1]
-
-    # Best-first over shrinkage grid, mirroring the Expand phase but
-    # with subtree pruning once a monotone aggregate falls below any
-    # value the constraint could still accept.
-    heap: list[tuple[float, int, Coords]] = [(0.0, 0, space.origin)]
-    queued: set[Coords] = {space.origin}
-    while heap:
-        qscore, total, coords = heapq.heappop(heap)
-        if qscore > answer_threshold() + _LAYER_EPS:
-            break
-        if stats.grid_queries_examined >= config.max_grid_queries:
-            break
-        stats.grid_queries_examined += 1
-
-        scores = space.scores(coords)
-        state = (
-            original_state
-            if coords == space.origin
-            else layer.execute_box(prepared, scores)
+        stats = SearchStats(
+            top_k=config.top_k,
+            explore_mode=explorer.mode,
+            plan_reason="contraction",
         )
-        actual = aggregate.finalize(state)
-        primary_error = error_fn(target, actual)
-        extra_values: tuple[float, ...] = ()
-        if extra_ctx:
-            extra_errors = []
-            values = []
-            for extra, prepared_extra, extra_error_fn in extra_ctx:
-                extra_state = layer.execute_box(prepared_extra, scores)
-                value = extra.spec.aggregate.finalize(extra_state)
-                values.append(value)
-                extra_errors.append(extra_error_fn(extra.target, value))
-            extra_values = tuple(values)
-            error = distance.combine([primary_error, *extra_errors])
-        else:
-            error = primary_error
-        refined = _refined(
-            query, space, scores, actual, error, coords, extra_values
+        original_value = explorer.compute_aggregate(space.origin)
+        return driver._search(
+            config, explorer, extra_ctx, stats, original_value, started,
+            layer_scope,
         )
-        closest = _closer(closest, refined)
-
-        overshrunk = (
-            aggregate.monotone_expanding
-            and not math.isnan(actual)
-            and actual < target
-        )
-        if error <= config.delta:
-            answers.append(refined)
-            answer_layers.append(qscore)
-        elif overshrunk and constraint.op is ConstraintOp.EQ and not extra_ctx:
-            candidate = _repartition_shrink(
-                layer,
-                prepared,
-                query,
-                space,
-                coords,
-                target,
-                error_fn,
-                config,
-                stats,
-            )
-            if candidate is not None:
-                closest = _closer(closest, candidate)
-                if candidate.error <= config.delta:
-                    answers.append(candidate)
-                    answer_layers.append(qscore)
-
-        if overshrunk and config.top_k == 1 and not extra_ctx:
-            # Monotone: deeper shrinkage only reduces further, and with
-            # k=1 no pruned descendant can reach the first answer rank.
-            # A top-k ranking *does* want those deeper satisfying points
-            # (a <= constraint's answers get cheaper to satisfy, not
-            # rarer, as shrinkage grows), and a conjunction of
-            # constraints voids the monotone argument, so both keep
-            # expanding.
-            continue
-        for dim in range(space.d):
-            if coords[dim] >= space.max_coords[dim]:
-                continue
-            successor = coords[:dim] + (coords[dim] + 1,) + coords[dim + 1 :]
-            if successor in queued:
-                continue
-            queued.add(successor)
-            heapq.heappush(
-                heap, (space.qscore(successor), total + 1, successor)
-            )
-
-    stats.elapsed_s = time.perf_counter() - started
-    stats.execution = layer_scope.snapshot()
-    answers.sort(key=lambda a: (a.qscore, a.error))
-    return AcquireResult(
-        query=query,
-        answers=answers,
-        closest=closest,
-        original_value=original_value,
-        stats=stats,
-    )
-
-
-def _refined(
-    query: Query,
-    space: ContractionSpace,
-    scores: Sequence[float],
-    actual: float,
-    error: float,
-    coords: Optional[Coords],
-    extra_values: tuple[float, ...] = (),
-) -> RefinedQuery:
-    intervals = tuple(
-        predicate.interval_at(score)
-        for predicate, score in zip(query.refinable_predicates, scores)
-    )
-    return RefinedQuery(
-        query=query,
-        pscores=tuple(scores),
-        qscore=space.qscore_of_scores(scores),
-        aggregate_value=actual,
-        error=error,
-        intervals=intervals,
-        coords=coords,
-        extra_values=extra_values,
-    )
-
-
-def _repartition_shrink(
-    layer: EvaluationLayer,
-    prepared: object,
-    query: Query,
-    space: ContractionSpace,
-    coords: Coords,
-    target: float,
-    error_fn: object,
-    config: "AcquireConfig",
-    stats: SearchStats,
-) -> Optional[RefinedQuery]:
-    """Bisect between an over-shrunk grid query and its predecessor."""
-    if config.repartition_iterations == 0:
-        return None
-    aggregate = query.constraint.spec.aggregate
-    hi_scores = space.scores(coords)  # more shrunk (all <= 0)
-    lo_scores = tuple(min(score + space.step, 0.0) for score in hi_scores)
-    if hi_scores == lo_scores:
-        return None
-    best: Optional[RefinedQuery] = None
-    low, high = 0.0, 1.0
-    for _ in range(config.repartition_iterations):
-        midpoint = (low + high) / 2.0
-        scores = tuple(
-            lo + midpoint * (hi - lo) for lo, hi in zip(lo_scores, hi_scores)
-        )
-        state = layer.execute_box(prepared, scores)
-        actual = aggregate.finalize(state)
-        stats.repartition_probes += 1
-        error = error_fn(target, actual)  # type: ignore[operator]
-        candidate = _refined(query, space, scores, actual, error, None)
-        best = _closer(best, candidate)
-        if math.isnan(actual) or actual < target:
-            high = midpoint  # too shrunk: back off
-        else:
-            low = midpoint
-    return best
-
-
-def _closer(
-    current: Optional[RefinedQuery], candidate: RefinedQuery
-) -> RefinedQuery:
-    if current is None:
-        return candidate
-    if (candidate.error, candidate.qscore) < (current.error, current.qscore):
-        return candidate
-    return current

@@ -162,9 +162,7 @@ class _L1Shells:
     def __init__(self, space: RefinedSpace, weights: tuple[float, ...]) -> None:
         self.space = space
         self.weights = weights
-        self.max_qscore = space.norm.qscore(
-            space.scores(space.max_coords), space.weights
-        )
+        self.max_qscore = space.qscore(space.max_coords)
 
     @classmethod
     def for_space(cls, space: RefinedSpace) -> Optional["_L1Shells"]:

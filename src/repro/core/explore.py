@@ -18,6 +18,10 @@ guarantee.
 Boundary handling: when ``u_{i-1} == 0`` the recurrence's second term
 addresses coordinate ``-1`` — an empty region — so the aggregate
 identity is used (equivalently ``O_i(u) = O_{i-1}(u)``).
+
+:class:`BoxExplorer` is the engine of the contraction grid, which the
+recurrence cannot serve: it reads each examined query with one box
+query.
 """
 
 from __future__ import annotations
@@ -149,6 +153,55 @@ class Explorer:
             return self.aggregate.identity()
         self.cells_executed += 1
         return self.layer.execute_cell(self.prepared, self.space, coords)
+
+
+class BoxExplorer:
+    """Explore engine that reads each grid query with one box query.
+
+    It serves the contraction grid (paper section 7.2), whose traversal
+    examines every query before the queries it contains, so the Eq. 17
+    recurrence never has the stored sub-aggregates it would combine.
+    Each examined point costs one
+    :meth:`~repro.engine.backends.EvaluationLayer.execute_box`, except
+    the origin: the driver reads it before its loop and examines it
+    first, and it is read once. A box read executes no cell, so
+    ``cells_executed`` and ``cells_skipped`` stay 0.
+    """
+
+    #: The ``explore_mode`` a search on this engine reports.
+    mode = "box"
+
+    def __init__(
+        self,
+        layer: EvaluationLayer,
+        prepared: PreparedQuery,
+        space: RefinedSpace,
+        aggregate: OSPAggregate,
+    ) -> None:
+        self.layer = layer
+        self.prepared = prepared
+        self.space = space
+        self.aggregate = aggregate
+        self.cells_executed = 0
+        self.cells_skipped = 0
+        self._origin: Optional[float] = None
+
+    def compute_aggregate(self, coords: Sequence[int]) -> float:
+        """Finalized aggregate value of the grid query at ``coords``."""
+        origin = tuple(coords) == self.space.origin
+        if origin and self._origin is not None:
+            return self._origin
+        state = self.layer.execute_box(self.prepared, self.space.scores(coords))
+        value = self.aggregate.finalize(state)
+        if origin:
+            self._origin = value
+        return value
+
+    def compute_aggregates(
+        self, coords_list: Sequence[Sequence[int]]
+    ) -> Iterator[float]:
+        """Lazy ``compute_aggregate`` over a layer, one box per pull."""
+        return map(self.compute_aggregate, coords_list)
 
 
 class SupportsEmptyCheck:

@@ -1,14 +1,15 @@
-"""Cross-query cache of materialized grid-cell tensors.
+"""Cross-query cache of materialized grid tensors.
 
 The Explore phase's grid engine, in its materialized and tiled modes
 alike, reduces to "build an immutable tensor of per-cell aggregate
-states, then run prefix passes over a private copy". The tensor itself
-depends only on the *data-side* identity of the request — which
-evaluation layer produced it, which tables/predicates/aggregate define
-the cells, and the refined space's geometry — and **not** on the
-constraint target. A constraint sweep (the harness's bread and butter)
-therefore re-materializes the identical tensor once per sweep point;
-this module makes every point after the first a cache hit.
+states, then run prefix passes over a private copy" into a tile's block
+tensor. The block tensor depends only on the *data-side* identity of
+the request — which evaluation layer produced it, which
+tables/predicates/aggregate define the cells, and the refined space's
+geometry — and **not** on the constraint target. A constraint sweep
+(the harness's bread and butter) would therefore rebuild the identical
+tensor once per sweep point; this module makes every point after the
+first a cache hit.
 
 Keying. A cache key is ``(layer token, query fingerprint, space
 geometry, tile box)``:
@@ -39,10 +40,14 @@ cannot use the process-unique layer token, so keys there swap it for a
 *data fingerprint* (:func:`database_digest`): backend class + dataset
 content digest. A layer that cannot produce one (e.g. a third-party
 wrapper without a ``database``) simply never touches the persistent
-tier. Entries also carry a ``kind`` component: ``"cells"`` for raw
-cell tensors, ``"blocks"`` for finished post-prefix-pass block
-tensors, ``"seam<axis>"`` for tile seam slabs — a block hit skips
-Explore entirely instead of replaying the d prefix passes.
+tier. Entries also carry a ``kind`` component: ``"blocks"`` for a
+tile's finished post-prefix-pass block tensor, ``"seam<axis>"`` for its
+seam slabs — a block hit skips Explore entirely, the backend pass and
+the d prefix passes alike. Raw cell tensors are not cached: a tile
+reads its blocks first, so a cell entry could only serve a tile whose
+blocks entry is gone. The persistent tier refuses non-float tensors,
+so the object block tensors of user-defined aggregates stay in memory
+and a new process redoes their grid passes.
 """
 
 from __future__ import annotations
@@ -433,7 +438,7 @@ class _TensorFlight:
 
 
 class GridTensorCache:
-    """Byte-budgeted LRU cache of immutable grid/tile cell tensors.
+    """Byte-budgeted LRU cache of immutable grid/tile tensors.
 
     Thread-safe; shared freely across queries, sweep points, and
     explore modes. Entries whose tensor alone exceeds the budget are
@@ -448,7 +453,7 @@ class GridTensorCache:
     same key before the leader publishes parks on the leader's flight
     instead of paying its own backend pass (``inflight_waits`` counts
     those parked reads). The grid Explore engine single-flights its
-    cell and block tensors this way; the plain :meth:`lookup`/:meth:`put`
+    block tensors this way; the plain :meth:`lookup`/:meth:`put`
     pair ignores flights entirely, and serves the seam slabs a tile's
     flight leader puts before it completes the flight.
     """
@@ -482,16 +487,15 @@ class GridTensorCache:
         space: RefinedSpace,
         lo: Optional[Sequence[int]] = None,
         hi: Optional[Sequence[int]] = None,
-        kind: str = "cells",
+        kind: str = "blocks",
     ) -> TensorKey:
         """Build the canonical cache key for a grid or tile request.
 
         ``kind`` separates entry families sharing the same identity:
-        raw ``"cells"`` tensors, finished ``"blocks"`` tensors, and
-        per-axis ``"seam<a>"`` slabs. The persistent component is only
-        present when the layer exposes a stable data fingerprint
-        (``persistent_cache_key``); process-local layers get a
-        memory-only key.
+        finished ``"blocks"`` tensors and per-axis ``"seam<a>"`` slabs.
+        The persistent component is only present when the layer exposes
+        a stable data fingerprint (``persistent_cache_key``);
+        process-local layers get a memory-only key.
         """
         if lo is None:
             lo = (0,) * space.d

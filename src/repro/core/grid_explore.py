@@ -45,12 +45,11 @@ QScore balls, one backend pass per shell of the ball, and reruns the
 prefix passes over the ball's bounding box.
 
 The tiled engine optionally consults a
-:class:`~repro.core.grid_cache.GridTensorCache`, at two granularities:
-raw *cell* tensors (kind ``"cells"``), so constraint sweeps re-use the
-expensive backend pass; and finished *block* tensors plus tile seam
-slabs (kinds ``"blocks"`` / ``"seam<axis>"``), so a warm replay skips
-Explore entirely — no backend pass *and* no prefix passes. With a
-persistent cache tier the block tensors survive across processes.
+:class:`~repro.core.grid_cache.GridTensorCache` for each tile's finished
+*block* tensor and its seam slabs (kinds ``"blocks"`` /
+``"seam<axis>"``), so constraint sweeps and warm replays skip Explore
+entirely — no backend pass *and* no prefix passes. With a persistent
+cache tier the float block tensors survive across processes.
 
 See ``docs/EXPLORE_MODES.md`` for the mode contract and when the
 driver picks each path.
@@ -107,11 +106,11 @@ class TiledGridExplorer:
         tile_shape: explicit per-axis tile widths, overriding
             ``max_tile_cells`` (used by tests to force seams through
             specific layers).
-        cache: optional cross-query tensor cache; cell tensors are
-            keyed by their ``(lo, hi)`` box and finished block/seam
-            tensors by the same box under distinct kinds, so replays
-            hit tile by tile — a block hit skips the tile's backend
-            pass and its prefix passes. Misses are single-flighted.
+        cache: optional cross-query tensor cache; finished block and
+            seam tensors are keyed by the tile's ``(lo, hi)`` box under
+            distinct kinds, so replays hit tile by tile — a block hit
+            skips the tile's backend pass and its prefix passes. Block
+            misses are single-flighted.
 
     ``cells_executed`` counts the cells of tiles fetched from the
     backend; ``cells_skipped`` stays 0 — the bitmap index is pointless
@@ -234,7 +233,8 @@ class TiledGridExplorer:
         materializes it and puts its seams before completing the
         flight, so the threads parked on it adopt the blocks and find
         the seams. A pass that raises aborts the flight, and the
-        parked threads contend to lead.
+        parked threads contend to lead. A tile the cache could not
+        serve counts one cache miss on the layer.
         """
         key = flight = None
         if self.cache is not None:
@@ -252,6 +252,8 @@ class TiledGridExplorer:
             blocks = self.cache.complete_flight(key, blocks)
         elif key is not None:
             blocks = self.cache.put(key, blocks)
+        if key is not None:
+            self.layer.count_cache_event(False)
         self._blocks[tile] = blocks
 
     def _tile_key(self, tile: Coords, kind: str):
@@ -316,36 +318,12 @@ class TiledGridExplorer:
         return blocks
 
     def _fetch_tile(self, lo: Coords, hi: Coords) -> np.ndarray:
-        """The cell tensor of the box ``[lo, hi]``, from the cache or
-        from one backend pass.
-
-        Misses are single-flighted through the cache, so N threads
-        missing the same box execute exactly one backend pass; a pass
-        that raises aborts the flight so parked threads retry instead
-        of waiting forever.
-        """
-        key = flight = None
-        if self.cache is not None:
-            key = GridTensorCache.key_for(
-                self.layer, self.prepared.query, self.space, lo, hi
-            )
-            cached, tier, flight = self.cache.lookup_or_lead(key)
-            if cached is not None:
-                self.layer.count_cache_event(
-                    True, int(cached.nbytes), persistent=tier == "persistent"
-                )
-                return cached
-        try:
-            tensor = self.layer.execute_grid_tile(
-                self.prepared, self.space, lo, hi
-            )
-        except BaseException:
-            if flight is not None:
-                self.cache.abort_flight(key)
-            raise
-        if flight is not None:
-            tensor = self.cache.complete_flight(key, tensor)
-            self.layer.count_cache_event(False)
+        """The cell tensor of the box ``[lo, hi]``, from one backend
+        pass. With a cache it runs under the tile's ``blocks`` flight,
+        so N threads missing the same tile execute exactly one pass."""
+        tensor = self.layer.execute_grid_tile(
+            self.prepared, self.space, lo, hi
+        )
         self.cells_executed += math.prod(tensor.shape[:-1])
         return tensor
 

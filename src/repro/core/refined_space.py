@@ -42,6 +42,12 @@ MAX_COORD_CAP = 100_000
 class RefinedSpace:
     """Grid view of all refinements of a query.
 
+    Expansion widens the query, so every score is ``coord * step``.
+    :class:`~repro.core.contraction.ContractionSpace` is the same grid
+    signed the other way (paper section 7.2); :attr:`contracts`,
+    :meth:`overshoots` and :meth:`inner_corner` are what the driver
+    reads to tell the two directions apart.
+
     Args:
         query: the ACQ being refined.
         gamma: refinement threshold; the grid step is ``gamma / d``.
@@ -52,6 +58,9 @@ class RefinedSpace:
         norm: QScore norm (default: the paper's L1).
         step: explicit grid step overriding ``gamma / d``.
     """
+
+    #: Whether the grid shrinks the query instead of widening it.
+    contracts = False
 
     def __init__(
         self,
@@ -70,7 +79,7 @@ class RefinedSpace:
         self.d = len(self.dims)
         if self.d == 0:
             raise QueryModelError(
-                "query has no refinable predicates; nothing to expand"
+                "query has no refinable predicates; nothing to refine"
             )
         if len(max_scores) != self.d:
             raise QueryModelError(
@@ -107,12 +116,28 @@ class RefinedSpace:
         return tuple(coord * self.step for coord in coords)
 
     def qscore(self, coords: Sequence[int]) -> float:
-        """QScore of a grid query under the space's norm and weights."""
-        return self.norm.qscore(self.scores(coords), self.weights)
+        """QScore of a grid query under the space's norm and weights:
+        the norm of its score magnitudes ``coord * step``."""
+        return self.norm.qscore(
+            [coord * self.step for coord in coords], self.weights
+        )
 
     def qscore_of_scores(self, scores: Sequence[float]) -> float:
-        """QScore of an arbitrary (possibly off-grid) PScore vector."""
-        return self.norm.qscore(list(scores), self.weights)
+        """QScore of an arbitrary (possibly off-grid) PScore vector:
+        the norm of its magnitudes."""
+        return self.norm.qscore([abs(score) for score in scores], self.weights)
+
+    def overshoots(self, value: float, target: float) -> bool:
+        """Whether an aggregate value lies past ``target`` in the
+        direction the grid moves the query: above it, for expansion.
+        NaN never does."""
+        return value > target
+
+    def inner_corner(self, scores: Sequence[float]) -> tuple[float, ...]:
+        """The scores one grid step back toward the original query on
+        every dimension that has left it: the inner corner of the cell
+        whose outer corner is ``scores``."""
+        return tuple(max(score - self.step, 0.0) for score in scores)
 
     def grid_qscores(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """QScores of many grid queries, one coordinate array per

@@ -72,8 +72,10 @@ class SearchStats:
     ``explore_mode`` records which Explore engine finished the search —
     ``incremental``, ``materialized``, ``tiled`` or ``shells`` (``tiled``
     when a shell search handed its reads to tiles over the cell cap; see
-    :mod:`repro.core.plan`); ``plan_reason`` is the plan's
-    justification (``forced``, ``auto`` or ``grid-cache``).
+    :mod:`repro.core.plan`), or ``box`` for a contraction search, which
+    reads one box query per examined grid query; ``plan_reason`` is the
+    plan's justification (``forced``, ``auto`` or ``grid-cache``, and
+    ``contraction`` for a contraction search).
     ``last_qscore`` is the QScore of the last grid query examined.
     Backend and cache counters live in ``execution``
     (``queries_executed``, ``grid_materializations`` — one per shell of

@@ -823,7 +823,7 @@ def grid_cache_sweep(
 
     The cache key excludes the constraint target, so a sweep over
     cardinality ratios (same tables, predicates and aggregate; only
-    the target changes) re-materializes the identical cell tensor at
+    the target changes) re-materializes the identical grid tensor at
     every point without the cache and computes it exactly once with
     it. ``benchmarks/smoke.py`` gates on the cached arm issuing
     strictly fewer backend queries.
@@ -864,7 +864,7 @@ def grid_cache_sweep(
               "sweep",
         paper_expectation=(
             "Materialization cost is target-independent, so caching "
-            "the cell tensor across sweep points leaves answers "
+            "the grid tensor across sweep points leaves answers "
             "bit-identical while only the first point pays the "
             "backend grid pass."
         ),

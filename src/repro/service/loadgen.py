@@ -129,7 +129,6 @@ def sample_corpus_requests(
     seed: int = 7,
     duplicate_fraction: float = 0.5,
     families: Optional[Sequence[str]] = None,
-    explore_mode: str = "materialized",
 ) -> list[Request]:
     """Register corpus backends on ``service`` and build a request mix.
 
@@ -143,11 +142,9 @@ def sample_corpus_requests(
     constraint target, so its grid/tile tensors — keyed independently
     of the target — are served from the shared cache that the original
     populated: any shared-cache hit the run reports is cross-request
-    dedupe at work.
-
-    ``explore_mode`` overrides each realized config (the incremental
-    engine never consults the grid cache, so the default forces the
-    materializing path; pass ``""`` to keep the manifest's modes).
+    dedupe at work. Each request keeps its realized config: under the
+    service's shared cache, ``auto`` plans the whole-grid engine, which
+    reads and writes block tensors there.
     """
     from repro.corpus.generator import realize
     from repro.corpus.manifest import DEFAULT_MANIFEST_PATH, load_manifest
@@ -167,8 +164,6 @@ def sample_corpus_requests(
     requests: list[Request] = []
     for triple in chosen:
         database, query, config = realize(triple.spec)
-        if explore_mode:
-            config = replace(config, explore_mode=explore_mode)
         name = triple.spec.triple_id
         service.register_backend(name, MemoryBackend(database))
         requests.append((name, query, config))

@@ -117,6 +117,28 @@ class TestContractQuery:
         result = Acquire(MemoryBackend(wide_db)).run(query, config)
         assert result.satisfied or result.best.error < 0.02
 
+    def test_open_interval_shrinks(self, wide_db):
+        """A predicate open at its far end shrinks without bound; its
+        extent is clipped like an expansion grid's instead of
+        overflowing."""
+        predicates = [
+            SelectPredicate(
+                name="px",
+                expr=col("data.x"),
+                interval=Interval(-np.inf, 80.0),
+                direction=Direction.UPPER,
+            )
+        ]
+        constraint = AggregateConstraint(
+            AggregateSpec(get_aggregate("COUNT")), ConstraintOp.LE, 1500.0
+        )
+        query = Query.build("open", ("data",), predicates, constraint)
+        result = Acquire(MemoryBackend(wide_db)).run(
+            query, AcquireConfig(gamma=10, delta=0.05)
+        )
+        assert result.satisfied
+        assert result.best.aggregate_value <= 1500 * 1.05
+
     def test_sum_contraction(self, wide_db):
         predicates = [
             SelectPredicate(

@@ -1211,9 +1211,10 @@ class TestAliasingRegression:
             assert not np.shares_memory(seam, blocks)
 
     def test_block_state_leaves_cached_tensor_unchanged(self):
-        """Satellite regression: running the prefix passes through
-        ``block_state`` must not corrupt the cached (shared) source
-        tensor — a second consumer must read the raw cell states."""
+        """Regression: reading through ``block_state`` and the layer
+        gather must not corrupt the cached (shared) block tensor — a
+        second consumer must read the states one pass and the prefix
+        passes give."""
         database = _database(seed=57, n=150)
         query = _query("SUM")
         space = RefinedSpace(query, 20.0, [70.0, 70.0])
@@ -1225,11 +1226,14 @@ class TestAliasingRegression:
             layer, prepared, space, aggregate, cache=cache
         )
         explorer.block_state(space.max_coords)
+        list(explorer.compute_aggregates(list(make_traversal(space))))
         key = GridTensorCache.key_for(layer, query, space)
         cached = cache.get(key)
         assert cached is not None
         assert not cached.flags.writeable
-        fresh = layer.execute_grid(prepared, space)
+        fresh, _ = tile_prefix_combine(
+            layer.execute_grid(prepared, space), aggregate
+        )
         assert np.array_equal(cached, fresh)
 
 

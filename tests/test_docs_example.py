@@ -14,6 +14,7 @@ from repro import (
     col,
 )
 from repro.core.aggregates import AggregateSpec, get_aggregate
+from repro.core.contraction import ContractionSpace
 from repro.core.expand import LpBestFirstTraversal
 from repro.core.explore import Explorer
 from repro.core.predicate import Direction
@@ -164,3 +165,87 @@ class TestWalkthroughNumbers:
         assert best.qscore == pytest.approx(80.0)
         assert best.intervals[0].hi == pytest.approx(22.0)
         assert best.intervals[1].hi == pytest.approx(15.0)
+
+
+@pytest.fixture()
+def overfull(setup):
+    """The "Contraction (§7.2)" query: every row qualifies, COUNT = 5."""
+    db, _ = setup
+    predicates = [
+        SelectPredicate(
+            name="price_le",
+            expr=col("sales.price"),
+            interval=Interval(0, 30),
+            direction=Direction.UPPER,
+            denominator=40.0,
+        ),
+        SelectPredicate(
+            name="weight_le",
+            expr=col("sales.weight"),
+            interval=Interval(0, 15),
+            direction=Direction.UPPER,
+            denominator=20.0,
+        ),
+    ]
+    constraint = AggregateConstraint(
+        AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 5
+    )
+    return db, Query.build("overfull", ("sales",), predicates, constraint)
+
+
+DOCUMENTED_CONTRACTION = {
+    (0, 0): 8, (0, 1): 6, (1, 0): 6, (0, 2): 3, (1, 1): 5, (2, 0): 4,
+}
+
+
+class TestContractionNumbers:
+    def test_signed_grid(self, overfull):
+        _, query = overfull
+        space = ContractionSpace(query, 40.0)
+        assert space.step == 20.0
+        assert space.max_coords == (4, 4)
+        assert [i.hi for i in space.intervals_at((1, 1))] == [22.0, 11.0]
+
+    def test_walk_and_prune(self, overfull):
+        db, query = overfull
+        layer = MemoryBackend(db)
+        result = Acquire(layer).run(
+            query, AcquireConfig(gamma=40.0, delta=0.0,
+                                 repartition_iterations=0)
+        )
+        assert result.original_value == 8
+        assert [a.coords for a in result.answers] == [(1, 1)]
+        assert result.best.qscore == 40.0
+        assert result.stats.grid_queries_examined == 6
+        assert result.stats.execution.box_queries == 6
+        assert (result.stats.explore_mode, result.stats.plan_reason) == (
+            "box", "contraction"
+        )
+        prepared = layer.prepare(query, [0.0, 0.0])
+        space = ContractionSpace(query, 40.0)
+        for coords, documented in DOCUMENTED_CONTRACTION.items():
+            state = layer.execute_box(prepared, space.scores(coords))
+            assert state[0] == documented, coords
+        ranked = Acquire(MemoryBackend(db)).run(
+            query, AcquireConfig(gamma=40.0, delta=0.0, top_k=3,
+                                 repartition_iterations=0)
+        )
+        assert ranked.stats.grid_queries_examined == 25
+
+    def test_repartition_toward_q(self, overfull):
+        db, query = overfull
+        result = Acquire(MemoryBackend(db)).run(
+            query, AcquireConfig(gamma=40.0, delta=0.0,
+                                 repartition_iterations=8)
+        )
+        best = sorted(
+            (a for a in result.answers if a.coords is None),
+            key=lambda a: a.pscores,
+        )
+        assert [a.pscores for a in best] == [(-30.0, 0.0), (0.0, -30.0)]
+        assert [a.qscore for a in best] == [30.0, 30.0]
+        assert best[0].intervals[0].hi == 18.0
+        assert best[1].intervals[1].hi == 9.0
+        assert result.best.qscore == 30.0
+        assert result.stats.repartition_probes == 16
+        assert result.stats.execution.box_queries == 6 + 16
