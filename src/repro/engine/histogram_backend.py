@@ -31,6 +31,7 @@ from repro.engine.backends import (
     EvaluationLayer,
     Shell,
     TopKAdmission,
+    check_box_arity,
     shell_mask,
 )
 from repro.engine.catalog import Database
@@ -258,11 +259,7 @@ class HistogramBackend(EvaluationLayer):
     def execute_box(
         self, prepared: _HistogramPrepared, scores: Sequence[float]
     ) -> AggState:
-        if len(scores) != len(prepared.histograms):
-            raise EngineError(
-                f"box arity {len(scores)} != dimensionality "
-                f"{len(prepared.histograms)}"
-            )
+        check_box_arity(scores, len(prepared.histograms))
         with self._timed():
             fractions = [
                 histogram.fraction_at_most(score)

@@ -108,6 +108,8 @@ def run_acquire(
             "plan_reason": result.stats.plan_reason,
             "last_qscore": result.stats.last_qscore,
             "cell_queries": result.stats.execution.cell_queries,
+            "repartition_probes": result.stats.repartition_probes,
+            "repartitioned_cells": result.stats.repartitioned_cells,
             "top_k": result.stats.top_k,
             # The certified ranking (qscore per rank) so reports can
             # surface alternatives without re-running the search.

@@ -183,6 +183,68 @@ class TestSQLiteBackend:
         # Domain max ~100, bound 30, denominator 100 -> ~70.
         assert scores[0] == pytest.approx(70.0, abs=2.0)
 
+    @pytest.mark.parametrize(
+        "case", ["indexed", "unindexed", "expression", "all_null", "empty"]
+    )
+    def test_domain_query(self, case):
+        """A select's domain is what one scan's ``MIN``/``MAX`` returns,
+        in one counted box query. On an indexed column it reads the two
+        ends of the index; an expression or an unindexed column keeps
+        the one scan."""
+        n = 0 if case == "empty" else 300
+        rng = np.random.default_rng(8)
+        x = np.round(rng.uniform(-50, 100, n), 3)
+        if case == "all_null":
+            x = np.full(n, np.nan)
+        database = Database()
+        database.create_table(
+            "t", {"x": x, "y": np.round(rng.uniform(0, 9, n), 3)}
+        )
+        layer = SQLiteBackend(database, create_indexes=case != "unindexed")
+        expr = col("t.x") + col("t.y") if case == "expression" else col("t.x")
+        query = Query.build(
+            "q",
+            ("t",),
+            [
+                SelectPredicate(
+                    name="p",
+                    expr=expr,
+                    interval=Interval(0.0, 30.0),
+                    direction=Direction.UPPER,
+                    denominator=100.0,
+                )
+            ],
+            AggregateConstraint(
+                AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 5
+            ),
+        )
+        layer.prepare(query, [100.0])
+        connection = layer._connection
+        statements: list[str] = []
+        connection.set_trace_callback(statements.append)
+        before = layer.stats.snapshot()
+        domain = layer._expr_domain(expr, "t")
+        connection.set_trace_callback(None)
+        delta = layer.stats.since(before)
+        assert (delta.queries_executed, delta.box_queries) == (1, 1)
+        sql = expr.to_sql()
+        low, high = connection.execute(
+            f"SELECT MIN({sql}), MAX({sql}) FROM t"
+        ).fetchone()
+        expected = (0.0, 0.0) if low is None else (float(low), float(high))
+        assert (domain.lo, domain.hi) == expected
+        assert len(statements) == 1
+        plan = [
+            row[3]
+            for row in connection.execute(
+                "EXPLAIN QUERY PLAN " + statements[0]
+            )
+        ]
+        if case in ("unindexed", "expression"):
+            assert [step for step in plan if "SCAN t" in step] == [plan[-1]]
+        else:
+            assert plan.count("SEARCH t USING COVERING INDEX idx_t_x") == 2
+
     def test_join_dimension_unbounded(self):
         database = Database()
         database.create_table("a", {"x": np.array([1.0, 2.0])})
