@@ -15,6 +15,16 @@ and answers each repartition probe from them in numpy
 Bucketing inside SQLite, with a ``CASE`` ladder per dimension under a
 ``GROUP BY``, cost 2.5-4x a plain fetch of the same rows on a 2-core
 x86 host.
+
+Every read of a join walks it through indexes that ``prepare`` builds:
+each join column leads an index that covers the columns the query reads
+of its table, so SQLite finds a joined row's keys and attribute in the
+index entry it looks the row up by and never reads the table row; each
+numeric select column keeps a single-column index, for range scans and
+domain bounds. On a Fig 8 dataset (20K-row ``partsupp``, 3-way join,
+COUNT, d = 3) the covering join indexes halved the time SQLite spends
+stepping the join and take 1,384 KB of index pages where single-column
+join indexes took 876 KB.
 """
 
 from __future__ import annotations
@@ -94,7 +104,8 @@ class SQLiteBackend(EvaluationLayer):
         # must serialize on this lock.
         self._load_lock = threading.Lock()
         self._loaded: set[str] = set()
-        self._indexed: set[str] = set()
+        # Column tuples of the indexes built, per table.
+        self._indexes: dict[str, list[tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -190,17 +201,23 @@ class SQLiteBackend(EvaluationLayer):
             self._load_generation += 1
             self._count_rows(len(table))
 
-    def _ensure_index(self, table_name: str, column_name: str) -> None:
+    def _ensure_index(self, table_name: str, columns: tuple[str, ...]) -> None:
+        """Index ``table_name`` on ``columns``, unless an index there
+        with the same leading column already holds every one of them."""
         with self._load_lock:
-            key = f"{table_name}.{column_name}"
-            if not self.create_indexes or key in self._indexed:
+            if not self.create_indexes:
                 return
-            cursor = self._connection.cursor()
-            cursor.execute(
-                f"CREATE INDEX IF NOT EXISTS idx_{table_name}_{column_name} "
-                f"ON {table_name} ({column_name})"
+            built = self._indexes.setdefault(table_name, [])
+            if any(
+                existing[0] == columns[0] and set(columns) <= set(existing)
+                for existing in built
+            ):
+                return
+            self._connection.execute(
+                f'CREATE INDEX "{_index_name(table_name, columns)}" '
+                f"ON {table_name} ({', '.join(columns)})"
             )
-            self._indexed.add(key)
+            built.append(columns)
             self._load_generation += 1
 
     # ------------------------------------------------------------------
@@ -209,19 +226,33 @@ class SQLiteBackend(EvaluationLayer):
     def prepare(
         self, query: Query, dim_caps: Optional[Sequence[float]] = None
     ) -> _SQLitePrepared:
+        """Load the query's tables into SQLite and index them
+        (:func:`_index_plan`), unless ``create_indexes`` is off.
+
+        A join column gets an index that leads with it and covers every
+        other column the query reads of its table: its select and
+        categorical keys, its other join columns and the aggregates'
+        attributes. A join looks each row up by that index and reads
+        the row's keys from the entry, so no read visits a joined
+        table's rows; the select keys come second so that the lookup
+        also checks their bounds. Each numeric select column gets a
+        single-column index, which drives range scans and gives
+        :meth:`_expr_domain` its ends. That is as many indexes as one
+        per predicate column, but wider: on a Fig 8 dataset (20K-row
+        ``partsupp``) 1,384 KB of index pages instead of 876 KB, and
+        each service worker's snapshot holds a copy. No index is built
+        that an existing one with the same leading column covers, so a
+        later query on the same columns builds none; a query that reads
+        another column of a joined table builds wider ones beside the
+        old.
+        """
         if dim_caps is None:
             dim_caps = [0.0] * query.dimensionality
         with self._timed():
             for table_name in query.tables:
                 self._ensure_loaded(table_name)
-            for predicate in query.predicates:
-                for ref in _predicate_columns(predicate):
-                    table_name, column_name = ref.split(".", 1)
-                    column = self.database.table(table_name).schema.column(
-                        column_name
-                    )
-                    if column.ctype is not ColumnType.STR:
-                        self._ensure_index(table_name, column_name)
+            for table_name, columns in _index_plan(self.database, query):
+                self._ensure_index(table_name, columns)
         fixed_sql = [
             predicate.sql_condition(0.0) for predicate in query.fixed_predicates
         ]
@@ -265,8 +296,9 @@ class SQLiteBackend(EvaluationLayer):
         """
         expr_sql = expr.to_sql()
         with self._load_lock:
-            indexed = isinstance(expr, ColumnRef) and (
-                next(iter(expr.columns())) in self._indexed
+            indexed = isinstance(expr, ColumnRef) and any(
+                columns[0] == expr.column
+                for columns in self._indexes.get(expr.table, ())
             )
         if indexed:
             sql = (
@@ -777,6 +809,58 @@ def _categorical_levels(
         for value in predicate.accepted_at(score):
             first.setdefault(value, offset)
     return np.array([first[key] for key in keys], dtype=np.intp)
+
+
+def _index_plan(
+    database: Database, query: Query
+) -> list[tuple[str, tuple[str, ...]]]:
+    """The ``(table, columns)`` indexes :meth:`SQLiteBackend.prepare`
+    asks for, in order: one per join column, led by it and followed by
+    the other columns the query reads of its table (select and
+    categorical keys in predicate order, the table's other join
+    columns, every constraint's attribute columns), then one per select
+    column. A ``STR`` column leads no index."""
+
+    def refs(columns: set[str]) -> list[tuple[str, str]]:
+        return [tuple(ref.split(".", 1)) for ref in sorted(columns)]
+
+    keys: list[tuple[str, str]] = []
+    joins: list[tuple[str, str]] = []
+    for predicate in query.predicates:
+        side = joins if isinstance(predicate, JoinPredicate) else keys
+        side.extend(refs(_predicate_columns(predicate)))
+    attributes = [
+        ref
+        for constraint in query.constraints
+        if constraint.spec.attribute is not None
+        for ref in refs(constraint.spec.attribute.columns())
+    ]
+    read = list(dict.fromkeys(keys + joins + attributes))
+
+    def numeric(table_name: str, column_name: str) -> bool:
+        schema = database.table(table_name).schema
+        return schema.column(column_name).ctype is not ColumnType.STR
+
+    covering = [
+        (table_name, (lead,) + tuple(
+            column for table, column in read
+            if table == table_name and column != lead
+        ))
+        for table_name, lead in dict.fromkeys(joins)
+        if numeric(table_name, lead)
+    ]
+    return covering + [
+        (table_name, (column,))
+        for table_name, column in dict.fromkeys(keys)
+        if numeric(table_name, column)
+    ]
+
+
+def _index_name(table_name: str, columns: Sequence[str]) -> str:
+    """``idx_table(a,b)``. Table and column names are bare SQL
+    identifiers, which hold no parenthesis or comma, so no two
+    ``(table, columns)`` pairs share a name."""
+    return f"idx_{table_name}({','.join(columns)})"
 
 
 def _predicate_columns(predicate: Predicate) -> set[str]:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.aggregates import AggregateSpec, get_aggregate
 from repro.core.interval import Interval
-from repro.core.predicate import Direction, SelectPredicate
+from repro.core.predicate import Direction, JoinPredicate, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.datagen.synthetic import numeric_table, users_table
 from repro.datagen.tpch import TPCHConfig, generate_tpch
@@ -80,6 +81,60 @@ def count_query(
         AggregateSpec(get_aggregate("COUNT")), op, target
     )
     return Query.build(name, (table,), predicates, constraint)
+
+
+def q2_shaped(
+    aggregate: str = "COUNT", seed: int = 0, bound: float = 30.0
+) -> tuple[Database, Query]:
+    """A star join shaped like Fig 8's Q2: fact table ``ps`` joins
+    ``s`` on ``ps.sk = s.sk`` and ``p`` on ``ps.pk = p.pk``, two fixed
+    equi-joins, with one refinable ``<= bound`` select per table and the
+    aggregate over ``ps.v``. Every number is an exact binary fraction,
+    so each threshold tie lands the same way on every backend."""
+    rng = np.random.default_rng(seed)
+
+    def quarters(n: int, high: float = 100.0) -> np.ndarray:
+        return np.floor(rng.uniform(0.0, high * 4, n)) / 4.0
+
+    database = Database()
+    database.create_table("s", {"sk": np.arange(20.0), "bal": quarters(20)})
+    database.create_table("p", {"pk": np.arange(40.0), "price": quarters(40)})
+    database.create_table(
+        "ps",
+        {
+            "sk": rng.integers(0, 20, 240).astype(float),
+            "pk": rng.integers(0, 40, 240).astype(float),
+            "cost": quarters(240),
+            "v": quarters(240, 50.0),
+        },
+    )
+    joins = [
+        JoinPredicate(
+            name=f"j_{key}",
+            left=col(f"{table}.{key}"),
+            right=col(f"ps.{key}"),
+            refinable=False,
+        )
+        for table, key in (("s", "sk"), ("p", "pk"))
+    ]
+    selects = [
+        SelectPredicate(
+            name=column,
+            expr=col(column),
+            interval=Interval(0.0, bound),
+            direction=Direction.UPPER,
+            denominator=100.0,
+        )
+        for column in ("p.price", "s.bal", "ps.cost")
+    ]
+    agg = get_aggregate(aggregate)
+    constraint = AggregateConstraint(
+        AggregateSpec(agg, col("ps.v") if agg.needs_attribute else None),
+        ConstraintOp.EQ,
+        100.0,
+    )
+    query = Query.build("q2", ("s", "p", "ps"), joins + selects, constraint)
+    return database, query
 
 
 @pytest.fixture()

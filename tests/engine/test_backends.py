@@ -8,6 +8,7 @@ SQL), so agreement is strong evidence both are right.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.engine.expression import col
 from repro.engine.memory_backend import MemoryBackend
 from repro.engine.sqlite_backend import SQLiteBackend
 from repro.exceptions import EngineError
+from tests.conftest import q2_shaped
 
 
 def _db(seed=0, n=250):
@@ -243,7 +245,102 @@ class TestSQLiteBackend:
         if case in ("unindexed", "expression"):
             assert [step for step in plan if "SCAN t" in step] == [plan[-1]]
         else:
-            assert plan.count("SEARCH t USING COVERING INDEX idx_t_x") == 2
+            assert plan.count("SEARCH t USING COVERING INDEX idx_t(x)") == 2
+
+    @pytest.mark.parametrize("aggregate", ["COUNT", "SUM"])
+    def test_join_lookups_read_covering_indexes(self, aggregate):
+        """On a star join, a shell pass, a box reader's fetch and
+        ``execute_box`` look each joined table up by its join key in an
+        index that holds every column the query reads of that table, so
+        no lookup reads a table row."""
+        database, query = q2_shaped(aggregate)
+        layer = SQLiteBackend(database)
+        prepared = layer.prepare(query, [100.0] * 3)
+        space = RefinedSpace(query, 20.0, [70.0] * 3)
+        connection = layer._connection
+        statements: list[str] = []
+        connection.set_trace_callback(statements.append)
+        layer.execute_grid_tile(
+            prepared, space, (0, 0, 0), (2, 2, 2), shell=(10.0, 40.0)
+        )
+        layer.box_reader(prepared, (40.0, 40.0, 40.0))((20.0, 30.0, 10.0))
+        layer.execute_box(prepared, (10.0, 20.0, 30.0))
+        connection.set_trace_callback(None)
+        reads = [sql for sql in statements if not sql.startswith("VALUES")]
+        assert len(reads) == 3
+        for sql in reads:
+            plan = [
+                row[3] for row in connection.execute("EXPLAIN QUERY PLAN " + sql)
+            ]
+            lookups = [step for step in plan if re.search(r"\(\w+=\?", step)]
+            assert len(lookups) == 2, plan
+            assert all("USING COVERING INDEX" in step for step in lookups), plan
+
+    def test_index_count(self):
+        """``prepare`` builds one index per join column and one per
+        numeric select column, seven here, as many as when each was a
+        single-column index. A later query that reads no other column
+        builds none, and neither does ``create_indexes=False``."""
+
+        def indexes(layer):
+            return layer._connection.execute(
+                "SELECT COUNT(*) FROM sqlite_master WHERE type = 'index'"
+            ).fetchone()[0]
+
+        database, query = q2_shaped("SUM")
+        layer = SQLiteBackend(database)
+        layer.prepare(query, [100.0] * 3)
+        assert indexes(layer) == 7
+        for aggregate in ("SUM", "COUNT"):
+            layer.prepare(q2_shaped(aggregate, bound=50.0)[1], [100.0] * 3)
+            assert indexes(layer) == 7
+        plain = SQLiteBackend(database, create_indexes=False)
+        plain.prepare(query, [100.0] * 3)
+        assert indexes(plain) == 0
+
+    def test_index_names_never_collide(self):
+        """Tables ``a_b(c)`` and ``a(b_c)`` each get their own index,
+        and the domain read of ``a.b_c`` searches the one on ``a``."""
+        database = Database()
+        database.create_table("a_b", {"c": np.arange(40.0)})
+        database.create_table("a", {"b_c": np.arange(40.0)})
+        predicates = [
+            SelectPredicate(
+                name=ref,
+                expr=col(ref),
+                interval=Interval(0.0, 10.0),
+                direction=Direction.UPPER,
+                denominator=40.0,
+            )
+            for ref in ("a_b.c", "a.b_c")
+        ]
+        query = Query.build(
+            "q",
+            ("a_b", "a"),
+            predicates,
+            AggregateConstraint(
+                AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 5
+            ),
+        )
+        layer = SQLiteBackend(database)
+        layer.prepare(query, [100.0, 100.0])
+        connection = layer._connection
+        tables = connection.execute(
+            "SELECT tbl_name FROM sqlite_master WHERE type = 'index' "
+            "ORDER BY tbl_name"
+        ).fetchall()
+        assert tables == [("a",), ("a_b",)]
+        statements: list[str] = []
+        connection.set_trace_callback(statements.append)
+        assert layer._expr_domain(col("a.b_c"), "a") == Interval(0.0, 39.0)
+        connection.set_trace_callback(None)
+        plan = [
+            row[3]
+            for row in connection.execute("EXPLAIN QUERY PLAN " + statements[0])
+        ]
+        assert [step for step in plan if step.startswith("SEARCH")] == [
+            "SEARCH a USING COVERING INDEX idx_a(b_c)"
+        ] * 2
 
     def test_join_dimension_unbounded(self):
         database = Database()

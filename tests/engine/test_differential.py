@@ -20,6 +20,10 @@ of them over hypothesis-generated grids and asserts:
   ``execute_box`` does, at the cost of one box query (bit for bit for
   COUNT, MIN and MAX; within 1e-9 for SUM and AVG); memory's is the
   base-class reader, one ``execute_box`` per probe;
+* on a star join with fixed equi-joins, the one shape whose SQLite plan
+  the join indexes decide, SQLite's grid passes, shell reads and box
+  reader agree with memory with and without indexes (bit for bit for
+  COUNT, MIN and MAX; within 1e-9 for SUM and AVG);
 * the base-class ``execute_cells`` loop keeps each request's input
   order and counts exactly per request scope when threads share a
   layer;
@@ -59,6 +63,7 @@ from repro.engine.histogram_backend import HistogramBackend
 from repro.engine.memory_backend import MemoryBackend
 from repro.engine.sqlite_backend import SQLiteBackend
 from repro.exceptions import EngineError
+from tests.conftest import q2_shaped
 
 ALL_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 #: The histogram layer estimates; only these are defined for it.
@@ -431,6 +436,42 @@ def _assert_close(memory: dict, sqlite: dict) -> None:
         assert memory[c] == pytest.approx(sqlite[c], rel=1e-9, abs=1e-9), c
 
 
+#: Aggregates whose SQLite states from fetched rows (grid passes, shell
+#: reads, box readers) equal per-query SQL's bit for bit; SQLite sums
+#: SUM and AVG in SQL, the fetched rows in numpy, each in its own order.
+EXACT_ON_SQLITE = ("COUNT", "MIN", "MAX")
+
+
+def _bits(state) -> tuple[str, ...]:
+    """An aggregate state bit for bit (NaN equal to NaN, -0.0 not
+    equal to 0.0)."""
+    return tuple(float(value).hex() for value in state)
+
+
+def _assert_agree(aggregate: str, got, expected) -> None:
+    """Two lists of states: bit for bit for COUNT, MIN and MAX, within
+    1e-9 relative for SUM and AVG."""
+    if aggregate in EXACT_ON_SQLITE:
+        assert [_bits(state) for state in got] == [
+            _bits(state) for state in expected
+        ]
+    else:
+        assert [_state(state) for state in got] == [
+            pytest.approx(_state(state), rel=1e-9) for state in expected
+        ]
+
+
+def _shell_states(layer, prepared, space, shell) -> dict:
+    """Cell states of one shell read over the whole grid, keyed by grid
+    coordinates (the identity outside the shell)."""
+    tensor = layer.execute_grid_tile(
+        prepared, space, space.origin, space.max_coords, shell=shell
+    )
+    return _box_states(
+        tensor, space.origin, _box_coords(space.origin, space.max_coords)
+    )
+
+
 class TestCrossBackendAgreement:
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     def test_memory_and_sqlite_batches_agree(self, aggregate):
@@ -447,6 +488,35 @@ class TestCrossBackendAgreement:
         )
         _assert_close(grid_m, grid_q)
         _assert_close(tile_m, tile_q)
+
+    @pytest.mark.parametrize(
+        "create_indexes", [True, False], ids=["indexed", "unindexed"]
+    )
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    def test_equi_join(self, aggregate, create_indexes):
+        """The star join of Fig 8's Q2: SQLite's grid passes and shell
+        reads agree with memory's whichever plan the join indexes lead
+        SQLite to."""
+        database, query = q2_shaped(aggregate)
+        space = RefinedSpace(query, 20.0, [70.0] * 3)
+        memory = MemoryBackend(database)
+        sqlite = SQLiteBackend(database, create_indexes=create_indexes)
+
+        def reads(layer):
+            prepared = layer.prepare(query, [100.0] * 3)
+            return [
+                *_passes(layer, prepared, space),
+                *(
+                    _shell_states(layer, prepared, space, shell)
+                    for shell in _shells(space)
+                ),
+            ]
+
+        for states_m, states_q in zip(reads(memory), reads(sqlite)):
+            assert states_m.keys() == states_q.keys()
+            _assert_agree(
+                aggregate, list(states_q.values()), list(states_m.values())
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -612,24 +682,14 @@ class TestShellReads:
 # ----------------------------------------------------------------------
 # Box readers == execute_box
 # ----------------------------------------------------------------------
-#: Aggregates whose SQLite reader states equal ``execute_box``'s bit for
-#: bit; the reader sums SUM and AVG in numpy, SQLite in SQL. Memory and
-#: the other layers keep the base-class reader, ``execute_box`` itself.
-EXACT_ON_SQLITE = ("COUNT", "MIN", "MAX")
-
-
-def _bits(state) -> tuple[str, ...]:
-    """An aggregate state bit for bit (NaN equal to NaN, -0.0 not
-    equal to 0.0)."""
-    return tuple(float(value).hex() for value in state)
-
-
-def _check_reader(database, query, outer, probes, caps=(100.0, 100.0)):
+def _check_reader(
+    database, query, outer, probes, caps=(100.0, 100.0), create_indexes=True
+):
     """A SQLite reader over ``outer`` answers every probe as
     ``execute_box`` does, at the cost of one box query: bit for bit for
     COUNT, MIN and MAX, within 1e-9 relative for SUM and AVG. Returns
     the states."""
-    layer = SQLiteBackend(database)
+    layer = SQLiteBackend(database, create_indexes=create_indexes)
     prepared = layer.prepare(query, list(caps))
     before = layer.stats.snapshot()
     read = layer.box_reader(prepared, outer)
@@ -637,15 +697,7 @@ def _check_reader(database, query, outer, probes, caps=(100.0, 100.0)):
     delta = layer.stats.since(before)
     assert (delta.queries_executed, delta.box_queries) == (1, 1)
     expected = [layer.execute_box(prepared, probe) for probe in probes]
-    name = query.constraint.spec.aggregate.name
-    if name in EXACT_ON_SQLITE:
-        assert [_bits(state) for state in states] == [
-            _bits(state) for state in expected
-        ]
-    else:
-        assert [_state(state) for state in states] == [
-            pytest.approx(_state(state), rel=1e-9) for state in expected
-        ]
+    _assert_agree(query.constraint.spec.aggregate.name, states, expected)
     return states
 
 
@@ -687,6 +739,28 @@ class TestBoxReader:
             else _kind_query(kind, aggregate)
         )
         _check_reader(database, query, outer, probes)
+
+    @pytest.mark.parametrize(
+        "create_indexes", [True, False], ids=["indexed", "unindexed"]
+    )
+    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
+    def test_equi_join(self, aggregate, create_indexes):
+        """Probes of a box of the star join of Fig 8's Q2: the reader
+        answers each as SQLite's and memory's ``execute_box`` do."""
+        database, query = q2_shaped(aggregate)
+        probes = [
+            (40.0, 40.0, 40.0), (10.0, 30.0, 20.0), (0.0, 0.0, 0.0),
+            (-10.0, 25.0, 5.0),
+        ]
+        states = _check_reader(
+            database, query, (40.0, 40.0, 40.0), probes, caps=(100.0,) * 3,
+            create_indexes=create_indexes,
+        )
+        memory = MemoryBackend(database)
+        prepared = memory.prepare(query, [100.0] * 3)
+        _assert_agree(
+            aggregate, states, [memory.execute_box(prepared, p) for p in probes]
+        )
 
     @pytest.mark.parametrize("aggregate", ["SUM", "AVG"])
     def test_order_dependent_sums(self, aggregate):
