@@ -26,10 +26,11 @@ test-cov:
 
 # Quality-regression gate: replays every committed gold-standard
 # triple (tests/corpus/data/corpus_manifest.json) through the
-# incremental, materialized, tiled and auto Explore engines, asserts
-# 100% oracle-optimality plus stable top-k rankings, and prints how
-# many triples the auto search read in QScore shells and their shell
-# passes. See docs/CORPUS.md.
+# incremental, materialized, capped (auto at a 64-cell cap) and auto
+# Explore configurations, asserts 100% oracle-optimality plus stable
+# top-k rankings, and prints how many triples the auto search read in
+# QScore shells, their shell passes, and how many capped searches went
+# on cell by cell past the cap. See docs/CORPUS.md.
 corpus-gate:
 	PYTHONPATH=src python -m repro.corpus gate
 

@@ -505,11 +505,11 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     """Predict the explore plan and flag grid/cache geometry hazards.
 
     ACQ501 fires when the refined grid cannot fit a whole-grid tensor
-    (``materialize_cell_cap``) — a WARNING under ``auto``/``tiled``
-    (the tiled engine absorbs it at a seam-stitching cost, in tiles of
-    the size the driver's plan gives it), an ERROR when
-    ``explore_mode='materialized'`` is forced, because execution would
-    raise :class:`~repro.exceptions.QueryModelError`.
+    (``materialize_cell_cap``) — a WARNING under ``auto`` (its shell
+    reads go on cell by cell once a ball's box would exceed the cap)
+    and ``incremental``, an ERROR when ``explore_mode='materialized'``
+    is forced, because execution would raise
+    :class:`~repro.exceptions.QueryModelError`.
 
     ACQ502 fires when a grid cache is configured but some axis extent
     derives from ``dim_cap_default`` rather than the query or the data
@@ -521,9 +521,8 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     ACQ503 reports the plan the driver would run — under ``auto``,
     shell reads, or the whole-grid engine when a grid cache is
     configured — so benchmark configs see mode flips (materialized vs
-    tiled) before running.
+    shells) before running.
     """
-    from repro.core.grid_explore import tile_shape_for
     from repro.core.plan import ExplorePlan, choose_explore_mode
     from repro.exceptions import QueryModelError
 
@@ -542,23 +541,11 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     if grid > cap:
         if plan is None:
             detail = "explore_mode='materialized' would raise at run time"
-        elif plan.tile_cells:
-            # The tile shape the grid engine derives from the plan.
-            tile_shape = tile_shape_for(space, plan.tile_cells)
-            tiles = math.prod(
-                -(-(limit + 1) // width)
-                for limit, width in zip(space.max_coords, tile_shape)
-            )
+        elif plan.mode == "shells":
             detail = (
-                f"the tiled engine splits it into {tiles} tiles of "
-                f"{math.prod(tile_shape):g} cells (shape "
-                f"{list(tile_shape)})"
+                "shell reads go on cell by cell once a ball's bounding "
+                "box would exceed the cap"
             )
-            if plan.mode == "shells":
-                detail = (
-                    "shell reads hand over to tiles once a shell's "
-                    f"bounding box would exceed the cap; {detail}"
-                )
         else:
             detail = "explore_mode='incremental' reads it cell by cell"
         yield Diagnostic(
@@ -598,7 +585,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
         return  # forced-materialized over cap: ACQ501 already reported
     shells = (
         ": one grid pass per QScore shell of the cells the search "
-        "reaches, tiles once a shell's box would exceed "
+        "reaches, cell by cell once a ball's box would exceed "
         "materialize_cell_cap"
         if plan.mode == "shells"
         else ""

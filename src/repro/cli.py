@@ -143,13 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--explore-mode",
-        choices=("auto", "incremental", "materialized", "tiled"),
+        choices=("auto", "incremental", "materialized"),
         default="auto",
         help="Explore engine: per-cell round trips (incremental), one "
-        "whole-grid pass (materialized), on-demand sub-grid passes "
-        "(tiled), or one grid pass per QScore shell of the cells the "
-        "search reaches (auto, the default; the whole grid with a grid "
-        "cache); see docs/EXPLORE_MODES.md",
+        "whole-grid pass (materialized), or one grid pass per QScore "
+        "shell of the cells the search reaches (auto, the default; the "
+        "whole grid with a grid cache); see docs/EXPLORE_MODES.md",
     )
     parser.add_argument(
         "--grid-cache-mb",
@@ -157,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="MB",
         help="enable the cross-query grid tensor cache with this byte "
-        "budget (0 disables); only the materialized/tiled engines "
-        "consult it",
+        "budget (0 disables); only whole-grid reads (materialized, or "
+        "auto with a cache) consult it",
     )
     parser.add_argument(
         "--cache-path",

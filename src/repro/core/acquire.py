@@ -39,8 +39,8 @@ from repro.core.error import AggregateErrorFunction, default_error_for
 from repro.core.expand import LAYER_DECIMALS, make_traversal
 from repro.core.explore import BoxExplorer, Explorer
 from repro.core.grid_cache import GridTensorCache, PersistentGridCache
-from repro.core.grid_explore import ShellGridExplorer, TiledGridExplorer
-from repro.core.plan import ExplorePlan, choose_explore_mode
+from repro.core.grid_explore import GridExplorer
+from repro.core.plan import MODES, choose_explore_mode
 from repro.core.query import ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
 from repro.core.result import AcquireResult, RefinedQuery, SearchStats
@@ -90,21 +90,19 @@ class AcquireConfig:
         explore_mode: Explore engine selection — ``incremental`` (one
             cell round trip per visited grid query), ``materialized``
             (compute the whole cell grid in one backend pass, then
-            answer every grid query from the tensor), ``tiled``
-            (materialize rectangular sub-grids on demand as the
-            traversal reaches them, stitched with seam carries), or
-            ``auto`` (the default: read the cells the traversal has
-            reached in growing QScore shells, one grid pass per shell;
-            the whole grid when a grid cache is configured; see
-            :mod:`repro.core.plan`). All modes produce identical
-            answer sets; see ``docs/EXPLORE_MODES.md``. Contraction
-            searches ignore the mode: they read each examined grid
-            query with one box query (``explore_mode`` ``box`` in
-            their stats).
-        materialize_cell_cap: largest grid (in cells) the materialized
-            engine may allocate — and the per-tile cell bound for the
-            tiled engine. ``auto`` goes to tiles once its shells' box
-            would exceed the cap; forcing ``materialized`` above it
+            answer every grid query from the tensor), or ``auto`` (the
+            default: read the cells the traversal has reached in
+            growing QScore shells, one grid pass per shell; the whole
+            grid when a grid cache is configured and the grid is under
+            both caps; see :mod:`repro.core.plan`). All modes produce
+            identical answer sets; see ``docs/EXPLORE_MODES.md``.
+            Contraction searches ignore the mode: they read each
+            examined grid query with one box query (``explore_mode``
+            ``box`` in their stats).
+        materialize_cell_cap: largest box (in cells) the grid engine
+            may allocate. ``auto``'s shell reads go on cell by cell,
+            like ``incremental``, once a ball's bounding box would
+            exceed it; forcing ``materialized`` on a larger grid
             raises.
         grid_cache: optional
             :class:`~repro.core.grid_cache.GridTensorCache` shared
@@ -160,12 +158,10 @@ class AcquireConfig:
             raise QueryModelError("delta must be >= 0")
         if self.repartition_iterations < 0:
             raise QueryModelError("repartition_iterations must be >= 0")
-        if self.explore_mode not in (
-            "auto", "incremental", "materialized", "tiled"
-        ):
+        if self.explore_mode not in MODES:
             raise QueryModelError(
-                "explore_mode must be 'auto', 'incremental', "
-                f"'materialized' or 'tiled', got {self.explore_mode!r}"
+                "explore_mode must be 'auto', 'incremental' or "
+                f"'materialized', got {self.explore_mode!r}"
             )
         if self.materialize_cell_cap < 1:
             raise QueryModelError("materialize_cell_cap must be >= 1")
@@ -289,20 +285,22 @@ class Acquire:
             "explore plan: %s (%s; grid=%d cells)",
             plan.mode, plan.reason, plan.grid_cells,
         )
-        explorer: Explorer | TiledGridExplorer | ShellGridExplorer
+        explorer: Explorer | GridExplorer
         if plan.mode == "incremental":
             explorer = self._cell_explorer(prepared, space, config)
-        elif plan.mode == "shells":
-            explorer = ShellGridExplorer(
+        else:
+            # The bitmap index only saves per-cell round trips, which
+            # the grid engine issues only past the cap.
+            whole = plan.mode == "materialized"
+            explorer = GridExplorer(
                 self.layer,
                 prepared,
                 space,
                 aggregate,
                 config.materialize_cell_cap,
-                plan.tile_cells,
+                whole=whole,
+                cache=config.resolve_grid_cache() if whole else None,
             )
-        else:
-            explorer = self._grid_explorer(plan, prepared, space, config)
         stats = SearchStats(
             top_k=config.top_k,
             explore_mode=plan.mode,
@@ -336,7 +334,7 @@ class Acquire:
     def _search(
         self,
         config: AcquireConfig,
-        explorer: Explorer | TiledGridExplorer | ShellGridExplorer | BoxExplorer,
+        explorer: Explorer | GridExplorer | BoxExplorer,
         extra_ctx: Sequence[tuple],
         stats: SearchStats,
         original_value: float,
@@ -439,11 +437,10 @@ class Acquire:
                 config.max_grid_queries - stats.grid_queries_examined
             )
             reachable = [coords for coords, _ in layer_scored[:remaining]]
-            # One read of the layer's values, lazy: a cell executes,
-            # a tile materializes, a shell or a box is read only when
-            # ``next`` pulls its first point below; a grid engine of
-            # one tile and the shell engine gather the whole layer at
-            # once.
+            # One read of the layer's values, lazy: a cell executes, a
+            # shell or a box is read only when ``next`` pulls its
+            # first point below; the grid engine gathers the whole
+            # layer at once.
             values = explorer.compute_aggregates(reachable)
             for coords, qscore in layer_scored:
                 if qscore > answer_threshold() + _LAYER_EPS:
@@ -519,7 +516,7 @@ class Acquire:
 
         stats.cells_executed = explorer.cells_executed
         stats.cells_skipped = explorer.cells_skipped
-        if isinstance(explorer, ShellGridExplorer):
+        if isinstance(explorer, GridExplorer):
             stats.explore_mode = explorer.mode
         # Every answer carries its QScore — including repartitioned
         # ones, whose grid ``coords`` are None — so count answer layers
@@ -570,28 +567,6 @@ class Acquire:
             space,
             space.query.constraint.spec.aggregate,
             bitmap_index=bitmap,
-        )
-
-    def _grid_explorer(
-        self,
-        plan: ExplorePlan,
-        prepared: PreparedQuery,
-        space: RefinedSpace,
-        config: AcquireConfig,
-    ) -> TiledGridExplorer:
-        """The grid Explore engine for this search, with tiles of
-        ``plan.tile_cells`` cells (the whole grid when materialized).
-
-        The bitmap index only saves per-cell round trips, which the
-        grid engine does not issue.
-        """
-        return TiledGridExplorer(
-            self.layer,
-            prepared,
-            space,
-            space.query.constraint.spec.aggregate,
-            max_tile_cells=plan.tile_cells,
-            cache=config.resolve_grid_cache(),
         )
 
     def _extra_handles(

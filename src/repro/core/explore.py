@@ -141,7 +141,7 @@ class Explorer:
     def prime_cells(self, coords_list: Sequence[Sequence[int]]) -> int:
         """No-op: a cell executes when its grid query is examined.
 
-        Returns 0. This engine and the tile engines keep this method
+        Returns 0. This engine and the grid engine keep this method
         only because the benchmark tracer (``perfbench/tracing.py``)
         wraps it by name.
         """

@@ -1,10 +1,10 @@
 """Cross-query cache of materialized grid tensors.
 
-The Explore phase's grid engine, in its materialized and tiled modes
-alike, reduces to "build an immutable tensor of per-cell aggregate
-states, then run prefix passes over a private copy" into a tile's block
-tensor. The block tensor depends only on the *data-side* identity of
-the request — which evaluation layer produced it, which
+The Explore phase's grid engine, in its materialized mode, reduces to
+"build an immutable tensor of per-cell aggregate states, then run
+prefix passes over a private copy" into the whole grid's block tensor.
+The block tensor depends only on the *data-side* identity of the
+request — which evaluation layer produced it, which
 tables/predicates/aggregate define the cells, and the refined space's
 geometry — and **not** on the constraint target. A constraint sweep
 (the harness's bread and butter) would therefore rebuild the identical
@@ -12,7 +12,7 @@ tensor once per sweep point; this module makes every point after the
 first a cache hit.
 
 Keying. A cache key is ``(layer token, query fingerprint, space
-geometry, tile box)``:
+geometry, box)``:
 
 - *layer token*: a process-unique integer minted per
   :class:`~repro.engine.backends.EvaluationLayer` instance (not
@@ -24,13 +24,13 @@ geometry, tile box)``:
   its refinement parameters, and the aggregate spec. The constraint
   operator and target are deliberately excluded.
 - *space geometry*: step and per-dimension coordinate limits.
-- *tile box*: inclusive ``(lo, hi)`` coordinate bounds; the full grid
-  is simply the box covering every coordinate.
+- *box*: the inclusive ``(lo, hi)`` coordinate bounds of the whole
+  grid.
 
 Tensors are stored with ``writeable=False`` so a hit can be handed out
 by reference; consumers that need to mutate (the prefix passes) copy
 first, which they must do anyway for correctness (see the
-``tile_prefix_combine`` aliasing contract in ``grid_explore``).
+``prefix_combine`` aliasing contract in ``grid_explore``).
 
 Tiers. :class:`GridTensorCache` is the in-process memory tier; it can
 be backed by a :class:`PersistentGridCache` — a directory of
@@ -40,14 +40,14 @@ cannot use the process-unique layer token, so keys there swap it for a
 *data fingerprint* (:func:`database_digest`): backend class + dataset
 content digest. A layer that cannot produce one (e.g. a third-party
 wrapper without a ``database``) simply never touches the persistent
-tier. Entries also carry a ``kind`` component: ``"blocks"`` for a
-tile's finished post-prefix-pass block tensor, ``"seam<axis>"`` for its
-seam slabs — a block hit skips Explore entirely, the backend pass and
-the d prefix passes alike. Raw cell tensors are not cached: a tile
-reads its blocks first, so a cell entry could only serve a tile whose
-blocks entry is gone. The persistent tier refuses non-float tensors,
-so the object block tensors of user-defined aggregates stay in memory
-and a new process redoes their grid passes.
+tier. Keys end with the kind ``"blocks"``: entries are the grid's
+finished post-prefix-pass block tensors — a block hit skips
+Explore entirely, the backend pass and the d prefix passes alike. Raw
+cell tensors are not cached: the engine reads the blocks first, so a
+cell entry could only serve a grid whose blocks entry is gone. The
+persistent tier refuses non-float tensors, so the object block tensors
+of user-defined aggregates stay in memory and a new process redoes
+their grid passes.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -438,7 +438,7 @@ class _TensorFlight:
 
 
 class GridTensorCache:
-    """Byte-budgeted LRU cache of immutable grid/tile tensors.
+    """Byte-budgeted LRU cache of immutable grid tensors.
 
     Thread-safe; shared freely across queries, sweep points, and
     explore modes. Entries whose tensor alone exceeds the budget are
@@ -454,8 +454,7 @@ class GridTensorCache:
     instead of paying its own backend pass (``inflight_waits`` counts
     those parked reads). The grid Explore engine single-flights its
     block tensors this way; the plain :meth:`lookup`/:meth:`put`
-    pair ignores flights entirely, and serves the seam slabs a tile's
-    flight leader puts before it completes the flight.
+    pair ignores flights entirely.
     """
 
     def __init__(
@@ -482,31 +481,23 @@ class GridTensorCache:
 
     @staticmethod
     def key_for(
-        layer: object,
-        query: Query,
-        space: RefinedSpace,
-        lo: Optional[Sequence[int]] = None,
-        hi: Optional[Sequence[int]] = None,
-        kind: str = "blocks",
+        layer: object, query: Query, space: RefinedSpace
     ) -> TensorKey:
-        """Build the canonical cache key for a grid or tile request.
+        """Build the canonical cache key of a grid's block tensor.
 
-        ``kind`` separates entry families sharing the same identity:
-        finished ``"blocks"`` tensors and per-axis ``"seam<a>"`` slabs.
-        The persistent component is only present when the layer exposes
-        a stable data fingerprint (``persistent_cache_key``);
-        process-local layers get a memory-only key.
+        The identity ends with the grid's inclusive box and the entry
+        kind ``"blocks"``, so keys match those of caches written when
+        sub-boxes and other kinds were cached too. The persistent
+        component is only present when the layer exposes a stable data
+        fingerprint (``persistent_cache_key``); process-local layers get
+        a memory-only key.
         """
-        if lo is None:
-            lo = (0,) * space.d
-        if hi is None:
-            hi = space.max_coords
         identity = (
             query_fingerprint(query),
             space_fingerprint(space),
-            tuple(int(c) for c in lo),
-            tuple(int(c) for c in hi),
-            str(kind),
+            (0,) * space.d,
+            tuple(int(c) for c in space.max_coords),
+            "blocks",
         )
         fingerprint = None
         probe = getattr(layer, "persistent_cache_key", None)

@@ -70,8 +70,9 @@ class SearchStats:
     """Work performed by one ACQUIRE run.
 
     ``explore_mode`` records which Explore engine finished the search —
-    ``incremental``, ``materialized``, ``tiled`` or ``shells`` (``tiled``
-    when a shell search handed its reads to tiles over the cell cap; see
+    ``incremental``, ``materialized`` or ``shells`` (``incremental``
+    also when a shell search went on cell by cell once a ball's box
+    would exceed ``materialize_cell_cap``; see
     :mod:`repro.core.plan`), or ``box`` for a contraction search, which
     reads one box query per examined grid query; ``plan_reason`` is the
     plan's justification (``forced``, ``auto`` or ``grid-cache``, and

@@ -3,12 +3,14 @@
 For every committed triple the gate rebuilds the dataset from its
 recipe, re-certifies the label with the exhaustive oracle, then runs
 the full ACQUIRE driver under four Explore engine configurations —
-incremental, materialized, tiled (64-cell tiles) and the default
-``auto``, which reads the grid in growing QScore shells, one grid
-pass per shell — asserting each returns the oracle-optimal answer and
-a stable, score-monotone top-k ranking whose first element equals the
-single-answer (``top_k=1``) result. The report counts the triples the
-``auto`` arm read in shells and their shell passes.
+incremental, materialized, capped (``auto`` with a 64-cell
+``materialize_cell_cap``) and the default ``auto``, which reads the
+grid in growing QScore shells, one grid pass per shell — asserting
+each returns the oracle-optimal answer and a stable, score-monotone
+top-k ranking whose first element equals the single-answer
+(``top_k=1``) result. The report counts the triples the ``auto`` arm
+read in shells and their shell passes, and the triples whose capped
+search went on cell by cell once a ball's box would exceed the cap.
 
 Run it via ``make corpus-gate`` or ``python -m repro.corpus gate``; on
 failure the report prints a per-triple diff of expected versus actual
@@ -35,12 +37,12 @@ from repro.corpus.oracle import OracleEntry
 from repro.engine.memory_backend import MemoryBackend
 
 #: The gated Explore configurations (name, config overrides). The
-#: tiled arm's 64-cell tiles make every larger grid stitch seams
-#: instead of repeating the materialized arm's one whole-grid tile.
+#: capped arm's 64-cell cap hands larger searches from shells to the
+#: per-cell engine mid-search, a path the default cap never takes.
 ENGINE_CONFIGS: tuple[tuple[str, dict], ...] = (
     ("incremental", {"explore_mode": "incremental"}),
     ("materialized", {"explore_mode": "materialized"}),
-    ("tiled", {"explore_mode": "tiled", "materialize_cell_cap": 64}),
+    ("capped", {"explore_mode": "auto", "materialize_cell_cap": 64}),
     ("auto", {"explore_mode": "auto"}),
 )
 
@@ -65,6 +67,8 @@ class TripleCheck:
     #: Grid passes of the ``auto`` arm's shell search; None when that
     #: search ran no shells (contraction).
     shell_passes: Optional[int] = None
+    #: Whether the capped arm's shell search went on cell by cell.
+    handed_over: bool = False
 
     @property
     def passed(self) -> bool:
@@ -93,11 +97,14 @@ class GateReport:
             check.shell_passes for check in self.checks
             if check.shell_passes is not None
         ]
+        handovers = sum(check.handed_over for check in self.checks)
         lines = [
             f"corpus gate: {len(self.checks)} triples "
             f"({', '.join(f'{k}={v}' for k, v in sorted(families.items()))})",
             f"auto: {len(shells)} of {len(self.checks)} triples read in "
             f"QScore shells, {sum(shells)} shell passes",
+            f"capped: {handovers} of {len(self.checks)} triples went on "
+            "cell by cell past the cell cap",
         ]
         if self.passed:
             lines.append(
@@ -245,11 +252,14 @@ def check_triple(labeled: LabeledTriple) -> TripleCheck:
     layer = MemoryBackend(database)
     driver = Acquire(layer)
     shell_passes = None
+    handed_over = False
     for engine, overrides in ENGINE_CONFIGS:
         engine_config = replace(config, **overrides)
         result = driver.run(query, engine_config)
         if engine == "auto" and result.stats.plan_reason == "auto":
             shell_passes = result.stats.execution.grid_materializations
+        if engine == "capped" and result.stats.plan_reason == "auto":
+            handed_over = result.stats.explore_mode == "incremental"
         _check_ranking(engine, result, labeled, spec.top_k, problems)
 
         # The top-k ranking must be a pure extension of the single-answer
@@ -273,7 +283,9 @@ def check_triple(labeled: LabeledTriple) -> TripleCheck:
                 f"(k={spec.top_k}: {result.satisfied}, k=1: "
                 f"{single.satisfied})"
             )
-    return TripleCheck(spec.triple_id, spec.family, problems, shell_passes)
+    return TripleCheck(
+        spec.triple_id, spec.family, problems, shell_passes, handed_over
+    )
 
 
 def run_gate(

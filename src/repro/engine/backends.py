@@ -12,9 +12,9 @@ Execution requests come in five shapes:
   tuples whose per-dimension minimal refinement falls in a grid cell's
   annulus (:meth:`EvaluationLayer.execute_cell`);
 * *grid passes* — the cell tensor of an inclusive box of the grid in
-  one pass: a rectangular tile of it
+  one pass: a rectangular box of it
   (:meth:`EvaluationLayer.execute_grid_tile`, the grid Explore
-  engine's entry point, whose materialized tile is the whole grid) or
+  engine's entry point, whose materialized box is the whole grid) or
   the whole grid (:meth:`EvaluationLayer.execute_grid`), optionally
   restricted to the cells of one QScore shell. Both are thin adapters
   over one primitive, :meth:`EvaluationLayer._grid_pass`, which a
@@ -89,9 +89,8 @@ class ExecutionStats:
     ``cell_queries``/``box_queries`` the logical requests of each kind,
     and ``grid_materializations``/``grid_cells`` grid passes (one round
     trip computing every cell of a refined space, of one rectangular
-    tile of it — a tile smaller than the grid is additionally counted
-    in ``grid_tiles`` — or of one QScore shell, whose cells alone count
-    in ``grid_cells``). ``cache_hits``/``cache_misses``/``cache_bytes``
+    box of it, or of one QScore shell, whose cells alone count in
+    ``grid_cells``). ``cache_hits``/``cache_misses``/``cache_bytes``
     track :class:`~repro.core.grid_cache.GridTensorCache` lookups made
     on this layer's behalf; a hit serves ``cache_bytes`` tensor bytes
     without any backend pass. ``persistent_hits``/``persistent_bytes``
@@ -105,7 +104,6 @@ class ExecutionStats:
     cell_queries: int = 0
     box_queries: int = 0
     grid_materializations: int = 0
-    grid_tiles: int = 0
     grid_cells: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -285,7 +283,7 @@ class EvaluationLayer:
         entry at grid coordinates ``u`` is the aggregate state of the
         cell at ``u`` (empty cells hold the aggregate's identity state):
         one :meth:`_grid_pass` over the full box, which counts like
-        the materialized Explore engine's one whole-grid tile
+        the materialized Explore engine's one whole-grid read
         (``docs/EXPLORE_MODES.md``).
 
         Callers are responsible for bounding ``space.grid_size`` (the
@@ -356,7 +354,7 @@ class EvaluationLayer:
             rows[slice(None) if flat is None else flat] = states
         # execute_cells already counted the physical round trips.
         self._count_grid(
-            space, lo, hi, round_trip=False,
+            lo, hi, round_trip=False,
             cells=None if flat is None else len(states),
         )
         return tensor
@@ -472,7 +470,6 @@ class EvaluationLayer:
 
     def _count_grid(
         self,
-        space: RefinedSpace,
         lo: Sequence[int],
         hi: Sequence[int],
         rows: int = 0,
@@ -483,22 +480,16 @@ class EvaluationLayer:
 
         ``round_trip=False`` is for the base-class fallback, whose
         physical round trips were already counted by
-        :meth:`execute_cells`. A box smaller than the grid is a tile
-        pass, additionally counted in ``grid_tiles``. ``cells`` is the
-        number of cells a shell read of the box computed: ``grid_cells``
-        counts those, and a shell read is no tile pass.
+        :meth:`execute_cells`. ``cells`` is the number of cells a shell
+        read of the box computed: ``grid_cells`` counts those.
         """
-        tile = False
         if cells is None:
             cells = math.prod(h - l + 1 for l, h in zip(lo, hi))
-            tile = cells < space.grid_size
         with self._stats_lock:
             for stats in _sinks(self.stats):
                 if round_trip:
                     stats.queries_executed += 1
                 stats.grid_materializations += 1
-                if tile:
-                    stats.grid_tiles += 1
                 stats.grid_cells += cells
                 stats.rows_scanned += rows
 

@@ -251,7 +251,7 @@ class HistogramBackend(EvaluationLayer):
             if mask is not None:
                 tensor[~mask] = aggregate.identity()
         self._count_grid(
-            space, lo, hi,
+            lo, hi,
             cells=None if mask is None else int(np.count_nonzero(mask)),
         )
         return tensor

@@ -167,7 +167,7 @@ class MemoryBackend(EvaluationLayer):
                 prepared.query.constraint.spec.aggregate, shape, cells, values
             )
         self._count_grid(
-            space, lo, hi, rows=candidate.nrows,
+            lo, hi, rows=candidate.nrows,
             cells=None if mask is None else int(np.count_nonzero(mask)),
         )
         return tensor

@@ -406,7 +406,7 @@ class SQLiteBackend(EvaluationLayer):
                 cells, values = cells[keep], values[keep]
             tensor = grouped_cell_tensor(spec.aggregate, shape, cells, values)
         self._count_grid(
-            space, lo, hi,
+            lo, hi,
             cells=None if mask is None else int(np.count_nonzero(mask)),
         )
         return tensor

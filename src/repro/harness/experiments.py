@@ -1253,7 +1253,7 @@ def service_load(
         paper_expectation=(
             "The paper's interactive framing implies a multi-query "
             "deployment: throughput scales with service workers on a "
-            "GIL-escaping backend, overlapping sweeps dedupe tile "
+            "GIL-escaping backend, overlapping sweeps dedupe grid "
             "work through the shared target-independent grid cache "
             "(cross-request cache hits > 0)."
         ),

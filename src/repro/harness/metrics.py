@@ -32,7 +32,6 @@ class Row:
     rows_scanned: int
     satisfied: bool
     materializations: int = 0
-    tiles: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     persistent_hits: int = 0
@@ -58,7 +57,6 @@ class Row:
             rows_scanned=run.execution.rows_scanned,
             satisfied=run.satisfied,
             materializations=run.execution.grid_materializations,
-            tiles=run.execution.grid_tiles,
             cache_hits=run.execution.cache_hits,
             cache_misses=run.execution.cache_misses,
             persistent_hits=run.execution.persistent_hits,

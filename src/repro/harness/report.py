@@ -17,7 +17,6 @@ _COLUMNS = (
     ("A_actual", lambda row: _fmt_float(row.aggregate_value, 1)),
     ("queries", lambda row: str(row.queries)),
     ("grids", lambda row: str(row.materializations)),
-    ("tiles", lambda row: str(row.tiles)),
     ("cache", lambda row: _fmt_cache(row)),
     ("warm", lambda row: _fmt_warm(row)),
     ("probes", lambda row: _fmt_probes(row)),
@@ -199,7 +198,7 @@ def save_csv(result: ExperimentResult, path: str) -> str:
     fields = (
         "x_name", "x_value", "method", "time_ms", "error", "qscore",
         "aggregate_value", "queries", "rows_scanned", "materializations",
-        "tiles", "cache_hits", "cache_misses", "persistent_hits",
+        "cache_hits", "cache_misses", "persistent_hits",
         "block_hits", "cache_bytes",
         "explore_mode", "top_k", "repartition_probes",
         "repartitioned_cells", "satisfied",

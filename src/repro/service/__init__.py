@@ -7,7 +7,7 @@ driver admitting N in-flight ACQ requests against shared
 :class:`~repro.engine.backends.EvaluationLayer` backends, one shared
 :class:`~repro.core.grid_cache.GridTensorCache` (the cache key is
 target-independent, so concurrent sweeps over the same data dedupe
-tile work across requests).
+grid work across requests).
 
 Admission control is two budgets plus bounded-queue backpressure:
 

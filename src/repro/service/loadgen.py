@@ -19,7 +19,7 @@ gold-standard corpus manifest so generated traffic has the answer
 distribution of real ACQs; ``duplicate_fraction`` re-issues a suffix of
 the sample against the *same* backend with a jittered constraint
 target, which exercises the shared grid cache's target-independent
-keys (the duplicate's tile tensors are served from cache even though
+keys (the duplicate's block tensors are served from cache even though
 its target differs — cross-request dedupe).
 """
 
@@ -139,7 +139,7 @@ def sample_corpus_requests(
     the sample (fractions above 1 cycle through that tail, so a
     duplicate-*heavy* mix is one call). A duplicate targets the same
     backend with the same refinable shape but a slightly jittered
-    constraint target, so its grid/tile tensors — keyed independently
+    constraint target, so its block tensors — keyed independently
     of the target — are served from the shared cache that the original
     populated: any shared-cache hit the run reports is cross-request
     dedupe at work. Each request keeps its realized config: under the

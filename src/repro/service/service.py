@@ -163,7 +163,7 @@ class AcquireService:
         result = future.result()
 
     Every admitted request runs with the service's shared grid cache
-    injected into its config, so overlapping sweeps dedupe tile work
+    injected into its config, so overlapping sweeps dedupe grid work
     across requests. :meth:`run` is the synchronous convenience
     wrapper; :meth:`close` drains and shuts the pool down (the service
     is also a context manager).

@@ -146,7 +146,7 @@ def xy_count_query() -> Query:
 class FailingBackend(MemoryBackend):
     """MemoryBackend whose ``fail_at``-th backend pass raises
     :class:`~repro.exceptions.EngineError`, once; every other pass runs
-    normally. Cell, grid and tile passes count alike, so ``passes``
+    normally. Cell queries and grid passes count alike, so ``passes``
     after a clean run (``fail_at=0`` never fails) tells a test where a
     failure lands mid-search."""
 

@@ -288,7 +288,7 @@ class TestClosestTieBreak:
     examined query, in traversal order, with the minimal
     ``(error, qscore)`` — on every Explore engine."""
 
-    @pytest.mark.parametrize("mode", ["incremental", "materialized", "tiled"])
+    @pytest.mark.parametrize("mode", ["incremental", "materialized"])
     @pytest.mark.parametrize("target", [60.5, 90.5, 120.5])
     def test_first_minimal_grid_point_wins(self, mirrored_db, mode, target):
         query = count_query("data", {"x": 20.0, "y": 20.0}, target=target)
@@ -312,7 +312,7 @@ class TestClosestTieBreak:
         assert closest.pscores == pscores
         assert closest.aggregate_value == actual
 
-    @pytest.mark.parametrize("mode", ["incremental", "materialized", "tiled"])
+    @pytest.mark.parametrize("mode", ["incremental", "materialized"])
     @pytest.mark.parametrize("target", [60.5, 90.5, 120.5])
     def test_repartition_candidate_wins_on_eq_overshoot(
         self, mirrored_db, mode, target
@@ -339,7 +339,7 @@ class TestClosestTieBreak:
         assert closest.aggregate_value == actual
 
 
-    @pytest.mark.parametrize("mode", ["incremental", "materialized", "tiled"])
+    @pytest.mark.parametrize("mode", ["incremental", "materialized"])
     def test_satisfied_closest_is_an_answer_object(self, mirrored_db, mode):
         """When an answer exists the closest query is one of them, and
         the very same object: no second RefinedQuery is built."""
@@ -567,7 +567,6 @@ class TestWeightedOvershoot:
 _ENGINES = {
     "incremental": {"explore_mode": "incremental"},
     "materialized": {"explore_mode": "materialized"},
-    "tiled": {"explore_mode": "tiled"},
 }
 
 

@@ -113,7 +113,7 @@ class TestDeterminism:
             max_grid_queries=37,
             explore_mode="incremental",
         )
-        for mode in ("materialized", "tiled", "auto"):
+        for mode in ("materialized", "auto"):
             other, _ = _run(
                 database,
                 query,

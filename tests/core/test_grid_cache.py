@@ -14,14 +14,14 @@ Proves the cache contracts of ``docs/EXPLORE_MODES.md``:
   the same directory) serves tensors without backend work;
 * ``lookup_or_lead`` single-flights a cache miss: N threads missing one
   key pay one backend pass, and N threads over a cold memory tier pay
-  at most one persistent-tier read — for the whole grid and for each
-  tile of a tiled one;
+  at most one persistent-tier read;
 * a backend raising mid-pass on any Explore engine propagates, leaves
   no flight behind, and a retry over the same cache answers exactly
   like a clean run;
-* the ``auto`` planner runs the whole-grid engine (reason
-  ``grid-cache``) whenever a grid cache is configured, so a warm block
-  tensor is read with no backend pass and a cold one is written.
+* the ``auto`` planner runs the whole-grid read (reason
+  ``grid-cache``) whenever a grid cache is configured and the grid is
+  under both caps, so a warm block tensor is read with no backend pass
+  and a cold one is written; over the caps it reads shells.
 """
 
 import os
@@ -43,7 +43,7 @@ from repro.core.grid_cache import (
     TensorKey,
     database_digest,
 )
-from repro.core.grid_explore import TiledGridExplorer
+from repro.core.grid_explore import GridExplorer
 from repro.core.interval import Interval
 from repro.core.plan import choose_explore_mode
 from repro.core.predicate import Direction, SelectPredicate
@@ -486,15 +486,18 @@ class TestTwoTierCache:
         layer = MemoryBackend(database)
         query = _query()
         space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        key = GridTensorCache.key_for(layer, query, space, kind="blocks")
+        key = GridTensorCache.key_for(layer, query, space)
         assert isinstance(key, TensorKey)
         assert key.persistent is not None
         assert ("MemoryBackend", database_digest(database)) in key.persistent
+        # The identity ends as in files written when tiles and seams
+        # were cached too: the whole grid's box, then the kind.
+        assert key.persistent[-3:] == (
+            (0, 0), tuple(space.max_coords), "blocks"
+        )
         # Same data in a different layer instance -> same persistent key
         # (this is what makes cross-process reuse possible).
-        other = GridTensorCache.key_for(
-            MemoryBackend(database), query, space, kind="blocks"
-        )
+        other = GridTensorCache.key_for(MemoryBackend(database), query, space)
         assert other.persistent == key.persistent
         assert other.memory != key.memory
 
@@ -516,7 +519,6 @@ class TestWarmCachePlan:
         config = AcquireConfig(explore_mode="auto", grid_cache=cache)
         plan = choose_explore_mode(space, config)
         assert (plan.mode, plan.reason) == ("materialized", "grid-cache")
-        assert plan.tile_cells == space.grid_size
         uncached = choose_explore_mode(
             space, AcquireConfig(explore_mode="auto")
         )
@@ -542,18 +544,16 @@ class TestWarmCachePlan:
         query = _query()
         space = RefinedSpace(query, 20.0, [70.0, 70.0])
         cache = GridTensorCache()
-        blocks_key = GridTensorCache.key_for(
-            layer, query, space, kind="blocks"
-        )
+        blocks_key = GridTensorCache.key_for(layer, query, space)
         shape = tuple(limit + 1 for limit in space.max_coords)
         cache.put(blocks_key, np.zeros(shape))
         config = AcquireConfig(explore_mode="auto", grid_cache=cache)
         choose_explore_mode(space, config)
         assert cache.hits == 0 and cache.misses == 0
 
-    def test_grid_cache_over_the_caps_plans_tiles(self):
+    def test_grid_cache_over_the_caps_plans_shells(self):
         """A cached ``auto`` search over ``materialize_cell_cap`` or the
-        query budget plans tiles, which the cache keeps tile by tile."""
+        query budget plans shells, which never touch the cache."""
         database = _database(seed=41, n=80)
         layer = MemoryBackend(database)
         query = _query()
@@ -566,9 +566,11 @@ class TestWarmCachePlan:
                 **overrides,
             )
             plan = choose_explore_mode(space, config)
-            assert (plan.mode, plan.reason, plan.tile_cells) == (
-                "tiled", "grid-cache", 4
-            )
+            assert (plan.mode, plan.reason) == ("shells", "auto")
+            run = Acquire(layer).run(query, config)
+            assert run.stats.plan_reason == "auto"
+            assert run.stats.execution.cache_misses == 0
+            assert len(config.grid_cache) == 0
 
 
 # ----------------------------------------------------------------------
@@ -606,25 +608,18 @@ class TestSingleFlight:
         query = count_query("data", {"x": 40.0, "y": 40.0}, target=90)
         return database, query
 
-    #: Tile shape splitting the 7x7 grid of ``_race`` into 3x3 tiles.
-    TILE_SHAPE = (3, 3)
-    TILES = 9
-
-    def _race(self, layer, query, cache, tile_shape=None):
-        """Race THREADS explorers over one shared cache, with tiles of
-        ``tile_shape`` (default: the whole grid). Returns them."""
+    def _race(self, layer, query, cache):
+        """Race THREADS whole-grid explorers over one shared cache."""
         space = RefinedSpace(query, 20.0, [60.0, 60.0])
         prepared = layer.prepare(query, [100.0, 100.0])
         aggregate = query.constraint.spec.aggregate
         barrier = threading.Barrier(self.THREADS)
         states: list = [None] * self.THREADS
-        explorers: list = [None] * self.THREADS
         errors: list = []
 
         def worker(index: int) -> None:
-            explorer = explorers[index] = TiledGridExplorer(
-                layer, prepared, space, aggregate,
-                tile_shape=tile_shape, cache=cache,
+            explorer = GridExplorer(
+                layer, prepared, space, aggregate, whole=True, cache=cache,
             )
             barrier.wait()
             try:
@@ -643,7 +638,6 @@ class TestSingleFlight:
         assert not any(t.is_alive() for t in threads), "explorers deadlocked"
         assert not errors, f"racing explorers crashed: {errors[:1]!r}"
         assert all(state == states[0] for state in states)
-        return explorers
 
     def test_thundering_herd_pays_one_backend_pass(self):
         database, query = self._setup()
@@ -679,42 +673,17 @@ class TestSingleFlight:
             "alone should probe the file store"
         )
 
-    def test_tiled_herd_pays_one_pass_and_one_read_per_tile(self, tmp_path):
-        """Tile blocks are single-flighted too: a herd racing one
-        3x3-tiled grid pays one backend pass per tile, and over the
-        warm file tier and a fresh memory tier no pass and one blocks
-        file read per tile, by the leader of its flight."""
-        database, query = self._setup()
-        layer = _SlowGridBackend(database, delay_s=0.05)
-        persistent = PersistentGridCache(str(tmp_path))
-        warm = GridTensorCache(max_bytes=1 << 24, persistent=persistent)
-        explorers = self._race(layer, query, warm, self.TILE_SHAPE)
-        assert layer.grid_passes == self.TILES
-        assert sum(e.tiles_materialized for e in explorers) == self.TILES
-        kinds: list = []  # the kind of every file read; append is atomic
-        read = persistent.get
-
-        def counted_read(key):
-            kinds.append(key[-1])
-            return read(key)
-
-        persistent.get = counted_read
-        cold = GridTensorCache(max_bytes=1 << 24, persistent=persistent)
-        explorers = self._race(layer, query, cold, self.TILE_SHAPE)
-        assert layer.grid_passes == self.TILES
-        assert kinds.count("blocks") == self.TILES
-        assert all(e.tiles_restored == self.TILES for e in explorers)
-
 
 # ----------------------------------------------------------------------
 # Fault injection: a backend raising mid-pass on every Explore engine
 # ----------------------------------------------------------------------
-#: The surviving Explore engines; the small cap splits the tiled grid
-#: into several tiles, so a failure can land between two of them.
+#: The Explore engines; the small cap makes the ``auto`` search read
+#: shells and then go on cell by cell, so a failure can land in a shell
+#: pass or after the handover.
 ENGINES = {
     "incremental": {"explore_mode": "incremental"},
     "materialized": {"explore_mode": "materialized"},
-    "tiled": {"explore_mode": "tiled", "materialize_cell_cap": 9},
+    "capped": {"explore_mode": "auto", "materialize_cell_cap": 9},
 }
 
 

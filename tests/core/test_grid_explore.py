@@ -1,27 +1,25 @@
-"""Differential suite for the materialized and tiled Explore paths.
+"""Differential suite for the grid Explore engine.
 
 Proves the contract of ``docs/EXPLORE_MODES.md``:
 
-* ``GridExplorer`` block states are **bit-identical** to the serial
-  incremental :class:`~repro.core.explore.Explorer` on the exact
-  backends (memory in every mode, sqlite, and the base-class
-  ``execute_grid`` fallback), and match the estimation backends'
-  serial arithmetic exactly as well;
-* ``TiledGridExplorer`` is bit-identical to both, for every tile shape
-  — including shapes that split traversal layers mid-seam — and a
-  cache-hit replay reproduces every block state bit for bit;
+* the whole-grid ``GridExplorer`` (the materialized mode) has block
+  states **bit-identical** to the serial incremental
+  :class:`~repro.core.explore.Explorer` on the exact backends (memory
+  in every mode, sqlite, and the base-class ``execute_grid``
+  fallback), matches the estimation backends' serial arithmetic
+  exactly as well, and a cache-hit replay reproduces every block state
+  bit for bit;
 * ``execute_grid_tile`` returns exactly the corresponding slice of
   ``execute_grid`` on every backend;
 * turning materialization on is observable only in the round-trip
-  counters (``grid_materializations`` / ``grid_tiles`` /
-  ``grid_cells`` / ``queries_executed`` / cache counters), never in an
-  answer;
+  counters (``grid_materializations`` / ``grid_cells`` /
+  ``queries_executed`` / cache counters), never in an answer;
 * an ``auto`` search reads QScore shells, answers like every fixed
   mode, makes at most serial's round trips plus one and one grid pass
   per growth factor of the QScore it reaches, reads few cells for
-  early-terminating searches, and hands over-cap grids to the tiled
-  engine; with a grid cache it plans the whole-grid engine, tiled over
-  the caps.
+  early-terminating searches, and goes on cell by cell once a ball's
+  box would exceed the cell cap; with a grid cache it plans the
+  whole-grid read under both caps, and shells over them.
 
 Aggregate values are multiples of 0.25 (exact binary fractions), as in
 ``tests/engine/test_differential.py``, so the bit-identical assertions
@@ -49,13 +47,7 @@ from repro.core.grid_cache import (
     layer_cache_token,
     query_fingerprint,
 )
-from repro.core.grid_explore import (
-    BALL_GROWTH,
-    GridExplorer,
-    TiledGridExplorer,
-    tile_prefix_combine,
-    tile_shape_for,
-)
+from repro.core.grid_explore import BALL_GROWTH, GridExplorer, prefix_combine
 from repro.core.interval import Interval
 from repro.core.plan import choose_explore_mode
 from repro.core.predicate import Direction, SelectPredicate
@@ -68,7 +60,7 @@ from repro.engine.histogram_backend import HistogramBackend
 from repro.engine.memory_backend import MemoryBackend
 from repro.engine.sampling import SamplingBackend
 from repro.engine.sqlite_backend import SQLiteBackend
-from repro.exceptions import EngineError, QueryModelError, SearchError
+from repro.exceptions import EngineError, QueryModelError
 
 ALL_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 HISTOGRAM_AGGREGATES = ("COUNT", "SUM", "AVG")
@@ -158,43 +150,18 @@ def _make_layer(backend_name: str, database: Database) -> EvaluationLayer:
 
 
 def _pair(backend_name, query, dim_caps, space, aggregate, database):
-    """A serial Explorer and a GridExplorer on independent layers."""
+    """A serial Explorer and a whole-grid GridExplorer on independent
+    layers."""
     serial_layer = _make_layer(backend_name, database)
     grid_layer = _make_layer(backend_name, database)
     serial = Explorer(
         serial_layer, serial_layer.prepare(query, dim_caps), space, aggregate
     )
     grid = GridExplorer(
-        grid_layer, grid_layer.prepare(query, dim_caps), space, aggregate
+        grid_layer, grid_layer.prepare(query, dim_caps), space, aggregate,
+        whole=True,
     )
     return serial, grid, grid_layer
-
-
-def _tiled_pair(
-    backend_name,
-    query,
-    dim_caps,
-    space,
-    aggregate,
-    database,
-    tile_shape=None,
-    cache=None,
-):
-    """A serial Explorer and a TiledGridExplorer on independent layers."""
-    serial_layer = _make_layer(backend_name, database)
-    tiled_layer = _make_layer(backend_name, database)
-    serial = Explorer(
-        serial_layer, serial_layer.prepare(query, dim_caps), space, aggregate
-    )
-    tiled = TiledGridExplorer(
-        tiled_layer,
-        tiled_layer.prepare(query, dim_caps),
-        space,
-        aggregate,
-        tile_shape=tile_shape,
-        cache=cache,
-    )
-    return serial, tiled, tiled_layer
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +250,7 @@ class TestGridMatchesSerial:
         )
         grid = GridExplorer(
             grid_layer, grid_layer.prepare(query, [100.0, 100.0]),
-            space, agg,
+            space, agg, whole=True,
         )
         for coords in _grid_coords(space):
             assert grid.block_state(coords) == serial.block_state(coords)
@@ -302,7 +269,7 @@ class TestGridMatchesSerial:
         )
         grid = GridExplorer(
             grid_layer, grid_layer.prepare(query, [100.0, 100.0]),
-            space, agg,
+            space, agg, whole=True,
         )
         for coords in _grid_coords(space):
             assert grid.block_state(coords) == serial.block_state(coords)
@@ -384,6 +351,7 @@ def _grid_explorer(backend_name, database, query, space, aggregate=None):
         layer.prepare(query, [100.0] * space.d),
         space,
         aggregate or query.constraint.spec.aggregate,
+        whole=True,
     )
 
 
@@ -464,8 +432,8 @@ class TestBulkLayerRead:
         grid = _grid_explorer(
             backend_name, _database(seed=30, n=40), query, space, mean
         )
-        assert grid._ensure_tile((0, 0)).dtype == object  # the one tile
         _assert_bulk_matches_pointwise(grid, space)
+        assert grid._blocks.dtype == object
 
     def test_bulk_read_leaves_cached_blocks_unchanged(self):
         database = _database(seed=31, n=0)
@@ -478,14 +446,16 @@ class TestBulkLayerRead:
             layer.prepare(query, [100.0, 100.0]),
             space,
             query.constraint.spec.aggregate,
+            whole=True,
             cache=cache,
         )
-        before = grid._ensure_tile((0, 0)).copy()  # the one tile
+        grid.block_state(space.origin)
+        before = grid._blocks.copy()
         list(grid.compute_aggregates(_grid_coords(space)))
-        assert np.array_equal(grid._ensure_tile((0, 0)), before)
+        assert np.array_equal(grid._blocks, before)
         assert np.isinf(before).all()
 
-    @pytest.mark.parametrize("engine", ("incremental", "tiled"))
+    @pytest.mark.parametrize("engine", ("incremental", "handover"))
     def test_lazy_engines_compute_only_what_is_pulled(self, engine):
         database = _database(seed=32, n=120)
         query = _query("COUNT")
@@ -495,9 +465,9 @@ class TestBulkLayerRead:
         aggregate = query.constraint.spec.aggregate
         if engine == "incremental":
             explorer = Explorer(layer, prepared, space, aggregate)
-        else:
-            explorer = TiledGridExplorer(
-                layer, prepared, space, aggregate, tile_shape=(2, 2)
+        else:  # every ball is over a 1-cell cap: cell by cell
+            explorer = GridExplorer(
+                layer, prepared, space, aggregate, cell_cap=1
             )
         coords = _grid_coords(space)
         values = explorer.compute_aggregates(coords)
@@ -528,6 +498,7 @@ class TestGridCounters:
                 layer.prepare(query, [100.0, 100.0]),
                 space,
                 query.constraint.spec.aggregate,
+                whole=True,
             )
             before = layer.stats.snapshot()
             for coords in _grid_coords(space):
@@ -547,6 +518,7 @@ class TestGridCounters:
             layer.prepare(query, [100.0, 100.0]),
             space,
             query.constraint.spec.aggregate,
+            whole=True,
         )
         assert layer.stats.grid_materializations == 0
         assert grid.cells_executed == 0
@@ -558,14 +530,14 @@ class TestGridCounters:
 
 
 # ----------------------------------------------------------------------
-# Whole-grid prefix passes: tile_prefix_combine with no carries
+# Whole-grid prefix passes
 # ----------------------------------------------------------------------
 class TestPrefixCombine:
     def test_count_cumulative_sum_all_axes(self):
         cells = np.array(
             [[[1.0], [2.0]], [[3.0], [4.0]]]
         )  # 2x2 grid, arity-1 states
-        blocks, _ = tile_prefix_combine(cells.copy(), get_aggregate("COUNT"))
+        blocks = prefix_combine(cells.copy(), get_aggregate("COUNT"))
         assert blocks[0, 0, 0] == 1.0
         assert blocks[1, 0, 0] == 4.0
         assert blocks[0, 1, 0] == 3.0
@@ -573,7 +545,7 @@ class TestPrefixCombine:
 
     def test_max_running_maximum(self):
         cells = np.array([[[5.0], [1.0]], [[2.0], [9.0]]])
-        blocks, _ = tile_prefix_combine(cells.copy(), get_aggregate("MAX"))
+        blocks = prefix_combine(cells.copy(), get_aggregate("MAX"))
         assert blocks[1, 1, 0] == 9.0
         assert blocks[1, 0, 0] == 5.0
         assert blocks[0, 1, 0] == 5.0
@@ -587,11 +559,18 @@ class TestPrefixCombine:
         )
         rng = np.random.default_rng(5)
         cells = np.floor(rng.uniform(0, 40, (3, 4, 2, 1))) / 4.0
-        generic, _ = tile_prefix_combine(cells.copy(), summish)
-        vectorized, _ = tile_prefix_combine(cells.copy(), get_aggregate("SUM"))
-        assert generic.dtype == object
-        for index in np.ndindex(generic.shape):
-            assert generic[index] == (vectorized[index][0],)
+        # Every stage the prefix passes go through, down to the cells.
+        for passes in (0, 1, 2, None):
+            generic = prefix_combine(cells.copy(), summish, passes)
+            vectorized = prefix_combine(
+                cells.copy(), get_aggregate("SUM"), passes
+            )
+            assert generic.dtype == object
+            for index in np.ndindex(generic.shape):
+                assert generic[index] == (vectorized[index][0],)
+        assert np.array_equal(
+            prefix_combine(cells, get_aggregate("SUM"), 0), cells
+        )
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +586,6 @@ class TestPlanChooser:
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto"))
         assert (plan.mode, plan.reason) == ("shells", "auto")
-        assert plan.tile_cells == plan.grid_cells
 
     def test_dense_search_reads_few_shells(self):
         """A search that walks most of the grid reads it in a few
@@ -666,30 +644,31 @@ class TestPlanChooser:
         assert execution.grid_materializations <= _shell_bound(run)
         assert execution.grid_cells == run.stats.cells_executed <= 10
 
-    def test_grid_over_cap_falls_back_to_tiled(self):
+    def test_grid_over_cap_goes_cell_by_cell(self):
+        """Past a 4-cell cap the shell search goes on cell by cell and
+        answers like serial; no shell read holds more than 4 cells."""
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto", materialize_cell_cap=4))
-        assert (plan.mode, plan.tile_cells) == ("shells", 4)
-        run = _run(_database(seed=33, n=200), _query("COUNT", target=380.0),
-                   explore_mode="auto", materialize_cell_cap=4)
-        assert run.stats.explore_mode == "tiled"
+        assert (plan.mode, plan.reason) == ("shells", "auto")
+        database = _database(seed=33, n=200)
+        query = _query("COUNT", target=380.0)
+        run = _run(database, query, explore_mode="auto",
+                   materialize_cell_cap=4)
+        plain = _run(database, query, explore_mode="incremental")
+        assert run.stats.explore_mode == "incremental"
+        assert _answer_key(run) == _answer_key(plain)
         execution = run.stats.execution
         assert execution.grid_cells <= 4 * execution.grid_materializations
+        assert execution.cell_queries > 0
 
-    def test_grid_over_budget_goes_tiled(self):
+    def test_grid_over_budget_reads_shells(self):
         """The whole-grid plan ``auto`` runs with a grid cache must
         respect ``max_grid_queries``: a grid bigger than the budget may
         not be materialized whole even when it fits the tensor cap."""
         plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
             explore_mode="auto", max_grid_queries=4,
             grid_cache=GridTensorCache()))
-        assert (plan.mode, plan.reason) == ("tiled", "grid-cache")
-        assert plan.tile_cells == 4
-
-    def test_forced_tiled_passes_through(self):
-        plan = _plan(_query("COUNT", target=380.0), AcquireConfig(
-            explore_mode="tiled"))
-        assert (plan.mode, plan.reason) == ("tiled", "forced")
+        assert (plan.mode, plan.reason) == ("shells", "auto")
 
     def test_forced_materialized_over_cap_raises(self):
         with pytest.raises(QueryModelError):
@@ -712,8 +691,9 @@ class TestPlanChooser:
         assert _answer_key(run) == _answer_key(plain)
 
     def test_config_validation(self):
-        with pytest.raises(QueryModelError):
-            AcquireConfig(explore_mode="bogus")
+        for mode in ("bogus", "tiled"):
+            with pytest.raises(QueryModelError):
+                AcquireConfig(explore_mode=mode)
         with pytest.raises(QueryModelError):
             AcquireConfig(materialize_cell_cap=0)
 
@@ -756,12 +736,12 @@ class TestAcquireModes:
         query = _query(aggregate, target=target)
         runs = {
             mode: _run(database, query, explore_mode=mode)
-            for mode in ("incremental", "materialized", "tiled", "auto")
+            for mode in ("incremental", "materialized", "auto")
         }
         baseline = _answer_key(runs["incremental"])
         assert runs["incremental"].stats.explore_mode == "incremental"
         assert runs["materialized"].stats.explore_mode == "materialized"
-        for mode in ("materialized", "tiled", "auto"):
+        for mode in ("materialized", "auto"):
             assert _answer_key(runs[mode]) == baseline, mode
             assert runs[mode].satisfied == runs["incremental"].satisfied
         assert runs["materialized"].stats.execution.grid_materializations >= 1
@@ -774,22 +754,25 @@ class TestAcquireModes:
         assert 1 <= auto.stats.execution.grid_materializations
         assert auto.stats.execution.grid_materializations <= _shell_bound(auto)
 
-    def test_auto_over_cap_runs_tiled(self):
+    def test_auto_over_cap_goes_cell_by_cell(self):
         """The first ball's box (2 x 2 cells) is over a 2-cell cap, so
-        every read goes to 2-cell tiles; no shell is read."""
+        no shell is read: every read goes cell by cell, with serial's
+        round trips and counters."""
         database = _database(seed=34, n=150)
         query = _query("COUNT", target=120.0)
         capped = _run(
             database, query, explore_mode="auto", materialize_cell_cap=2
         )
         plain = _run(database, query, explore_mode="incremental")
-        assert capped.stats.explore_mode == "tiled"
+        assert capped.stats.explore_mode == "incremental"
         assert capped.stats.plan_reason == "auto"
         assert _answer_key(capped) == _answer_key(plain)
-        assert capped.stats.execution.grid_tiles >= 1
-        assert capped.stats.execution.grid_materializations == (
-            capped.stats.execution.grid_tiles
+        untimed = dict(execution_time_s=0.0)
+        assert replace(capped.stats.execution, **untimed) == replace(
+            plain.stats.execution, **untimed
         )
+        assert capped.stats.execution.grid_materializations == 0
+        assert capped.stats.cells_executed == plain.stats.cells_executed
 
     def test_forced_materialized_over_cap_raises_in_run(self):
         database = _database(seed=34, n=150)
@@ -801,16 +784,6 @@ class TestAcquireModes:
                 explore_mode="materialized",
                 materialize_cell_cap=2,
             )
-
-    def test_forced_tiled_matches_incremental(self):
-        database = _database(seed=35, n=180)
-        query = _query("COUNT", target=140.0)
-        tiled = _run(database, query, explore_mode="tiled")
-        plain = _run(database, query, explore_mode="incremental")
-        assert tiled.stats.explore_mode == "tiled"
-        assert tiled.stats.plan_reason == "forced"
-        assert _answer_key(tiled) == _answer_key(plain)
-        assert tiled.satisfied == plain.satisfied
 
     def test_grid_budget_respected_by_materializing_paths(self):
         """Satellite: ``max_grid_queries`` must bound the *backend*
@@ -834,212 +807,6 @@ class TestAcquireModes:
         execution = run.stats.execution
         assert execution.grid_cells <= int(np.count_nonzero(ball))
         assert execution.grid_cells < space.grid_size
-
-
-# ----------------------------------------------------------------------
-# TiledGridExplorer == serial Explorer == GridExplorer, bit-identical
-# ----------------------------------------------------------------------
-class TestTiledMatchesSerial:
-    @pytest.mark.parametrize("tile_shape", [(1, 1), (3, 2), (2, 3)])
-    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
-    @pytest.mark.parametrize(
-        "backend_name", ["memory", "memory-vectorized", "sqlite", "fallback"]
-    )
-    def test_exact_backends(self, backend_name, aggregate, tile_shape):
-        """Tile shapes that split traversal layers mid-seam (and the
-        degenerate one-cell tiling) all reproduce the serial states."""
-        database = _database(seed=41, n=180)
-        query = _query(aggregate)
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        serial, tiled, tiled_layer = _tiled_pair(
-            backend_name,
-            query,
-            [100.0, 100.0],
-            space,
-            query.constraint.spec.aggregate,
-            database,
-            tile_shape=tile_shape,
-        )
-        for coords in _grid_coords(space):
-            assert tiled.block_state(coords) == serial.block_state(coords), (
-                coords
-            )
-            assert tiled.compute_aggregate(
-                coords
-            ) == serial.compute_aggregate(coords)
-        assert tiled_layer.stats.grid_tiles == tiled.tiles_materialized
-        assert tiled.cells_executed == space.grid_size
-
-    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
-    def test_tiled_matches_whole_grid_engine(self, aggregate):
-        database = _database(seed=42, n=160)
-        query = _query(aggregate)
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        agg = query.constraint.spec.aggregate
-        _, grid, _ = _pair(
-            "memory", query, [100.0, 100.0], space, agg, database
-        )
-        _, tiled, _ = _tiled_pair(
-            "memory", query, [100.0, 100.0], space, agg, database,
-            tile_shape=(2, 3),
-        )
-        for coords in _grid_coords(space):
-            assert tiled.block_state(coords) == grid.block_state(coords)
-
-    @pytest.mark.parametrize(
-        "columns, bounds, max_scores, tile_shape",
-        [
-            (("x",), (30.0,), [70.0], (2,)),
-            (
-                ("x", "y", "z"),
-                (40.0, 40.0, 40.0),
-                [40.0, 40.0, 40.0],
-                (2, 1, 2),
-            ),
-        ],
-    )
-    @pytest.mark.parametrize("aggregate", ("COUNT", "MAX"))
-    def test_other_dimensionalities(
-        self, aggregate, columns, bounds, max_scores, tile_shape
-    ):
-        database = _database(seed=43, n=150)
-        query = _query(aggregate, bounds, columns)
-        space = RefinedSpace(query, 15.0 * len(columns), max_scores)
-        serial, tiled, _ = _tiled_pair(
-            "memory",
-            query,
-            [100.0] * len(columns),
-            space,
-            query.constraint.spec.aggregate,
-            database,
-            tile_shape=tile_shape,
-        )
-        for coords in _grid_coords(space):
-            assert tiled.block_state(coords) == serial.block_state(coords)
-
-    @pytest.mark.parametrize("aggregate", HISTOGRAM_AGGREGATES)
-    def test_histogram_backend(self, aggregate):
-        database = _database(seed=44, n=180)
-        query = _query(aggregate)
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        agg = query.constraint.spec.aggregate
-        serial_layer = HistogramBackend(database)
-        tiled_layer = HistogramBackend(database)
-        serial = Explorer(
-            serial_layer, serial_layer.prepare(query, [100.0, 100.0]),
-            space, agg,
-        )
-        tiled = TiledGridExplorer(
-            tiled_layer, tiled_layer.prepare(query, [100.0, 100.0]),
-            space, agg, tile_shape=(2, 3),
-        )
-        for coords in _grid_coords(space):
-            assert tiled.block_state(coords) == serial.block_state(coords)
-
-    @pytest.mark.parametrize("aggregate", ("COUNT", "SUM"))
-    def test_sampling_backend(self, aggregate):
-        database = _database(seed=45, n=300)
-        query = _query(aggregate)
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        agg = query.constraint.spec.aggregate
-        serial_layer = SamplingBackend(database, fraction=0.5, seed=3)
-        tiled_layer = SamplingBackend(database, fraction=0.5, seed=3)
-        serial = Explorer(
-            serial_layer, serial_layer.prepare(query, [100.0, 100.0]),
-            space, agg,
-        )
-        tiled = TiledGridExplorer(
-            tiled_layer, tiled_layer.prepare(query, [100.0, 100.0]),
-            space, agg, tile_shape=(3, 2),
-        )
-        for coords in _grid_coords(space):
-            assert tiled.block_state(coords) == serial.block_state(coords)
-
-    def test_user_defined_aggregate_seam_order(self):
-        """A non-commutative user aggregate exercises the generic seam
-        fold; matching the serial Explorer proves the carry enters each
-        line in the serial operand order."""
-        concat = UserDefinedAggregate(
-            name="FIRST_LAST",
-            identity=(np.inf, -np.inf),
-            combine=lambda left, right: (
-                min(left[0], right[0]),
-                max(left[1], right[1]),
-            ),
-            lift=lambda values: (
-                (float(np.min(values)), float(np.max(values)))
-                if len(values)
-                else (np.inf, -np.inf)
-            ),
-        )
-        database = _database(seed=46, n=160)
-        query = _query(concat)
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        serial, tiled, _ = _tiled_pair(
-            "memory", query, [100.0, 100.0], space, concat, database,
-            tile_shape=(2, 2),
-        )
-        for coords in _grid_coords(space):
-            assert tiled.block_state(coords) == serial.block_state(coords)
-
-    def test_lazy_partial_materialization(self):
-        """Only the down-set of touched tiles is ever materialized."""
-        database = _database(seed=47, n=150)
-        query = _query("COUNT")
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        serial, tiled, tiled_layer = _tiled_pair(
-            "memory",
-            query,
-            [100.0, 100.0],
-            space,
-            query.constraint.spec.aggregate,
-            database,
-            tile_shape=(2, 2),
-        )
-        assert tiled.tiles_materialized == 0
-        assert tiled.block_state(space.origin) == serial.block_state(
-            space.origin
-        )
-        assert tiled.tiles_materialized == 1
-        assert tiled.cells_executed == 4
-        assert tiled_layer.stats.grid_tiles == 1
-        # The far corner needs the full down-set: every tile.
-        tiled.block_state(space.max_coords)
-        assert tiled.cells_executed == space.grid_size
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10**6),
-        n=st.integers(min_value=0, max_value=100),
-        aggregate=st.sampled_from(ALL_AGGREGATES),
-        backend_name=st.sampled_from(("memory", "sqlite")),
-        width_x=st.integers(min_value=1, max_value=4),
-        width_y=st.integers(min_value=1, max_value=4),
-        gamma=st.floats(min_value=16.0, max_value=40.0),
-    )
-    def test_random_tilings(
-        self, seed, n, aggregate, backend_name, width_x, width_y, gamma
-    ):
-        """Property: over random data, grids and tile shapes, every
-        tiled block state equals the serial Explorer's, and the bulk
-        layer read, whose layers cross tiles, equals per-point reads."""
-        database = _database(seed=seed, n=n)
-        query = _query(aggregate)
-        space = RefinedSpace(query, gamma, [80.0, 80.0])
-        serial, tiled, _ = _tiled_pair(
-            backend_name,
-            query,
-            [150.0, 150.0],
-            space,
-            query.constraint.spec.aggregate,
-            database,
-            tile_shape=(width_x, width_y),
-        )
-        for coords in _grid_coords(space)[:40]:
-            assert tiled.block_state(coords) == serial.block_state(coords), (
-                coords
-            )
-        _assert_bulk_matches_pointwise(tiled, space)
 
 
 # ----------------------------------------------------------------------
@@ -1105,15 +872,14 @@ class TestExecuteGridTile:
         layer.execute_grid_tile(prepared, space, (0, 0), (1, 1))
         delta = layer.stats.since(before)
         assert delta.queries_executed == 1
-        assert delta.grid_tiles == 1
         assert delta.grid_materializations == 1
         assert delta.grid_cells == 4
 
     @pytest.mark.parametrize("backend_name", ["memory", "sqlite", "fallback"])
     def test_full_box_tile_counts_as_grid_pass(self, backend_name):
-        """A tile as large as the grid (the materialized engine's one
-        tile) counts exactly like ``execute_grid``: one grid pass and no
-        tile. A proper sub-box counts both (``test_tile_counters``)."""
+        """A box as large as the grid (the materialized engine's one
+        read) counts exactly like ``execute_grid``: one grid pass of
+        every cell."""
         query = _query("COUNT")
         space = RefinedSpace(query, 20.0, [70.0, 70.0])
         layer = _make_layer(backend_name, _database(seed=54, n=150))
@@ -1125,7 +891,7 @@ class TestExecuteGridTile:
         tile, grid = middle.since(before), layer.stats.since(middle)
         untimed = dict(execution_time_s=0.0)
         assert replace(tile, **untimed) == replace(grid, **untimed)
-        assert (tile.grid_materializations, tile.grid_tiles) == (1, 0)
+        assert tile.grid_materializations == 1
         assert tile.grid_cells == space.grid_size
 
     @pytest.mark.parametrize(
@@ -1148,34 +914,6 @@ class TestExecuteGridTile:
 
 
 # ----------------------------------------------------------------------
-# Tiling helpers
-# ----------------------------------------------------------------------
-class TestTileHelpers:
-    def test_tile_shape_for_respects_budget(self):
-        query = _query("COUNT")
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        full = tuple(limit + 1 for limit in space.max_coords)
-        assert tile_shape_for(space, space.grid_size) == full
-        capped = tile_shape_for(space, 4)
-        assert int(np.prod(capped)) <= 4
-        assert all(width >= 1 for width in capped)
-        assert tile_shape_for(space, 1) == (1,) * space.d
-
-    def test_explicit_tile_shape_validated(self):
-        database = _database(seed=56, n=50)
-        query = _query("COUNT")
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        layer = MemoryBackend(database)
-        prepared = layer.prepare(query, [100.0, 100.0])
-        aggregate = query.constraint.spec.aggregate
-        for bad in [(2,), (0, 2), (2, -1)]:
-            with pytest.raises(SearchError):
-                TiledGridExplorer(
-                    layer, prepared, space, aggregate, tile_shape=bad
-                )
-
-
-# ----------------------------------------------------------------------
 # Aliasing: the prefix passes must never write their input tensors
 # ----------------------------------------------------------------------
 class TestAliasingRegression:
@@ -1186,29 +924,9 @@ class TestAliasingRegression:
         rng = np.random.default_rng(7)
         cells = np.floor(rng.uniform(0, 40, (3, 4, 1))) / 4.0
         pristine = cells.copy()
-        blocks, _ = tile_prefix_combine(cells, get_aggregate("SUM"))
+        blocks = prefix_combine(cells, get_aggregate("SUM"))
         assert blocks is not cells
         assert np.array_equal(cells, pristine)
-
-    def test_tile_prefix_combine_leaves_input_and_carries_unchanged(self):
-        rng = np.random.default_rng(8)
-        cells = np.floor(rng.uniform(0, 40, (3, 4, 1))) / 4.0
-        carries = {
-            0: np.floor(rng.uniform(0, 40, (4, 1))) / 4.0,
-            1: np.floor(rng.uniform(0, 40, (3, 1))) / 4.0,
-        }
-        pristine = cells.copy()
-        pristine_carries = {k: v.copy() for k, v in carries.items()}
-        blocks, seams = tile_prefix_combine(
-            cells, get_aggregate("MAX"), carries
-        )
-        assert blocks is not cells
-        assert np.array_equal(cells, pristine)
-        for axis, carry in carries.items():
-            assert np.array_equal(carry, pristine_carries[axis])
-        # Seams are private copies, not views into the block tensor.
-        for seam in seams.values():
-            assert not np.shares_memory(seam, blocks)
 
     def test_block_state_leaves_cached_tensor_unchanged(self):
         """Regression: reading through ``block_state`` and the layer
@@ -1223,7 +941,7 @@ class TestAliasingRegression:
         aggregate = query.constraint.spec.aggregate
         cache = GridTensorCache()
         explorer = GridExplorer(
-            layer, prepared, space, aggregate, cache=cache
+            layer, prepared, space, aggregate, whole=True, cache=cache
         )
         explorer.block_state(space.max_coords)
         list(explorer.compute_aggregates(list(make_traversal(space))))
@@ -1231,9 +949,7 @@ class TestAliasingRegression:
         cached = cache.get(key)
         assert cached is not None
         assert not cached.flags.writeable
-        fresh, _ = tile_prefix_combine(
-            layer.execute_grid(prepared, space), aggregate
-        )
+        fresh = prefix_combine(layer.execute_grid(prepared, space), aggregate)
         assert np.array_equal(cached, fresh)
 
 
@@ -1336,47 +1052,23 @@ class TestCacheReplay:
         prepared = layer.prepare(query, [100.0, 100.0])
         agg = query.constraint.spec.aggregate
         cache = GridTensorCache()
-        first = GridExplorer(layer, prepared, space, agg, cache=cache)
+        first = GridExplorer(
+            layer, prepared, space, agg, whole=True, cache=cache
+        )
         reference = {
             coords: first.block_state(coords)
             for coords in _grid_coords(space)
         }
         assert layer.stats.cache_misses == 1
         before = layer.stats.snapshot()
-        replay = GridExplorer(layer, prepared, space, agg, cache=cache)
+        replay = GridExplorer(
+            layer, prepared, space, agg, whole=True, cache=cache
+        )
         for coords, expected in reference.items():
             assert replay.block_state(coords) == expected, coords
         delta = layer.stats.since(before)
         assert delta.cache_hits == 1
         assert delta.queries_executed == 0  # no backend pass at all
-        assert replay.cells_executed == 0
-
-    def test_tiled_replay(self):
-        database = _database(seed=62, n=180)
-        query = _query("SUM")
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        layer = MemoryBackend(database)
-        prepared = layer.prepare(query, [100.0, 100.0])
-        agg = query.constraint.spec.aggregate
-        cache = GridTensorCache()
-        first = TiledGridExplorer(
-            layer, prepared, space, agg, tile_shape=(2, 2), cache=cache
-        )
-        reference = {
-            coords: first.block_state(coords)
-            for coords in _grid_coords(space)
-        }
-        tiles = first.tiles_materialized
-        assert tiles > 1
-        before = layer.stats.snapshot()
-        replay = TiledGridExplorer(
-            layer, prepared, space, agg, tile_shape=(2, 2), cache=cache
-        )
-        for coords, expected in reference.items():
-            assert replay.block_state(coords) == expected, coords
-        delta = layer.stats.since(before)
-        assert delta.cache_hits == tiles
-        assert delta.queries_executed == 0
         assert replay.cells_executed == 0
 
     def test_acquire_sweep_reuses_tensors(self):

@@ -1,18 +1,21 @@
 """The ``auto`` plan's shell reads cannot change an answer.
 
-``explore_mode='auto'`` runs :class:`ShellGridExplorer`: it grows a
-QScore ball one backend pass per shell, the bounds growing by
+``explore_mode='auto'`` runs :class:`GridExplorer`: it grows a QScore
+ball one backend pass per shell, the bounds growing by
 ``BALL_GROWTH``. Where the shell boundaries fall depends on that
 constant, so these tests move it to put a boundary after every layer a
 search examines, in turn, and once after every layer at the same time.
 Each run must read exactly like the incremental one: answers, closest,
-grid queries examined and repartition probes.
+grid queries examined and repartition probes. The same holds past the
+cell cap, where the search hands the ball over to the per-cell engine
+and goes on cell by cell, whichever ball the cap stops.
 
 Aggregate values are multiples of 0.25 (exact binary fractions), as in
 ``tests/engine/test_differential.py``, so SQLite's row order cannot
 move a SUM or AVG.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +30,7 @@ from repro.core.aggregates import (
     UserDefinedAggregate,
     get_aggregate,
 )
-from repro.core.grid_explore import (
-    BOUND_SLACK,
-    GridExplorer,
-    ShellGridExplorer,
-)
+from repro.core.grid_explore import BOUND_SLACK, GridExplorer
 from repro.core.interval import Interval
 from repro.core.predicate import Direction, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
@@ -130,7 +129,7 @@ def _bounds(monkeypatch, layer, query, config) -> list[float]:
     layer (growth 1): the first bound, then each layer's QScore past
     it, widened by ``BOUND_SLACK``."""
     bounds: list[float] = []
-    reach = ShellGridExplorer._reach
+    reach = GridExplorer._reach
 
     def record(self, points):
         reach(self, points)
@@ -139,7 +138,7 @@ def _bounds(monkeypatch, layer, query, config) -> list[float]:
 
     with monkeypatch.context() as patch:
         patch.setattr(grid_explore, "BALL_GROWTH", 1.0)
-        patch.setattr(ShellGridExplorer, "_reach", record)
+        patch.setattr(GridExplorer, "_reach", record)
         Acquire(layer).run(query, config)
     return bounds
 
@@ -160,9 +159,8 @@ def _check_every_boundary(monkeypatch, layer, query, config) -> None:
         stats = run.stats
         execution = stats.execution
         assert stats.plan_reason == "auto"
-        assert execution.cell_queries == 0
         if stats.explore_mode == "shells":
-            assert execution.grid_tiles == 0
+            assert execution.cell_queries == 0
             assert stats.cells_executed == execution.grid_cells
             assert stats.cells_executed >= stats.grid_queries_examined
             if growth == 1.0:
@@ -170,8 +168,13 @@ def _check_every_boundary(monkeypatch, layer, query, config) -> None:
             elif stats.last_qscore > bounds[0]:
                 assert execution.grid_materializations >= 2
         else:
-            assert stats.explore_mode == "tiled"
-            assert execution.grid_materializations > execution.grid_tiles
+            # Cell queries only after a handover, one per cell read
+            # past the ball.
+            assert stats.explore_mode == "incremental"
+            assert execution.cell_queries >= 1
+            assert stats.cells_executed == (
+                execution.grid_cells + execution.cell_queries
+            )
 
 
 class TestShellBoundaries:
@@ -239,9 +242,9 @@ class TestShellBoundaries:
         )
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_over_cap_hands_over_to_tiles(self, monkeypatch, backend):
+    def test_over_cap_hands_over_to_cells(self, monkeypatch, backend):
         """A 16-cell cap: the ball's box outgrows it mid-search, and the
-        remaining reads go to 16-cell tiles."""
+        remaining reads go cell by cell from the ball's sub-aggregates."""
         layer = _layer(backend, _database())
         query = _query("COUNT", 60)
         config = AcquireConfig(
@@ -250,8 +253,9 @@ class TestShellBoundaries:
         _check_every_boundary(monkeypatch, layer, query, config)
         run = Acquire(layer).run(query, config)
         execution = run.stats.execution
-        assert run.stats.explore_mode == "tiled"
-        assert execution.grid_materializations > execution.grid_tiles >= 1
+        assert run.stats.explore_mode == "incremental"
+        assert execution.grid_materializations >= 1
+        assert execution.cell_queries >= 1
         assert execution.grid_cells <= 16 * execution.grid_materializations
 
     def test_counts_repeat_across_runs(self):
@@ -268,6 +272,126 @@ class TestShellBoundaries:
             for e in runs
         )
         assert first == second
+
+
+# ----------------------------------------------------------------------
+# Past the cell cap: the handover reads like incremental, at every cap
+# ----------------------------------------------------------------------
+def _bits(result) -> tuple:
+    """Answers, closest, original value and grid queries examined, with
+    every float as its bits (so NaNs compare)."""
+
+    def refined(answer):
+        return (
+            answer.coords,
+            [score.hex() for score in answer.pscores],
+            answer.qscore.hex(),
+            float(answer.aggregate_value).hex(),
+            float(answer.error).hex(),
+        )
+
+    return (
+        [refined(answer) for answer in result.answers],
+        None if result.closest is None else refined(result.closest),
+        float(result.original_value).hex(),
+        result.stats.grid_queries_examined,
+    )
+
+
+def _largest_box(layer, query, config) -> tuple[int, int]:
+    """The grid's size and the most cells a ball's bounding box holds
+    in an uncapped ``auto`` search."""
+    seen = {"grid": 0, "box": 0}
+    reach = GridExplorer._reach
+
+    def record(self, points):
+        reach(self, points)
+        seen["grid"] = self.space.grid_size
+        if self._hi:
+            box = math.prod(high + 1 for high in self._hi)
+            seen["box"] = max(seen["box"], box)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GridExplorer, "_reach", record)
+        Acquire(layer).run(query, config)
+    return seen["grid"], seen["box"]
+
+
+def _check_every_cap(layer, query, config) -> None:
+    """For every cap from 1 up to the grid size, ``auto`` reads like
+    ``incremental`` bit for bit, and goes cell by cell exactly when a
+    ball's box exceeded the cap. Cap 1 is over the first ball's box, so
+    that search hands over with nothing to seed."""
+    reference = Acquire(layer).run(
+        query, replace(config, explore_mode="incremental")
+    )
+    grid, largest = _largest_box(layer, query, config)
+    contracts = reference.stats.explore_mode == "box"
+    assert contracts or grid > 1
+    for cap in range(1, grid + 1):
+        run = Acquire(layer).run(
+            query, replace(config, materialize_cell_cap=cap)
+        )
+        assert _bits(run) == _bits(reference), cap
+        if contracts:
+            assert run.stats.explore_mode == "box"
+            continue
+        handed_over = run.stats.explore_mode == "incremental"
+        assert handed_over == (largest > cap), cap
+        if not handed_over:
+            assert run.stats.explore_mode == "shells"
+        if cap == 1:
+            assert run.stats.execution.grid_materializations == 0
+
+
+def _cap_query(aggregate, columns, op, target) -> Query:
+    predicates = [
+        SelectPredicate(
+            name=f"p{i}",
+            expr=col(f"t.{column}"),
+            interval=Interval(0.0, 30.0),
+            direction=Direction.UPPER,
+            denominator=100.0,
+        )
+        for i, column in enumerate(columns)
+    ]
+    constraint = AggregateConstraint(_spec(aggregate), op, target)
+    return Query.build("q", ("t",), predicates, constraint)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    columns=st.sampled_from(["xy", "xyv"]),
+    aggregate=st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+    op=st.sampled_from([ConstraintOp.EQ, ConstraintOp.GE]),
+    fraction=st.floats(0.1, 1.2),
+)
+def test_every_cap_answers_like_incremental(
+    seed, columns, aggregate, op, fraction
+):
+    """Property: on random 2-d and 3-d memory tables, every cap hands
+    over where a ball outgrows it and answers like incremental."""
+    database = _database(seed, n=90)
+    values = database.table("t").column("v")
+    target = {
+        "COUNT": 90 * fraction,
+        "SUM": float(values.sum()) * fraction,
+    }.get(aggregate, float(np.quantile(values, min(fraction, 1.0))))
+    query = _cap_query(aggregate, columns, op, target)
+    # 6 coordinates per axis: 36 and 216 caps.
+    config = AcquireConfig(explore_mode="auto", step=15.0, gamma=45.0)
+    _check_every_cap(MemoryBackend(database), query, config)
+
+
+@pytest.mark.parametrize(
+    "aggregate, target", [("COUNT", 60), ("MIN", 0.5), ("MAX", 49.5)]
+)
+def test_every_cap_answers_like_incremental_on_sqlite(aggregate, target):
+    config = AcquireConfig(explore_mode="auto", step=10.0, gamma=20.0)
+    _check_every_cap(
+        SQLiteBackend(_database()), _query(aggregate, target), config
+    )
 
 
 # ----------------------------------------------------------------------
@@ -325,14 +449,12 @@ def test_ball_blocks_equal_materialized(
     database = _database(seed, n=120)
     whole = MemoryBackend(database)
     materialized = GridExplorer(
-        whole, whole.prepare(query), space, aggregate_fn
+        whole, whole.prepare(query), space, aggregate_fn, whole=True
     )
-    blocks = materialized._ensure_tile((0,) * space.d)
+    materialized.block_state(space.origin)
+    blocks = materialized._blocks
     layer = MemoryBackend(database)
-    shells = ShellGridExplorer(
-        layer, layer.prepare(query), space, aggregate_fn,
-        cell_cap=10**6, tile_cells=10**6,
-    )
+    shells = GridExplorer(layer, layer.prepare(query), space, aggregate_fn)
     qscores = space.box_qscores(space.origin, space.max_coords)
     original = grid_explore.BALL_GROWTH
     grid_explore.BALL_GROWTH = growth

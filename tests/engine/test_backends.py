@@ -105,7 +105,6 @@ class TestExecutionStats:
         delta = layer.stats.since(snap)
         assert delta.queries_executed == 1
         assert delta.grid_materializations == 1
-        assert delta.grid_tiles == 1
         assert delta.grid_cells == 6
         assert delta.rows_scanned == prepared.candidate.nrows
         assert delta.cell_queries == 0

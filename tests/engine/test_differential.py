@@ -278,7 +278,6 @@ def _check_passes_match_cells(
     assert grid == expected
     assert tile == {c: expected[c] for c in tile}
     assert passes.stats.grid_materializations == 2
-    assert passes.stats.grid_tiles == 1
     assert passes.stats.grid_cells == len(grid) + len(tile)
     return grid, tile
 
@@ -386,7 +385,6 @@ class TestBatchedMatchesSerial:
         assert wrapped.stats.cell_queries == cells
         assert wrapped.stats.queries_executed == cells
         assert wrapped.stats.grid_materializations == 2
-        assert wrapped.stats.grid_tiles == 1
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
@@ -599,7 +597,6 @@ def _check_shells_match_grid(
                 assert _state(tensor[index]) == expected, (lower, index)
             cells = int(np.count_nonzero(inside))
             assert delta.grid_materializations == 1
-            assert delta.grid_tiles == 0
             assert delta.grid_cells == cells
             assert delta.cell_queries == (cells if fallback else 0)
             assert delta.queries_executed == (cells if fallback else 1)

@@ -44,7 +44,7 @@ from repro.engine.memory_backend import MemoryBackend
 from repro.service import AcquireService, ServiceConfig
 from tests.conftest import count_query
 
-MODES = ("incremental", "materialized", "tiled", "auto")
+MODES = ("incremental", "materialized", "auto")
 
 #: Integer counters of ExecutionStats; the float fields (timings) are
 #: excluded because summing them across scopes is order-sensitive.

@@ -370,30 +370,35 @@ class TestExecutionAccounting:
         assert service.run(_query()).satisfied
 
     def test_backend_raising_mid_pass_frees_its_slot(self):
-        """A backend failure inside a tiled search surfaces on the
-        future, leaves no cache flight behind, and returns the slot:
+        """A backend failure inside a whole-grid read, or inside a shell
+        search that goes on cell by cell past a small cap, surfaces on
+        the future, leaves no cache flight behind, and returns the slot:
         with one slot in total the next request is still admitted and
         answers exactly like a clean run."""
         database = _db()
         query = _query()
-        config = AcquireConfig(
-            explore_mode="tiled", materialize_cell_cap=9, gamma=20.0
-        )
-        probe = FailingBackend(database)
-        clean = Acquire(probe).run(query, config)
-        layer = FailingBackend(database, fail_at=(probe.passes + 1) // 2)
-        with AcquireService(ServiceConfig(workers=1, max_queue=0)) as instance:
-            instance.register_backend("default", layer)
-            with pytest.raises(EngineError):
-                instance.run(query, config)
-            stats = instance.stats()
-            assert stats.in_flight == 0
-            assert stats.failed == 1
-            assert not instance.grid_cache._flights
-            retry = instance.run(query, config)
-            stats = instance.stats()
-        assert answer_key(retry) == answer_key(clean)
-        assert stats.admitted == 2 and stats.completed == 1
+        for overrides in (
+            {"explore_mode": "materialized"},
+            {"explore_mode": "auto", "materialize_cell_cap": 9},
+        ):
+            config = AcquireConfig(gamma=20.0, **overrides)
+            probe = FailingBackend(database)
+            clean = Acquire(probe).run(query, config)
+            layer = FailingBackend(database, fail_at=(probe.passes + 1) // 2)
+            with AcquireService(
+                ServiceConfig(workers=1, max_queue=0)
+            ) as instance:
+                instance.register_backend("default", layer)
+                with pytest.raises(EngineError):
+                    instance.run(query, config)
+                stats = instance.stats()
+                assert stats.in_flight == 0
+                assert stats.failed == 1
+                assert not instance.grid_cache._flights
+                retry = instance.run(query, config)
+                stats = instance.stats()
+            assert answer_key(retry) == answer_key(clean)
+            assert stats.admitted == 2 and stats.completed == 1
 
     def test_shared_cache_dedupes_across_requests(self, service):
         import random
