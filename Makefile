@@ -93,8 +93,11 @@ perfbench-smoke:
 experiments:
 	python -m repro.harness all --save
 
+# Runs every example script; stops at the first one that fails.
 examples:
-	for script in examples/*.py; do echo "== $$script =="; python $$script; done
+	for script in examples/*.py; do \
+		echo "== $$script =="; PYTHONPATH=src python $$script || exit 1; \
+	done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

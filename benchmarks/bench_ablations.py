@@ -3,8 +3,7 @@
 * Incremental aggregate computation vs re-executing every grid query
   as a full box query — the value of the Explore phase itself.
 * The section 7.4 bitmap index on clustered data (skip-empty-cells).
-* Evaluation-layer choice: memory vs SQLite vs the vectorized-grid
-  accelerator, on identical workloads.
+* Evaluation-layer choice: memory vs SQLite on identical workloads.
 """
 
 import time
@@ -122,10 +121,6 @@ def test_bitmap_index_skips_empty_cells(benchmark):
     "make_layer",
     [
         pytest.param(lambda db: MemoryBackend(db), id="memory"),
-        pytest.param(
-            lambda db: MemoryBackend(db, vectorized_grid=True),
-            id="memory-vectorized-grid",
-        ),
         pytest.param(lambda db: SQLiteBackend(db), id="sqlite"),
     ],
 )

@@ -562,8 +562,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
         )
 
     if unbounded:
-        grid_cache = ctx.config.resolve_grid_cache()
-        if grid_cache is not None:
+        if ctx.config.grid_cache is not None:
             names = ", ".join(repr(name) for name in sorted(unbounded))
             yield Diagnostic(
                 code="ACQ502",

@@ -38,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 from repro.core.error import AggregateErrorFunction, default_error_for
 from repro.core.expand import LAYER_DECIMALS, make_traversal
 from repro.core.explore import BoxExplorer, Explorer
-from repro.core.grid_cache import GridTensorCache, PersistentGridCache
+from repro.core.grid_cache import GridTensorCache
 from repro.core.grid_explore import GridExplorer
 from repro.core.plan import MODES, choose_explore_mode
 from repro.core.query import ConstraintOp, Query
@@ -122,14 +122,6 @@ class AcquireConfig:
             whose conjunction semantics make ``error <= delta`` mean
             "every constraint within delta". Identity for
             single-constraint queries either way.
-        cache_path: directory for a cross-process
-            :class:`~repro.core.grid_cache.PersistentGridCache` tier.
-            Only consulted when ``grid_cache`` is None: the driver
-            then builds a default-budget memory cache backed by this
-            path, so repeated CLI invocations and harness subprocesses
-            hit warm tensors. To combine a custom memory budget with
-            persistence, pass ``grid_cache=GridTensorCache(bytes,
-            persistent=PersistentGridCache(path))`` directly.
     """
 
     gamma: float = 10.0
@@ -145,7 +137,6 @@ class AcquireConfig:
     explore_mode: str = "auto"
     materialize_cell_cap: int = 2_000_000
     grid_cache: Optional[GridTensorCache] = None
-    cache_path: Optional[str] = None
     top_k: int = 1
     constraint_distance: Optional[ConstraintDistance] = None
 
@@ -165,26 +156,6 @@ class AcquireConfig:
             )
         if self.materialize_cell_cap < 1:
             raise QueryModelError("materialize_cell_cap must be >= 1")
-
-    def resolve_grid_cache(self) -> Optional[GridTensorCache]:
-        """The tensor cache the Explore engines should consult.
-
-        ``grid_cache`` wins when set; otherwise ``cache_path`` lazily
-        builds (and memoizes, so one config keeps one cache) a
-        default-budget memory tier backed by the persistent file store
-        at that path.
-        """
-        if self.grid_cache is not None:
-            return self.grid_cache
-        if self.cache_path is None:
-            return None
-        cache = getattr(self, "_resolved_cache", None)
-        if cache is None:
-            cache = GridTensorCache(
-                persistent=PersistentGridCache(self.cache_path)
-            )
-            object.__setattr__(self, "_resolved_cache", cache)
-        return cache
 
 
 class Acquire:
@@ -272,7 +243,6 @@ class Acquire:
             for predicate in query.refinable_predicates
         ]
         prepared = self.layer.prepare(query, dim_caps)
-        extra_ctx = self._extra_handles(query, dim_caps)
         useful = self.layer.useful_max_scores(prepared)
         max_scores = [
             min(cap, score) for cap, score in zip(dim_caps, useful)
@@ -285,22 +255,7 @@ class Acquire:
             "explore plan: %s (%s; grid=%d cells)",
             plan.mode, plan.reason, plan.grid_cells,
         )
-        explorer: Explorer | GridExplorer
-        if plan.mode == "incremental":
-            explorer = self._cell_explorer(prepared, space, config)
-        else:
-            # The bitmap index only saves per-cell round trips, which
-            # the grid engine issues only past the cap.
-            whole = plan.mode == "materialized"
-            explorer = GridExplorer(
-                self.layer,
-                prepared,
-                space,
-                aggregate,
-                config.materialize_cell_cap,
-                whole=whole,
-                cache=config.resolve_grid_cache() if whole else None,
-            )
+        explorer = self._explorer(prepared, space, config, plan.mode)
         stats = SearchStats(
             top_k=config.top_k,
             explore_mode=plan.mode,
@@ -326,16 +281,24 @@ class Acquire:
             # an exact partition of the layer's work.
             result.stats.execution = layer_scope.snapshot()
             return result
+        # Each extra constraint gets its own prepared handle and engine
+        # over the same space and plan, so every engine reads the
+        # points the search examines the way the primary's does.
+        explorers = [explorer] + [
+            self._explorer(
+                self.layer.prepare(query.with_only_constraint(extra), dim_caps),
+                space, config, plan.mode,
+            )
+            for extra in query.extra_constraints
+        ]
         return self._search(
-            config, explorer, extra_ctx, stats, original_value, started,
-            layer_scope,
+            config, explorers, stats, original_value, started, layer_scope
         )
 
     def _search(
         self,
         config: AcquireConfig,
-        explorer: Explorer | GridExplorer | BoxExplorer,
-        extra_ctx: Sequence[tuple],
+        explorers: Sequence[Explorer | GridExplorer | BoxExplorer],
         stats: SearchStats,
         original_value: float,
         started: float,
@@ -343,14 +306,16 @@ class Acquire:
     ) -> AcquireResult:
         """The search loop of both directions (Algorithm 4).
 
-        Walks the explorer's space layer by layer and reads each
-        examined grid query through ``explorer``, whose origin value
-        the caller has read already. The space decides what differs by
-        direction: the traversal (a contraction grid is always walked
-        best-first), the EQ layer early stop (expansion only), what
-        overshooting means and where a repartitioned cell's inner
-        corner lies, and the section 7.2 prune (contraction only).
+        Walks the engines' shared space layer by layer and reads each
+        examined grid query through every engine of ``explorers``, one
+        per constraint in ``query.constraints`` order; the caller has
+        read the primary's origin value already. The space decides what
+        differs by direction: the traversal (a contraction grid is
+        always walked best-first), the EQ layer early stop (expansion
+        only), what overshooting means and where a repartitioned cell's
+        inner corner lies, and the section 7.2 prune (contraction only).
         """
+        explorer, *extra_explorers = explorers
         space, prepared = explorer.space, explorer.prepared
         query = space.query
         constraint = query.constraint
@@ -358,6 +323,10 @@ class Acquire:
         target = constraint.target
         error_fn = config.error_fn or default_error_for(constraint.op)
         distance = config.constraint_distance or MaxConstraintDistance()
+        extras = [
+            (extra.target, default_error_for(extra.op))
+            for extra in query.extra_constraints
+        ]
 
         answers: list[RefinedQuery] = []
         # The closest examined query: its (error, qscore) rank and
@@ -393,7 +362,7 @@ class Acquire:
             not space.contracts
             and constraint.op is ConstraintOp.EQ
             and aggregate.monotone_expanding
-            and not extra_ctx
+            and not extras
             and _layers_nest(space)
         )
         layer_key: Optional[float] = None
@@ -410,7 +379,7 @@ class Acquire:
             space.contracts
             and config.top_k == 1
             and aggregate.monotone_expanding
-            and not extra_ctx
+            and not extras
         ):
             pruned = set()
             layers = _reachable(layers, space, pruned)
@@ -437,11 +406,15 @@ class Acquire:
                 config.max_grid_queries - stats.grid_queries_examined
             )
             reachable = [coords for coords, _ in layer_scored[:remaining]]
-            # One read of the layer's values, lazy: a cell executes, a
-            # shell or a box is read only when ``next`` pulls its
-            # first point below; the grid engine gathers the whole
-            # layer at once.
+            # One read of the layer's values per engine, lazy: a cell
+            # executes, a shell or a box is read only when ``next``
+            # pulls its first point below; the grid engine gathers the
+            # whole layer at once.
             values = explorer.compute_aggregates(reachable)
+            extra_values_of = [
+                engine.compute_aggregates(reachable)
+                for engine in extra_explorers
+            ]
             for coords, qscore in layer_scored:
                 if qscore > answer_threshold() + _LAYER_EPS:
                     stop = True
@@ -453,17 +426,17 @@ class Acquire:
                 stats.last_qscore = qscore
 
                 actual = next(values)
-                primary_error = error_fn(target, actual)
-                if extra_ctx:
-                    extra_values, extra_errors = self._extra_aggregates(
-                        extra_ctx, space.scores(coords)
-                    )
+                error = error_fn(target, actual)
+                extra_values = ()
+                if extras:
+                    extra_values = tuple(map(next, extra_values_of))
                     error = distance.combine(
-                        (primary_error,) + extra_errors
+                        [error] + [
+                            extra_error_fn(extra_target, value)
+                            for (extra_target, extra_error_fn), value
+                            in zip(extras, extra_values)
+                        ]
                     )
-                else:
-                    extra_values = ()
-                    error = primary_error
                 if check_overshoot and not math.isnan(actual):
                     layer_min_actual = min(layer_min_actual, actual)
                 answer = None
@@ -491,7 +464,7 @@ class Acquire:
                     answer_layers.append(qscore)
                 elif (
                     constraint.op is ConstraintOp.EQ
-                    and not extra_ctx
+                    and not extras
                     and space.overshoots(actual, target)
                 ):
                     # Off-grid bisection probes only measure the
@@ -514,8 +487,8 @@ class Acquire:
             if stop:
                 break
 
-        stats.cells_executed = explorer.cells_executed
-        stats.cells_skipped = explorer.cells_skipped
+        stats.cells_executed = sum(e.cells_executed for e in explorers)
+        stats.cells_skipped = sum(e.cells_skipped for e in explorers)
         if isinstance(explorer, GridExplorer):
             stats.explore_mode = explorer.mode
         # Every answer carries its QScore — including repartitioned
@@ -551,54 +524,35 @@ class Acquire:
         )
 
     # ------------------------------------------------------------------
-    def _cell_explorer(
+    def _explorer(
         self,
         prepared: PreparedQuery,
         space: RefinedSpace,
         config: AcquireConfig,
-    ) -> Explorer:
-        """The per-cell (incremental) Explore engine for this search."""
-        bitmap = None
-        if config.use_bitmap_index:
-            bitmap = _maybe_bitmap_index(self.layer, prepared, space)
-        return Explorer(
+        mode: str,
+    ) -> Explorer | GridExplorer:
+        """The Explore engine of one constraint, prepared as
+        ``prepared``, under the plan's ``mode``."""
+        aggregate = prepared.query.constraint.spec.aggregate
+        if mode == "incremental":
+            bitmap = None
+            if config.use_bitmap_index:
+                bitmap = _maybe_bitmap_index(self.layer, prepared, space)
+            return Explorer(
+                self.layer, prepared, space, aggregate, bitmap_index=bitmap
+            )
+        # The bitmap index only saves per-cell round trips, which the
+        # grid engine issues only past the cap.
+        whole = mode == "materialized"
+        return GridExplorer(
             self.layer,
             prepared,
             space,
-            space.query.constraint.spec.aggregate,
-            bitmap_index=bitmap,
+            aggregate,
+            config.materialize_cell_cap,
+            whole=whole,
+            cache=config.grid_cache if whole else None,
         )
-
-    def _extra_handles(
-        self, query: Query, dim_caps: Sequence[float]
-    ) -> list[tuple]:
-        """Each extra constraint of a multi-constraint ACQ with its own
-        prepared handle and error function. The Explore recurrence only
-        carries the primary aggregate's cell states, so the extras are
-        measured with direct box queries at each examined grid point."""
-        return [
-            (
-                extra,
-                self.layer.prepare(query.with_only_constraint(extra), dim_caps),
-                default_error_for(extra.op),
-            )
-            for extra in query.extra_constraints
-        ]
-
-    def _extra_aggregates(
-        self,
-        extra_ctx: Sequence[tuple],
-        scores: Sequence[float],
-    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Evaluate every extra constraint at one refinement vector."""
-        values: list[float] = []
-        errors: list[float] = []
-        for extra, prepared_extra, extra_error_fn in extra_ctx:
-            state = self.layer.execute_box(prepared_extra, tuple(scores))
-            value = extra.spec.aggregate.finalize(state)
-            values.append(value)
-            errors.append(extra_error_fn(extra.target, value))
-        return tuple(values), tuple(errors)
 
     def _refined_query(
         self,

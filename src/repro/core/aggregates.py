@@ -38,14 +38,11 @@ class OSPAggregate:
             only increase (or preserve) the finalized value. The driver
             uses this to decide whether overshoot repartitioning can
             converge by shrinking.
-        subtractable: True when ``combine`` has an inverse — required by
-            the contraction extension's incremental mode.
     """
 
     name: str = "?"
     needs_attribute: bool = True
     monotone_expanding: bool = False
-    subtractable: bool = False
     state_arity: int = 1
 
     # ------------------------------------------------------------------
@@ -73,11 +70,6 @@ class OSPAggregate:
         """
         raise NotImplementedError
 
-    def subtract(self, total: AggState, part: AggState) -> AggState:
-        raise OSPViolationError(
-            f"{self.name} states cannot be subtracted (combine has no inverse)"
-        )
-
     # ------------------------------------------------------------------
     # SQL backend hooks
     # ------------------------------------------------------------------
@@ -99,7 +91,6 @@ class CountAggregate(OSPAggregate):
     name = "COUNT"
     needs_attribute = False
     monotone_expanding = True
-    subtractable = True
 
     def identity(self) -> AggState:
         return (0.0,)
@@ -113,9 +104,6 @@ class CountAggregate(OSPAggregate):
     def finalize(self, state: AggState) -> float:
         return state[0]
 
-    def subtract(self, total: AggState, part: AggState) -> AggState:
-        return (total[0] - part[0],)
-
     def sql_selects(self, attribute_sql: Optional[str]) -> list[str]:
         return ["COUNT(*)"]
 
@@ -125,7 +113,6 @@ class SumAggregate(OSPAggregate):
 
     name = "SUM"
     monotone_expanding = True
-    subtractable = True
 
     def identity(self) -> AggState:
         return (0.0,)
@@ -138,9 +125,6 @@ class SumAggregate(OSPAggregate):
 
     def finalize(self, state: AggState) -> float:
         return state[0]
-
-    def subtract(self, total: AggState, part: AggState) -> AggState:
-        return (total[0] - part[0],)
 
     def sql_selects(self, attribute_sql: Optional[str]) -> list[str]:
         return [f"SUM({attribute_sql})"]
@@ -199,7 +183,6 @@ class AvgAggregate(OSPAggregate):
     """AVG(attr), decomposed into (SUM, COUNT) exactly as in the paper."""
 
     name = "AVG"
-    subtractable = True
     state_arity = 2
 
     def identity(self) -> AggState:
@@ -216,9 +199,6 @@ class AvgAggregate(OSPAggregate):
     def finalize(self, state: AggState) -> float:
         total, count = state
         return math.nan if count == 0 else total / count
-
-    def subtract(self, total: AggState, part: AggState) -> AggState:
-        return (total[0] - part[0], total[1] - part[1])
 
     def sql_selects(self, attribute_sql: Optional[str]) -> list[str]:
         return [f"SUM({attribute_sql})", f"COUNT({attribute_sql})"]

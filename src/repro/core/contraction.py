@@ -15,7 +15,7 @@ on the direction read it off the space: "past the target" means below
 it, a repartitioned cell's inner corner lies one step toward ``Q``,
 and the EQ overshoot rules of expansion do not apply.
 
-Each examined grid query is read with one box query
+Each examined grid query is read with one box query per constraint
 (:class:`~repro.core.explore.BoxExplorer`) rather than through the
 incremental cell recurrence: the Eq. 17 recurrence consumes stored
 sub-aggregates of *contained* queries, and a traversal ordered by
@@ -102,21 +102,29 @@ def contract_query(
     # exactly what the old snapshot/delta window did).
     with layer.request_scope() as layer_scope:
         started = time.perf_counter()
-        driver = Acquire(layer)
         caps = [0.0] * query.dimensionality
-        prepared = layer.prepare(query, caps)
-        extra_ctx = driver._extra_handles(query, caps)
         space = ContractionSpace(query, config.gamma, config.norm, config.step)
-        explorer = BoxExplorer(
-            layer, prepared, space, query.constraint.spec.aggregate
-        )
+        # One engine per constraint, primary first, each on its own
+        # prepared handle.
+        views = [query] + [
+            query.with_only_constraint(extra)
+            for extra in query.extra_constraints
+        ]
+        explorers = [
+            BoxExplorer(
+                layer,
+                layer.prepare(view, caps),
+                space,
+                view.constraint.spec.aggregate,
+            )
+            for view in views
+        ]
         stats = SearchStats(
             top_k=config.top_k,
-            explore_mode=explorer.mode,
+            explore_mode=BoxExplorer.mode,
             plan_reason="contraction",
         )
-        original_value = explorer.compute_aggregate(space.origin)
-        return driver._search(
-            config, explorer, extra_ctx, stats, original_value, started,
-            layer_scope,
+        original_value = explorers[0].compute_aggregate(space.origin)
+        return Acquire(layer)._search(
+            config, explorers, stats, original_value, started, layer_scope
         )

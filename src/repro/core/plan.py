@@ -85,7 +85,7 @@ def choose_explore_mode(
             )
         return ExplorePlan("materialized", "forced", grid_cells)
     if (
-        config.resolve_grid_cache() is None
+        config.grid_cache is None
         or grid_cells > cap
         or grid_cells > config.max_grid_queries
     ):

@@ -138,8 +138,11 @@ class Query:
         A multi-constraint ACQ (``CONSTRAINT c1 AND c2 ...``) is a
         conjunction: a refined query satisfies the ACQ only when every
         constraint's aggregate error is within delta. The first
-        constraint drives the Expand traversal; the extras are checked
-        per examined grid point.
+        constraint's query defines the refined space, and the rules
+        that hold for one constraint only (the EQ layer early stop, the
+        section 7.2 prune, repartitioning) switch off when there are
+        extras. The driver reads every constraint at each examined grid
+        point, each through its own Explore engine.
         """
         return (self.constraint,) + self.extra_constraints
 
@@ -189,9 +192,10 @@ class Query:
     def with_only_constraint(self, constraint: AggregateConstraint) -> "Query":
         """Single-constraint view: replace the primary, drop the extras.
 
-        The driver and the corpus oracle evaluate each constraint of a
-        multi-constraint ACQ through its own prepared handle; this is
-        the query those handles are prepared from.
+        The driver prepares each extra constraint of a multi-constraint
+        ACQ from this view and reads it through its own Explore engine,
+        over the primary's refined space; the corpus oracle evaluates
+        each constraint through it too.
         """
         return replace(self, constraint=constraint, extra_constraints=())
 

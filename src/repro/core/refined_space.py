@@ -203,7 +203,8 @@ class RefinedSpace:
 
         Coordinate 0 covers exactly score 0 (lower bound is the
         :data:`BASE_CELL_LO` sentinel); coordinate c >= 1 covers the
-        half-open annulus ``((c-1)*step, c*step]``.
+        half-open annulus ``((c-1)*step, c*step]``. :func:`cell_coords`
+        maps scores to cells by the same predicate.
         """
         self._check(coords)
         ranges = []
@@ -271,3 +272,33 @@ class RefinedSpace:
             f"RefinedSpace(d={self.d}, step={self.step:g}, "
             f"max_coords={self.max_coords})"
         )
+
+
+def cell_coords(scores: np.ndarray, step: float) -> np.ndarray:
+    """Grid coordinate of the cell each signed score falls in (cell 0
+    covers scores <= 0), elementwise.
+
+    Must agree bitwise with the cell predicate of
+    :meth:`RefinedSpace.cell_ranges`, ``(c - 1) * step < s <= c * step``,
+    which compares against the float *products*: every cell query, grid
+    pass and bitmap index buckets a tuple the same way. When ``step`` is
+    not exactly representable, the float *quotient* ``s / step`` can
+    land a boundary-adjacent score one cell away from where the product
+    comparison puts it — so after the ceil guess, nudge each coordinate
+    until it satisfies exactly that predicate. The loops run at most
+    once per element in practice.
+    """
+    positive = np.maximum(scores, 0.0)
+    cells = np.ceil(positive / step - 1e-12).astype(np.int64)
+    np.maximum(cells, 0, out=cells)
+    while True:
+        too_high = (cells > 0) & (positive <= (cells - 1) * step)
+        if not too_high.any():
+            break
+        cells[too_high] -= 1
+    while True:
+        too_low = positive > cells * step
+        if not too_low.any():
+            break
+        cells[too_low] += 1
+    return cells

@@ -76,7 +76,11 @@ class SearchStats:
     :mod:`repro.core.plan`), or ``box`` for a contraction search, which
     reads one box query per examined grid query; ``plan_reason`` is the
     plan's justification (``forced``, ``auto`` or ``grid-cache``, and
-    ``contraction`` for a contraction search).
+    ``contraction`` for a contraction search). A multi-constraint search
+    reads each constraint through its own engine, all under one plan:
+    ``cells_executed`` and ``cells_skipped`` sum over the engines, and
+    ``explore_mode`` is the primary's (the engines read the same points
+    under the same caps, so they go cell by cell together).
     ``last_qscore`` is the QScore of the last grid query examined.
     ``repartition_probes`` counts the bisection probes of overshooting
     cells, ``repartitioned_cells`` the cells they bisected, each through

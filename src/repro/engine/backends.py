@@ -23,8 +23,8 @@ Execution requests come in five shapes:
   third-party layer works (see ``docs/EXPLORE_MODES.md``);
 * *box queries* — a full refined query at an arbitrary (possibly
   off-grid) PScore vector (:meth:`EvaluationLayer.execute_box`); used
-  by contraction's grid reads, the extra constraints of a
-  multi-constraint ACQ and every baseline technique;
+  by contraction's grid reads (one per constraint of the ACQ) and every
+  baseline technique;
 * *box readers* — many box queries inside one outer box
   (:meth:`EvaluationLayer.box_reader`): the repartitioning step opens
   one per overshooting cell and answers its bisection probes through

@@ -17,13 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.refined_space import RefinedSpace
+from repro.core.refined_space import RefinedSpace, cell_coords
 from repro.exceptions import EngineError
-
-
-def _grid_coords(scores: np.ndarray, step: float) -> np.ndarray:
-    positive = np.maximum(scores, 0.0)
-    return np.ceil(positive / step - 1e-12).astype(np.int64)
 
 
 class GridBitmapIndex:
@@ -40,7 +35,7 @@ class GridBitmapIndex:
         """Build from the candidate relation's signed score matrix."""
         if scores.shape[0] == 0:
             return cls(frozenset(), space.d)
-        coords = _grid_coords(scores, space.step)
+        coords = cell_coords(scores, space.step)
         nonempty = frozenset(map(tuple, coords.tolist()))
         return cls(nonempty, space.d)
 
@@ -87,7 +82,7 @@ class CountingGridIndex:
             raise EngineError(
                 f"score arity {scores.shape[1]} != dimensionality {self.d}"
             )
-        return [tuple(row) for row in _grid_coords(scores, self.step).tolist()]
+        return [tuple(row) for row in cell_coords(scores, self.step).tolist()]
 
     def insert(self, scores: np.ndarray) -> None:
         """Account for newly inserted tuples (rows of signed scores)."""

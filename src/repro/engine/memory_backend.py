@@ -10,27 +10,23 @@ repartitioning step's probes keep the base-class
 :meth:`~repro.engine.backends.EvaluationLayer.box_reader`: one box
 query, and one scan, per probe.
 
-Two optional accelerators, both off by default because the paper's
-baseline numbers assume plain per-query execution:
-
-* ``vectorized_grid=True`` — pre-aggregates every grid cell in one pass
-  (a generalization of the section 7.4 index idea to full pushdown);
-  cell queries then cost a dictionary lookup.
-* :meth:`MemoryBackend.build_bitmap_index` — the literal section 7.4
-  structure: a bitmap over grid cells consulted to skip empty cells.
+:meth:`MemoryBackend.build_bitmap_index` builds the literal section
+7.4 structure, a bitmap over grid cells that the per-cell Explore
+engine consults to skip empty cells; it is off by default
+(``AcquireConfig.use_bitmap_index``) because the paper's baseline
+numbers assume plain per-query execution.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.aggregates import AggState
 from repro.core.query import Query
-from repro.core.refined_space import RefinedSpace
+from repro.core.refined_space import RefinedSpace, cell_coords
 from repro.engine.backends import (
     EvaluationLayer,
     Shell,
@@ -55,7 +51,6 @@ class _MemoryPrepared:
     query: Query
     candidate: CandidateRelation
     dim_caps: list[float]
-    grid_cache: Dict[int, dict] = field(default_factory=dict)
     # Lazily built when the backend runs in indexed mode: candidate
     # rows ordered by their dimension-0 score, plus the sorted scores
     # themselves (the "index key").
@@ -78,18 +73,12 @@ class MemoryBackend(EvaluationLayer):
         self,
         database: Database,
         max_rows: int = DEFAULT_MAX_ROWS,
-        vectorized_grid: bool = False,
         indexed: bool = False,
     ) -> None:
         super().__init__()
         self.database = database
         self.max_rows = max_rows
-        self.vectorized_grid = vectorized_grid
         self.indexed = indexed
-        # Guards the lazy grid rebuild in _grid_for against concurrent
-        # requests (the build is deterministic, so the lock only
-        # prevents duplicated work and torn cache state).
-        self._grid_build_lock = threading.Lock()
 
     def persistent_cache_key(self) -> tuple:
         from repro.core.grid_cache import database_digest
@@ -121,10 +110,6 @@ class MemoryBackend(EvaluationLayer):
         coords: Sequence[int],
     ) -> AggState:
         aggregate = prepared.query.constraint.spec.aggregate
-        if self.vectorized_grid:
-            grid = self._grid_for(prepared, space)
-            self._count_query("cell")
-            return grid.get(tuple(int(c) for c in coords), aggregate.identity())
         candidate = prepared.candidate
         if self.indexed and candidate.scores.shape[1] > 0:
             return self._execute_cell_indexed(prepared, space, coords)
@@ -155,7 +140,7 @@ class MemoryBackend(EvaluationLayer):
         candidate = prepared.candidate
         shape = tuple(high - low + 1 for low, high in zip(lo, hi))
         with self._timed():
-            coords = _digitize(candidate.scores, space.step)
+            coords = cell_coords(candidate.scores, space.step)
             inside = np.all((coords >= lo) & (coords <= hi), axis=1)
             cells = np.ravel_multi_index((coords[inside] - lo).T, shape)
             values = candidate.agg_values[inside]
@@ -296,34 +281,6 @@ class MemoryBackend(EvaluationLayer):
         self._count_rows(prepared.candidate.nrows)
         return index
 
-    def _grid_for(self, prepared: _MemoryPrepared, space: RefinedSpace) -> dict:
-        """State of every non-empty cell of ``space``, keyed by its
-        coordinates: one sweep, cached per space."""
-        key = id(space)
-        with self._grid_build_lock:
-            if key not in prepared.grid_cache:
-                candidate = prepared.candidate
-                with self._timed():
-                    coords = _digitize(candidate.scores, space.step)
-                    cells, groups = np.unique(
-                        coords, axis=0, return_inverse=True
-                    )
-                    states = grouped_cell_tensor(
-                        prepared.query.constraint.spec.aggregate,
-                        (len(cells),),
-                        groups.reshape(-1),
-                        candidate.agg_values,
-                    )
-                    prepared.grid_cache.clear()
-                    prepared.grid_cache[key] = dict(
-                        zip(
-                            map(tuple, cells.tolist()),
-                            map(tuple, states.tolist()),
-                        )
-                    )
-                self._count_rows(candidate.nrows)
-            return prepared.grid_cache[key]
-
     # ------------------------------------------------------------------
     @staticmethod
     def _cell_mask(
@@ -338,30 +295,3 @@ class MemoryBackend(EvaluationLayer):
                 mask &= (column > low) & (column <= high)
         return mask
 
-
-def _digitize(scores: np.ndarray, step: float) -> np.ndarray:
-    """Grid coordinate of each signed score (cell 0 covers <= 0).
-
-    Must agree bitwise with the serial cell predicate
-    ``(c - 1) * step < s <= c * step`` (see :meth:`_cell_mask` /
-    :meth:`RefinedSpace.cell_ranges`), which compares against the float
-    *products*. When ``step`` is not exactly representable, the float
-    *quotient* ``s / step`` can land a boundary-adjacent score one cell
-    away from where the product comparison puts it — so after the ceil
-    guess, nudge each coordinate until it satisfies exactly the serial
-    predicate. The loops run at most once per element in practice.
-    """
-    positive = np.maximum(scores, 0.0)
-    cells = np.ceil(positive / step - 1e-12).astype(np.int64)
-    np.maximum(cells, 0, out=cells)
-    while True:
-        too_high = (cells > 0) & (positive <= (cells - 1) * step)
-        if not too_high.any():
-            break
-        cells[too_high] -= 1
-    while True:
-        too_low = positive > cells * step
-        if not too_low.any():
-            break
-        cells[too_low] += 1
-    return cells

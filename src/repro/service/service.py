@@ -315,7 +315,6 @@ class AcquireService:
         updates: dict = {}
         if self.grid_cache is not None:
             updates["grid_cache"] = self.grid_cache
-            updates["cache_path"] = None
         budget = self.config.max_grid_queries_per_request
         if budget is not None:
             updates["max_grid_queries"] = min(

@@ -62,13 +62,6 @@ class TestSemantics:
         assert AVG.finalize(state) == 3.0
         assert math.isnan(AVG.finalize(AVG.identity()))
 
-    def test_subtract(self):
-        total = SUM.lift(np.array([1.0, 2.0, 3.0]))
-        part = SUM.lift(np.array([3.0]))
-        assert SUM.finalize(SUM.subtract(total, part)) == 3.0
-        with pytest.raises(OSPViolationError):
-            MAX.subtract((5.0,), (2.0,))
-
     def test_monotone_flags(self):
         assert COUNT.monotone_expanding
         assert SUM.monotone_expanding

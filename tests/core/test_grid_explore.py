@@ -140,8 +140,6 @@ class _NoGridWrapper(EvaluationLayer):
 def _make_layer(backend_name: str, database: Database) -> EvaluationLayer:
     if backend_name == "memory":
         return MemoryBackend(database)
-    if backend_name == "memory-vectorized":
-        return MemoryBackend(database, vectorized_grid=True)
     if backend_name == "sqlite":
         return SQLiteBackend(database)
     if backend_name == "fallback":
@@ -170,7 +168,7 @@ def _pair(backend_name, query, dim_caps, space, aggregate, database):
 class TestGridMatchesSerial:
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     @pytest.mark.parametrize(
-        "backend_name", ["memory", "memory-vectorized", "sqlite", "fallback"]
+        "backend_name", ["memory", "sqlite", "fallback"]
     )
     def test_exact_backends(self, backend_name, aggregate):
         database = _database(seed=21, n=180)
@@ -328,7 +326,7 @@ class TestGridMatchesSerial:
 # ----------------------------------------------------------------------
 # Bulk layer reads: one gather == per-point reads
 # ----------------------------------------------------------------------
-EXACT_BACKENDS = ("memory", "memory-vectorized", "sqlite", "fallback")
+EXACT_BACKENDS = ("memory", "sqlite", "fallback")
 
 
 def _hex(values):
@@ -824,7 +822,7 @@ class TestExecuteGridTile:
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     @pytest.mark.parametrize(
         "backend_name",
-        ["memory", "memory-vectorized", "sqlite", "sampling", "fallback"],
+        ["memory", "sqlite", "sampling", "fallback"],
     )
     def test_tile_is_grid_slice(self, backend_name, aggregate):
         database = _database(seed=51, n=200)

@@ -141,19 +141,6 @@ class TestMemoryBackend:
         assert layer.stats.queries_executed == 2
         assert layer.stats.rows_scanned > 0
 
-    def test_vectorized_grid_matches_plain(self):
-        database = _db(3)
-        query = _query()
-        plain = MemoryBackend(database)
-        fast = MemoryBackend(database, vectorized_grid=True)
-        prepared_plain = plain.prepare(query, [100.0, 100.0])
-        prepared_fast = fast.prepare(query, [100.0, 100.0])
-        space = RefinedSpace(query, 10.0, [70.0, 70.0])
-        for coords in LpBestFirstTraversal(space):
-            assert fast.execute_cell(
-                prepared_fast, space, coords
-            ) == plain.execute_cell(prepared_plain, space, coords)
-
     def test_topk_admission(self):
         database = _db(4)
         query = _query()

@@ -44,6 +44,43 @@ class TestGridBitmapIndex:
         assert not index.is_empty((1, 0))
         assert index.is_empty((2, 0))
 
+    def test_score_just_above_a_grid_line(self):
+        """A score one ulp above a grid line belongs to the next cell,
+        where the cell predicate ``(c-1)*step < s <= c*step`` puts it."""
+        above = np.nextafter(5.0, np.inf)
+        index = GridBitmapIndex.from_scores(np.array([[above, 0.0]]), _space())
+        assert not index.is_empty((2, 0))
+        assert index.is_empty((1, 0))
+
+    def test_search_with_bitmap_answers_like_plain(self):
+        """The cell of a tuple just above a grid line is not skipped: a
+        bitmap search answers like the plain one."""
+        from repro.core.acquire import Acquire, AcquireConfig
+        from repro.engine.catalog import Database
+        from repro.engine.memory_backend import MemoryBackend
+        from tests.conftest import count_query
+
+        above = np.nextafter(30.0, np.inf)
+        database = Database()
+        database.create_table(
+            "t", {"x": np.array([5.0, 10.0, 15.0, above, 45.0])}
+        )
+        query = count_query("t", {"x": 20.0}, target=4)
+        results = [
+            Acquire(MemoryBackend(database)).run(
+                query,
+                AcquireConfig(
+                    gamma=10.0, delta=0.0, explore_mode="incremental",
+                    use_bitmap_index=bitmap,
+                ),
+            )
+            for bitmap in (False, True)
+        ]
+        for result in results:
+            assert result.best.qscore == 20.0
+            assert result.best.aggregate_value == 4.0
+        assert results[1].stats.cells_skipped >= 1
+
     def test_matches_memory_backend_cells(self):
         """Index emptiness must agree with actual cell execution."""
         import itertools
@@ -97,6 +134,13 @@ class TestCountingGridIndex:
         index.remove(np.array([[0.0, 7.0]]))
         assert index.is_empty((0, 2))
         assert index.nonempty_cells == 0
+
+    def test_score_just_above_a_grid_line(self):
+        index = self._index()
+        above = np.nextafter(5.0, np.inf)
+        index.insert(np.array([[above, 10.0]]))
+        assert index.count((2, 2)) == 1
+        assert index.is_empty((1, 2))
 
     def test_remove_from_empty_rejected(self):
         index = self._index()

@@ -354,7 +354,7 @@ class TestBatchedMatchesSerial:
         )
 
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
-    @pytest.mark.parametrize("mode", ["vectorized_grid", "indexed"])
+    @pytest.mark.parametrize("mode", ["indexed"])
     def test_memory_accelerator_modes(self, mode, aggregate):
         query = _query(aggregate)
         _check_passes_match_cells(
