@@ -1,6 +1,6 @@
 # Canonical developer commands for the ACQUIRE reproduction.
 
-.PHONY: install test test-fast test-cov corpus-gate corpus-rebuild bench bench-smoke bench-parallel bench-service perfbench-smoke experiments examples clean lint lint-engine typecheck
+.PHONY: install test test-fast test-cov corpus-gate corpus-rebuild corpus-replay bench bench-smoke bench-parallel bench-service perfbench-smoke experiments examples clean lint lint-engine typecheck
 
 install:
 	pip install -e . || python setup.py develop
@@ -38,6 +38,12 @@ corpus-gate:
 # or corpus change; the diff is the review artifact).
 corpus-rebuild:
 	PYTHONPATH=src python -m repro.corpus rebuild
+
+# Serial replay of the service corpus mix through Acquire with one
+# shared 64 MB grid cache: time per request family, explore mode and
+# size, then the replay's counter fingerprint (no timing gate).
+corpus-replay:
+	PYTHONPATH=src python tools/corpus_replay.py
 
 # Engine-invariant lint always runs (see docs/ANALYSIS.md: EL1xx
 # purity, EL2xx locks, EL3xx exceptions/imports, EL4xx stats drift);

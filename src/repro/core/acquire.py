@@ -29,14 +29,21 @@ on the direction ask the space (``contracts``, ``overshoots``,
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
-from repro.core.error import AggregateErrorFunction, default_error_for
-from repro.core.expand import LAYER_DECIMALS, make_traversal
+import numpy as np
+
+from repro.core.error import (
+    AggregateErrorFunction,
+    default_error_for,
+    error_array,
+)
+from repro.core.expand import LAYER_DECIMALS, LayerArrays, make_traversal
 from repro.core.explore import BoxExplorer, Explorer
 from repro.core.grid_cache import GridTensorCache
 from repro.core.grid_explore import GridExplorer
@@ -50,6 +57,7 @@ from repro.core.scoring import (
     LpNorm,
     MaxConstraintDistance,
     Norm,
+    combine_array,
 )
 from repro.engine.backends import (
     EvaluationLayer,
@@ -314,183 +322,30 @@ class Acquire:
         always walked best-first), the EQ layer early stop (expansion
         only), what overshooting means and where a repartitioned cell's
         inner corner lies, and the section 7.2 prune (contraction only).
+        A :class:`_Judge` examines the layers a batch at a time.
         """
-        explorer, *extra_explorers = explorers
-        space, prepared = explorer.space, explorer.prepared
+        space = explorers[0].space
         query = space.query
-        constraint = query.constraint
-        aggregate = constraint.spec.aggregate
-        target = constraint.target
-        error_fn = config.error_fn or default_error_for(constraint.op)
-        distance = config.constraint_distance or MaxConstraintDistance()
-        extras = [
-            (extra.target, default_error_for(extra.op))
-            for extra in query.extra_constraints
-        ]
-
-        answers: list[RefinedQuery] = []
-        # The closest examined query: its (error, qscore) rank and
-        # what it is. A grid point that is not an answer stays
-        # (coords, actual, error, extra_values) until the search
-        # ends, so only answers and the final closest become
-        # RefinedQuery objects; answers and repartition candidates
-        # already are ones, shared with ``answers``.
-        closest_rank: Optional[tuple[float, float]] = None
-        closest: RefinedQuery | tuple | None = None
-        # Grid-layer QScores at which answers were recorded, in
-        # traversal (hence non-decreasing) order. The stop threshold
-        # is the k-th smallest: with top_k=1 this is exactly the
-        # paper's answer_layer rule, with k > 1 the traversal keeps
-        # going until the k best answer layers are complete.
-        answer_layers: list[float] = []
-
-        def answer_threshold() -> float:
-            if len(answer_layers) < config.top_k:
-                return math.inf
-            return answer_layers[config.top_k - 1]
-
-        # Early-stop bookkeeping for monotone aggregates with equality
-        # constraints: when every query in layer k+1 contains some
-        # query in layer k, once an entire layer overshoots
-        # target*(1+delta) no later layer can come back within the
-        # threshold. Layers nest like that only under L1 or L-inf with
-        # equal weights: with unequal weights or another norm a later
-        # layer holds points that contain no point of an earlier one.
-        # A multi-constraint conjunction breaks the monotone argument
-        # for the combined error, so extras disable the shortcut.
-        check_overshoot = (
-            not space.contracts
-            and constraint.op is ConstraintOp.EQ
-            and aggregate.monotone_expanding
-            and not extras
-            and _layers_nest(space)
-        )
-        layer_key: Optional[float] = None
-        layer_min_actual = math.inf
-
-        # The traversal is consumed layer by layer (maximal runs of
-        # equal rounded QScore). Concatenated, the layers reproduce the
-        # per-coordinate stream exactly. ``layers_scored`` carries each
-        # point's QScore along, so no grid point is ever scored twice.
+        judge = _Judge(self, config, explorers, stats)
         kind = "lp" if space.contracts else config.traversal
-        layers = make_traversal(space, kind).layers_scored()
-        pruned: Optional[set[tuple[int, ...]]] = None
-        if (
-            space.contracts
-            and config.top_k == 1
-            and aggregate.monotone_expanding
-            and not extras
-        ):
-            pruned = set()
-            layers = _reachable(layers, space, pruned)
-        stop = False
-        for layer_scored in layers:
-            first_qscore = layer_scored[0][1]
-            if first_qscore > answer_threshold() + _LAYER_EPS:
-                break  # the k-th answer layer is fully explored
-            if check_overshoot:
-                key = round(first_qscore, LAYER_DECIMALS)
-                if layer_key is None:
-                    layer_key = key
-                elif key != layer_key:
-                    if layer_min_actual > target * (1 + config.delta):
-                        break  # the whole previous layer overshot
-                    layer_key = key
-                    layer_min_actual = math.inf
-            if stats.grid_queries_examined >= config.max_grid_queries:
-                break
-            # Only what the examination loop can reach under the
-            # query budget, so cells_executed is identical to serial
-            # even when the budget truncates a layer.
-            remaining = (
-                config.max_grid_queries - stats.grid_queries_examined
-            )
-            reachable = [coords for coords, _ in layer_scored[:remaining]]
-            # One read of the layer's values per engine, lazy: a cell
-            # executes, a shell or a box is read only when ``next``
-            # pulls its first point below; the grid engine gathers the
-            # whole layer at once.
-            values = explorer.compute_aggregates(reachable)
-            extra_values_of = [
-                engine.compute_aggregates(reachable)
-                for engine in extra_explorers
-            ]
-            for coords, qscore in layer_scored:
-                if qscore > answer_threshold() + _LAYER_EPS:
-                    stop = True
+        chunks = make_traversal(space, kind).layer_arrays()
+        if judge.pruned is not None:
+            chunks = _reachable(chunks, space, judge.pruned)
+        stats.stop_reason = "exhausted"
+        # The judge's float arithmetic overflows to inf silently, as
+        # Python's does in the error functions it stands in for.
+        with np.errstate(over="ignore"):
+            for chunk in chunks:
+                reason = judge.examine(chunk)
+                if reason is not None:
+                    stats.stop_reason = reason
                     break
-                if stats.grid_queries_examined >= config.max_grid_queries:
-                    stop = True
-                    break
-                stats.grid_queries_examined += 1
-                stats.last_qscore = qscore
-
-                actual = next(values)
-                error = error_fn(target, actual)
-                extra_values = ()
-                if extras:
-                    extra_values = tuple(map(next, extra_values_of))
-                    error = distance.combine(
-                        [error] + [
-                            extra_error_fn(extra_target, value)
-                            for (extra_target, extra_error_fn), value
-                            in zip(extras, extra_values)
-                        ]
-                    )
-                if check_overshoot and not math.isnan(actual):
-                    layer_min_actual = min(layer_min_actual, actual)
-                answer = None
-                if error <= config.delta:
-                    answer = self._refined_query(
-                        query, space, coords, actual, error,
-                        extra_values=extra_values,
-                    )
-                # The traversal's QScore is the one a RefinedQuery of
-                # this point would carry, so the rank is unchanged.
-                rank = (error, qscore)
-                if closest_rank is None or rank < closest_rank:
-                    closest_rank = rank
-                    closest = (
-                        (coords, actual, error, extra_values)
-                        if answer is None else answer
-                    )
-
-                if answer is not None:
-                    logger.debug(
-                        "answer at %s: A=%g err=%.4f QScore=%.3f",
-                        coords, actual, error, qscore,
-                    )
-                    answers.append(answer)
-                    answer_layers.append(qscore)
-                elif (
-                    constraint.op is ConstraintOp.EQ
-                    and not extras
-                    and space.overshoots(actual, target)
-                ):
-                    # Off-grid bisection probes only measure the
-                    # primary aggregate, so repartitioning is
-                    # restricted to single-constraint queries.
-                    candidate = self._repartition(
-                        prepared, space, coords, target, error_fn, config,
-                        stats,
-                    )
-                    if candidate is not None:
-                        rank = (candidate.error, candidate.qscore)
-                        if rank < closest_rank:
-                            closest_rank = rank
-                            closest = candidate
-                        if candidate.error <= config.delta:
-                            answers.append(candidate)
-                            answer_layers.append(qscore)
-                if pruned is not None and space.overshoots(actual, target):
-                    pruned.add(coords)
-            if stop:
-                break
+        answers, closest = judge.answers, judge.closest
 
         stats.cells_executed = sum(e.cells_executed for e in explorers)
         stats.cells_skipped = sum(e.cells_skipped for e in explorers)
-        if isinstance(explorer, GridExplorer):
-            stats.explore_mode = explorer.mode
+        if isinstance(explorers[0], GridExplorer):
+            stats.explore_mode = explorers[0].mode
         # Every answer carries its QScore — including repartitioned
         # ones, whose grid ``coords`` are None — so count answer layers
         # from the QScores directly.
@@ -647,6 +502,383 @@ class Acquire:
         return best
 
 
+class _Judge:
+    """Examines a search's grid points a batch of layers at a time.
+
+    A batch starts with one layer whose top checks passed: the answer
+    threshold, the EQ overshoot stop and the query budget, in that
+    order. Only then is that layer read, so balls, shells, cells and
+    box queries are read exactly when a point-by-point loop reads
+    them. The batch goes on over every further layer of the
+    traversal's chunk that all engines hold already (:meth:`held`),
+    under the budget: a grid engine's ball, all of it after a
+    whole-grid read. The per-cell and box engines hold nothing, so
+    their batches are one layer.
+
+    The layer's examined prefix is fixed from its QScores before any
+    of its values is read: an answer found inside a layer cannot stop
+    that layer, because same-layer QScores lie within ``_LAYER_EPS``
+    of each other. The judge computes each batch's errors, answer and
+    overshoot masks, layer minima and closest point in numpy; Python
+    handles only answers, repartitioned cells and pruned points, in
+    traversal order, and a threshold set by an answer ends the batch
+    at the first later point past it.
+    """
+
+    def __init__(
+        self,
+        driver: Acquire,
+        config: AcquireConfig,
+        explorers: Sequence[Explorer | GridExplorer | BoxExplorer],
+        stats: SearchStats,
+    ) -> None:
+        self.driver = driver
+        self.config = config
+        self.explorers = explorers
+        self.stats = stats
+        self.space = space = explorers[0].space
+        constraint = space.query.constraint
+        monotone = constraint.spec.aggregate.monotone_expanding
+        self.target = constraint.target
+        self.error_fn = config.error_fn or default_error_for(constraint.op)
+        self.distance = config.constraint_distance or MaxConstraintDistance()
+        self.extras = [
+            (extra.target, default_error_for(extra.op))
+            for extra in space.query.extra_constraints
+        ]
+        single = not self.extras
+        # Off-grid bisection probes only measure the primary aggregate,
+        # so repartitioning is restricted to single-constraint queries.
+        self.repartitions = constraint.op is ConstraintOp.EQ and single
+        # Early-stop bookkeeping for monotone aggregates with equality
+        # constraints: when every query in layer k+1 contains some
+        # query in layer k, once an entire layer overshoots
+        # target*(1+delta) no later layer can come back within the
+        # threshold. Layers nest like that only under L1 or L-inf with
+        # equal weights: with unequal weights or another norm a later
+        # layer holds points that contain no point of an earlier one.
+        # A multi-constraint conjunction breaks the monotone argument
+        # for the combined error, so extras disable the shortcut.
+        self.check_overshoot = (
+            not space.contracts
+            and constraint.op is ConstraintOp.EQ
+            and monotone
+            and single
+            and _layers_nest(space)
+        )
+        self.overshoot_limit = self.target * (1 + config.delta)
+        # The mask thresholds as numpy scalars, which ufuncs take
+        # without a conversion per call.
+        self.delta = np.float64(config.delta)
+        self.target64 = np.float64(self.target)
+        self.layer_key: Optional[float] = None
+        self.layer_min = math.inf
+        # The section 7.2 prune: grid points whose aggregate fell past
+        # the target, which ``_reachable`` shrinks no further.
+        self.pruned: Optional[set[tuple[int, ...]]] = (
+            set()
+            if space.contracts and config.top_k == 1 and monotone and single
+            else None
+        )
+        self.answers: list[RefinedQuery] = []
+        # Grid-layer QScores at which answers were recorded, in
+        # traversal (hence non-decreasing) order. The stop threshold
+        # is the k-th smallest: with top_k=1 this is exactly the
+        # paper's answer_layer rule, with k > 1 the traversal keeps
+        # going until the k best answer layers are complete.
+        self.answer_layers: list[float] = []
+        self.threshold = math.inf
+        # The closest examined query: its (error, qscore) rank and
+        # what it is. A grid point that is not an answer stays
+        # (coords, actual, error, extra_values) until the search
+        # ends, so only answers and the final closest become
+        # RefinedQuery objects.
+        self.closest_rank: Optional[tuple[float, float]] = None
+        self.closest: RefinedQuery | tuple | None = None
+
+    def examine(self, chunk: LayerArrays) -> Optional[str]:
+        """Examine a chunk of the traversal batch by batch: why the
+        search stops, or None when it goes on past the chunk."""
+        coords, qscores, starts = chunk
+        explorers = self.explorers
+        layer, last = 0, len(starts) - 1
+        while layer < last:
+            start, stop = starts[layer], starts[layer + 1]
+            reason = self._top(qscores.item(start))
+            if reason is not None:
+                return reason
+            remaining = (
+                self.config.max_grid_queries - self.stats.grid_queries_examined
+            )
+            cut = min(stop, start + remaining)
+            points = coords[start:cut]
+            for engine in explorers:
+                engine.reach(points)
+            # The layer's examined prefix, fixed before it is read.
+            end, reason = cut, (None if cut == stop else "budget")
+            if self.threshold < math.inf:
+                end, reason = self._threshold_stop(qscores, start, cut, reason)
+            first = layer
+            layer += 1
+            if reason is None and layer < last:
+                ahead = coords[stop:min(starts[last], start + remaining)]
+                held = len(ahead)
+                for engine in explorers:
+                    held = min(held, engine.held(ahead))
+                    if not held:
+                        break
+                if held:
+                    layer = bisect.bisect_right(starts, stop + held) - 1
+                    end = starts[layer]
+            if layer - first == 1:
+                batch = [0, end - start]
+            else:
+                batch = [point - start for point in starts[first:layer + 1]]
+            if end != cut:
+                points = coords[start:end]
+            reason = self._batch(points, qscores[start:end], batch, reason)
+            if reason is not None:
+                return reason
+        return None
+
+    def _top(self, qscore: float) -> Optional[str]:
+        """The checks at the top of a layer whose first QScore is
+        ``qscore``: why the search stops before it, if it does."""
+        if qscore > self.threshold + _LAYER_EPS:
+            return "answers"  # the k-th answer layer is fully explored
+        if self.check_overshoot:
+            key = round(qscore, LAYER_DECIMALS)
+            if self.layer_key is None:
+                self.layer_key = key
+            elif key != self.layer_key:
+                if self.layer_min > self.overshoot_limit:
+                    return "overshoot"  # the whole previous layer overshot
+                self.layer_key = key
+                self.layer_min = math.inf
+        if self.stats.grid_queries_examined >= self.config.max_grid_queries:
+            return "budget"
+        return None
+
+    def _batch(
+        self,
+        coords: np.ndarray,
+        qscores: np.ndarray,
+        starts: list[int],
+        reason: Optional[str],
+    ) -> Optional[str]:
+        """Examine one batch: layers starting at ``starts`` (then the
+        batch's length), of which the first passed its top checks.
+        ``reason`` is why the search stops after the batch, if it cuts
+        its only layer short. Returns why the search stops, or None."""
+        config, space, target = self.config, self.space, self.target
+        values = self.explorers[0].compute_aggregates(coords)
+        errors = error_array(self.error_fn, target, values)
+        extra_values: list[np.ndarray] = []
+        if self.extras:
+            extra_values = [
+                engine.compute_aggregates(coords)
+                for engine in self.explorers[1:]
+            ]
+            errors = combine_array(
+                self.distance,
+                [errors] + [
+                    error_array(error_fn, extra_target, extra)
+                    for (extra_target, error_fn), extra
+                    in zip(self.extras, extra_values)
+                ],
+            )
+        stop = len(qscores)
+        if self.check_overshoot:
+            # Layers are maximal runs of one rounded QScore, so each
+            # layer's minimum starts afresh; NaN, where every value of a
+            # layer is NaN, overshoots like the inf it stands for.
+            minima = np.fmin.reduceat(values, starts[:-1])
+            overshot = ~(minima[:-1] <= self.overshoot_limit)
+            if overshot.any():
+                stop, reason = starts[int(overshot.argmax()) + 1], "overshoot"
+        if self.threshold < math.inf:
+            stop, reason = self._threshold_stop(qscores, 0, stop, reason)
+
+        examined = errors if stop == len(errors) else errors[:stop]
+        best = int(examined.argmin())
+        # Python handles answers, repartitioned cells and pruned points
+        # in traversal order. There is no answer when the smallest error
+        # exceeds delta (a NaN one does not), and then no answer mask.
+        # ``space.overshoots`` takes arrays too.
+        answer: Any = None
+        past: Any = None
+        events: Any = ()
+        if not examined.item(best) > config.delta:
+            answer = errors <= self.delta
+        if self.repartitions or self.pruned is not None:
+            past = space.overshoots(values, self.target64)
+            events = (past if answer is None else answer | past).nonzero()[0]
+        elif answer is not None:
+            events = answer.nonzero()[0]
+        made: dict[int, RefinedQuery] = {}
+        candidates: list[tuple[int, RefinedQuery]] = []
+        for index in events.tolist() if len(events) else ():
+            if index >= stop:
+                break
+            point = tuple(coords[index].tolist())
+            if answer is not None and answer[index]:
+                made[index] = self.driver._refined_query(
+                    space.query, space, point, values.item(index),
+                    errors.item(index),
+                    extra_values=tuple(
+                        extra.item(index) for extra in extra_values
+                    ),
+                )
+                logger.debug(
+                    "answer at %s: A=%g err=%.4f QScore=%.3f",
+                    point, values[index], errors[index], qscores[index],
+                )
+                stop, reason = self._record(
+                    made[index], qscores, index, stop, reason
+                )
+            elif self.repartitions and past[index]:
+                candidate = self.driver._repartition(
+                    self.explorers[0].prepared, space, point, target,
+                    self.error_fn, config, self.stats,
+                )
+                if candidate is not None:
+                    candidates.append((index, candidate))
+                    if candidate.error <= config.delta:
+                        stop, reason = self._record(
+                            candidate, qscores, index, stop, reason
+                        )
+            if self.pruned is not None and past[index]:
+                self.pruned.add(point)
+        if stop < len(examined):  # the threshold an answer set ended it
+            examined = errors[:stop]
+            if best >= stop:
+                best = int(examined.argmin())
+
+        self._closest(
+            best, coords, qscores, values, examined, extra_values, made,
+            candidates,
+        )
+        self.stats.grid_queries_examined += stop
+        self.stats.last_qscore = qscores.item(stop - 1)
+        if self.check_overshoot and reason is None:
+            last = starts[-2]
+            self.layer_key = round(qscores.item(last), LAYER_DECIMALS)
+            lowest = minima.item(-1)
+            self.layer_min = lowest if lowest == lowest else math.inf
+        return reason
+
+    def _record(
+        self,
+        answer: RefinedQuery,
+        qscores: np.ndarray,
+        index: int,
+        stop: int,
+        reason: Optional[str],
+    ) -> tuple[int, Optional[str]]:
+        """Record an answer of the grid point at ``index``; the k-th
+        sets the threshold, which may end the batch sooner."""
+        self.answers.append(answer)
+        self.answer_layers.append(qscores.item(index))
+        if self.threshold < math.inf or len(self.answer_layers) < self.config.top_k:
+            return stop, reason
+        self.threshold = self.answer_layers[self.config.top_k - 1]
+        return self._threshold_stop(qscores, index + 1, stop, reason)
+
+    def _threshold_stop(
+        self,
+        qscores: np.ndarray,
+        begin: int,
+        stop: int,
+        reason: Optional[str],
+    ) -> tuple[int, Optional[str]]:
+        """The first point from ``begin`` past the threshold ends the
+        batch, if it comes no later than ``stop``; the threshold is
+        checked first at a layer's top, so it wins a tie."""
+        over = qscores[begin:stop + 1] > self.threshold + _LAYER_EPS
+        if over.any():
+            return begin + int(over.argmax()), "answers"
+        return stop, reason
+
+    def _closest(
+        self,
+        best: int,
+        coords: np.ndarray,
+        qscores: np.ndarray,
+        values: np.ndarray,
+        errors: np.ndarray,
+        extra_values: list[np.ndarray],
+        made: dict[int, RefinedQuery],
+        candidates: list[tuple[int, RefinedQuery]],
+    ) -> None:
+        """Update the closest query with the batch's examined points,
+        whose ``errors`` first reach their minimum at ``best``, and its
+        repartition candidates.
+
+        The closest is the first examined query with the smallest
+        ``(error, qscore)``, compared strictly. QScores never fall
+        along the traversal, so ``best`` is the only grid point of the
+        batch that can win; it and the candidates, each right after its
+        grid point, are compared in traversal order. A NaN error, which
+        only a custom error function or distance gives, never compares
+        smaller: it is the closest only as the search's first point, and
+        then for good. ``argmin`` stops at the first NaN, so ``best``
+        holds one if any error is NaN.
+        """
+        error = errors.item(best)
+        if error == error and not candidates:
+            rank = (error, qscores.item(best))
+            if self.closest_rank is None or rank < self.closest_rank:
+                self._set_closest(
+                    rank, best, made, coords, values, extra_values
+                )
+            return
+        contender: Optional[int] = best
+        if error != error:
+            valid = (errors == errors).nonzero()[0]
+            if self.closest_rank is None and errors.item(0) != errors.item(0):
+                contender = 0
+            elif len(valid):
+                contender = int(valid[errors[valid].argmin()])
+            else:
+                contender = None
+        contenders = [(index, 1, candidate) for index, candidate in candidates]
+        if contender is not None:
+            contenders.append((contender, 0, None))
+        contenders.sort(key=lambda entry: entry[:2])
+        for index, _, candidate in contenders:
+            if candidate is None:
+                rank = (errors.item(index), qscores.item(index))
+            else:
+                rank = (candidate.error, candidate.qscore)
+            if self.closest_rank is not None and not rank < self.closest_rank:
+                continue
+            if candidate is None:
+                self._set_closest(
+                    rank, index, made, coords, values, extra_values
+                )
+            else:
+                self.closest_rank, self.closest = rank, candidate
+
+    def _set_closest(
+        self,
+        rank: tuple[float, float],
+        index: int,
+        made: dict[int, RefinedQuery],
+        coords: np.ndarray,
+        values: np.ndarray,
+        extra_values: list[np.ndarray],
+    ) -> None:
+        """Make the batch's grid point at ``index`` the closest: its
+        answer, if it is one, else its lazy description."""
+        self.closest_rank = rank
+        self.closest = made.get(index) or (
+            tuple(coords[index].tolist()),
+            values.item(index),
+            rank[0],
+            tuple(extra.item(index) for extra in extra_values),
+        )
+
+
 def _closer(
     current: Optional[RefinedQuery], candidate: RefinedQuery
 ) -> RefinedQuery:
@@ -659,10 +891,10 @@ def _closer(
 
 
 def _reachable(
-    layers: Iterator[list[tuple[tuple[int, ...], float]]],
+    chunks: Iterator[LayerArrays],
     space: RefinedSpace,
     pruned: set[tuple[int, ...]],
-) -> Iterator[list[tuple[tuple[int, ...], float]]]:
+) -> Iterator[LayerArrays]:
     """The traversal's layers cut down to what the section 7.2 prune
     leaves reachable, one point per layer.
 
@@ -677,12 +909,14 @@ def _reachable(
     """
     reached = {space.origin}
     unexamined = 1
-    for layer in layers:
-        for point in layer:
-            coords = point[0]
+    for chunk in chunks:
+        points = map(tuple, chunk.coords.tolist())
+        for coords, qscore in zip(points, chunk.qscores.tolist()):
             if coords not in reached:
                 continue
-            yield [point]
+            yield LayerArrays(
+                np.array([coords], dtype=np.intp), np.array([qscore]), [0, 1]
+            )
             unexamined -= 1
             if coords not in pruned:
                 for dim, limit in enumerate(space.max_coords):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,27 @@ from repro.exceptions import OSPViolationError, QueryModelError
 
 #: Aggregate running state: a fixed-arity tuple of floats.
 AggState = Tuple[float, ...]
+
+
+def finalize_array(aggregate: "OSPAggregate", states: np.ndarray) -> np.ndarray:
+    """``aggregate.finalize`` of many states, as a float64 array.
+
+    ``states`` is an ``(n, arity)`` float array, or for a user-defined
+    aggregate an object array of state tuples. The built-in aggregates
+    finalize in numpy with the float operations of their ``finalize``,
+    so each value is the one ``finalize`` returns; any other aggregate
+    is finalized state by state.
+    """
+    vectorized = _ARRAY_FINALIZE.get(type(aggregate))
+    if states.dtype == object:
+        parts: Iterable = states
+    elif vectorized is not None:
+        return vectorized(states)
+    else:
+        parts = map(tuple, states.tolist())
+    return np.fromiter(
+        map(aggregate.finalize, parts), dtype=np.float64, count=len(states)
+    )
 
 
 class OSPAggregate:
@@ -252,6 +273,33 @@ class UserDefinedAggregate(OSPAggregate):
             )
         return self._sql_selects(attribute_sql)
 
+
+def _first_part(states: np.ndarray) -> np.ndarray:
+    return states[:, 0]
+
+
+def _extreme(states: np.ndarray) -> np.ndarray:
+    """MIN/MAX: an infinite state (the empty set's) finalizes to NaN."""
+    values = states[:, 0]
+    return np.where(np.isinf(values), np.nan, values)
+
+
+def _mean(states: np.ndarray) -> np.ndarray:
+    """AVG: total / count, NaN where the count is 0."""
+    counts = states[:, 1]
+    return np.divide(
+        states[:, 0], counts, out=np.full(len(counts), np.nan),
+        where=counts != 0,
+    )
+
+
+_ARRAY_FINALIZE = {
+    CountAggregate: _first_part,
+    SumAggregate: _first_part,
+    MinAggregate: _extreme,
+    MaxAggregate: _extreme,
+    AvgAggregate: _mean,
+}
 
 COUNT = CountAggregate()
 SUM = SumAggregate()

@@ -33,6 +33,8 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.acquire import Acquire, AcquireConfig
 from repro.core.explore import BoxExplorer
 from repro.core.query import Query
@@ -77,10 +79,18 @@ class ContractionSpace(RefinedSpace):
         self._check(coords)
         return tuple(-coord * self.step for coord in coords)
 
+    def scores_array(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`scores` of every row of ``points``: the coordinates
+        negated as integers, then the same float products."""
+        return -points * self.step
+
     def overshoots(self, value: float, target: float) -> bool:
         """Below ``target``, and only for a monotone aggregate, whose
-        value keeps falling as the query shrinks."""
-        return self.monotone and value < target
+        value keeps falling as the query shrinks. ``value`` may be an
+        array."""
+        if self.monotone:
+            return value < target
+        return np.zeros(np.shape(value), dtype=bool)
 
     def inner_corner(self, scores: Sequence[float]) -> tuple[float, ...]:
         return tuple(min(score + self.step, 0.0) for score in scores)

@@ -11,7 +11,9 @@ user-supplied callable with the same signature may replace them
 from __future__ import annotations
 
 import math
-from typing import Protocol
+from typing import Callable, Protocol
+
+import numpy as np
 
 from repro.core.query import ConstraintOp
 
@@ -33,6 +35,13 @@ class RelativeError:
         if expected == 0:
             return 0.0 if actual == 0 else math.inf
         return abs(expected - actual) / abs(expected)
+
+    def array(self, expected: np.float64, actual: np.ndarray) -> np.ndarray:
+        if expected == 0:
+            return np.where(actual == 0, 0.0, math.inf)
+        errors = np.abs(actual - expected)
+        np.divide(errors, abs(expected), out=errors)
+        return _nan_to_inf(errors)
 
     def __repr__(self) -> str:
         return "RelativeError()"
@@ -61,6 +70,9 @@ class HingeError:
         if expected == 0:
             return math.inf
         return gap / abs(expected)
+
+    def array(self, expected: np.float64, actual: np.ndarray) -> np.ndarray:
+        return _hinge(expected - actual, expected, self.normalized)
 
     def __repr__(self) -> str:
         return f"HingeError(normalized={self.normalized})"
@@ -94,5 +106,63 @@ class _UpperHingeError:
             return math.inf
         return gap / abs(expected)
 
+    def array(self, expected: np.float64, actual: np.ndarray) -> np.ndarray:
+        return _hinge(actual - expected, expected, True)
+
     def __repr__(self) -> str:
         return "UpperHingeError()"
+
+
+#: numpy scalars: a ufunc converts a Python float operand on every call.
+_ZERO = np.float64(0.0)
+_INF = np.float64(math.inf)
+
+
+def _nan_to_inf(errors: np.ndarray) -> np.ndarray:
+    """NaN entries, which only a NaN aggregate value makes, become inf."""
+    return np.fmin(errors, _INF, out=errors)
+
+
+def _hinge(
+    gaps: np.ndarray, expected: np.float64, normalized: bool
+) -> np.ndarray:
+    """The hinges' arithmetic on a fresh array of gaps, in place: 0
+    where the gap is <= 0, inf where it is NaN."""
+    if normalized and expected != 0:
+        # A gap is -0.0 only if ``expected`` is 0, so clamping the
+        # quotients at 0.0 returns the literal 0.0 of ``__call__``.
+        np.divide(gaps, abs(expected), out=gaps)
+        return np.maximum(_nan_to_inf(gaps), _ZERO, out=gaps)
+    gaps[gaps <= 0] = 0.0
+    if normalized:
+        gaps[gaps > 0] = math.inf
+    return _nan_to_inf(gaps)
+
+
+#: The error functions :func:`error_array` computes in numpy, and how.
+_ARRAY_FORMS: dict[type, Callable[..., np.ndarray]] = {
+    RelativeError: RelativeError.array,
+    HingeError: HingeError.array,
+    _UpperHingeError: _UpperHingeError.array,
+}
+
+
+def error_array(
+    error_fn: AggregateErrorFunction, expected: float, actual: np.ndarray
+) -> np.ndarray:
+    """``error_fn(expected, value)`` of every value of ``actual``.
+
+    The built-in error functions compute it in numpy with the float
+    operations of their ``__call__``, so each entry is the float the
+    call returns; any other callable is applied element by element.
+    """
+    array = _ARRAY_FORMS.get(type(error_fn))
+    if array is not None:
+        # The same IEEE operations on the same float: an int target
+        # converts exactly as Python's mixed arithmetic converts it.
+        return array(error_fn, np.float64(expected), actual)
+    return np.fromiter(
+        (error_fn(expected, value) for value in actual.tolist()),
+        dtype=np.float64,
+        count=len(actual),
+    )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +42,16 @@ Coords = tuple[int, ...]
 #: Decimal places used when bucketing QScores into layers. Shared with
 #: the driver so layer grouping and layer-boundary checks agree.
 LAYER_DECIMALS = 9
+
+
+class LayerArrays(NamedTuple):
+    """Consecutive layers of the stream as arrays: ``coords`` is an
+    ``(n, d)`` integer array, ``qscores`` the points' QScores and
+    ``starts`` where each layer starts, then ``n``."""
+
+    coords: np.ndarray
+    qscores: np.ndarray
+    starts: list[int]
 
 
 class Traversal:
@@ -92,6 +102,19 @@ class Traversal:
         """:meth:`layers_scored` with the QScores stripped."""
         for layer in self.layers_scored():
             yield [coords for coords, _ in layer]
+
+    def layer_arrays(self) -> Iterator[LayerArrays]:
+        """:meth:`layers_scored` as arrays, one layer at a time;
+        traversals that enumerate many layers at once hand them over
+        together."""
+        d = self.space.d
+        for layer in self.layers_scored():
+            coords, qscores = zip(*layer)
+            yield LayerArrays(
+                np.array(coords, dtype=np.intp).reshape(-1, d),
+                np.array(qscores, dtype=np.float64),
+                [0, len(layer)],
+            )
 
 
 #: Grid points the first shell holds at most, whatever the weights; a
@@ -212,7 +235,9 @@ class _L1Shells:
             columns.append(cols)
         return qscores, columns
 
-    def layers(self) -> Iterator[list[tuple[Coords, float]]]:
+    def layer_arrays(self) -> Iterator[LayerArrays]:
+        """Each shell's layers, sorted, with their starts; the held-back
+        last layer is not among them."""
         lower = -math.inf
         bound = self._first_bound()
         while True:
@@ -226,13 +251,15 @@ class _L1Shells:
             columns = [column[fresh] for column in columns]
             order = np.lexsort((*columns[::-1], sum(columns), qscores))
             qscores = qscores[order]
-            columns = [column[order] for column in columns]
             starts = _layer_starts(qscores)
             if not final:
                 starts.pop()  # hold the last layer back for the next shell
-            for start, stop in zip(starts, starts[1:]):
-                points = zip(*[column[start:stop].tolist() for column in columns])
-                yield list(zip(points, qscores[start:stop].tolist()))
+            if len(starts) > 1:
+                end = starts[-1]
+                coords = np.stack([column[order[:end]] for column in columns], 1)
+                yield LayerArrays(
+                    coords.astype(np.intp, copy=False), qscores[:end], starts
+                )
             if final:
                 return
             if len(starts) > 1:
@@ -248,6 +275,14 @@ class _L1Shells:
             )
             target = max(FIRST_SHELL_POINTS, SHELL_GROWTH * enumerated)
             bound *= (target / enumerated) ** (1.0 / max(growing, 1))
+
+    def layers(self) -> Iterator[list[tuple[Coords, float]]]:
+        """:meth:`layer_arrays` as lists of ``(coords, qscore)``."""
+        for coords, qscores, starts in self.layer_arrays():
+            points = list(map(tuple, coords.tolist()))
+            scores = qscores.tolist()
+            for start, stop in zip(starts, starts[1:]):
+                yield list(zip(points[start:stop], scores[start:stop]))
 
 
 def _layer_starts(qscores: np.ndarray) -> list[int]:
@@ -295,6 +330,11 @@ class LpBestFirstTraversal(Traversal):
         if self.shells is None:
             return super().layers_scored()
         return self.shells.layers()
+
+    def layer_arrays(self) -> Iterator[LayerArrays]:
+        if self.shells is None:
+            return super().layer_arrays()
+        return self.shells.layer_arrays()
 
 
 class LInfLayerTraversal(Traversal):

@@ -26,7 +26,9 @@ query.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.core.aggregates import AggState, OSPAggregate
 from repro.core.refined_space import RefinedSpace
@@ -104,12 +106,24 @@ class Explorer:
         """Finalized aggregate value of the grid query at ``coords``."""
         return self.aggregate.finalize(self.block_state(coords))
 
-    def compute_aggregates(
-        self, coords_list: Sequence[Sequence[int]]
-    ) -> Iterator[float]:
-        """Lazy ``compute_aggregate`` over a layer, one point per pull:
-        a cell executes only when the driver examines its point."""
-        return (self.compute_aggregate(coords) for coords in coords_list)
+    def compute_aggregates(self, points: np.ndarray) -> np.ndarray:
+        """``compute_aggregate`` of each row of ``points``, an ``(n, d)``
+        integer array, as a float64 array: a cell executes for each
+        point the store does not hold yet, in row order."""
+        points = np.asarray(points, dtype=np.intp)
+        return np.fromiter(
+            map(self.compute_aggregate, points.tolist()),
+            dtype=np.float64,
+            count=len(points),
+        )
+
+    def reach(self, points: np.ndarray) -> None:
+        """Reads nothing ahead: a cell executes when its point is read."""
+
+    def held(self, points: np.ndarray) -> int:
+        """0: this engine answers no point without executing its cell
+        first."""
+        return 0
 
     def block_state(self, coords: Sequence[int]) -> AggState:
         """Aggregate state of the full query at ``coords`` (``O_{d+1}``)."""
@@ -188,20 +202,39 @@ class BoxExplorer:
 
     def compute_aggregate(self, coords: Sequence[int]) -> float:
         """Finalized aggregate value of the grid query at ``coords``."""
-        origin = tuple(coords) == self.space.origin
+        return self._read(coords, self.space.scores(coords))
+
+    def compute_aggregates(self, points: np.ndarray) -> np.ndarray:
+        """``compute_aggregate`` of each row of ``points``, one box query
+        per point, as a float64 array. The rows' PScores come from one
+        :meth:`~repro.core.refined_space.RefinedSpace.scores_array`."""
+        points = np.asarray(points, dtype=np.intp)
+        scores = self.space.scores_array(points).tolist()
+        return np.fromiter(
+            map(self._read, points.tolist(), scores),
+            dtype=np.float64,
+            count=len(points),
+        )
+
+    def _read(self, coords: Sequence[int], scores: Sequence[float]) -> float:
+        """One box query at ``scores``, the PScores of ``coords``; the
+        origin's value is read once."""
+        origin = not any(coords)
         if origin and self._origin is not None:
             return self._origin
-        state = self.layer.execute_box(self.prepared, self.space.scores(coords))
-        value = self.aggregate.finalize(state)
+        value = self.aggregate.finalize(
+            self.layer.execute_box(self.prepared, scores)
+        )
         if origin:
             self._origin = value
         return value
 
-    def compute_aggregates(
-        self, coords_list: Sequence[Sequence[int]]
-    ) -> Iterator[float]:
-        """Lazy ``compute_aggregate`` over a layer, one box per pull."""
-        return map(self.compute_aggregate, coords_list)
+    def reach(self, points: np.ndarray) -> None:
+        """Reads nothing ahead: a box is read when its point is."""
+
+    def held(self, points: np.ndarray) -> int:
+        """0: every point costs a box query."""
+        return 0
 
 
 class SupportsEmptyCheck:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from repro.core.aggregates import (
     MinAggregate,
     OSPAggregate,
     SumAggregate,
+    finalize_array,
 )
 from repro.core.explore import Explorer, SubAggregateStore
 from repro.core.grid_cache import GridTensorCache
@@ -166,35 +167,40 @@ class GridExplorer:
         """Finalized aggregate value of the grid query at ``coords``."""
         return self.aggregate.finalize(self.block_state(coords))
 
-    def compute_aggregates(
-        self, coords_list: Sequence[Sequence[int]]
-    ) -> Iterator[float]:
-        """Finalized aggregate values of a layer's grid queries, lazily.
+    def compute_aggregates(self, points: np.ndarray) -> np.ndarray:
+        """Finalized aggregate values of the rows of ``points``, an
+        ``(n, d)`` integer array, as a float64 array.
 
-        The first pull grows the ball over every point of the layer (one
-        shell at most) and gathers them with one fancy index; the
-        gathered states are the Python floats (or state tuples)
-        ``block_state`` reads. After a handover each point is read as
-        it is pulled.
+        Grows the ball over every point (one shell at most) and gathers
+        their block states with one fancy index, which copies them, then
+        finalizes the gathered states with
+        :func:`~repro.core.aggregates.finalize_array`. After a handover
+        the per-cell engine reads each point in row order.
         """
-        points = np.asarray(coords_list, dtype=np.intp).reshape(
-            -1, self.space.d
-        )
+        points = np.asarray(points, dtype=np.intp).reshape(-1, self.space.d)
         if not len(points):
-            return
-        self._reach(points)
+            return np.empty(0)
+        self.reach(points)
         if self.incremental is not None:
-            yield from self.incremental.compute_aggregates(coords_list)
-            return
-        states = self._blocks[tuple(points.T)]
-        if states.dtype != object:
-            states = map(tuple, states.tolist())
-        yield from map(self.aggregate.finalize, states)
+            return self.incremental.compute_aggregates(points)
+        return finalize_array(self.aggregate, self._blocks[tuple(points.T)])
+
+    def held(self, points: np.ndarray) -> int:
+        """How many leading rows of ``points`` the ball holds, so that
+        :meth:`compute_aggregates` reads them with no backend call:
+        every row after a whole-grid read, none before the first read or
+        after a handover."""
+        if self.incremental is not None or self.bound is None:
+            return 0
+        if self.bound == math.inf:
+            return len(points)
+        outside = self.space.grid_qscores(points.T) > self.bound
+        return int(outside.argmax()) if outside.any() else len(points)
 
     def block_state(self, coords: Sequence[int]) -> AggState:
         """Aggregate state of the full query at ``coords`` (``O_{d+1}``)."""
         key = tuple(int(coord) for coord in coords)
-        self._reach(np.array([key], dtype=np.intp))
+        self.reach(np.array([key], dtype=np.intp))
         if self.incremental is not None:
             return self.incremental.block_state(key)
         if self._blocks.dtype == object:
@@ -226,10 +232,15 @@ class GridExplorer:
         top = self.space.max_coords
         return float(self.space.box_qscores(top, top).item())
 
-    def _reach(self, points: np.ndarray) -> None:
+    def reach(self, points: np.ndarray) -> None:
         """Grow the ball by one shell to hold ``points`` (an ``(n, d)``
-        array), unless it holds them already or reads go cell by cell."""
-        if self.incremental is not None or self.bound == math.inf:
+        array), unless it holds them already or reads go cell by cell.
+        The first read of a whole-grid engine reads the whole grid."""
+        if (
+            self.incremental is not None
+            or self.bound == math.inf
+            or not len(points)
+        ):
             return
         if self.whole:
             bound, hi = math.inf, self.space.max_coords

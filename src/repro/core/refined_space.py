@@ -115,6 +115,11 @@ class RefinedSpace:
         self._check(coords)
         return tuple(coord * self.step for coord in coords)
 
+    def scores_array(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`scores` of every row of ``points``, an ``(n, d)``
+        integer array of grid coordinates: the same float products."""
+        return points * self.step
+
     def qscore(self, coords: Sequence[int]) -> float:
         """QScore of a grid query under the space's norm and weights:
         the norm of its score magnitudes ``coord * step``."""
@@ -130,7 +135,7 @@ class RefinedSpace:
     def overshoots(self, value: float, target: float) -> bool:
         """Whether an aggregate value lies past ``target`` in the
         direction the grid moves the query: above it, for expansion.
-        NaN never does."""
+        NaN never does. ``value`` may be an array of values."""
         return value > target
 
     def inner_corner(self, scores: Sequence[float]) -> tuple[float, ...]:

@@ -94,7 +94,12 @@ class SearchStats:
     ``top_k`` is the ranking depth the search was asked for
     (``AcquireConfig.top_k``): the traversal keeps exploring layers
     until the k best answer layers are complete instead of just the
-    first.
+    first. ``stop_reason`` says why the search stopped: ``answers``
+    (the k-th answer layer is complete), ``overshoot`` (a whole layer
+    of an EQ search overshot the target), ``budget``
+    (``max_grid_queries`` grid queries examined) or ``exhausted`` (the
+    traversal, or the points the section 7.2 prune leaves reachable,
+    ran out).
     """
 
     top_k: int = 1
@@ -108,6 +113,7 @@ class SearchStats:
     explore_mode: str = "incremental"
     plan_reason: str = ""
     last_qscore: float = 0.0
+    stop_reason: str = ""
     execution: ExecutionStats = field(default_factory=ExecutionStats)
 
 
@@ -232,7 +238,7 @@ class AcquireResult:
             f"{stats.cells_executed} cell executions, {probes}"
             f"{stats.execution.queries_executed} backend queries, "
             f"{stats.elapsed_s * 1000:.1f} ms "
-            f"({self._explore_note()})"
+            f"({self._explore_note()}), stopped: {stats.stop_reason}"
         )
         return "\n".join(lines)
 

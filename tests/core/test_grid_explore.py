@@ -454,7 +454,9 @@ class TestBulkLayerRead:
         assert np.isinf(before).all()
 
     @pytest.mark.parametrize("engine", ("incremental", "handover"))
-    def test_lazy_engines_compute_only_what_is_pulled(self, engine):
+    def test_per_cell_engines_read_only_the_points_given(self, engine):
+        """The per-cell engines hold nothing ahead: each point given
+        executes its cell, and no other point's."""
         database = _database(seed=32, n=120)
         query = _query("COUNT")
         space = _shaped_space(query, (5, 5))
@@ -467,18 +469,47 @@ class TestBulkLayerRead:
             explorer = GridExplorer(
                 layer, prepared, space, aggregate, cell_cap=1
             )
-        coords = _grid_coords(space)
-        values = explorer.compute_aggregates(coords)
-        assert layer.stats.queries_executed == 0
-        first = next(values)
-        pulled_once = layer.stats.queries_executed
-        assert pulled_once == 1
-        rest = list(values)
-        assert layer.stats.queries_executed > pulled_once
+        coords = np.array(_grid_coords(space), dtype=np.intp)
+        assert explorer.held(coords) == 0
+        first = explorer.compute_aggregates(coords[:1])
+        assert layer.stats.queries_executed == 1
+        assert explorer.held(coords) == 0
+        rest = explorer.compute_aggregates(coords[1:])
+        assert layer.stats.queries_executed == len(coords)
+        assert first.dtype == rest.dtype == np.float64
         reference = _grid_explorer("memory", database, query, space)
-        assert _hex([first] + rest) == _hex(
+        assert _hex(np.concatenate([first, rest])) == _hex(
             reference.compute_aggregates(coords)
         )
+
+    def test_held_rows_are_the_ball(self):
+        """A shell engine holds the leading rows whose QScores lie in
+        its ball, and a whole-grid engine every row once it has read."""
+        database = _database(seed=33, n=120)
+        query = _query("COUNT")
+        space = _shaped_space(query, (5, 5))
+        layer = MemoryBackend(database)
+        prepared = layer.prepare(query, [100.0, 100.0])
+        aggregate = query.constraint.spec.aggregate
+        coords = np.array(
+            [point for layer_points in make_traversal(space, "lp").layers()
+             for point in layer_points],
+            dtype=np.intp,
+        )
+        shells = GridExplorer(layer, prepared, space, aggregate)
+        whole = GridExplorer(layer, prepared, space, aggregate, whole=True)
+        assert shells.held(coords) == whole.held(coords) == 0
+        shells.reach(coords[:1])
+        whole.reach(coords[:1])
+        inside = space.grid_qscores(coords.T) <= shells.bound
+        held = shells.held(coords)
+        assert 0 < held < len(coords)
+        assert inside[:held].all() and not inside[held]
+        assert whole.held(coords) == len(coords)
+        calls = layer.stats.queries_executed
+        shells.compute_aggregates(coords[:held])
+        whole.compute_aggregates(coords)
+        assert layer.stats.queries_executed == calls
 
 
 # ----------------------------------------------------------------------

@@ -129,7 +129,7 @@ def _bounds(monkeypatch, layer, query, config) -> list[float]:
     layer (growth 1): the first bound, then each layer's QScore past
     it, widened by ``BOUND_SLACK``."""
     bounds: list[float] = []
-    reach = GridExplorer._reach
+    reach = GridExplorer.reach
 
     def record(self, points):
         reach(self, points)
@@ -138,7 +138,7 @@ def _bounds(monkeypatch, layer, query, config) -> list[float]:
 
     with monkeypatch.context() as patch:
         patch.setattr(grid_explore, "BALL_GROWTH", 1.0)
-        patch.setattr(GridExplorer, "_reach", record)
+        patch.setattr(GridExplorer, "reach", record)
         Acquire(layer).run(query, config)
     return bounds
 
@@ -305,7 +305,7 @@ def _largest_box(layer, query, config) -> tuple[int, int]:
     """The grid's size and the most cells a ball's bounding box holds
     in an uncapped ``auto`` search."""
     seen = {"grid": 0, "box": 0}
-    reach = GridExplorer._reach
+    reach = GridExplorer.reach
 
     def record(self, points):
         reach(self, points)
@@ -315,7 +315,7 @@ def _largest_box(layer, query, config) -> tuple[int, int]:
             seen["box"] = max(seen["box"], box)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GridExplorer, "_reach", record)
+        patch.setattr(GridExplorer, "reach", record)
         Acquire(layer).run(query, config)
     return seen["grid"], seen["box"]
 
