@@ -1,6 +1,6 @@
 # Canonical developer commands for the ACQUIRE reproduction.
 
-.PHONY: install test test-fast test-cov corpus-gate corpus-rebuild corpus-replay bench bench-smoke bench-parallel bench-service perfbench-smoke experiments examples clean lint lint-engine typecheck
+.PHONY: install test test-fast test-cov corpus-gate corpus-rebuild corpus-replay bench bench-smoke bench-service perfbench-smoke experiments examples clean lint lint-engine typecheck
 
 install:
 	pip install -e . || python setup.py develop
@@ -75,12 +75,6 @@ bench:
 # round-trip regression guard against BENCH_explore_baseline.json.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/smoke.py
-
-# Persistent-cache gates only: a warm cross-process cache run answers
-# like the cold one while issuing strictly fewer backend queries
-# (regression-guarded by BENCH_parallel_baseline.json).
-bench-parallel:
-	PYTHONPATH=src python benchmarks/smoke.py --parallel-only
 
 # ACQ-as-a-service gates only: closed-loop p50/p99 + throughput vs
 # worker count (the 2x worker-scaling gate binds on >=4-core hosts),

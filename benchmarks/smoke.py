@@ -24,13 +24,7 @@ dependencies (no pytest-benchmark).
    records hits, that it issues *strictly fewer* backend queries than
    the uncached arm, and that its query total has not regressed above
    the checked-in ``BENCH_cache_baseline.json``.
-4. ``persistent_cache`` (the ``bench-parallel`` job;
-   ``--parallel-only`` runs just this) — writes ``BENCH_parallel.json``
-   and checks that the warm persistent-cache process answers
-   identically to the cold one while issuing *strictly fewer* backend
-   queries; the warm arm's query total is regression-guarded by the
-   checked-in ``BENCH_parallel_baseline.json``.
-5. ``service_load`` (the ``bench-service`` job; ``--service-only``
+4. ``service_load`` (the ``bench-service`` job; ``--service-only``
    runs just this) — writes ``BENCH_service.json`` and checks that the
    closed-loop arm completed every request with none rejected, that —
    on hosts with at least ``SCALING_GATE_CORES`` cores — throughput
@@ -43,10 +37,9 @@ dependencies (no pytest-benchmark).
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke.py [--scale-rows N] [--out PATH]
-        [--explore-out PATH] [--cache-out PATH] [--parallel-out PATH]
-        [--service-out PATH] [--baseline PATH] [--cache-baseline PATH]
-        [--parallel-baseline PATH] [--service-baseline PATH]
-        [--update-baseline] [--parallel-only] [--service-only]
+        [--explore-out PATH] [--cache-out PATH] [--service-out PATH]
+        [--baseline PATH] [--cache-baseline PATH]
+        [--service-baseline PATH] [--update-baseline] [--service-only]
 """
 
 from __future__ import annotations
@@ -289,68 +282,6 @@ def _check_cache_baseline(payload: dict, baseline_path: str) -> list[str]:
     return []
 
 
-def _check_parallel(payload: dict) -> list[str]:
-    """Gates for the persistent-cache arms: the warm process must
-    answer identically to the cold one and issue strictly fewer
-    backend queries, with at least one persistent-tier hit (exact
-    gates)."""
-    failures = []
-    arms: dict[str, dict] = {}
-    for row in payload["rows"]:
-        parts = row["method"].split("/")
-        if len(parts) == 2 and parts[1] in ("cold", "warm"):
-            arms[parts[1]] = row
-    if "cold" not in arms or "warm" not in arms:
-        failures.append(f"persistent-cache arms missing: {sorted(arms)}")
-        return failures
-    cold, warm = arms["cold"], arms["warm"]
-    if cold["extra"].get("qscores") != warm["extra"].get("qscores"):
-        failures.append(
-            "warm process answers diverged: "
-            f"{warm['extra'].get('qscores')} != "
-            f"{cold['extra'].get('qscores')}"
-        )
-    if warm["queries"] >= cold["queries"]:
-        failures.append(
-            "persistent cache saved nothing: warm process issued "
-            f"{warm['queries']} backend queries vs {cold['queries']} cold "
-            "(must be strictly fewer)"
-        )
-    if warm["persistent_hits"] < 1:
-        failures.append("warm process recorded no persistent-tier hits")
-    return failures
-
-
-def _check_parallel_baseline(
-    payload: dict, baseline_path: str
-) -> list[str]:
-    """Perf-regression guard on the warm process's backend queries."""
-    if not os.path.exists(baseline_path):
-        return [f"parallel baseline missing: {baseline_path}"]
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    if baseline.get("scale_rows") != payload["settings"].get("scale_rows"):
-        print(
-            "note: parallel baseline scale_rows "
-            f"{baseline.get('scale_rows')} != run scale_rows "
-            f"{payload['settings'].get('scale_rows')}; skipping the "
-            "regression guard"
-        )
-        return []
-    warm_queries = sum(
-        row["queries"]
-        for row in payload["rows"]
-        if row["method"].endswith("/warm")
-    )
-    allowed = baseline.get("warm_queries", 0)
-    if warm_queries > allowed:
-        return [
-            "warm-process backend queries regressed — "
-            f"{warm_queries} > baseline {allowed}"
-        ]
-    return []
-
-
 def _check_service(payload: dict) -> list[str]:
     """Gates for the ACQ-as-a-service load-generation arms.
 
@@ -478,21 +409,6 @@ def _write_service_baseline(payload: dict, baseline_path: str) -> None:
     print(f"wrote baseline {baseline_path}")
 
 
-def _write_parallel_baseline(payload: dict, baseline_path: str) -> None:
-    baseline = {
-        "scale_rows": payload["settings"].get("scale_rows"),
-        "warm_queries": sum(
-            row["queries"]
-            for row in payload["rows"]
-            if row["method"].endswith("/warm")
-        ),
-    }
-    with open(baseline_path, "w", encoding="utf-8") as handle:
-        json.dump(baseline, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote baseline {baseline_path}")
-
-
 def _write_cache_baseline(payload: dict, baseline_path: str) -> None:
     baseline = {
         "scale_rows": payload["settings"].get("scale_rows"),
@@ -552,18 +468,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--parallel-out",
-        default=os.path.join(
-            "benchmarks", "results", "BENCH_parallel.json"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-baseline",
-        default=os.path.join(
-            "benchmarks", "results", "BENCH_parallel_baseline.json"
-        ),
-    )
-    parser.add_argument(
         "--service-out",
         default=os.path.join(
             "benchmarks", "results", "BENCH_service.json"
@@ -581,11 +485,6 @@ def main(argv=None) -> int:
         help="rewrite the regression baselines from this run",
     )
     parser.add_argument(
-        "--parallel-only",
-        action="store_true",
-        help="run only the persistent-cache section",
-    )
-    parser.add_argument(
         "--service-only",
         action="store_true",
         help="run only the ACQ-as-a-service load-generation section",
@@ -596,24 +495,14 @@ def main(argv=None) -> int:
         evaluation_layers,
         explore_modes,
         grid_cache_sweep,
-        persistent_cache,
         service_load,
     )
-    from repro.harness.metrics import ExperimentResult
     from repro.harness.report import render_rows, save_json
 
     failures = []
 
-    if args.parallel_only or args.service_only:
-        if args.parallel_only:
-            failures += _run_parallel(
-                args, persistent_cache, ExperimentResult, render_rows,
-                save_json,
-            )
-        if args.service_only:
-            failures += _run_service(
-                args, service_load, render_rows, save_json,
-            )
+    if args.service_only:
+        failures += _run_service(args, service_load, render_rows, save_json)
         for failure in failures:
             print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
         return 1 if failures else 0
@@ -650,10 +539,6 @@ def main(argv=None) -> int:
     print(render_rows(cache.rows))
     print(f"\nwrote {cache_path}\n")
 
-    failures += _run_parallel(
-        args, persistent_cache, ExperimentResult, render_rows, save_json,
-    )
-
     failures += _run_service(args, service_load, render_rows, save_json)
 
     for failure in failures:
@@ -661,45 +546,8 @@ def main(argv=None) -> int:
     return 1 if failures else 0
 
 
-def _run_parallel(
-    args, persistent_cache, ExperimentResult, render_rows, save_json,
-) -> list[str]:
-    """Run section 4 (persistent cache) and gate it."""
-    persist = persistent_cache(scale_rows=args.scale_rows)
-    combined = ExperimentResult(
-        name="parallel",
-        title="Persistent cross-process grid cache",
-        paper_expectation=(
-            "Caching is a pure execution strategy: identical answers, "
-            "less backend work."
-        ),
-        rows=persist.rows,
-        settings={
-            # The committed baseline is keyed by this section's
-            # 4,000-row scale floor (set when the section also ran a
-            # tile-scaling arm), so the regression guard binds at the
-            # default --scale-rows; the arm's own scale is recorded
-            # under "persistent".
-            "scale_rows": max(args.scale_rows, 4000),
-            "persistent": persist.settings,
-        },
-    )
-    os.makedirs(os.path.dirname(args.parallel_out) or ".", exist_ok=True)
-    path = save_json(combined, args.parallel_out)
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    failures = _check_parallel(payload)
-    if args.update_baseline:
-        _write_parallel_baseline(payload, args.parallel_baseline)
-    else:
-        failures += _check_parallel_baseline(payload, args.parallel_baseline)
-    print(render_rows(combined.rows))
-    print(f"\nwrote {path}")
-    return failures
-
-
 def _run_service(args, service_load, render_rows, save_json) -> list[str]:
-    """Run section 5 (ACQ-as-a-service load generation) and gate it."""
+    """Run section 4 (ACQ-as-a-service load generation) and gate it."""
     # Floor the scale: below a few thousand rows a full ACQ search is
     # sub-millisecond and the closed-loop sweep measures thread
     # handoff, not the engine.

@@ -515,8 +515,7 @@ def plan_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     derives from ``dim_cap_default`` rather than the query or the data
     (no catalog statistics, no explicit limit): the cache key then
     embeds a config value, so tensors cached under one configuration
-    can never be shared with another — silently defeating the
-    persistent tier.
+    can never serve a request made under another.
 
     ACQ503 reports the plan the driver would run — under ``auto``,
     shell reads, or the whole-grid engine when a grid cache is

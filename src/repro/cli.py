@@ -45,11 +45,7 @@ import numpy as np
 
 from repro.analysis import analyze_sql
 from repro.core.acquire import Acquire, AcquireConfig
-from repro.core.grid_cache import (
-    DEFAULT_CACHE_BYTES,
-    GridTensorCache,
-    PersistentGridCache,
-)
+from repro.core.grid_cache import GridTensorCache
 from repro.core.scoring import LInfNorm, LpNorm
 from repro.engine.catalog import Database
 from repro.engine.memory_backend import MemoryBackend
@@ -158,14 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the cross-query grid tensor cache with this byte "
         "budget (0 disables); only whole-grid reads (materialized, or "
         "auto with a cache) consult it",
-    )
-    parser.add_argument(
-        "--cache-path",
-        default=None,
-        metavar="DIR",
-        help="directory for the persistent cross-process grid cache; "
-        "repeated invocations over the same data hit warm tensors "
-        "(implies the in-memory cache even without --grid-cache-mb)",
     )
     parser.add_argument(
         "--top-k",
@@ -281,7 +269,7 @@ def serve_bench_main(argv: Optional[list[str]] = None) -> int:
             service, requests, inter_arrival_s=1.0 / max(args.rps, 1e-9)
         )
         cache = service.grid_cache
-        hits = cache.hits + cache.persistent_hits if cache else 0
+        hits = cache.hits if cache else 0
         misses = cache.misses if cache else 0
         stats = service.stats()
     finally:
@@ -408,17 +396,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.backend == "memory"
         else SQLiteBackend(database)
     )
-    persistent = (
-        PersistentGridCache(args.cache_path) if args.cache_path else None
-    )
     cache = (
-        GridTensorCache(
-            args.grid_cache_mb * 1024 * 1024
-            if args.grid_cache_mb > 0
-            else DEFAULT_CACHE_BYTES,
-            persistent=persistent,
-        )
-        if args.grid_cache_mb > 0 or persistent is not None
+        GridTensorCache(args.grid_cache_mb * 1024 * 1024)
+        if args.grid_cache_mb > 0
         else None
     )
     config = AcquireConfig(

@@ -84,8 +84,6 @@ class AcquireConfig:
         norm: QScore norm; defaults to the paper's L1.
         step: explicit grid step override.
         repartition_iterations: the paper's tunable ``b``.
-        traversal: ``auto`` / ``lp`` / ``linf`` (see
-            :func:`repro.core.expand.make_traversal`).
         dim_cap_default: maximum PScore a dimension may receive when the
             predicate carries no explicit limit; also bounds band-join
             materialization in the memory backend.
@@ -137,7 +135,6 @@ class AcquireConfig:
     norm: Norm = field(default_factory=lambda: LpNorm(1))
     step: Optional[float] = None
     repartition_iterations: int = 8
-    traversal: str = "auto"
     dim_cap_default: float = 400.0
     max_grid_queries: int = 500_000
     error_fn: Optional[AggregateErrorFunction] = None
@@ -327,7 +324,7 @@ class Acquire:
         space = explorers[0].space
         query = space.query
         judge = _Judge(self, config, explorers, stats)
-        kind = "lp" if space.contracts else config.traversal
+        kind = "lp" if space.contracts else "auto"
         chunks = make_traversal(space, kind).layer_arrays()
         if judge.pruned is not None:
             chunks = _reachable(chunks, space, judge.pruned)
@@ -690,10 +687,12 @@ class _Judge:
         stop = len(qscores)
         if self.check_overshoot:
             # Layers are maximal runs of one rounded QScore, so each
-            # layer's minimum starts afresh; NaN, where every value of a
-            # layer is NaN, overshoots like the inf it stands for.
-            minima = np.fmin.reduceat(values, starts[:-1])
-            overshot = ~(minima[:-1] <= self.overshoot_limit)
+            # layer's minimum starts afresh. A layer overshoots only
+            # when every value in it is a number past the limit: an
+            # empty query (NaN) may lie under a point of the next
+            # layer, so its NaN minimum never overshoots.
+            minima = np.minimum.reduceat(values, starts[:-1])
+            overshot = minima[:-1] > self.overshoot_limit
             if overshot.any():
                 stop, reason = starts[int(overshot.argmax()) + 1], "overshoot"
         if self.threshold < math.inf:
@@ -763,8 +762,7 @@ class _Judge:
         if self.check_overshoot and reason is None:
             last = starts[-2]
             self.layer_key = round(qscores.item(last), LAYER_DECIMALS)
-            lowest = minima.item(-1)
-            self.layer_min = lowest if lowest == lowest else math.inf
+            self.layer_min = minima.item(-1)
         return reason
 
     def _record(

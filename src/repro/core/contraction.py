@@ -103,9 +103,8 @@ def contract_query(
 
     Handles ``<=``/``<`` constraints, and ``=`` constraints whose
     original query overshoots the target (the :class:`Acquire` driver
-    delegates both cases here). ``config.explore_mode`` and
-    ``config.traversal`` do not apply: the grid is read box by box, in
-    best-first order.
+    delegates both cases here). ``config.explore_mode`` does not
+    apply: the grid is read box by box, in best-first order.
     """
     # One stat scope per search (nested inside the expansion scope on
     # the EQ-overshoot delegation path, where the inner scope reports

@@ -30,10 +30,9 @@ the ball's bounding box. The materialized mode is the ball whose first
 read is the whole grid: one pass with no shell filter, whose finished
 *block* tensor a :class:`~repro.core.grid_cache.GridTensorCache` keeps
 (kind ``"blocks"``), so constraint sweeps and warm replays skip Explore
-entirely — no backend pass *and* no prefix passes. With a persistent
-cache tier the float block tensors survive across processes. Once a
-ball's bounding box would exceed the engine's cell cap, the search goes
-on in a per-cell :class:`~repro.core.explore.Explorer` seeded with the
+entirely — no backend pass *and* no prefix passes. Once a ball's
+bounding box would exceed the engine's cell cap, the search goes on in
+a per-cell :class:`~repro.core.explore.Explorer` seeded with the
 ball's sub-aggregates.
 
 See ``docs/EXPLORE_MODES.md`` for the mode contract and when the
@@ -297,12 +296,9 @@ class GridExplorer:
             key = GridTensorCache.key_for(
                 self.layer, self.prepared.query, self.space
             )
-            blocks, tier, flight = self.cache.lookup_or_lead(key)
+            blocks, flight = self.cache.lookup_or_lead(key)
             if flight is None:
-                self.layer.count_cache_event(
-                    True, int(blocks.nbytes),
-                    persistent=tier == "persistent", block=True,
-                )
+                self.layer.count_cache_event(True, int(blocks.nbytes))
         if key is None or flight is not None:
             try:
                 cells = self.layer.execute_grid_tile(

@@ -90,7 +90,7 @@ class SearchStats:
     per probe (``execution.box_queries`` counts them).
     Backend and cache counters live in ``execution``
     (``queries_executed``, ``grid_materializations`` — one per shell of
-    a shell search —, ``persistent_hits``, ``block_hits``, ...).
+    a shell search —, ``cache_hits``, ``cache_bytes``, ...).
     ``top_k`` is the ranking depth the search was asked for
     (``AcquireConfig.top_k``): the traversal keeps exploring layers
     until the k best answer layers are complete instead of just the

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional, Tuple
 
-from repro.core.grid_cache import database_digest
+import numpy as np
+
 from repro.corpus.generator import TripleSpec, realize
 from repro.corpus.oracle import OracleCertificate, OracleEntry, certify
 from repro.engine.catalog import Database
@@ -24,6 +26,34 @@ from repro.engine.memory_backend import MemoryBackend
 from repro.exceptions import CorpusError
 
 MANIFEST_VERSION = 1
+
+
+def database_digest(database: Database) -> Tuple[Hashable, ...]:
+    """Content digest of a catalog database, stable across processes.
+
+    Hashes every column of every table (crc32 of the raw values), so
+    two processes building the same dataset agree on the digest while
+    any data change — a row more, a value off — yields a different
+    one. Memoized on the database object (datasets here are immutable
+    once built).
+    """
+    digest = getattr(database, "_content_digest", None)
+    if digest is not None:
+        return digest
+    tables = []
+    for table in sorted(database, key=lambda t: t.name):
+        columns = []
+        for name in table.schema.column_names:
+            values = np.asarray(table.column(name))
+            if values.dtype.kind in "OUS":
+                raw = "\x00".join(str(v) for v in values.tolist()).encode()
+            else:
+                raw = np.ascontiguousarray(values).tobytes()
+            columns.append((name, zlib.crc32(raw) & 0xFFFFFFFF))
+        tables.append((table.name, len(table), tuple(columns)))
+    digest = (database.name, tuple(tables))
+    database._content_digest = digest  # type: ignore[attr-defined]
+    return digest
 
 
 def digest_hex(database: Database) -> str:

@@ -92,12 +92,9 @@ class ExecutionStats:
     box of it, or of one QScore shell, whose cells alone count in
     ``grid_cells``). ``cache_hits``/``cache_misses``/``cache_bytes``
     track :class:`~repro.core.grid_cache.GridTensorCache` lookups made
-    on this layer's behalf; a hit serves ``cache_bytes`` tensor bytes
-    without any backend pass. ``persistent_hits``/``persistent_bytes``
-    are the subset of cache hits served from the cross-process
-    :class:`~repro.core.grid_cache.PersistentGridCache` tier, and
-    ``block_hits`` counts finished block tensors served from cache
-    (each one skips the backend pass *and* the d prefix passes).
+    on this layer's behalf; a hit serves ``cache_bytes`` bytes of a
+    finished block tensor, which skips the backend pass *and* the d
+    prefix passes.
     """
 
     queries_executed: int = 0
@@ -108,9 +105,6 @@ class ExecutionStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bytes: int = 0
-    persistent_hits: int = 0
-    persistent_bytes: int = 0
-    block_hits: int = 0
     rows_scanned: int = 0
     execution_time_s: float = 0.0
 
@@ -227,17 +221,6 @@ class EvaluationLayer:
 
         Safe to call more than once. The base class holds none.
         """
-
-    def persistent_cache_key(self) -> Optional[tuple]:
-        """Stable cross-process identity of this layer's data, or None.
-
-        Used as the persistent-tier replacement for the process-unique
-        layer cache token (see ``repro.core.grid_cache``). The base
-        class opts out — only backends that can fingerprint their
-        dataset (class + content digest) participate in the
-        :class:`~repro.core.grid_cache.PersistentGridCache` tier.
-        """
-        return None
 
     def useful_max_scores(self, prepared: PreparedQuery) -> list[float]:
         """Per-dimension maximum *useful* PScore.
@@ -493,30 +476,17 @@ class EvaluationLayer:
                 stats.grid_cells += cells
                 stats.rows_scanned += rows
 
-    def count_cache_event(
-        self,
-        hit: bool,
-        nbytes: int = 0,
-        persistent: bool = False,
-        block: bool = False,
-    ) -> None:
+    def count_cache_event(self, hit: bool, nbytes: int = 0) -> None:
         """Record one :class:`~repro.core.grid_cache.GridTensorCache`
         lookup made on this layer's behalf (the cache lives with the
         driver, but its effect — a saved backend pass — belongs in this
-        layer's :class:`ExecutionStats` so harness deltas see it).
-        ``persistent=True`` marks a hit served by the cross-process
-        file tier; ``block=True`` marks a finished block tensor (the
-        hit also skipped the prefix passes)."""
+        layer's :class:`ExecutionStats` so harness deltas see it); a
+        hit served ``nbytes`` bytes."""
         with self._stats_lock:
             for stats in _sinks(self.stats):
                 if hit:
                     stats.cache_hits += 1
                     stats.cache_bytes += nbytes
-                    if persistent:
-                        stats.persistent_hits += 1
-                        stats.persistent_bytes += nbytes
-                    if block:
-                        stats.block_hits += 1
                 else:
                     stats.cache_misses += 1
 

@@ -99,13 +99,6 @@ class HistogramBackend(EvaluationLayer):
         self.bins = bins
         self.max_rows = max_rows
 
-    def persistent_cache_key(self) -> tuple:
-        from repro.core.grid_cache import database_digest
-
-        # Estimates depend on the bin count, so it is part of the
-        # cross-process identity alongside the data digest.
-        return ("HistogramBackend", self.bins, database_digest(self.database))
-
     # ------------------------------------------------------------------
     def prepare(
         self, query: Query, dim_caps: Optional[Sequence[float]] = None

@@ -80,11 +80,6 @@ class MemoryBackend(EvaluationLayer):
         self.max_rows = max_rows
         self.indexed = indexed
 
-    def persistent_cache_key(self) -> tuple:
-        from repro.core.grid_cache import database_digest
-
-        return ("MemoryBackend", database_digest(self.database))
-
     # ------------------------------------------------------------------
     def prepare(
         self, query: Query, dim_caps: Optional[Sequence[float]] = None

@@ -97,18 +97,6 @@ class SamplingBackend(EvaluationLayer):
         )
         self._inner = backend_factory(self.sampled_database)
 
-    def persistent_cache_key(self) -> tuple:
-        from repro.core.grid_cache import database_digest
-
-        # The sampled database digest captures fraction/seed/tables
-        # (different draws differ in content); the inner class matters
-        # because it executes the sampled queries.
-        return (
-            "SamplingBackend",
-            type(self._inner).__name__,
-            database_digest(self.sampled_database),
-        )
-
     def close(self) -> None:
         self._inner.close()
         super().close()

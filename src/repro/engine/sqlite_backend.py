@@ -57,7 +57,6 @@ from repro.engine.backends import (
     grouped_cell_tensor,
     shell_mask,
 )
-from repro.core.grid_cache import database_digest
 from repro.engine.catalog import Database
 from repro.engine.expression import ColumnRef, Expression
 from repro.engine.schema import ColumnType
@@ -121,9 +120,6 @@ class SQLiteBackend(EvaluationLayer):
         self._local = threading.local()
         self._connection.close()
         super().close()
-
-    def persistent_cache_key(self) -> tuple:
-        return ("SQLiteBackend", database_digest(self.database))
 
     def _snapshot(self) -> tuple[int, bytes]:
         """Serialized image of the primary database, memoized per load

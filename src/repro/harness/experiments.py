@@ -882,108 +882,6 @@ def grid_cache_sweep(
     )
 
 
-def persistent_cache(
-    scale_rows: int = 4_000,
-    ratios: Sequence[float] = (0.5, 0.3),
-    backend: str = "memory",
-    gamma: float = 10.0,
-    delta: float = 0.05,
-    step: float = 5.0,
-    selectivity: float = BASE_SELECTIVITY,
-) -> ExperimentResult:
-    """Cross-process grid cache: a cold and a warm subprocess.
-
-    Runs the same materialized-mode sweep in two fresh Python
-    processes sharing one on-disk :class:`PersistentGridCache`
-    directory (see :mod:`repro.harness._persistent_worker`). The cold
-    process pays every backend grid pass and publishes the tensors;
-    the warm process — no shared memory, only the cache directory —
-    must answer identically while issuing strictly fewer backend
-    queries. ``benchmarks/smoke.py`` gates on exactly that.
-    """
-    import subprocess
-    import sys as _sys
-    import tempfile
-
-    rows: list[Row] = []
-    with tempfile.TemporaryDirectory(prefix="repro-pcache-") as cache_dir:
-        command = [
-            _sys.executable,
-            "-m",
-            "repro.harness._persistent_worker",
-            "--cache-dir", cache_dir,
-            "--scale-rows", str(_scaled(scale_rows)),
-            "--ratios", ",".join(f"{r:g}" for r in ratios),
-            "--backend", backend,
-            "--gamma", str(gamma),
-            "--delta", str(delta),
-            "--step", str(step),
-            "--selectivity", str(selectivity),
-        ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [path for path in _sys.path if path]
-        )
-        summaries = {}
-        for arm in ("cold", "warm"):
-            completed = subprocess.run(
-                command,
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            import json as _json
-
-            summaries[arm] = _json.loads(completed.stdout)
-        for arm in ("cold", "warm"):
-            summary = summaries[arm]
-            rows.append(
-                Row(
-                    x_name="arm",
-                    x_value=arm,
-                    method=f"{backend}/{arm}",
-                    time_ms=0.0,
-                    error=0.0,
-                    qscore=float(summary["qscores"][0]),
-                    aggregate_value=math.nan,
-                    queries=summary["queries"],
-                    rows_scanned=summary["rows_scanned"],
-                    satisfied=True,
-                    cache_hits=summary["cache_hits"],
-                    cache_misses=summary["cache_misses"],
-                    persistent_hits=summary["persistent_hits"],
-                    block_hits=summary["block_hits"],
-                    cache_bytes=summary["persistent_bytes"],
-                    explore_mode="materialized",
-                    extra={
-                        "qscores": summary["qscores"],
-                        "store": summary["store"],
-                    },
-                )
-            )
-    return ExperimentResult(
-        name="persistent_cache",
-        title="Persistent grid cache: cold vs warm process over one "
-              "cache directory",
-        paper_expectation=(
-            "Grid tensors are pure functions of (data fingerprint, "
-            "geometry), so a second process over the same data serves "
-            "every tensor from disk: identical qscores, strictly fewer "
-            "backend queries, nonzero persistent-hit bytes."
-        ),
-        rows=rows,
-        settings={
-            "scale_rows": _scaled(scale_rows),
-            "ratios": list(ratios),
-            "backend": backend,
-            "gamma": gamma,
-            "delta": delta,
-            "step": step,
-        },
-    )
-
-
 # ----------------------------------------------------------------------
 # Section 8.4.1's BinSearch critique: ordering sensitivity
 # ----------------------------------------------------------------------
@@ -1170,7 +1068,7 @@ def service_load(
             service, requests, inter_arrival_s=1.0 / max(open_loop_rps, 1e-9)
         )
         cache = service.grid_cache
-        shared_hits = cache.hits + cache.persistent_hits if cache else 0
+        shared_hits = cache.hits if cache else 0
         shared_misses = cache.misses if cache else 0
         stats = report.service
         rows.append(
@@ -1220,7 +1118,7 @@ def service_load(
         report = run_closed_loop(service, requests, concurrency=1)
         wall = _time.perf_counter() - started
         cache = service.grid_cache
-        shared_hits = cache.hits + cache.persistent_hits if cache else 0
+        shared_hits = cache.hits if cache else 0
         rows.append(
             Row(
                 x_name="arrival",
@@ -1283,7 +1181,6 @@ EXPERIMENTS = {
     "layers": evaluation_layers,
     "explore": explore_modes,
     "grid_cache": grid_cache_sweep,
-    "persistent_cache": persistent_cache,
     "shapes": shape_robustness,
     "service_load": service_load,
 }

@@ -34,8 +34,6 @@ class Row:
     materializations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    persistent_hits: int = 0
-    block_hits: int = 0
     cache_bytes: int = 0
     explore_mode: str = ""
     top_k: int = 1
@@ -59,9 +57,7 @@ class Row:
             materializations=run.execution.grid_materializations,
             cache_hits=run.execution.cache_hits,
             cache_misses=run.execution.cache_misses,
-            persistent_hits=run.execution.persistent_hits,
-            block_hits=run.execution.block_hits,
-            cache_bytes=run.execution.persistent_bytes,
+            cache_bytes=run.execution.cache_bytes,
             explore_mode=str(run.details.get("explore_mode", "")),
             top_k=int(run.details.get("top_k", 1)),
             repartition_probes=int(run.details.get("repartition_probes", 0)),

@@ -18,7 +18,6 @@ _COLUMNS = (
     ("queries", lambda row: str(row.queries)),
     ("grids", lambda row: str(row.materializations)),
     ("cache", lambda row: _fmt_cache(row)),
-    ("warm", lambda row: _fmt_warm(row)),
     ("probes", lambda row: _fmt_probes(row)),
     ("explore", lambda row: row.explore_mode or "-"),
     ("topk", lambda row: _fmt_topk(row)),
@@ -46,12 +45,6 @@ def _fmt_cache(row: Row) -> str:
     if row.cache_hits == 0 and row.cache_misses == 0:
         return "-"
     return f"{row.cache_hits}h/{row.cache_misses}m"
-
-
-def _fmt_warm(row: Row) -> str:
-    if row.persistent_hits == 0 and row.block_hits == 0:
-        return "-"
-    return f"{row.persistent_hits}p/{row.block_hits}b"
 
 
 def _fmt_x(row: Row) -> str:
@@ -198,8 +191,7 @@ def save_csv(result: ExperimentResult, path: str) -> str:
     fields = (
         "x_name", "x_value", "method", "time_ms", "error", "qscore",
         "aggregate_value", "queries", "rows_scanned", "materializations",
-        "cache_hits", "cache_misses", "persistent_hits",
-        "block_hits", "cache_bytes",
+        "cache_hits", "cache_misses", "cache_bytes",
         "explore_mode", "top_k", "repartition_probes",
         "repartitioned_cells", "satisfied",
     )

@@ -5,9 +5,9 @@ Concurrency model: requests execute on a service-owned thread pool of
 :class:`~repro.core.acquire.Acquire` driver against a registered
 backend. Everything shared between requests is thread-safe by
 construction — the backends' counting seams serialize on their
-``_stats_lock``, the grid cache and the driver's pass times carry
-internal locks, and per-request attribution rides on the backends' request
-scopes (:meth:`~repro.engine.backends.EvaluationLayer.request_scope`),
+``_stats_lock``, the grid cache carries an internal lock, and
+per-request attribution rides on the backends' request scopes
+(:meth:`~repro.engine.backends.EvaluationLayer.request_scope`),
 so concurrent requests report exactly the counters a serial replay
 would. Service bookkeeping (:class:`ServiceStats`, the backend
 registry, the closed flag) is guarded by one service lock.
@@ -29,11 +29,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from repro.core.acquire import Acquire, AcquireConfig
-from repro.core.grid_cache import (
-    DEFAULT_CACHE_BYTES,
-    GridTensorCache,
-    PersistentGridCache,
-)
+from repro.core.grid_cache import DEFAULT_CACHE_BYTES, GridTensorCache
 from repro.core.query import Query
 from repro.core.result import AcquireResult
 from repro.engine.backends import EvaluationLayer
@@ -73,9 +69,6 @@ class ServiceConfig:
             :class:`~repro.core.grid_cache.GridTensorCache` injected
             into every request. ``0`` disables cache sharing — each
             request then keeps whatever cache its own config carries.
-        cache_path: optional directory for a shared
-            :class:`~repro.core.grid_cache.PersistentGridCache` tier
-            under the shared memory cache.
     """
 
     workers: int = 4
@@ -85,7 +78,6 @@ class ServiceConfig:
     max_grid_queries_per_request: Optional[int] = None
     max_rows_per_request: Optional[int] = None
     cache_bytes: int = DEFAULT_CACHE_BYTES
-    cache_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -171,15 +163,10 @@ class AcquireService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        persistent = (
-            PersistentGridCache(self.config.cache_path)
-            if self.config.cache_path
-            else None
-        )
         #: Shared across every admitted request (None when sharing is
         #: disabled via ``cache_bytes=0``).
         self.grid_cache: Optional[GridTensorCache] = (
-            GridTensorCache(self.config.cache_bytes, persistent=persistent)
+            GridTensorCache(self.config.cache_bytes)
             if self.config.cache_bytes > 0
             else None
         )

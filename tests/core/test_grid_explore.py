@@ -975,7 +975,7 @@ class TestAliasingRegression:
         explorer.block_state(space.max_coords)
         list(explorer.compute_aggregates(list(make_traversal(space))))
         key = GridTensorCache.key_for(layer, query, space)
-        cached = cache.get(key)
+        cached = cache.lookup(key)
         assert cached is not None
         assert not cached.flags.writeable
         fresh = prefix_combine(layer.execute_grid(prepared, space), aggregate)
@@ -991,8 +991,8 @@ class TestGridTensorCache:
         tensor = np.arange(8, dtype=np.float64).reshape(4, 2)
         stored = cache.put("k", tensor)
         assert not stored.flags.writeable
-        assert cache.get("missing") is None
-        hit = cache.get("k")
+        assert cache.lookup("missing") is None
+        hit = cache.lookup("k")
         assert np.array_equal(hit, tensor)
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
@@ -1003,19 +1003,19 @@ class TestGridTensorCache:
         stored = cache.put("k", tensor)
         tensor[0, 0] = 99.0
         assert stored[0, 0] == 0.0
-        assert cache.get("k")[0, 0] == 0.0
+        assert cache.lookup("k")[0, 0] == 0.0
 
     def test_lru_eviction_by_bytes(self):
         entry = np.zeros(16)  # 128 bytes each
         cache = GridTensorCache(max_bytes=300)
         cache.put("a", entry)
         cache.put("b", entry)
-        assert cache.get("a") is not None  # "a" is now most recent
+        assert cache.lookup("a") is not None  # "a" is now most recent
         cache.put("c", entry)  # 384 bytes > 300: evict LRU ("b")
         assert cache.evictions == 1
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
+        assert cache.lookup("b") is None
+        assert cache.lookup("a") is not None
+        assert cache.lookup("c") is not None
         assert cache.current_bytes <= cache.max_bytes
 
     def test_oversized_entry_not_admitted(self):
@@ -1023,7 +1023,7 @@ class TestGridTensorCache:
         stored = cache.put("big", np.zeros(64))  # 512 bytes
         assert not stored.flags.writeable  # still usable by the caller
         assert len(cache) == 0
-        assert cache.get("big") is None
+        assert cache.lookup("big") is None
 
     def test_budget_validated(self):
         with pytest.raises(QueryModelError):

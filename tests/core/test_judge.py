@@ -54,6 +54,7 @@ from repro.core.scoring import (
 from repro.engine.catalog import Database
 from repro.engine.expression import col
 from repro.engine.memory_backend import MemoryBackend
+from repro.engine.sqlite_backend import SQLiteBackend
 
 from tests.conftest import count_query
 
@@ -127,7 +128,7 @@ def reference_search(
     )
     layer_key = None
     layer_min_actual = math.inf
-    kind = "lp" if space.contracts else config.traversal
+    kind = "lp" if space.contracts else "auto"
     layers = make_traversal(space, kind).layers_scored()
     pruned = None
     if (
@@ -187,8 +188,12 @@ def reference_search(
                         in zip(extras, extra_values)
                     ]
                 )
-            if check_overshoot and not math.isnan(actual):
-                layer_min_actual = min(layer_min_actual, actual)
+            if check_overshoot:
+                # A NaN (empty) value keeps its layer from overshooting.
+                layer_min_actual = (
+                    actual if math.isnan(actual)
+                    else min(layer_min_actual, actual)
+                )
             answer = None
             if error <= config.delta:
                 answer = self._refined_query(
@@ -382,11 +387,7 @@ class _MeanDistance:
         return sum(errors) / len(errors)
 
 
-NORMS = {
-    "l1": (LpNorm(1), "auto"),
-    "linf": (LInfNorm(), "auto"),
-    "l2": (LpNorm(2), "auto"),
-}
+NORMS = {"l1": LpNorm(1), "linf": LInfNorm(), "l2": LpNorm(2)}
 
 MODES = [
     {"explore_mode": "incremental"},
@@ -442,12 +443,10 @@ def test_judge_reproduces_the_per_point_loop(
             _target(database, extra, "w", 1.4 - fraction),
         )
     query = _query(database, dims, weights[:dims], primary_constraint, extra_constraint)
-    norm_object, traversal = NORMS[norm]
     config = AcquireConfig(
         gamma=20.0,
         delta=delta,
-        norm=norm_object,
-        traversal=traversal,
+        norm=NORMS[norm],
         top_k=top_k,
         max_grid_queries=budget,
         repartition_iterations=repartitions,
@@ -638,6 +637,71 @@ class TestStopReason:
         assert result.stats.stop_reason == "exhausted"
         grid = ContractionSpace(query, 10.0).grid_size
         assert result.stats.grid_queries_examined < grid
+
+
+# ----------------------------------------------------------------------
+# Empty grid points and the EQ layer early stop
+# ----------------------------------------------------------------------
+BACKENDS = {"memory": MemoryBackend, "sqlite": SQLiteBackend}
+
+
+def _max_query(bounds, target):
+    """``MAX(t.v) = target`` under one UPPER predicate per bound."""
+    query = count_query("t", bounds, target)
+    return query.with_constraint(
+        AggregateConstraint(
+            AggregateSpec(get_aggregate("MAX"), col("t.v")),
+            ConstraintOp.EQ,
+            target,
+        )
+    )
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("mode", ["incremental", "materialized", "auto"])
+class TestEmptyPoints:
+    """MAX over an empty query is NaN, and a NaN value never makes its
+    layer overshoot: an empty point may lie under a point of the next
+    layer that answers."""
+
+    def _run(self, database, query, backend, mode):
+        config = AcquireConfig(gamma=10.0, explore_mode=mode)
+        judged, reference = _judge_and_reference(
+            lambda: BACKENDS[backend](database), query, config
+        )
+        assert _record(judged) == _record(reference)
+        return judged
+
+    def test_empty_origin_does_not_stop_the_search(self, backend, mode):
+        database = Database()
+        database.create_table(
+            "t",
+            {"x": np.linspace(50, 100, 51), "v": np.linspace(1, 10, 51)},
+        )
+        query = _max_query({"x": 10.0}, 5.0)
+        result = self._run(database, query, backend, mode)
+        assert result.stats.stop_reason == "answers"
+        assert result.stats.grid_queries_examined > 1
+        (answer,) = result.answers
+        assert answer.qscore == 62.5
+        assert answer.aggregate_value == pytest.approx(4.96)
+
+    def test_empty_point_keeps_its_layer_from_overshooting(
+        self, backend, mode
+    ):
+        """Layer 1 holds an empty point, (1, 0), and an overshooting
+        one, (0, 1); (2, 0) of layer 2 contains only the empty one and
+        answers exactly."""
+        database = Database()
+        database.create_table(
+            "t", {"x": [5.0, 18.0], "y": [12.0, 5.0], "v": [9.0, 5.0]}
+        )
+        query = _max_query({"x": 10.0, "y": 10.0}, 5.0)
+        result = self._run(database, query, backend, mode)
+        assert result.stats.stop_reason == "answers"
+        assert [(a.coords, a.aggregate_value) for a in result.answers] == [
+            ((2, 0), 5.0)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.grid_cache import database_digest
-from repro.corpus.manifest import digest_hex
+from repro.corpus.manifest import database_digest, digest_hex
 from repro.datagen.synthetic import numeric_table, users_table
 from repro.datagen.tpch import TPCHConfig, generate_tpch
 

@@ -49,7 +49,10 @@ class TestMetrics:
             qscore=12.0,
             pscores=(6.0, 6.0),
             elapsed_s=0.25,
-            execution=ExecutionStats(queries_executed=7, rows_scanned=40),
+            execution=ExecutionStats(
+                queries_executed=7, rows_scanned=40,
+                cache_hits=1, cache_bytes=2048,
+            ),
             satisfied=False,
             details={
                 "cells": 5, "repartition_probes": 16, "repartitioned_cells": 2,
@@ -58,6 +61,7 @@ class TestMetrics:
         row = Row.from_run("ratio", 0.3, run)
         assert row.time_ms == 250.0
         assert row.queries == 7
+        assert (row.cache_hits, row.cache_bytes) == (1, 2048)
         assert row.extra["cells"] == 5
         assert (row.repartition_probes, row.repartitioned_cells) == (16, 2)
 

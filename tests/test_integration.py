@@ -142,8 +142,7 @@ class TestNormChoiceEndToEnd:
         )
         result = Acquire(MemoryBackend(database)).run(
             acq,
-            AcquireConfig(gamma=10, delta=0.05, norm=LInfNorm(),
-                          traversal="linf"),
+            AcquireConfig(gamma=10, delta=0.05, norm=LInfNorm()),
         )
         assert result.satisfied
         # Under L-inf the answer's QScore is its max per-dim PScore.
