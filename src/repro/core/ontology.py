@@ -18,23 +18,22 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.exceptions import OntologyError
 
 
 class OntologyTree:
     """A rooted taxonomy over categorical values.
 
-    Nodes are strings; edges run parent -> child. Any node (not only a
-    leaf) may appear in an accepted set; a node *covers* itself and all
-    of its descendants.
+    Nodes are strings, held as a parent map and a children map. Any
+    node (not only a leaf) may appear in an accepted set; a node
+    *covers* itself and all of its descendants.
     """
 
     def __init__(self, root: str = "ROOT") -> None:
         self.root = root
-        self._graph = nx.DiGraph()
-        self._graph.add_node(root)
+        self._parent: dict[str, str] = {}
+        # Every node, in insertion order, with its children.
+        self._children: dict[str, list[str]] = {root: []}
         self._depth_cache: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
@@ -43,11 +42,13 @@ class OntologyTree:
     def add_edge(self, parent: str, child: str) -> None:
         if child == self.root:
             raise OntologyError("the root cannot have a parent")
-        if child in self._graph and next(
-            self._graph.predecessors(child), None
-        ) not in (None, parent):
+        if self._parent.get(child, parent) != parent:
             raise OntologyError(f"node {child!r} already has a different parent")
-        self._graph.add_edge(parent, child)
+        self._children.setdefault(parent, [])
+        self._children.setdefault(child, [])
+        if child not in self._parent:
+            self._parent[child] = parent
+            self._children[parent].append(child)
         self._depth_cache = None
 
     def add_path(self, *nodes: str) -> None:
@@ -68,12 +69,17 @@ class OntologyTree:
     def from_mapping(
         cls, mapping: Mapping[str, Sequence[str]], root: str = "ROOT"
     ) -> "OntologyTree":
-        """Build a tree from ``{parent: [children, ...]}``."""
+        """Build a tree from ``{parent: [children, ...]}``.
+
+        Every node has one parent (:meth:`add_edge` refuses a second),
+        so the mapping is a rooted tree exactly when every node is
+        reachable from the root: a cycle or a second root is not.
+        """
         tree = cls(root)
         for parent, children in mapping.items():
             for child in children:
                 tree.add_edge(parent, child)
-        if not nx.is_arborescence(tree._graph):
+        if len(tree._depths()) != len(tree._children):
             raise OntologyError("mapping does not describe a rooted tree")
         return tree
 
@@ -81,11 +87,11 @@ class OntologyTree:
     # Structure queries
     # ------------------------------------------------------------------
     def __contains__(self, node: object) -> bool:
-        return node in self._graph
+        return node in self._children
 
     @property
     def nodes(self) -> list[str]:
-        return list(self._graph.nodes)
+        return list(self._children)
 
     @property
     def depth(self) -> int:
@@ -94,8 +100,20 @@ class OntologyTree:
         return max(depths.values()) if depths else 0
 
     def _depths(self) -> dict[str, int]:
+        """Depth of every node reachable from the root, breadth first."""
         if self._depth_cache is None:
-            self._depth_cache = nx.shortest_path_length(self._graph, self.root)
+            depths = {self.root: 0}
+            frontier = [self.root]
+            while frontier:
+                frontier = [
+                    child
+                    for node in frontier
+                    for child in self._children[node]
+                    if child not in depths
+                ]
+                for child in frontier:
+                    depths[child] = depths[self._parent[child]] + 1
+            self._depth_cache = depths
         return self._depth_cache
 
     def depth_of(self, node: str) -> int:
@@ -108,7 +126,7 @@ class OntologyTree:
         if node == self.root:
             return None
         self.depth_of(node)  # validates membership
-        return next(self._graph.predecessors(node))
+        return self._parent[node]
 
     def ancestor(self, node: str, levels_up: int) -> str:
         """Roll ``node`` up by ``levels_up`` steps (clamped at the root)."""
@@ -122,38 +140,45 @@ class OntologyTree:
 
     def descendants(self, node: str) -> set[str]:
         self.depth_of(node)
-        return set(nx.descendants(self._graph, node)) | {node}
+        found = {node}
+        frontier = [node]
+        while frontier:
+            frontier = [
+                child for parent in frontier for child in self._children[parent]
+            ]
+            found.update(frontier)
+        return found
 
     def leaves_under(self, node: str) -> set[str]:
         return {
             candidate
             for candidate in self.descendants(node)
-            if self._graph.out_degree(candidate) == 0
+            if not self._children[candidate]
         }
 
     def lca(self, a: str, b: str) -> str:
         """Lowest common ancestor of two nodes."""
-        self.depth_of(a)
-        self.depth_of(b)
-        ancestors_a = set(nx.ancestors(self._graph, a)) | {a}
-        node = b
-        while node not in ancestors_a:
-            parent = self.parent(node)
-            if parent is None:
-                return self.root
-            node = parent
-        return node
+        depth_a = self.depth_of(a)
+        depth_b = self.depth_of(b)
+        # Climb the deeper node to the other's depth, then both at once.
+        while depth_a > depth_b:
+            a, depth_a = self._parent[a], depth_a - 1
+        while depth_b > depth_a:
+            b, depth_b = self._parent[b], depth_b - 1
+        while a != b:
+            a, b = self._parent[a], self._parent[b]
+        return a
 
     # ------------------------------------------------------------------
     # Refinement semantics
     # ------------------------------------------------------------------
     def distance(self, accepted: Iterable[str], value: str) -> float:
         """Roll-up distance from ``accepted`` to ``value`` (see module doc)."""
-        if value not in self._graph:
+        if value not in self._children:
             return math.inf
         best = math.inf
         for node in accepted:
-            if node not in self._graph:
+            if node not in self._children:
                 raise OntologyError(f"accepted value {node!r} not in ontology")
             meet = self.lca(node, value)
             steps = self.depth_of(node) - self.depth_of(meet)
@@ -170,6 +195,6 @@ class OntologyTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"OntologyTree(root={self.root!r}, nodes={self._graph.number_of_nodes()},"
+            f"OntologyTree(root={self.root!r}, nodes={len(self._children)},"
             f" depth={self.depth})"
         )

@@ -22,10 +22,16 @@ A refinement *score* is the paper's PScore: percent departure of the
 refined interval from the original (Equation 1). The two directions of
 translation both live here:
 
-* ``interval_at(score)`` — PScore -> refined value interval;
+* ``interval_at(score)`` — PScore -> refined value interval, and
+  ``key_bounds(score)`` — the bounds it puts on a tuple's *key* (a
+  select's expression value, a join's ``|left - right|``, a categorical
+  value's roll-up distance). A refined query admits a tuple exactly
+  when its key lies within these bounds: every exact evaluation layer
+  decides admission by this one comparison
+  (:func:`repro.engine.backends.first_levels`);
 * ``scores_of_values(values)`` — per-tuple minimal PScore needed to
-  admit each tuple (the quantity the evaluation layers bucket into
-  refined-space grid cells).
+  admit each tuple, which orders tuples by refinement (Top-k) and feeds
+  the estimating layers; it never decides admission.
 
 Scores are *signed*: positive scores expand the interval (the paper's
 primary direction) and negative scores shrink it, which is how the
@@ -55,6 +61,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 JOIN_DENOMINATOR = 100.0
 
 
+def _at_least(value, floor: float):
+    """``max(value, floor)``, elementwise when ``value`` is an array: the
+    key bounds of a whole ladder of scores take one numpy pass."""
+    if isinstance(value, np.ndarray):
+        return np.maximum(value, floor)
+    return max(value, floor)
+
+
+def _at_most(value, ceiling: float):
+    """``min(value, ceiling)``, elementwise when ``value`` is an array."""
+    if isinstance(value, np.ndarray):
+        return np.minimum(value, ceiling)
+    return min(value, ceiling)
+
+
 class Direction(enum.Enum):
     """Which side of the predicate interval expands under refinement."""
 
@@ -80,7 +101,7 @@ class _BasePredicate:
 
     # -- shared helpers -------------------------------------------------
     def _require_refinable(self, score: float) -> None:
-        if score != 0 and not self.refinable:
+        if not self.refinable and np.any(np.not_equal(score, 0)):
             raise NotRefinableError(
                 f"predicate {self.name!r} is marked NOREFINE"
             )
@@ -150,24 +171,26 @@ class SelectPredicate(_BasePredicate):
         it (contraction, paper 7.2), clamping at the opposite endpoint
         — a fully shrunk predicate becomes a point at its "minimum
         value", exactly the paper's ``Q'_min`` construction. POINT
-        predicates cannot shrink.
+        predicates cannot shrink. Its ends are :meth:`key_bounds`.
         """
+        return Interval(*self.key_bounds(score))
+
+    def key_bounds(self, score: float) -> tuple[float, float]:
+        """Bounds on the expression value at PScore ``score``: the ends
+        of :meth:`interval_at`. An infinite end bounds nothing. Given an
+        array of scores, the bounds at each, elementwise."""
         self._require_refinable(score)
         amount = self._amount(score)
+        lo, hi = self.interval.lo, self.interval.hi
         if self.direction is Direction.UPPER:
             # Clamp the endpoint itself, not just ``amount``: at full
             # shrink, ``hi + (lo - hi)`` can land a few ulps below
             # ``lo`` and a point interval must not become empty.
-            return Interval(
-                self.interval.lo,
-                max(self.interval.lo, self.interval.hi + amount),
-            )
+            return lo, _at_least(hi + amount, lo)
         if self.direction is Direction.LOWER:
-            return Interval(
-                min(self.interval.hi, self.interval.lo - amount),
-                self.interval.hi,
-            )
-        return self.interval.expand_both(max(amount, 0.0))
+            return _at_most(lo - amount, hi), hi
+        amount = _at_least(amount, 0.0)
+        return lo - amount, hi + amount
 
     def scores_of_values(self, values: np.ndarray) -> np.ndarray:
         """Minimal signed PScore admitting each function value.
@@ -233,29 +256,6 @@ class SelectPredicate(_BasePredicate):
             parts.append(f"{expr_sql} <= {refined.hi!r}")
         return " AND ".join(parts) if parts else "1=1"
 
-    def sql_annulus(self, score_lo: float, score_hi: float) -> str:
-        """SQL condition selecting tuples whose minimal PScore lies in
-        ``(score_lo, score_hi]`` (``score_lo < 0`` means "include 0")."""
-        expr_sql = self.expr.to_sql()
-        inner = self.interval_at(max(score_lo, 0.0))
-        outer = self.interval_at(score_hi)
-        parts = []
-        if math.isfinite(outer.lo):
-            parts.append(f"{expr_sql} >= {outer.lo!r}")
-        if math.isfinite(outer.hi):
-            parts.append(f"{expr_sql} <= {outer.hi!r}")
-        if score_lo >= 0:
-            # Exclude the inner (already-counted) region.
-            if self.direction is Direction.UPPER:
-                parts.append(f"{expr_sql} > {inner.hi!r}")
-            elif self.direction is Direction.LOWER:
-                parts.append(f"{expr_sql} < {inner.lo!r}")
-            else:
-                parts.append(
-                    f"({expr_sql} < {inner.lo!r} OR {expr_sql} > {inner.hi!r})"
-                )
-        return " AND ".join(parts) if parts else "1=1"
-
     def describe(self, score: float = 0.0) -> str:
         refined = self.interval_at(score)
         return f"{self.expr.to_sql()} in {refined}"
@@ -303,12 +303,17 @@ class JoinPredicate(_BasePredicate):
         """Band half-width at PScore ``score`` (clamped at zero when a
         negative score shrinks the band away entirely)."""
         self._require_refinable(score)
-        return max(self.tolerance + score / 100.0 * self.denominator, 0.0)
+        return _at_least(self.tolerance + score / 100.0 * self.denominator, 0.0)
 
     def interval_at(self, score: float) -> Interval:
         """Acceptable ``Delta`` values at PScore ``score`` (for symmetry
         with select predicates: the interval is ``[0, band]``)."""
         return Interval(0.0, self.band_at(score))
+
+    def key_bounds(self, score: float) -> tuple[float, float]:
+        """Bounds on ``|left - right|`` at PScore ``score`` (or at each
+        of an array of scores): the band above, nothing below."""
+        return -math.inf, self.band_at(score)
 
     def scores_of_values(self, deltas: np.ndarray) -> np.ndarray:
         """Minimal signed PScore admitting each ``|f1 - f2|`` distance."""
@@ -332,14 +337,6 @@ class JoinPredicate(_BasePredicate):
         if band == 0:
             return f"{self.left.to_sql()} = {self.right.to_sql()}"
         return f"{self.delta_sql()} <= {band!r}"
-
-    def sql_annulus(self, score_lo: float, score_hi: float) -> str:
-        outer = self.band_at(score_hi)
-        parts = [f"{self.delta_sql()} <= {outer!r}"]
-        if score_lo >= 0:
-            inner = self.band_at(max(score_lo, 0.0))
-            parts.append(f"{self.delta_sql()} > {inner!r}")
-        return " AND ".join(parts)
 
     def max_useful_score(self, domain: Interval) -> float:
         """PScore at which the band covers the whole delta domain."""
@@ -391,8 +388,7 @@ class CategoricalPredicate(_BasePredicate):
         return 100.0
 
     def level_at(self, score: float) -> int:
-        self._require_refinable(score)
-        return max(int(math.floor(score / self.level_scale + 1e-9)), 0)
+        return int(self.key_bounds(score)[1])
 
     @property
     def max_shrink_score(self) -> float:
@@ -407,17 +403,30 @@ class CategoricalPredicate(_BasePredicate):
         """Roll-up level interval (for uniformity with numeric kinds)."""
         return Interval(0.0, float(self.level_at(score)))
 
-    def scores_of_values(self, values: np.ndarray) -> np.ndarray:
-        # One ontology walk per distinct value, scattered back per row.
-        # Distinct by hash, not np.unique: a STR column may hold None
-        # beside strings, and those do not sort.
+    def key_bounds(self, score: float) -> tuple[float, float]:
+        """Bounds on a value's roll-up distance at PScore ``score`` (or
+        at each of an array of scores): at most the roll-up level
+        (:meth:`level_at`), so exactly the values :meth:`accepted_at`
+        lists are admitted."""
+        self._require_refinable(score)
+        levels = np.floor(np.asarray(score) / self.level_scale + 1e-9)
+        return -math.inf, np.maximum(levels, 0.0)
+
+    def distances(self, values: np.ndarray) -> np.ndarray:
+        """Each value's roll-up distance from the accepted set, its key:
+        ``inf`` outside the tree (None included). One ontology walk per
+        distinct value, scattered back per row; distinct by hash, not
+        np.unique, since a STR column may hold None beside strings, and
+        those do not sort."""
         distinct: dict[object, int] = {}
         rows = [distinct.setdefault(value, len(distinct)) for value in values]
-        distances = np.array(
+        return np.array(
             [self.ontology.distance(self.accepted, value) for value in distinct],
             dtype=np.float64,
         )[np.array(rows, dtype=np.intp)]
-        scores = distances * self.level_scale
+
+    def scores_of_values(self, values: np.ndarray) -> np.ndarray:
+        scores = self.distances(values) * self.level_scale
         if not self.refinable:
             scores = np.where(scores > 0, np.inf, scores)
         return scores
@@ -433,16 +442,6 @@ class CategoricalPredicate(_BasePredicate):
 
     def sql_condition(self, score: float) -> str:
         return self._sql_in(self.accepted_at(score))
-
-    def sql_annulus(self, score_lo: float, score_hi: float) -> str:
-        outer = self.accepted_at(score_hi)
-        if score_lo < 0:
-            return self._sql_in(outer)
-        inner = self.accepted_at(max(score_lo, 0.0))
-        fresh = outer - inner
-        if not fresh:
-            return "1=0"
-        return self._sql_in(frozenset(fresh))
 
     def describe(self, score: float = 0.0) -> str:
         values = sorted(self.accepted_at(score))

@@ -9,8 +9,9 @@ implementation shares.
 Execution requests come in five shapes:
 
 * *cell queries* — the highly selective unit of the Explore phase:
-  tuples whose per-dimension minimal refinement falls in a grid cell's
-  annulus (:meth:`EvaluationLayer.execute_cell`);
+  tuples whose first admitting level on every dimension is the grid
+  cell's coordinate (:meth:`EvaluationLayer.execute_cell`;
+  :func:`first_levels` is the admission rule every exact layer shares);
 * *grid passes* — the cell tensor of an inclusive box of the grid in
   one pass: a rectangular box of it
   (:meth:`EvaluationLayer.execute_grid_tile`, the grid Explore
@@ -73,6 +74,7 @@ from repro.exceptions import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.aggregates import AggState, OSPAggregate
+    from repro.core.predicate import Predicate
     from repro.core.query import Query
     from repro.core.refined_space import RefinedSpace
 
@@ -533,6 +535,62 @@ def grouped_cell_tensor(
     return tensor
 
 
+def first_levels(
+    predicate: "Predicate", keys: np.ndarray, scores: np.ndarray
+) -> np.ndarray:
+    """Offset into ``scores``, rising PScores, of the first whose
+    refined ``predicate`` admits each key; ``len(scores)`` for a key
+    none admits.
+
+    The one admission rule of every exact layer. A refined predicate
+    admits a tuple exactly when its key (a select's expression value,
+    a join's ``|left - right|``, a categorical value's roll-up
+    distance) lies within the predicate's
+    :meth:`~repro.core.predicate.SelectPredicate.key_bounds` at the
+    score. An infinite bound is a comparison the refined SQL omits, so
+    it admits every key, NULL (NaN) included; a finite one admits no
+    NaN. Grid level ``c`` is score ``c * step``, and the cell at ``c``
+    holds the tuples whose first level is ``c``. Each side's bounds
+    only widen as the score rises, so one binary search per side finds
+    the first level that side admits, and the later of the two admits
+    both.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    lower, upper = predicate.key_bounds(scores)
+    # A bound that does not move with the score comes back a float.
+    zeros = np.zeros(len(scores))
+    return np.maximum(
+        _first_within(-(lower + zeros), -keys),
+        _first_within(upper + zeros, keys),
+    )
+
+
+def _first_within(ladder: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the first entry of the non-decreasing ``ladder`` at or
+    above each value. NaN sorts past every entry, so no entry admits a
+    NaN value, unless the ladder reaches ``inf``: an omitted comparison,
+    which admits NULL."""
+    if len(ladder) and ladder[-1] == math.inf:
+        values = np.where(np.isnan(values), math.inf, values)
+    return np.searchsorted(ladder, values)
+
+
+def admitted(
+    predicate: "Predicate", keys: np.ndarray, score: float
+) -> np.ndarray:
+    """Which keys the refined ``predicate`` at ``score`` admits: those
+    :func:`first_levels` puts at level 0 of the ladder ``[score]``,
+    compared directly. An infinite bound is an omitted comparison."""
+    lower, upper = predicate.key_bounds(score)
+    if upper == math.inf:
+        mask = np.ones(np.shape(keys), dtype=bool)
+    else:
+        mask = keys <= upper
+    if lower != -math.inf:
+        mask &= keys >= lower
+    return mask
+
+
 def check_box_arity(scores: Sequence[float], dims: int) -> None:
     """Raise :class:`EngineError` unless ``scores`` holds one PScore per
     refinable dimension."""
@@ -584,7 +642,9 @@ __all__ = [
     "ExecutionStats",
     "PreparedQuery",
     "TopKAdmission",
+    "admitted",
     "check_box_arity",
+    "first_levels",
     "grouped_cell_tensor",
     "shell_mask",
 ]

@@ -4,13 +4,19 @@ The memory evaluation layer reduces an ACQ to a *candidate relation*:
 the joined, pre-filtered set of tuples that could be admitted by *some*
 refinement within the per-dimension caps, each carrying
 
+* its key on every refinable dimension (a select's expression value, a
+  join's ``|left - right|``, a categorical value's roll-up distance),
+  which decides admission (:func:`~repro.engine.backends.first_levels`);
 * its signed minimal refinement score on every refinable dimension
-  (see :mod:`repro.core.predicate`), and
+  (see :mod:`repro.core.predicate`), which orders tuples for Top-k and
+  feeds the estimating layers; and
 * the value of the constraint's aggregate attribute.
 
-Every cell/box query then becomes a conjunction of score-range filters
-over numpy arrays — a faithful cost model for a database scan, with the
-advantage that NOREFINE equi-joins are executed exactly once.
+Every cell/box query then becomes a conjunction of key filters over
+numpy arrays — a faithful cost model for a database scan, with the
+advantage that NOREFINE equi-joins are executed exactly once. The
+prefilters admit by key too: NOREFINE predicates at score 0, refinable
+ones at their dimension cap.
 
 Join machinery: NOREFINE equi-joins use sort-based hash-equivalent
 matching; refinable joins are materialized as *band joins* with the
@@ -25,11 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.predicate import (
+    CategoricalPredicate,
     JoinPredicate,
     Predicate,
     SelectPredicate,
 )
 from repro.core.query import Query
+from repro.engine.backends import admitted
 from repro.engine.catalog import Database
 from repro.engine.expression import Expression
 from repro.exceptions import EngineError
@@ -43,6 +51,7 @@ class CandidateRelation:
     """Output of :func:`build_candidate`.
 
     Attributes:
+        keys: ``(n, d)`` per-dimension keys, which decide admission.
         scores: ``(n, d)`` signed per-dimension refinement scores.
         agg_values: aggregate attribute per tuple (zeros for COUNT(*)).
         rows_scanned: base-table rows touched while building.
@@ -54,6 +63,7 @@ class CandidateRelation:
             either be stored in main memory or paged to disk").
     """
 
+    keys: np.ndarray
     scores: np.ndarray
     agg_values: np.ndarray
     rows_scanned: int
@@ -71,7 +81,9 @@ def build_candidate(
     dim_caps: list[float],
     max_rows: int = DEFAULT_MAX_ROWS,
 ) -> CandidateRelation:
-    """Join, pre-filter and score the query's candidate tuples."""
+    """Join, pre-filter, key and score the query's candidate tuples:
+    those every NOREFINE predicate admits at score 0 and every
+    refinable one at its dimension cap."""
     dims = query.refinable_predicates
     if len(dim_caps) != len(dims):
         raise EngineError(
@@ -82,28 +94,29 @@ def build_candidate(
     frame_size = len(next(iter(frame.values()))) if frame else 0
 
     batch = _batch_for(database, frame, query)
-    mask = _fixed_mask(query, batch, frame_size)
+    fixed = _fixed_mask(query, batch, frame_size)
 
-    score_columns = []
+    keep = fixed.copy()
+    key_matrix = np.empty((frame_size, len(dims)), dtype=np.float64)
+    score_matrix = np.empty((frame_size, len(dims)), dtype=np.float64)
     useful_max = []
-    for predicate, cap in zip(dims, dim_caps):
-        scores = _dimension_scores(predicate, batch)
-        scores = np.where(mask, scores, np.inf)
-        scores = np.where(scores > cap, np.inf, scores)
-        score_columns.append(scores)
-        finite = scores[np.isfinite(scores)]
+    for dim, (predicate, cap) in enumerate(zip(dims, dim_caps)):
+        keys = np.broadcast_to(_dimension_keys(predicate, batch), frame_size)
+        scores = (
+            keys * predicate.level_scale
+            if isinstance(predicate, CategoricalPredicate)
+            else predicate.scores_of_values(keys)
+        )
+        within = fixed & admitted(predicate, keys, cap)
+        keep &= within
+        key_matrix[:, dim], score_matrix[:, dim] = keys, scores
+        finite = scores[within & np.isfinite(scores)]
         positive = finite[finite > 0]
         useful_max.append(float(np.max(positive)) if len(positive) else 0.0)
 
-    if score_columns:
-        score_matrix = np.column_stack(score_columns)
-        keep = np.all(np.isfinite(score_matrix), axis=1)
-    else:
-        score_matrix = np.empty((frame_size, 0), dtype=np.float64)
-        keep = mask
-
     agg_values = _aggregate_values(query, batch, frame_size)
     return CandidateRelation(
+        keys=key_matrix[keep],
         scores=score_matrix[keep],
         agg_values=agg_values[keep],
         rows_scanned=rows_scanned,
@@ -136,10 +149,9 @@ class _FrameBuilder:
             rows_scanned += len(table)
             base_indices[table_name] = self._prefilter(table_name)
 
-        joins = [
+        pending = [
             p for p in self.query.predicates if isinstance(p, JoinPredicate)
         ]
-        pending = list(joins)
         first = self.query.tables[0]
         frame: dict[str, np.ndarray] = {first: base_indices[first]}
         remaining = [t for t in self.query.tables if t != first]
@@ -172,10 +184,8 @@ class _FrameBuilder:
             frame = self._cross_join(
                 frame, new_table, base_indices[new_table], max_rows
             )
-
-        # Joins whose tables are all in the frame act as filters.
-        for join in pending:
-            frame = self._filter_join(frame, join)
+        # A join still pending, whose tables are all in the frame, is
+        # admitted by key with the others in build_candidate.
         return frame, rows_scanned
 
     # -- per-table pre-filtering ---------------------------------------
@@ -193,16 +203,12 @@ class _FrameBuilder:
                 continue
             if _predicate_tables(predicate) != {table_name}:
                 continue
-            scores = _dimension_scores(predicate, batch)
-            cap = self.dim_caps.get(predicate, 0.0)
-            mask &= scores <= cap
+            keys = _dimension_keys(predicate, batch)
+            mask &= admitted(predicate, keys, self.dim_caps.get(predicate, 0.0))
         return indices[mask]
 
     def _band_width(self, join: JoinPredicate) -> float:
-        if not join.refinable:
-            return join.tolerance
-        cap = self.dim_caps.get(join, 0.0)
-        return join.band_at(cap)
+        return join.band_at(self.dim_caps.get(join, 0.0))
 
     def _bridging(
         self,
@@ -253,8 +259,16 @@ class _FrameBuilder:
 
         order = np.argsort(new_values, kind="stable")
         sorted_values = new_values[order]
-        low = np.searchsorted(sorted_values, frame_values - band, side="left")
-        high = np.searchsorted(sorted_values, frame_values + band, side="right")
+        # A band search rounds ``frame +- band``; a few ulps of slack
+        # keep every pair the join admits by key, which build_candidate
+        # then checks exactly. An equi-join's search is exact.
+        slack = 4 * np.spacing(np.abs(frame_values) + band) if band else 0.0
+        low = np.searchsorted(
+            sorted_values, frame_values - band - slack, side="left"
+        )
+        high = np.searchsorted(
+            sorted_values, frame_values + band + slack, side="right"
+        )
         counts = high - low
         total = int(np.sum(counts))
         if total > max_rows:
@@ -294,15 +308,6 @@ class _FrameBuilder:
         }
         joined[new_table] = np.tile(new_indices, frame_size)
         return joined
-
-    def _filter_join(
-        self, frame: dict[str, np.ndarray], join: JoinPredicate
-    ) -> dict[str, np.ndarray]:
-        left = _evaluate_on_frame(self.database, frame, join.left)
-        right = _evaluate_on_frame(self.database, frame, join.right)
-        band = self._band_width(join)
-        mask = np.abs(left - right) <= band
-        return {table: indices[mask] for table, indices in frame.items()}
 
 
 # ----------------------------------------------------------------------
@@ -355,29 +360,27 @@ def _batch_for(
 def _fixed_mask(
     query: Query, batch: dict[str, np.ndarray], size: int
 ) -> np.ndarray:
-    """Conjunction of every NOREFINE predicate over the frame."""
+    """Which frame tuples every NOREFINE predicate admits (by key, at
+    score 0)."""
     mask = np.ones(size, dtype=bool)
     for predicate in query.fixed_predicates:
-        if isinstance(predicate, JoinPredicate):
-            continue  # applied during frame construction
-        scores = _dimension_scores(predicate, batch)
-        mask &= scores <= 0
+        mask &= admitted(predicate, _dimension_keys(predicate, batch), 0.0)
     return mask
 
 
-def _dimension_scores(
+def _dimension_keys(
     predicate: Predicate, batch: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """Signed refinement scores of each frame tuple on one predicate."""
+    """Each frame tuple's key on one predicate: a select's expression
+    value, a join's ``|left - right|``, a categorical value's roll-up
+    distance."""
     if isinstance(predicate, SelectPredicate):
-        values = np.asarray(predicate.expr.evaluate(batch), dtype=np.float64)
-        return predicate.scores_of_values(values)
+        return np.asarray(predicate.expr.evaluate(batch), dtype=np.float64)
     if isinstance(predicate, JoinPredicate):
         left = np.asarray(predicate.left.evaluate(batch), dtype=np.float64)
         right = np.asarray(predicate.right.evaluate(batch), dtype=np.float64)
-        return predicate.scores_of_values(np.abs(left - right))
-    values = batch[next(iter(predicate.column.columns()))]
-    return predicate.scores_of_values(values)
+        return np.abs(left - right)
+    return predicate.distances(batch[next(iter(predicate.column.columns()))])
 
 
 def _aggregate_values(

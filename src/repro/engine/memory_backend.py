@@ -1,9 +1,13 @@
 """In-memory numpy evaluation layer.
 
 Prepares an ACQ by materializing its candidate relation once (joins,
-NOREFINE filters, per-tuple signed refinement scores — see
+NOREFINE filters, per-tuple keys and signed refinement scores — see
 :mod:`repro.engine.executor`), then answers every cell/box request with
-vectorized score-range filters. Each request scans the candidate
+vectorized key filters, by the one admission rule every exact layer
+shares (:func:`~repro.engine.backends.first_levels`): a box query
+keeps the rows whose keys its refined predicates admit, and a grid
+read buckets each row at the first level that admits its key on each
+dimension, computed once per space. Each request scans the candidate
 relation, mirroring the per-query scan cost of the paper's Postgres
 evaluation layer while keeping the whole system self-contained. The
 repartitioning step's probes keep the base-class
@@ -19,19 +23,21 @@ numbers assume plain per-query execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.aggregates import AggState
 from repro.core.query import Query
-from repro.core.refined_space import RefinedSpace, cell_coords
+from repro.core.refined_space import RefinedSpace
 from repro.engine.backends import (
     EvaluationLayer,
     Shell,
     TopKAdmission,
+    admitted,
     check_box_arity,
+    first_levels,
     grouped_cell_tensor,
     shell_mask,
 )
@@ -51,22 +57,26 @@ class _MemoryPrepared:
     query: Query
     candidate: CandidateRelation
     dim_caps: list[float]
-    # Lazily built when the backend runs in indexed mode: candidate
-    # rows ordered by their dimension-0 score, plus the sorted scores
-    # themselves (the "index key").
-    index_order: Optional[np.ndarray] = None
-    index_keys: Optional[np.ndarray] = None
+    # ``(step, extent, levels)``: each candidate row's level per
+    # dimension in the last space read (:meth:`MemoryBackend._levels`).
+    levels: Optional[tuple] = None
+    # Indexed mode's ``(levels, order, lead)``: the rows of those levels
+    # ordered by their dimension-0 level, and that level in order.
+    index: Optional[tuple] = None
+    # ``(dim, score) -> mask``: the rows a dimension's refined predicate
+    # admits at a score, kept for the handle's later box reads.
+    admits: dict = field(default_factory=dict)
 
 
 class MemoryBackend(EvaluationLayer):
     """Evaluation layer over the in-memory columnar engine.
 
     ``indexed=True`` gives cell queries an index-scan cost model: a
-    sorted index over the first dimension's scores narrows each cell
-    query to the tuples inside that dimension's annulus before the
-    remaining dimensions are filtered — cost proportional to the slice,
-    like a DBMS using a single-column B-tree, instead of a full scan.
-    Results are bit-identical to the plain path.
+    sorted index over the first dimension's levels narrows each cell
+    query to the tuples of that dimension's level before the remaining
+    dimensions are filtered — cost proportional to the slice, like a
+    DBMS using a single-column B-tree, instead of a full scan. Results
+    are bit-identical to the plain path.
     """
 
     def __init__(
@@ -98,6 +108,47 @@ class MemoryBackend(EvaluationLayer):
         return list(prepared.candidate.useful_max_scores)
 
     # ------------------------------------------------------------------
+    def _levels(
+        self, prepared: _MemoryPrepared, space: RefinedSpace
+    ) -> np.ndarray:
+        """Each candidate row's level on every dimension of ``space``:
+        the first grid coordinate whose refined predicate admits its
+        key (:func:`first_levels` over the scores ``c * step``), or one
+        past the grid's extent. One ``(n, d)`` array per space, kept
+        for its later reads."""
+        cached = prepared.levels
+        if cached is None or cached[:2] != (space.step, space.max_coords):
+            keys = prepared.candidate.keys
+            levels = np.empty(keys.shape, dtype=np.intp)
+            for dim, (predicate, extent) in enumerate(
+                zip(space.dims, space.max_coords)
+            ):
+                levels[:, dim] = first_levels(
+                    predicate, keys[:, dim], np.arange(extent + 1) * space.step
+                )
+            cached = (space.step, space.max_coords, levels)
+            prepared.levels = cached
+        return cached[2]
+
+    def _box_mask(
+        self, prepared: _MemoryPrepared, scores: Sequence[float]
+    ) -> np.ndarray:
+        """Which candidate rows the refined query at ``scores`` admits.
+        A contraction search reads each grid score of a dimension in
+        many boxes, so each dimension's mask is computed once per score
+        (:attr:`_MemoryPrepared.admits`)."""
+        keys = prepared.candidate.keys
+        mask = np.ones(len(keys), dtype=bool)
+        for dim, (predicate, score) in enumerate(
+            zip(prepared.query.refinable_predicates, scores)
+        ):
+            admits = prepared.admits.get((dim, score))
+            if admits is None:
+                admits = admitted(predicate, keys[:, dim], score)
+                prepared.admits[dim, score] = admits
+            mask &= admits
+        return mask
+
     def execute_cell(
         self,
         prepared: _MemoryPrepared,
@@ -106,10 +157,11 @@ class MemoryBackend(EvaluationLayer):
     ) -> AggState:
         aggregate = prepared.query.constraint.spec.aggregate
         candidate = prepared.candidate
-        if self.indexed and candidate.scores.shape[1] > 0:
+        if self.indexed:
             return self._execute_cell_indexed(prepared, space, coords)
         with self._timed():
-            mask = self._cell_mask(candidate.scores, space, coords)
+            levels = self._levels(prepared, space)
+            mask = np.all(levels == np.asarray(coords), axis=1)
             state = aggregate.lift(candidate.agg_values[mask])
         self._count_query("cell", rows=candidate.nrows)
         return state
@@ -122,7 +174,7 @@ class MemoryBackend(EvaluationLayer):
         hi: Sequence[int],
         shell: Optional[Shell] = None,
     ) -> np.ndarray:
-        """One digitize sweep over every candidate tuple, grouped into
+        """One sweep over every candidate tuple's levels, grouped into
         the inclusive ``[lo, hi]`` box by :func:`grouped_cell_tensor`.
 
         Its stable grouping keeps original-row order within each cell —
@@ -135,9 +187,9 @@ class MemoryBackend(EvaluationLayer):
         candidate = prepared.candidate
         shape = tuple(high - low + 1 for low, high in zip(lo, hi))
         with self._timed():
-            coords = cell_coords(candidate.scores, space.step)
-            inside = np.all((coords >= lo) & (coords <= hi), axis=1)
-            cells = np.ravel_multi_index((coords[inside] - lo).T, shape)
+            levels = self._levels(prepared, space)
+            inside = np.all((levels >= lo) & (levels <= hi), axis=1)
+            cells = np.ravel_multi_index((levels[inside] - lo).T, shape)
             values = candidate.agg_values[inside]
             mask = shell_mask(space, lo, hi, shell)
             if mask is not None:
@@ -158,37 +210,21 @@ class MemoryBackend(EvaluationLayer):
         space: RefinedSpace,
         coords: Sequence[int],
     ) -> AggState:
-        """Cell execution through the dimension-0 score index."""
+        """Cell execution through the dimension-0 level index."""
         candidate = prepared.candidate
         aggregate = prepared.query.constraint.spec.aggregate
         with self._timed():
-            if prepared.index_order is None:
-                prepared.index_order = np.argsort(
-                    candidate.scores[:, 0], kind="stable"
-                )
-                prepared.index_keys = candidate.scores[
-                    prepared.index_order, 0
-                ]
-            ranges = space.cell_ranges(coords)
-            low, high = ranges[0]
-            keys = prepared.index_keys
-            if low < 0:
-                start = 0
-                stop = int(np.searchsorted(keys, 0.0, side="right"))
-            else:
-                start = int(np.searchsorted(keys, low, side="right"))
-                stop = int(np.searchsorted(keys, high, side="right"))
-            slice_rows = prepared.index_order[start:stop]
-            mask = np.ones(len(slice_rows), dtype=bool)
-            for dim, (dim_low, dim_high) in enumerate(ranges[1:], start=1):
-                column = candidate.scores[slice_rows, dim]
-                if dim_low < 0:
-                    mask &= column <= 0.0
-                else:
-                    mask &= (column > dim_low) & (column <= dim_high)
-            state = aggregate.lift(
-                candidate.agg_values[slice_rows[mask]]
+            levels = self._levels(prepared, space)
+            if prepared.index is None or prepared.index[0] is not levels:
+                order = np.argsort(levels[:, 0], kind="stable")
+                prepared.index = (levels, order, levels[order, 0])
+            _, order, lead = prepared.index
+            start, stop = np.searchsorted(lead, [coords[0], coords[0] + 1])
+            slice_rows = order[start:stop]
+            mask = np.all(
+                levels[slice_rows, 1:] == np.asarray(coords[1:]), axis=1
             )
+            state = aggregate.lift(candidate.agg_values[slice_rows[mask]])
         self._count_query("cell", rows=len(slice_rows))
         return state
 
@@ -197,11 +233,9 @@ class MemoryBackend(EvaluationLayer):
     ) -> AggState:
         candidate = prepared.candidate
         aggregate = prepared.query.constraint.spec.aggregate
-        check_box_arity(scores, candidate.scores.shape[1])
+        check_box_arity(scores, candidate.keys.shape[1])
         with self._timed():
-            mask = np.ones(candidate.nrows, dtype=bool)
-            for dim, score in enumerate(scores):
-                mask &= candidate.scores[:, dim] <= score
+            mask = self._box_mask(prepared, scores)
             state = aggregate.lift(candidate.agg_values[mask])
         self._count_query("box", rows=candidate.nrows)
         return state
@@ -241,10 +275,7 @@ class MemoryBackend(EvaluationLayer):
         """Materialize tuples admitted by a refined query."""
         candidate = prepared.candidate
         with self._timed():
-            mask = np.ones(candidate.nrows, dtype=bool)
-            for dim, score in enumerate(scores):
-                mask &= candidate.scores[:, dim] <= score
-            positions = np.nonzero(mask)[0]
+            positions = np.nonzero(self._box_mask(prepared, scores))[0]
             if limit is not None:
                 positions = positions[:limit]
             columns: dict[str, np.ndarray] = {}
@@ -268,25 +299,8 @@ class MemoryBackend(EvaluationLayer):
     def build_bitmap_index(
         self, prepared: _MemoryPrepared, space: RefinedSpace
     ) -> GridBitmapIndex:
-        """Section 7.4: bitmap over grid cells, built in one pass."""
+        """Section 7.4: bitmap over grid cells, from the rows' levels."""
         with self._timed():
-            index = GridBitmapIndex.from_scores(
-                prepared.candidate.scores, space
-            )
+            index = GridBitmapIndex(self._levels(prepared, space))
         self._count_rows(prepared.candidate.nrows)
         return index
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _cell_mask(
-        scores: np.ndarray, space: RefinedSpace, coords: Sequence[int]
-    ) -> np.ndarray:
-        mask = np.ones(scores.shape[0], dtype=bool)
-        for dim, (low, high) in enumerate(space.cell_ranges(coords)):
-            column = scores[:, dim]
-            if low < 0:
-                mask &= column <= 0.0
-            else:
-                mask &= (column > low) & (column <= high)
-        return mask
-

@@ -16,6 +16,14 @@ Bucketing inside SQLite, with a ``CASE`` ladder per dimension under a
 ``GROUP BY``, cost 2.5-4x a plain fetch of the same rows on a 2-core
 x86 host.
 
+Every refined predicate is rendered from its key bounds
+(:meth:`~repro.core.predicate.SelectPredicate.key_bounds`), each bound
+a ``?`` parameter: SQLite compares a bound double exactly, where it
+misreads some decimal literals by one ulp (3.40.1 reads
+``-479377.9545921924`` as ``-479377.95459219243``). So SQL and the
+numpy bucketing admit a tuple by the one rule memory uses too, its key
+against the bound (:func:`~repro.engine.backends.first_levels`).
+
 Every read of a join walks it through indexes that ``prepare`` builds:
 each join column leads an index that covers the columns the query reads
 of its table, so SQLite finds a joined row's keys and attribute in the
@@ -53,7 +61,9 @@ from repro.engine.backends import (
     EvaluationLayer,
     Shell,
     TopKAdmission,
+    admitted,
     check_box_arity,
+    first_levels,
     grouped_cell_tensor,
     shell_mask,
 )
@@ -62,12 +72,16 @@ from repro.engine.expression import ColumnRef, Expression
 from repro.engine.schema import ColumnType
 from repro.exceptions import EngineError
 
+#: A WHERE condition and the values of its ``?`` parameters.
+_Condition = tuple[str, Sequence[object]]
+
+
 @dataclass
 class _SQLitePrepared:
     query: Query
     dim_caps: list[float]
     from_sql: str
-    fixed_sql: list[str]
+    fixed: list[_Condition]
 
 
 class SQLiteBackend(EvaluationLayer):
@@ -258,14 +272,11 @@ class SQLiteBackend(EvaluationLayer):
                 self._ensure_loaded(table_name)
             for table_name, columns in _index_plan(self.database, query):
                 self._ensure_index(table_name, columns)
-        fixed_sql = [
-            predicate.sql_condition(0.0) for predicate in query.fixed_predicates
-        ]
         return _SQLitePrepared(
             query=query,
             dim_caps=[float(cap) for cap in dim_caps],
             from_sql=", ".join(query.tables),
-            fixed_sql=fixed_sql,
+            fixed=[_condition(p, 0.0) for p in query.fixed_predicates],
         )
 
     def useful_max_scores(self, prepared: _SQLitePrepared) -> list[float]:
@@ -324,18 +335,21 @@ class SQLiteBackend(EvaluationLayer):
     # Execution
     # ------------------------------------------------------------------
     def _run_aggregate(
-        self, prepared: _SQLitePrepared, conditions: list[str], kind: str
+        self,
+        prepared: _SQLitePrepared,
+        conditions: Sequence[_Condition],
+        kind: str,
     ) -> AggState:
         spec = prepared.query.constraint.spec
         attribute_sql = (
             spec.attribute.to_sql() if spec.attribute is not None else None
         )
         selects = ", ".join(spec.aggregate.sql_selects(attribute_sql))
-        where = " AND ".join(f"({c})" for c in conditions) or "1=1"
+        where, params = _where(conditions)
         sql = f"SELECT {selects} FROM {prepared.from_sql} WHERE {where}"
         cursor = self._cursor()
         with self._timed():
-            row = cursor.execute(sql).fetchone()
+            row = cursor.execute(sql, params).fetchone()
         self._count_query(kind)
         return spec.aggregate.state_from_sql(tuple(row))
 
@@ -345,11 +359,8 @@ class SQLiteBackend(EvaluationLayer):
         space: RefinedSpace,
         coords: Sequence[int],
     ) -> AggState:
-        conditions = list(prepared.fixed_sql)
-        for predicate, (low, high) in zip(
-            space.dims, space.cell_ranges(coords)
-        ):
-            conditions.append(predicate.sql_annulus(low, high))
+        """The cell as a one-cell box (:func:`_box_conditions`)."""
+        conditions = _box_conditions(prepared, space, coords, coords)
         return self._run_aggregate(prepared, conditions, "cell")
 
     def _grid_pass(
@@ -364,44 +375,32 @@ class SQLiteBackend(EvaluationLayer):
         ``[lo, hi]``, bucketed into its cells in numpy.
 
         The WHERE clause keeps tuples admitted at level ``hi`` and drops
-        those already admitted at level ``lo - 1`` (their minimal
-        coordinate lies below the box); given a shell it also bounds the
-        rows' weighted need sum (:func:`_shell_sql`). Each row brings
-        one key per dimension and its aggregate attribute
-        (:func:`_keyed_rows`). Its coordinate on a dimension is the
-        first level in ``lo..hi`` whose ``sql_condition`` admits the
-        key, found against the thresholds as SQLite reads them
-        (:func:`_parsed_bounds`), so each cell holds exactly the annulus
-        a per-cell query would see. Rows whose cell lies outside the
-        shell are then dropped: the shell's SQL bound only narrows the
-        fetch, it never decides a cell. :func:`grouped_cell_tensor`
-        lifts each cell's values; cells no row reaches keep the
-        aggregate identity.
+        those already admitted at level ``lo - 1`` (their first level
+        lies below the box, :func:`_box_conditions`); given a shell it
+        also bounds the rows' weighted need sum (:func:`_shell_sql`).
+        Each row brings one key per dimension and its aggregate
+        attribute (:func:`_keyed_rows`). Its coordinate on a dimension
+        is the first level in ``lo..hi`` whose bounds admit the key
+        (:func:`first_levels`), compared exactly as SQLite compares the
+        bound parameters, so each cell holds exactly the rows a per-cell
+        query admits. Rows whose cell lies outside the shell are then
+        dropped: the shell's SQL bound only narrows the fetch, it never
+        decides a cell. :func:`grouped_cell_tensor` lifts each cell's
+        values; cells no row reaches keep the aggregate identity.
         """
         dims = space.dims
         spec = prepared.query.constraint.spec
-        step = space.step
         shape = tuple(high - low + 1 for low, high in zip(lo, hi))
-        conditions = list(prepared.fixed_sql)
-        for d, predicate in enumerate(dims):
-            conditions.append(predicate.sql_condition(hi[d] * step))
-            if lo[d] > 0:
-                below = predicate.sql_condition((lo[d] - 1) * step)
-                conditions.append(f"NOT ({below})")
+        conditions = _box_conditions(prepared, space, lo, hi)
         if shell is not None:
-            conditions.extend(_shell_sql(space, hi, shell))
-        scores = [
-            [level * step for level in range(low, high + 1)]
-            for low, high in zip(lo, hi)
-        ]
+            conditions.extend((sql, ()) for sql in _shell_sql(space, hi, shell))
         cursor = self._cursor()
         with self._timed():
-            bounds = _parsed_bounds(cursor, dims, scores)
             keys, values = _keyed_rows(cursor, prepared, dims, conditions)
             levels = [
-                _categorical_levels(predicate, keys[d], scores[d])
-                if isinstance(predicate, CategoricalPredicate)
-                else _first_levels(keys[d], *bounds[d])
+                first_levels(
+                    predicate, keys[d], np.arange(lo[d], hi[d] + 1) * space.step
+                )
                 for d, predicate in enumerate(dims)
             ]
             cells = np.ravel_multi_index(levels, shape)
@@ -419,11 +418,8 @@ class SQLiteBackend(EvaluationLayer):
     def execute_box(
         self, prepared: _SQLitePrepared, scores: Sequence[float]
     ) -> AggState:
-        dims = prepared.query.refinable_predicates
-        check_box_arity(scores, len(dims))
-        conditions = list(prepared.fixed_sql)
-        for predicate, score in zip(dims, scores):
-            conditions.append(predicate.sql_condition(score))
+        check_box_arity(scores, len(prepared.query.refinable_predicates))
+        conditions = _query_conditions(prepared, scores)
         return self._run_aggregate(prepared, conditions, "box")
 
     def box_reader(
@@ -433,23 +429,19 @@ class SQLiteBackend(EvaluationLayer):
         counted as one box query; each probe is then answered in numpy.
 
         The fetch is a grid pass's (:func:`_keyed_rows`) under
-        ``outer``'s WHERE clause. A probe keeps the rows whose keys its
-        own ``sql_condition`` admits, compared against its thresholds
-        as SQLite reads them (:func:`_parsed_bounds`, one uncounted
-        constant-only statement per probe, as in :meth:`_grid_pass`);
-        a categorical key must lie in the probe's accepted set. COUNT,
-        MIN and MAX states equal :meth:`execute_box`'s exactly, SUM and
-        AVG up to the rounding of a numpy sum. A probe of the wrong
-        length raises :class:`EngineError`, as :meth:`execute_box` does,
-        and so does a probe outside ``outer``: the fetch holds none of
-        its rows outside the box.
+        ``outer``'s WHERE clause. A probe keeps the rows whose key on
+        every dimension its refined predicate admits (:func:`admitted`),
+        the rule SQLite applies to the bound parameters of
+        :meth:`execute_box`. COUNT, MIN and MAX states equal
+        :meth:`execute_box`'s exactly, SUM and AVG up to the rounding of
+        a numpy sum. A probe of the wrong length raises
+        :class:`EngineError`, as :meth:`execute_box` does, and so does a
+        probe outside ``outer``: the fetch holds none of its rows
+        outside the box.
         """
         dims = prepared.query.refinable_predicates
         check_box_arity(outer, len(dims))
-        conditions = list(prepared.fixed_sql) + [
-            predicate.sql_condition(score)
-            for predicate, score in zip(dims, outer)
-        ]
+        conditions = _query_conditions(prepared, outer)
         aggregate = prepared.query.constraint.spec.aggregate
         cursor = self._cursor()
         with self._timed():
@@ -460,24 +452,11 @@ class SQLiteBackend(EvaluationLayer):
             check_box_arity(probe, len(dims))
             if any(score > bound for score, bound in zip(probe, outer)):
                 raise EngineError(f"probe {probe} outside the box {outer}")
-            cursor = self._cursor()
             with self._timed():
-                bounds = _parsed_bounds(
-                    cursor, dims, [[score] for score in probe]
-                )
-                admitted = np.ones(len(values), dtype=bool)
+                mask = np.ones(len(values), dtype=bool)
                 for d, (predicate, score) in enumerate(zip(dims, probe)):
-                    if isinstance(predicate, CategoricalPredicate):
-                        accepted = predicate.accepted_at(score)
-                        admitted &= np.fromiter(
-                            (key in accepted for key in keys[d]),
-                            dtype=bool,
-                            count=len(values),
-                        )
-                    else:
-                        lower, upper = bounds[d]
-                        admitted &= _admitted(keys[d], lower[0], upper[0])
-                return aggregate.lift(values[admitted])
+                    mask &= admitted(predicate, keys[d], score)
+                return aggregate.lift(values[mask])
 
         return read
 
@@ -488,11 +467,7 @@ class SQLiteBackend(EvaluationLayer):
         limit: Optional[int] = None,
     ) -> list[dict]:
         """Materialize tuples admitted by a refined query via SQL."""
-        dims = prepared.query.refinable_predicates
-        conditions = list(prepared.fixed_sql)
-        for predicate, score in zip(dims, scores):
-            conditions.append(predicate.sql_condition(score))
-        where = " AND ".join(f"({c})" for c in conditions) or "1=1"
+        where, params = _where(_query_conditions(prepared, scores))
         select_items = []
         keys = []
         for table_name in prepared.query.tables:
@@ -510,7 +485,7 @@ class SQLiteBackend(EvaluationLayer):
             sql += f" LIMIT {int(limit)}"
         cursor = self._cursor()
         with self._timed():
-            fetched = cursor.execute(sql).fetchall()
+            fetched = cursor.execute(sql, params).fetchall()
         self._count_query("box")
         return [dict(zip(keys, row)) for row in fetched]
 
@@ -528,12 +503,7 @@ class SQLiteBackend(EvaluationLayer):
             )
             or "0"
         )
-        conditions = list(prepared.fixed_sql)
-        for predicate, cap in zip(dims, prepared.dim_caps):
-            admissible = _admissible_sql(predicate, cap)
-            if admissible:
-                conditions.append(admissible)
-        where = " AND ".join(f"({c})" for c in conditions) or "1=1"
+        where, params = _where(_query_conditions(prepared, prepared.dim_caps))
         inner_selects = ", ".join(
             f"({need}) AS need_{index}" for index, need in enumerate(need_exprs)
         )
@@ -547,18 +517,80 @@ class SQLiteBackend(EvaluationLayer):
         )
         cursor = self._cursor()
         with self._timed():
-            row = cursor.execute(sql).fetchone()
+            row = cursor.execute(sql, params).fetchone()
         self._count_query("box")
-        admitted = int(row[0])
         max_scores = tuple(
             0.0 if value is None else float(value) for value in row[1:]
         )
-        return TopKAdmission(admitted=admitted, max_scores=max_scores)
+        return TopKAdmission(admitted=int(row[0]), max_scores=max_scores)
 
 
 # ----------------------------------------------------------------------
 # SQL fragments
 # ----------------------------------------------------------------------
+def _condition(predicate: Predicate, score: float) -> _Condition:
+    """The refined ``predicate`` at ``score``: SQL admitting exactly the
+    keys its ``key_bounds(score)`` admit, each finite bound a ``?``
+    parameter (an infinite one is omitted). A join at band 0 is the
+    equality ``left = right``, which the join indexes seek on; a
+    categorical predicate is the ``IN`` list of ``accepted_at(score)``,
+    exactly the values whose roll-up distance its bounds admit."""
+    if isinstance(predicate, CategoricalPredicate):
+        values = sorted(predicate.accepted_at(score))
+        places = ", ".join("?" for _ in values)
+        return f"{predicate.column.to_sql()} IN ({places})", values
+    lower, upper = predicate.key_bounds(score)
+    if isinstance(predicate, JoinPredicate) and upper == 0:
+        return f"{predicate.left.to_sql()} = {predicate.right.to_sql()}", ()
+    key = _key_sql(predicate)
+    sides = [
+        (f"{key} {op} ?", bound)
+        for op, bound in ((">=", lower), ("<=", upper))
+        if math.isfinite(bound)
+    ]
+    return (
+        " AND ".join(sql for sql, _ in sides) or "1=1",
+        [bound for _, bound in sides],
+    )
+
+
+def _query_conditions(
+    prepared: _SQLitePrepared, scores: Sequence[float]
+) -> list[_Condition]:
+    """The fixed predicates and the refined query at ``scores``."""
+    return prepared.fixed + [
+        _condition(predicate, score)
+        for predicate, score in zip(prepared.query.refinable_predicates, scores)
+    ]
+
+
+def _box_conditions(
+    prepared: _SQLitePrepared,
+    space: RefinedSpace,
+    lo: Sequence[int],
+    hi: Sequence[int],
+) -> list[_Condition]:
+    """The rows of the inclusive grid box ``[lo, hi]``: admitted at
+    level ``hi`` and, on each dimension where ``lo`` is above 0, not at
+    level ``lo - 1``. Level ``c`` is score ``c * step``."""
+    conditions = _query_conditions(
+        prepared, [level * space.step for level in hi]
+    )
+    for predicate, level in zip(space.dims, lo):
+        if level > 0:
+            sql, params = _condition(predicate, (level - 1) * space.step)
+            conditions.append((f"NOT ({sql})", params))
+    return conditions
+
+
+def _where(conditions: Sequence[_Condition]) -> tuple[str, list[object]]:
+    """A WHERE clause ANDing ``conditions``, and its parameters."""
+    return (
+        " AND ".join(f"({sql})" for sql, _ in conditions) or "1=1",
+        [param for _, params in conditions for param in params],
+    )
+
+
 def _need_sql(predicate: Predicate) -> str:
     """SQL for a tuple's expansion need (clamped-at-zero PScore)."""
     if isinstance(predicate, SelectPredicate):
@@ -622,8 +654,8 @@ def _shell_sql(
     below its cell's QScore, and not above it. The sum is bounded on
     both sides with that slack, plus a relative :data:`_SHELL_SLACK` of
     the PScore magnitudes involved for the rounding of SQLite's float
-    arithmetic and of the rendered thresholds. No condition under other
-    norms: the box alone bounds the fetch.
+    arithmetic and of a key's PScore against its level's bound. No
+    condition under other norms: the box alone bounds the fetch.
     """
     norm = space.norm
     if type(norm) is not LpNorm or norm.p != 1.0:
@@ -647,36 +679,14 @@ def _shell_sql(
 
 
 def _need_magnitude(predicate: Predicate, score: float) -> float:
-    """A bound, in PScore units, on the keys ``sql_condition(score)``
-    admits: the scale a rounding error in a row's need is relative to.
-    A categorical level adds one level, for ``level_at``'s 1e-9 nudge."""
-    if isinstance(predicate, SelectPredicate):
-        refined = predicate.interval_at(score)
-        ends = [abs(end) for end in (refined.lo, refined.hi) if math.isfinite(end)]
-        return max(ends, default=0.0) * 100.0 / predicate.effective_denominator
-    if isinstance(predicate, JoinPredicate):
-        return predicate.band_at(score) * 100.0 / predicate.denominator
-    return (predicate.level_at(score) + 1) * predicate.level_scale
-
-
-def _admissible_sql(predicate: Predicate, cap: float) -> str | None:
-    """Filter for tuples admissible within the dimension cap."""
-    if isinstance(predicate, SelectPredicate):
-        outer = predicate.interval_at(cap if predicate.refinable else 0.0)
-        expr = predicate.expr.to_sql()
-        parts = []
-        if math.isfinite(outer.lo):
-            parts.append(f"{expr} >= {outer.lo!r}")
-        if math.isfinite(outer.hi):
-            parts.append(f"{expr} <= {outer.hi!r}")
-        return " AND ".join(parts) if parts else None
-    if isinstance(predicate, JoinPredicate):
-        band = predicate.band_at(cap if predicate.refinable else 0.0)
-        if band == 0:
-            return f"{predicate.left.to_sql()} = {predicate.right.to_sql()}"
-        return f"{predicate.delta_sql()} <= {band!r}"
-    assert isinstance(predicate, CategoricalPredicate)
-    return predicate.sql_condition(cap if predicate.refinable else 0.0)
+    """A bound, in PScore units, on the keys the refined ``predicate``
+    at ``score`` admits: the scale a rounding error in a row's need is
+    relative to. A categorical level adds one level, for ``level_at``'s
+    1e-9 nudge."""
+    if isinstance(predicate, CategoricalPredicate):
+        return (predicate.level_at(score) + 1) * predicate.level_scale
+    ends = [abs(end) for end in predicate.key_bounds(score) if math.isfinite(end)]
+    return max(ends, default=0.0) * 100.0 / predicate.effective_denominator
 
 
 def _key_sql(predicate: Predicate) -> str:
@@ -694,15 +704,16 @@ def _keyed_rows(
     cursor: sqlite3.Cursor,
     prepared: _SQLitePrepared,
     dims: Sequence[Predicate],
-    conditions: Sequence[str],
+    conditions: Sequence[_Condition],
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One plain ``SELECT`` of the rows ``conditions`` admit: each
-    dimension's key (:func:`_key_sql`; float64, or object for a
-    categorical column) and the aggregate attribute.
+    dimension's key and the aggregate attribute. A key is the value of
+    :func:`_key_sql`, or for a categorical column the value's roll-up
+    distance, computed once per distinct value.
 
     Rows whose attribute is NULL are dropped, as SQL aggregates drop
     them; COUNT(*) has no attribute and keeps every row, with zeros for
-    values. Returns the per-dimension key arrays and the values.
+    values. Returns the per-dimension float64 key arrays and the values.
     """
     attribute = prepared.query.constraint.spec.attribute
     columns = [_key_sql(predicate) for predicate in dims]
@@ -713,107 +724,24 @@ def _keyed_rows(
     if attribute is not None:
         columns.append(attribute.to_sql())
         fields.append(("value", np.float64))
-    where = " AND ".join(f"({c})" for c in conditions) or "1=1"
+    where, params = _where(conditions)
     sql = (
         f"SELECT {', '.join(columns)} FROM {prepared.from_sql} "
         f"WHERE {where}"
     )
-    rows = np.fromiter(cursor.execute(sql), dtype=np.dtype(fields))
+    rows = np.fromiter(cursor.execute(sql, params), dtype=np.dtype(fields))
     if attribute is None:
         values = np.zeros(len(rows))
     else:
         rows = rows[~np.isnan(rows["value"])]
         values = rows["value"]
-    return [rows[f"k{d}"] for d in range(len(dims))], values
-
-
-def _key_bounds(predicate: Predicate, score: float) -> tuple[float, float]:
-    """The key range ``sql_condition(score)`` admits, as the floats it
-    renders; an infinite end is a comparison it omits. A join at band
-    0 renders ``left = right``, which admits exactly the rows whose
-    ``Delta`` is 0."""
-    if isinstance(predicate, JoinPredicate):
-        return -math.inf, predicate.band_at(score)
-    refined = predicate.interval_at(score)
-    return refined.lo, refined.hi
-
-
-def _parsed_bounds(
-    cursor: sqlite3.Cursor,
-    dims: Sequence[Predicate],
-    scores: Sequence[Sequence[float]],
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per numeric dimension, the lower and upper key bounds of each
-    level's ``sql_condition`` as SQLite reads their literals.
-
-    SQLite does not round every decimal literal correctly: 3.40.1 reads
-    ``-479377.9545921924`` as ``-479377.95459219243``, one ulp from the
-    double whose ``repr`` it is. Bucketing against the Python floats
-    would put a key equal to such a bound on the wrong side of it, so
-    one constant-only ``VALUES`` statement reads every finite bound
-    back. An omitted comparison admits every key: -inf below, +inf
-    above.
-    """
-    numeric = [
-        d
+    keys = [
+        predicate.distances(rows[f"k{d}"])
+        if isinstance(predicate, CategoricalPredicate)
+        else rows[f"k{d}"]
         for d, predicate in enumerate(dims)
-        if not isinstance(predicate, CategoricalPredicate)
     ]
-    if not numeric:
-        return {}
-    table = np.array(
-        [_key_bounds(dims[d], score) for d in numeric for score in scores[d]],
-        dtype=np.float64,
-    )
-    finite = np.isfinite(table)
-    parsed = np.where(finite, table, [-math.inf, math.inf])
-    if finite.any():
-        literals = ", ".join(f"({value!r})" for value in table[finite].tolist())
-        parsed[finite] = [row[0] for row in cursor.execute(f"VALUES {literals}")]
-    ladders = np.split(parsed, np.cumsum([len(scores[d]) for d in numeric])[:-1])
-    return {d: (ladder[:, 0], ladder[:, 1]) for d, ladder in zip(numeric, ladders)}
-
-
-def _first_levels(
-    keys: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """Offset of the first level whose bounds admit each key, as a
-    ``CASE`` ladder over the levels' conditions would find it.
-
-    Each side's bounds only widen from level to level, so one binary
-    search per side finds the first level that side admits, and the
-    later of the two admits both. The bounds SQLite reads widen too: it
-    misreads a literal by one ulp, far less than a grid step moves a
-    bound. The WHERE clause admits every fetched row at the last level.
-    """
-    return np.maximum(
-        np.searchsorted(-lower, -keys), np.searchsorted(upper, keys)
-    )
-
-
-def _admitted(keys: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    """Which keys ``lower <= key <= upper`` admits. An infinite bound
-    is a comparison ``sql_condition`` omits, which admits every key,
-    NULL (NaN) included."""
-    admitted = np.ones(len(keys), dtype=bool)
-    if math.isfinite(lower):
-        admitted &= keys >= lower
-    if math.isfinite(upper):
-        admitted &= keys <= upper
-    return admitted
-
-
-def _categorical_levels(
-    predicate: CategoricalPredicate,
-    keys: np.ndarray,
-    scores: Sequence[float],
-) -> np.ndarray:
-    """Offset of the first score whose ``IN`` list holds each key."""
-    first: dict[str, int] = {}
-    for offset, score in enumerate(scores):
-        for value in predicate.accepted_at(score):
-            first.setdefault(value, offset)
-    return np.array([first[key] for key in keys], dtype=np.intp)
+    return keys, values
 
 
 def _index_plan(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.acquire import Acquire, AcquireConfig
@@ -282,6 +282,17 @@ def _same_value(name: str, engine: float, box: float) -> bool:
 
 
 def _answer_key(result) -> tuple:
+    """The answers and the closest of ``result``, with every NaN
+    replaced by one marker: ``==`` on two keys then holds NaN equal to
+    NaN and every other value to an exact match."""
+
+    def nan_equal(value):
+        if isinstance(value, (tuple, list)):
+            return type(value)(nan_equal(item) for item in value)
+        if isinstance(value, float) and math.isnan(value):
+            return "NaN"
+        return value
+
     def refined(answer):
         return (
             answer.pscores,
@@ -290,10 +301,10 @@ def _answer_key(result) -> tuple:
             answer.error,
         )
 
-    return (
+    return nan_equal((
         [refined(answer) for answer in result.answers],
         None if result.closest is None else refined(result.closest),
-    )
+    ))
 
 
 #: The Explore modes a search may read its constraints in; the last is
@@ -318,6 +329,11 @@ OPS = [ConstraintOp.EQ, ConstraintOp.GE, ConstraintOp.LE]
     extra_op=st.sampled_from(OPS),
     fraction=st.floats(0.1, 0.9),
     quantile=st.floats(0.0, 1.0),
+)
+# Every mode's closest holds a NaN extra value (a MIN over no row).
+@example(
+    seed=825, primary="COUNT", extra="MIN", primary_op=ConstraintOp.LE,
+    extra_op=ConstraintOp.EQ, fraction=0.5, quantile=0.0,
 )
 def test_extra_values_equal_box_reads(
     backend, seed, primary, extra, primary_op, extra_op, fraction, quantile

@@ -15,6 +15,7 @@ from repro.core.predicate import (
     JoinPredicate,
     SelectPredicate,
 )
+from repro.engine.backends import first_levels
 from repro.engine.expression import col
 from repro.exceptions import NotRefinableError, QueryModelError
 
@@ -252,12 +253,17 @@ class TestCategoricalPredicate:
         assert scores.tobytes() == expected.tobytes()
         assert len(walks) == len(set(walks)) and set(walks) == set(values)
 
-    def test_sql_annulus_fresh_values_only(self):
+    def test_cell_holds_fresh_values_only(self):
+        """A value's cell is the first roll-up level that admits it:
+        cell 0 holds the accepted set, cell 1 only the values level 1
+        adds."""
         predicate = self.predicate()
-        base = predicate.sql_annulus(-1.0, 0.0)
-        assert "'Boston'" in base and "NewYork" not in base
-        ring = predicate.sql_annulus(0.0, 50.0)
-        assert "'NewYork'" in ring and "'Boston'" not in ring
+        assert predicate.key_bounds(50.0) == (-math.inf, 1.0)
+        values = np.array(["Boston", "NewYork", "Paris"], dtype=object)
+        levels = first_levels(
+            predicate, predicate.distances(values), [0.0, 50.0, 100.0]
+        )
+        assert levels.tolist() == [0, 1, 2]
 
     def test_empty_accepted_rejected(self):
         with pytest.raises(QueryModelError):

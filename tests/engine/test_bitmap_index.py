@@ -1,11 +1,10 @@
 """Tests for the section 7.4 grid bitmap index."""
 
 import numpy as np
-import pytest
 
 from repro.core.refined_space import RefinedSpace
+from repro.engine.backends import first_levels
 from repro.engine.bitmap_index import GridBitmapIndex
-from repro.exceptions import EngineError
 from tests.core.test_refined_space import make_query
 
 
@@ -13,17 +12,38 @@ def _space(d=2):
     return RefinedSpace(make_query(d), gamma=10.0, max_scores=[50.0] * d)
 
 
+def _index(keys, space=None) -> GridBitmapIndex:
+    """The bitmap of rows with these keys (``make_query``'s predicates:
+    ``t.c_i <= 50``, widening by 2.5 a level at step 5), each row in the
+    cell of its first admitting levels, as the memory backend builds
+    it."""
+    space = space or _space()
+    keys = np.asarray(keys, dtype=np.float64).reshape(-1, space.d)
+    levels = np.column_stack(
+        [
+            first_levels(
+                predicate,
+                keys[:, dim],
+                [coord * space.step for coord in range(extent + 1)],
+            )
+            for dim, (predicate, extent) in enumerate(
+                zip(space.dims, space.max_coords)
+            )
+        ]
+    )
+    return GridBitmapIndex(levels)
+
+
 class TestGridBitmapIndex:
     def test_empty_scores(self):
-        index = GridBitmapIndex.from_scores(np.empty((0, 2)), _space())
+        index = _index(np.empty((0, 2)))
         assert index.nonempty_cells == 0
         assert index.is_empty((0, 0))
 
     def test_membership(self):
-        space = _space()
-        # step = 5: scores 0 -> cell 0; 7 -> cell 2; 12 -> cell 3.
-        scores = np.array([[0.0, 7.0], [12.0, 0.0]])
-        index = GridBitmapIndex.from_scores(scores, space)
+        # Level c admits keys up to 50 + 2.5c: 53.5 first at level 2,
+        # 56 first at level 3.
+        index = _index([[50.0, 53.5], [56.0, 50.0]])
         assert not index.is_empty((0, 2))
         assert not index.is_empty((3, 0))
         assert index.is_empty((0, 0))
@@ -31,24 +51,20 @@ class TestGridBitmapIndex:
         assert index.nonempty_cells == 2
 
     def test_negative_scores_map_to_base_cell(self):
-        space = _space()
-        scores = np.array([[-30.0, -1.0]])
-        index = GridBitmapIndex.from_scores(scores, space)
+        """Keys inside the original interval (negative PScores)."""
+        index = _index([[35.0, 49.5]])
         assert not index.is_empty((0, 0))
 
     def test_boundary_scores(self):
-        space = _space()
-        # Exactly on a grid line: score 5.0 belongs to cell 1 (annulus
-        # (0, 5]), matching the memory backend's bucketing.
-        index = GridBitmapIndex.from_scores(np.array([[5.0, 0.0]]), space)
+        # Exactly on level 1's bound: key 52.5 (score 5.0) is in cell 1.
+        index = _index([[52.5, 50.0]])
         assert not index.is_empty((1, 0))
         assert index.is_empty((2, 0))
 
     def test_score_just_above_a_grid_line(self):
-        """A score one ulp above a grid line belongs to the next cell,
-        where the cell predicate ``(c-1)*step < s <= c*step`` puts it."""
-        above = np.nextafter(5.0, np.inf)
-        index = GridBitmapIndex.from_scores(np.array([[above, 0.0]]), _space())
+        """A key one ulp above level 1's bound is first admitted at
+        level 2."""
+        index = _index([[np.nextafter(52.5, np.inf), 50.0]])
         assert not index.is_empty((2, 0))
         assert index.is_empty((1, 0))
 
@@ -106,94 +122,3 @@ class TestGridBitmapIndex:
                                         range(space.max_coords[1] + 1)):
             count = layer.execute_cell(prepared, space, coords)[0]
             assert index.is_empty(coords) == (count == 0), coords
-
-
-class TestCountingGridIndex:
-    """Section 7.4's updatable variant: counts instead of bits."""
-
-    def _index(self):
-        from repro.engine.bitmap_index import CountingGridIndex
-
-        return CountingGridIndex(step=5.0, d=2)
-
-    def test_insert_and_count(self):
-        index = self._index()
-        index.insert(np.array([[0.0, 7.0], [12.0, 0.0], [0.0, 7.0]]))
-        assert index.count((0, 2)) == 2
-        assert index.count((3, 0)) == 1
-        assert index.count((1, 1)) == 0
-        assert index.nonempty_cells == 2
-        assert index.total == 3
-
-    def test_remove_updates_incrementally(self):
-        index = self._index()
-        index.insert(np.array([[0.0, 7.0], [0.0, 7.0]]))
-        index.remove(np.array([[0.0, 7.0]]))
-        assert index.count((0, 2)) == 1
-        assert not index.is_empty((0, 2))
-        index.remove(np.array([[0.0, 7.0]]))
-        assert index.is_empty((0, 2))
-        assert index.nonempty_cells == 0
-
-    def test_score_just_above_a_grid_line(self):
-        index = self._index()
-        above = np.nextafter(5.0, np.inf)
-        index.insert(np.array([[above, 10.0]]))
-        assert index.count((2, 2)) == 1
-        assert index.is_empty((1, 2))
-
-    def test_remove_from_empty_rejected(self):
-        index = self._index()
-        with pytest.raises(EngineError, match="empty cell"):
-            index.remove(np.array([[0.0, 0.0]]))
-
-    def test_arity_checked(self):
-        index = self._index()
-        with pytest.raises(EngineError, match="arity"):
-            index.insert(np.array([[1.0, 2.0, 3.0]]))
-
-    def test_matches_bitmap_semantics(self):
-        """Freshly built, it agrees with the bitmap on emptiness."""
-        from repro.engine.bitmap_index import CountingGridIndex
-
-        rng = np.random.default_rng(3)
-        scores = rng.uniform(-20, 60, size=(200, 2))
-        space = _space()
-        bitmap = GridBitmapIndex.from_scores(scores, space)
-        counting = CountingGridIndex.from_scores(scores, space)
-        import itertools
-
-        for coords in itertools.product(range(11), repeat=2):
-            assert bitmap.is_empty(coords) == counting.is_empty(coords)
-
-    def test_explorer_accepts_counting_index(self):
-        """Drop-in replacement for the bitmap in the Explore phase."""
-        from repro.core.expand import LpBestFirstTraversal
-        from repro.core.explore import Explorer
-        from repro.engine.bitmap_index import CountingGridIndex
-        from repro.engine.catalog import Database
-        from repro.engine.memory_backend import MemoryBackend
-
-        rng = np.random.default_rng(4)
-        database = Database()
-        database.create_table(
-            "t",
-            {"c0": rng.uniform(0, 120, 200), "c1": rng.uniform(0, 120, 200)},
-        )
-        query = make_query(2)
-        layer = MemoryBackend(database)
-        prepared = layer.prepare(query, [200.0, 200.0])
-        space = RefinedSpace(query, 30.0, [140.0, 140.0])
-        index = CountingGridIndex.from_scores(
-            prepared.candidate.scores, space
-        )
-        plain = Explorer(layer, prepared, space,
-                         query.constraint.spec.aggregate)
-        indexed = Explorer(
-            layer, prepared, space, query.constraint.spec.aggregate,
-            bitmap_index=index,
-        )
-        for coords in LpBestFirstTraversal(space):
-            assert indexed.compute_aggregate(
-                coords
-            ) == plain.compute_aggregate(coords)

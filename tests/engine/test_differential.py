@@ -13,9 +13,12 @@ of them over hypothesis-generated grids and asserts:
 * grid pass == per-cell, *exactly*, per backend (bit-identical states,
   not approximately equal), on every kind of dimension a pass buckets
   (UPPER, LOWER and POINT selects, band joins, ontology dimensions)
-  and on SQLite with NULL attributes and misread threshold literals;
+  and on SQLite with NULL attributes and a threshold whose literal
+  SQLite misreads;
 * the exact backends (memory in every mode, sqlite) agree with each
-  other within 1e-9;
+  other within 1e-9, cell for cell, because both admit a tuple by its
+  key against the refined predicate's bound: a key on a level's bound
+  lies in that level's cell on both;
 * SQLite's box reader answers every probe inside its outer box as
   ``execute_box`` does, at the cost of one box query (bit for bit for
   COUNT, MIN and MAX; within 1e-9 for SUM and AVG); memory's is the
@@ -41,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import AggregateSpec, get_aggregate
@@ -185,7 +188,8 @@ def _kind_query(kind: str, aggregate: str) -> Query:
 def _misparsed_threshold_case() -> tuple[Database, Query, RefinedSpace]:
     """Rows at and one ulp either side of ``-479377.9545921924``, the
     level-0 threshold of a one-dimension COUNT query; SQLite 3.40.1
-    reads that literal one ulp low."""
+    reads that literal one ulp low, but compares a bound parameter of
+    that value exactly."""
     x0 = -479377.9545921924
     database = Database()
     database.create_table(
@@ -525,6 +529,12 @@ class TestCrossBackendAgreement:
         bound_y=st.floats(min_value=5.0, max_value=60.0),
         gamma=st.floats(min_value=10.0, max_value=40.0),
     )
+    # Keys on the grid lines of ``y <= 39.99999999999999``: their
+    # PScores round past the lines, their keys meet the bounds exactly.
+    @example(
+        seed=1, n=120, aggregate="COUNT", bound_x=30.0,
+        bound_y=39.99999999999999, gamma=10.0,
+    )
     def test_random_grids(self, seed, n, aggregate, bound_x, bound_y, gamma):
         """Property: over random data, grids and aggregates, the grid
         passes of both exact backends and the serial path all produce
@@ -546,6 +556,96 @@ class TestCrossBackendAgreement:
         assert tile_m == {c: grid_m[c] for c in tile_m}
         _assert_close(grid_m, grid_q)
         _assert_close(tile_m, tile_q)
+
+    def test_misparsed_threshold(self):
+        """A key equal to a threshold whose literal SQLite misreads lies
+        in the same cell on both backends: cells 0 and 1 hold 2 and 1
+        rows, per cell query and per grid pass."""
+        database, query, space = _misparsed_threshold_case()
+        states = []
+        for layer in (MemoryBackend(database), SQLiteBackend(database)):
+            prepared = layer.prepare(query, [10.0])
+            grid = layer.execute_grid(prepared, space)
+            cells = [
+                _state(layer.execute_cell(prepared, space, (c,)))
+                for c in range(space.max_coords[0] + 1)
+            ]
+            assert [_state(state) for state in grid] == cells
+            states.append(cells)
+        assert states[0] == states[1]
+        assert states[0][:2] == [(2.0,), (1.0,)]
+
+    def test_band_join_pair_on_its_band(self):
+        """``|a.x - b.y|`` is exactly the NOREFINE band 5.5, though
+        ``b.y`` lies one ulp above ``a.x + 5.5`` as doubles round it:
+        memory's band join keeps the pair, as SQLite's
+        ``ABS(a.x - b.y) <= 5.5`` does."""
+        x, y = -9.212765330006732, -3.712765330006732
+        assert abs(y - x) == 5.5 and y > x + 5.5
+        database = Database()
+        database.create_table("a", {"x": np.array([x]), "v": np.array([1.0])})
+        database.create_table("b", {"y": np.array([y])})
+        query = Query.build(
+            "q",
+            ("a", "b"),
+            [
+                SelectPredicate(
+                    name="v",
+                    expr=col("a.v"),
+                    interval=Interval(0.0, 1.0),
+                    direction=Direction.UPPER,
+                ),
+                JoinPredicate(
+                    name="j", left=col("a.x"), right=col("b.y"),
+                    tolerance=5.5, refinable=False,
+                ),
+            ],
+            AggregateConstraint(
+                AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 1.0
+            ),
+        )
+        for layer in (MemoryBackend(database), SQLiteBackend(database)):
+            prepared = layer.prepare(query, [10.0])
+            assert layer.execute_box(prepared, (0.0,)) == (1.0,)
+
+    def test_integer_key_on_a_level_bound(self):
+        """``age <= 40`` over [18, 40] (denominator 22) at step 25: level
+        4 admits ``age <= 62``, so the key 62, whose PScore rounds to
+        100.00000000000001, lies in cell 4 on every read of both
+        backends and in memory's bitmap index; 63 lies in cell 5."""
+        database = Database()
+        database.create_table("t", {"age": np.array([20, 62, 63])})
+        query = Query.build(
+            "q",
+            ("t",),
+            [
+                SelectPredicate(
+                    name="age",
+                    expr=col("t.age"),
+                    interval=Interval(18.0, 40.0),
+                    direction=Direction.UPPER,
+                )
+            ],
+            AggregateConstraint(
+                AggregateSpec(get_aggregate("COUNT")), ConstraintOp.EQ, 2.0
+            ),
+        )
+        space = RefinedSpace(query, 25.0, [150.0])
+        assert space.step == 25.0 and space.max_coords == (6,)
+        expected = [(1.0,), (0.0,), (0.0,), (0.0,), (1.0,), (1.0,), (0.0,)]
+        for layer in (MemoryBackend(database), SQLiteBackend(database)):
+            prepared = layer.prepare(query, [200.0])
+            cells = [
+                _state(layer.execute_cell(prepared, space, (c,)))
+                for c in range(7)
+            ]
+            grid = layer.execute_grid(prepared, space)
+            assert cells == [_state(state) for state in grid] == expected
+            assert layer.execute_box(prepared, (100.0,)) == (2.0,)
+            if isinstance(layer, MemoryBackend):
+                bitmap = layer.build_bitmap_index(prepared, space)
+                assert not bitmap.is_empty((4,))
+                assert bitmap.is_empty((3,)) and not bitmap.is_empty((5,))
 
 
 # ----------------------------------------------------------------------
@@ -655,7 +755,8 @@ class TestShellReads:
 
     def test_sqlite_misparsed_threshold(self):
         """The data of ``TestBatchContract::test_sqlite_misparsed_threshold``:
-        a key equal to a threshold SQLite misreads by one ulp."""
+        a key equal to a threshold whose literal SQLite misreads by one
+        ulp."""
         database, query, space = _misparsed_threshold_case()
         _check_shells_match_grid(
             SQLiteBackend(database), database, query, space, caps=(10.0,)
@@ -787,9 +888,9 @@ class TestBoxReader:
 
     def test_misparsed_threshold(self):
         """The data of ``TestBatchContract::test_sqlite_misparsed_threshold``:
-        the probe at score 0 compares keys with a threshold SQLite
-        reads one ulp low, and the reader compares with what SQLite
-        reads."""
+        the probe at score 0 compares keys with a threshold whose
+        literal SQLite reads one ulp low; the reader and the bound
+        parameter of ``execute_box`` both admit the key equal to it."""
         database, query, _ = _misparsed_threshold_case()
         _check_reader(
             database, query, (1.0,),
@@ -913,13 +1014,15 @@ class TestBatchContract:
         ``-479377.9545921924`` as ``-479377.95459219243``, one ulp below
         the double whose ``repr`` it is, so a stored value equal to
         that double fails ``x <= -479377.9545921924``. Level 0's
-        threshold here is that double: the pass must bucket against
-        the threshold as SQLite reads it, as the per-cell query
-        compares (cells 0 and 1 hold 1 and 2 rows on such a SQLite)."""
+        threshold here is that double. Bound as a parameter it is
+        compared exactly, so on any SQLite the pass and the per-cell
+        queries admit the key equal to it at level 0: cells 0 and 1
+        hold 2 and 1 rows."""
         database, query, space = _misparsed_threshold_case()
-        _check_passes_match_cells(
+        grid, _ = _check_passes_match_cells(
             SQLiteBackend, database, query, space, caps=(10.0,)
         )
+        assert (grid[(0,)], grid[(1,)]) == ((2.0,), (1.0,))
 
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     def test_sqlite_null_attributes(self, aggregate):
