@@ -94,18 +94,24 @@ def test_bitmap_index_skips_empty_cells(benchmark):
     )
     query = count_query("data", {"x": 15.0, "y": 15.0}, target=9000)
 
+    # Only the per-cell engine of an incremental plan consults the
+    # index; the default plan reads shells and builds none.
     def with_index():
         layer = MemoryBackend(database)
         return Acquire(layer).run(
             query,
-            AcquireConfig(gamma=10.0, delta=0.05, use_bitmap_index=True),
+            AcquireConfig(
+                gamma=10.0, delta=0.05, use_bitmap_index=True,
+                explore_mode="incremental",
+            ),
         )
 
     result = benchmark.pedantic(
         with_index, rounds=1, iterations=1, warmup_rounds=0
     )
     plain = Acquire(MemoryBackend(database)).run(
-        query, AcquireConfig(gamma=10.0, delta=0.05)
+        query,
+        AcquireConfig(gamma=10.0, delta=0.05, explore_mode="incremental"),
     )
     assert result.stats.cells_skipped > 0
     assert result.stats.cells_executed < plain.stats.cells_executed
@@ -138,70 +144,3 @@ def test_backend_choice(benchmark, ablation_db, make_layer):
                                 warmup_rounds=0)
     assert result.satisfied
     assert result.best.aggregate_value == pytest.approx(2500, rel=0.05)
-
-
-def test_indexed_vs_scan_cell_execution(benchmark, ablation_db):
-    """Index-scan cost model: cells through the dim-0 sorted index
-    touch a fraction of the rows a full scan does, with identical
-    states on every grid cell."""
-    query = count_query("data", {"x": 25.0, "y": 25.0}, target=2500)
-    plain = MemoryBackend(ablation_db)
-    indexed = MemoryBackend(ablation_db, indexed=True)
-    prepared_p = plain.prepare(query, [400.0, 400.0])
-    prepared_i = indexed.prepare(query, [400.0, 400.0])
-    space = RefinedSpace(query, 10.0, [75.0, 75.0])
-    coords_list = list(LpBestFirstTraversal(space))
-
-    def run_indexed():
-        return [
-            indexed.execute_cell(prepared_i, space, coords)
-            for coords in coords_list
-        ]
-
-    states = benchmark.pedantic(run_indexed, rounds=1, iterations=1,
-                                warmup_rounds=0)
-    before = plain.stats.rows_scanned
-    expected = [
-        plain.execute_cell(prepared_p, space, coords)
-        for coords in coords_list
-    ]
-    scan_rows = plain.stats.rows_scanned - before
-    assert states == expected
-    assert indexed.stats.rows_scanned < scan_rows / 3
-    print(
-        f"\n[ablation] cell rows touched: indexed "
-        f"{indexed.stats.rows_scanned} vs scan {scan_rows} "
-        f"({len(coords_list)} cells)"
-    )
-
-
-def test_paged_store_overhead(benchmark, ablation_db):
-    """Disk-paged sub-aggregate store (paper 5.1.1's 'paged to disk'):
-    identical results, bounded memory, modest overhead."""
-    from repro.core.expand import LpBestFirstTraversal
-    from repro.core.explore import Explorer
-    from repro.core.refined_space import RefinedSpace
-    from repro.core.store import PagedSubAggregateStore
-
-    query = count_query("data", {"x": 25.0, "y": 25.0}, target=2500)
-    layer = MemoryBackend(ablation_db)
-    prepared = layer.prepare(query, [400.0, 400.0])
-    space = RefinedSpace(query, 10.0, [75.0, 75.0])
-    coords_list = list(LpBestFirstTraversal(space))
-    aggregate = query.constraint.spec.aggregate
-
-    def paged():
-        with PagedSubAggregateStore(cache_size=64) as store:
-            explorer = Explorer(layer, prepared, space, aggregate,
-                                store=store)
-            values = [explorer.compute_aggregate(c) for c in coords_list]
-            return values, store.evictions
-
-    values, evictions = benchmark.pedantic(
-        paged, rounds=1, iterations=1, warmup_rounds=0
-    )
-    in_memory = Explorer(layer, prepared, space, aggregate)
-    expected = [in_memory.compute_aggregate(c) for c in coords_list]
-    assert values == pytest.approx(expected)
-    assert evictions > 0
-    print(f"\n[ablation] paged store evictions: {evictions}")

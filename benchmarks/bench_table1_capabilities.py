@@ -2,8 +2,9 @@
 
 The paper's Table 1 contrasts the techniques on supported aggregates,
 proximity criteria, cardinality constraints and refined-query output.
-Here each implementation is *asked* to process each aggregate and the
-matrix is assembled from what actually runs.
+Here each implementation is *asked* to process each aggregate, its
+COUNT run's PScores are executed as one box query (query output), and
+the matrix is assembled from what actually runs.
 """
 
 from benchmarks.conftest import run_once

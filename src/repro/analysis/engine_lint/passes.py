@@ -754,7 +754,7 @@ def exception_policy_pass(module: LintModule, ctx: ProjectContext) -> List[Engin
                     module,
                     node,
                     scope,
-                    hint="go through the evaluation-layer API or repro.engine.sqlite_util",
+                    hint="go through the evaluation-layer API",
                 )
             )
 

@@ -20,8 +20,6 @@ from repro.baselines.base import BaselineTechnique, MethodRun
 from repro.baselines.topk import TopK
 from repro.baselines.binsearch import BinSearch
 from repro.baselines.tqgen import TQGen
-from repro.baselines.hillclimb import HillClimbing
-from repro.baselines.skyline import Skyline
 
 __all__ = [
     "BaselineTechnique",
@@ -29,6 +27,4 @@ __all__ = [
     "TopK",
     "BinSearch",
     "TQGen",
-    "HillClimbing",
-    "Skyline",
 ]

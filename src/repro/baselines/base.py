@@ -116,15 +116,3 @@ class BaselineTechnique:
     # ------------------------------------------------------------------
     def _qscore(self, query: Query, pscores: Sequence[float]) -> float:
         return self.norm.qscore(list(pscores), query.weights)
-
-    def _blank_run(self) -> MethodRun:
-        return MethodRun(
-            method=self.name,
-            aggregate_value=float("nan"),
-            error=float("inf"),
-            qscore=float("inf"),
-            pscores=(),
-            elapsed_s=0.0,
-            execution=ExecutionStats(),
-            satisfied=False,
-        )

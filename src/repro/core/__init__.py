@@ -37,7 +37,6 @@ from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
 from repro.core.expand import LInfLayerTraversal, LpBestFirstTraversal, make_traversal
 from repro.core.explore import Explorer, SubAggregateStore
-from repro.core.store import PagedSubAggregateStore
 from repro.core.acquire import Acquire, AcquireConfig
 from repro.core.result import AcquireResult, RefinedQuery
 from repro.core.ontology import OntologyTree
@@ -76,7 +75,6 @@ __all__ = [
     "make_traversal",
     "Explorer",
     "SubAggregateStore",
-    "PagedSubAggregateStore",
     "Acquire",
     "AcquireConfig",
     "AcquireResult",

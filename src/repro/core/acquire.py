@@ -51,14 +51,7 @@ from repro.core.plan import MODES, choose_explore_mode
 from repro.core.query import ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
 from repro.core.result import AcquireResult, RefinedQuery, SearchStats
-from repro.core.scoring import (
-    ConstraintDistance,
-    LInfNorm,
-    LpNorm,
-    MaxConstraintDistance,
-    Norm,
-    combine_array,
-)
+from repro.core.scoring import LInfNorm, LpNorm, MaxConstraintDistance, Norm
 from repro.engine.backends import (
     EvaluationLayer,
     ExecutionStats,
@@ -91,8 +84,10 @@ class AcquireConfig:
         error_fn: custom aggregate error function; defaults to the
             constraint-appropriate function from
             :func:`repro.core.error.default_error_for`.
-        use_bitmap_index: consult the section 7.4 bitmap index (only
-            effective on backends that can build one).
+        use_bitmap_index: consult the section 7.4 bitmap index in the
+            per-cell engine of an ``explore_mode='incremental'`` search
+            (only effective on backends that can build one); the other
+            plans ignore it.
         explore_mode: Explore engine selection — ``incremental`` (one
             cell round trip per visited grid query), ``materialized``
             (compute the whole cell grid in one backend pass, then
@@ -122,12 +117,6 @@ class AcquireConfig:
             answers' layers are complete, so ``result.top(k)`` is a
             certified ranking of alternative refinements (the first
             element is always identical to the ``top_k=1`` answer).
-        constraint_distance: combiner for per-constraint errors of a
-            multi-constraint ACQ (``CONSTRAINT c1 AND c2``); defaults
-            to :class:`~repro.core.scoring.MaxConstraintDistance`,
-            whose conjunction semantics make ``error <= delta`` mean
-            "every constraint within delta". Identity for
-            single-constraint queries either way.
     """
 
     gamma: float = 10.0
@@ -143,7 +132,6 @@ class AcquireConfig:
     materialize_cell_cap: int = 2_000_000
     grid_cache: Optional[GridTensorCache] = None
     top_k: int = 1
-    constraint_distance: Optional[ConstraintDistance] = None
 
     def __post_init__(self) -> None:
         if self.top_k < 1:
@@ -280,11 +268,13 @@ class Acquire:
             from repro.core import contraction
 
             result = contraction.contract_query(self.layer, query, config)
-            # Report the outer scope: it credited the overshoot
-            # probe above *and* (scopes nest) every backend event
-            # of the contraction search, so per-request stats stay
-            # an exact partition of the layer's work.
+            # Report the outer scope and clock: the scope credited the
+            # overshoot probe above *and* (scopes nest) every backend
+            # event of the contraction search, so per-request stats
+            # stay an exact partition of the layer's work, and the
+            # clock times the same work.
             result.stats.execution = layer_scope.snapshot()
+            result.stats.elapsed_s = time.perf_counter() - started
             return result
         # Each extra constraint gets its own prepared handle and engine
         # over the same space and plan, so every engine reads the
@@ -538,7 +528,6 @@ class _Judge:
         monotone = constraint.spec.aggregate.monotone_expanding
         self.target = constraint.target
         self.error_fn = config.error_fn or default_error_for(constraint.op)
-        self.distance = config.constraint_distance or MaxConstraintDistance()
         self.extras = [
             (extra.target, default_error_for(extra.op))
             for extra in space.query.extra_constraints
@@ -676,8 +665,7 @@ class _Judge:
                 engine.compute_aggregates(coords)
                 for engine in self.explorers[1:]
             ]
-            errors = combine_array(
-                self.distance,
+            errors = MaxConstraintDistance().combine_array(
                 [errors] + [
                     error_array(error_fn, extra_target, extra)
                     for (extra_target, error_fn), extra

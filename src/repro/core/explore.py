@@ -96,8 +96,6 @@ class Explorer:
         self.space = space
         self.aggregate = aggregate
         self.bitmap_index = bitmap_index
-        # Any object with the SubAggregateStore interface works — e.g.
-        # repro.core.store.PagedSubAggregateStore for disk paging.
         self.store = store if store is not None else SubAggregateStore()
         self.cells_executed = 0
         self.cells_skipped = 0

@@ -22,9 +22,8 @@ class RefinedQuery:
         qscore: query refinement score under the configured norm.
         aggregate_value: the actual aggregate ``Aactual`` of this query.
         error: aggregate error ``Err_A`` against the constraint target —
-            for multi-constraint ACQs the *combined* distance over all
-            constraints (see
-            :class:`~repro.core.scoring.ConstraintDistance`).
+            for multi-constraint ACQs the worst error over all
+            constraints (:class:`~repro.core.scoring.MaxConstraintDistance`).
         coords: originating grid coordinates (``None`` for off-grid
             queries produced by repartitioning).
         intervals: refined value interval per refinable predicate.

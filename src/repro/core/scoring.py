@@ -86,26 +86,13 @@ class LInfNorm:
         return isinstance(other, LInfNorm)
 
 
-class ConstraintDistance(Protocol):
-    """Combine per-constraint aggregate errors into one distance.
-
-    Multi-constraint ACQs (``CONSTRAINT c1 AND c2 ...``) evaluate every
-    constraint at each candidate refinement; the combined distance is
-    what the driver compares against ``delta`` and what breaks ties in
-    the answer ordering.
-    """
-
-    def combine(self, errors: Sequence[float]) -> float:
-        ...
-
-
 class MaxConstraintDistance:
     """Chebyshev combine: the worst per-constraint error.
 
     ``combine(errors) <= delta`` iff *every* constraint's error is
     within delta — the conjunction semantics of a multi-constraint ACQ
-    — which is why this is the default. For a single constraint it is
-    the identity.
+    (``CONSTRAINT c1 AND c2 ...``), which the search and the oracle
+    both apply. For a single constraint it is the identity.
     """
 
     def combine(self, errors: Sequence[float]) -> float:
@@ -114,57 +101,15 @@ class MaxConstraintDistance:
         return float(max(errors))
 
     def combine_array(self, errors: Sequence[np.ndarray]) -> np.ndarray:
+        """``combine`` of each point's per-constraint errors, given one
+        float64 array per constraint, primary first: each entry is the
+        float ``combine`` returns."""
         # ``max`` keeps the first of equal items and takes an item only
         # if it compares greater, so a NaN is kept only in front.
         result = errors[0]
         for column in errors[1:]:
             result = np.where(column > result, column, result)
         return result
-
-    def __repr__(self) -> str:
-        return "MaxConstraintDistance()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MaxConstraintDistance)
-
-
-class SumConstraintDistance:
-    """Additive combine: total violation mass across constraints.
-
-    Unlike :class:`MaxConstraintDistance` this can exceed ``delta``
-    even when each individual error is within it, so it expresses a
-    stricter joint tolerance. Identity for a single constraint.
-    """
-
-    def combine(self, errors: Sequence[float]) -> float:
-        return float(sum(errors))
-
-    def __repr__(self) -> str:
-        return "SumConstraintDistance()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SumConstraintDistance)
-
-
-def combine_array(
-    distance: ConstraintDistance, errors: Sequence[np.ndarray]
-) -> np.ndarray:
-    """``distance.combine`` of each point's per-constraint errors.
-
-    ``errors`` holds one float64 array per constraint, primary first.
-    The default :class:`MaxConstraintDistance` combines them in numpy
-    with the comparisons of its ``combine``, so each entry is the float
-    it returns; any other distance is called point by point with the
-    list of that point's errors.
-    """
-    if type(distance) is MaxConstraintDistance:
-        return distance.combine_array(errors)
-    rows = zip(*(column.tolist() for column in errors))
-    return np.fromiter(
-        (distance.combine(list(row)) for row in rows),
-        dtype=np.float64,
-        count=len(errors[0]),
-    )
 
 
 def pscore_interval(

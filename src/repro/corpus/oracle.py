@@ -117,7 +117,7 @@ def certify(
     error_fns = [config.error_fn or default_error_for(constraint.op)] + [
         default_error_for(extra.op) for extra in query.extra_constraints
     ]
-    distance = config.constraint_distance or MaxConstraintDistance()
+    distance = MaxConstraintDistance()
 
     dim_caps = [
         predicate.limit if predicate.limit is not None

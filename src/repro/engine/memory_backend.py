@@ -60,35 +60,20 @@ class _MemoryPrepared:
     # ``(step, extent, levels)``: each candidate row's level per
     # dimension in the last space read (:meth:`MemoryBackend._levels`).
     levels: Optional[tuple] = None
-    # Indexed mode's ``(levels, order, lead)``: the rows of those levels
-    # ordered by their dimension-0 level, and that level in order.
-    index: Optional[tuple] = None
     # ``(dim, score) -> mask``: the rows a dimension's refined predicate
     # admits at a score, kept for the handle's later box reads.
     admits: dict = field(default_factory=dict)
 
 
 class MemoryBackend(EvaluationLayer):
-    """Evaluation layer over the in-memory columnar engine.
-
-    ``indexed=True`` gives cell queries an index-scan cost model: a
-    sorted index over the first dimension's levels narrows each cell
-    query to the tuples of that dimension's level before the remaining
-    dimensions are filtered — cost proportional to the slice, like a
-    DBMS using a single-column B-tree, instead of a full scan. Results
-    are bit-identical to the plain path.
-    """
+    """Evaluation layer over the in-memory columnar engine."""
 
     def __init__(
-        self,
-        database: Database,
-        max_rows: int = DEFAULT_MAX_ROWS,
-        indexed: bool = False,
+        self, database: Database, max_rows: int = DEFAULT_MAX_ROWS
     ) -> None:
         super().__init__()
         self.database = database
         self.max_rows = max_rows
-        self.indexed = indexed
 
     # ------------------------------------------------------------------
     def prepare(
@@ -157,8 +142,6 @@ class MemoryBackend(EvaluationLayer):
     ) -> AggState:
         aggregate = prepared.query.constraint.spec.aggregate
         candidate = prepared.candidate
-        if self.indexed:
-            return self._execute_cell_indexed(prepared, space, coords)
         with self._timed():
             levels = self._levels(prepared, space)
             mask = np.all(levels == np.asarray(coords), axis=1)
@@ -203,30 +186,6 @@ class MemoryBackend(EvaluationLayer):
             cells=None if mask is None else int(np.count_nonzero(mask)),
         )
         return tensor
-
-    def _execute_cell_indexed(
-        self,
-        prepared: _MemoryPrepared,
-        space: RefinedSpace,
-        coords: Sequence[int],
-    ) -> AggState:
-        """Cell execution through the dimension-0 level index."""
-        candidate = prepared.candidate
-        aggregate = prepared.query.constraint.spec.aggregate
-        with self._timed():
-            levels = self._levels(prepared, space)
-            if prepared.index is None or prepared.index[0] is not levels:
-                order = np.argsort(levels[:, 0], kind="stable")
-                prepared.index = (levels, order, levels[order, 0])
-            _, order, lead = prepared.index
-            start, stop = np.searchsorted(lead, [coords[0], coords[0] + 1])
-            slice_rows = order[start:stop]
-            mask = np.all(
-                levels[slice_rows, 1:] == np.asarray(coords[1:]), axis=1
-            )
-            state = aggregate.lift(candidate.agg_values[slice_rows[mask]])
-        self._count_query("cell", rows=len(slice_rows))
-        return state
 
     def execute_box(
         self, prepared: _MemoryPrepared, scores: Sequence[float]

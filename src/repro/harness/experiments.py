@@ -19,19 +19,24 @@ import math
 import os
 from typing import Optional, Sequence
 
+from repro.baselines import MethodRun
 from repro.core.acquire import AcquireConfig
 from repro.core.grid_cache import GridTensorCache
-from repro.core.query import ConstraintOp
+from repro.core.query import ConstraintOp, Query
 from repro.datagen.tpch import TPCHConfig, generate_tpch
 from repro.engine.backends import EvaluationLayer
 from repro.engine.catalog import Database
 from repro.exceptions import QueryModelError
 from repro.harness.metrics import ExperimentResult, Row
-from repro.harness.runner import make_backend, preflight_query, run_method
+from repro.harness.runner import (
+    METHOD_NAMES,
+    make_backend,
+    preflight_query,
+    run_method,
+)
 from repro.workloads.generator import build_ratio_workload
 from repro.workloads.templates import Q2_JOINS, Q2_TABLES, q2_flex_specs
 
-ALL_METHODS = ("ACQUIRE", "Top-k", "TQGen", "BinSearch")
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 #: Per-dimension base selectivity of flexible predicates. Low base
@@ -124,7 +129,7 @@ def _warm(layer: EvaluationLayer, workloads) -> None:
 def fig8_aggregate_ratio(
     scale_rows: int = 30_000,
     ratios: Sequence[float] = RATIOS,
-    methods: Sequence[str] = ALL_METHODS,
+    methods: Sequence[str] = METHOD_NAMES,
     backend: str = "sqlite",
     gamma: float = 10.0,
     delta: float = 0.05,
@@ -185,7 +190,7 @@ def fig9_dimensionality(
     scale_rows: int = 6_000,
     dims: Sequence[int] = (1, 2, 3, 4, 5),
     ratio: float = 0.3,
-    methods: Sequence[str] = ALL_METHODS,
+    methods: Sequence[str] = METHOD_NAMES,
     backend: str = "sqlite",
     gamma: float = 10.0,
     delta: float = 0.05,
@@ -252,7 +257,7 @@ def fig9_dimensionality(
 def fig10a_table_size(
     sizes: Sequence[int] = (1_000, 10_000, 50_000),
     ratio: float = 0.3,
-    methods: Sequence[str] = ALL_METHODS,
+    methods: Sequence[str] = METHOD_NAMES,
     backend: str = "sqlite",
     gamma: float = 10.0,
     delta: float = 0.05,
@@ -464,7 +469,7 @@ def skew_distribution(
     scale_rows: int = 20_000,
     zipf_zs: Sequence[float] = (0.0, 1.0),
     ratio: float = 0.3,
-    methods: Sequence[str] = ALL_METHODS,
+    methods: Sequence[str] = METHOD_NAMES,
     backend: str = "sqlite",
     gamma: float = 10.0,
     delta: float = 0.05,
@@ -503,15 +508,32 @@ def skew_distribution(
 # ----------------------------------------------------------------------
 # Table 1: related-work capability matrix
 # ----------------------------------------------------------------------
+def _emits_query(
+    layer: EvaluationLayer, query: Query, run: MethodRun
+) -> bool:
+    """Whether a run's reported PScores are its refined query: one box
+    query at them aggregates to the value the run reports."""
+    if not run.pscores:
+        return False
+    prepared = layer.prepare(query, run.pscores)
+    state = layer.execute_box(prepared, run.pscores)
+    aggregate = query.constraint.spec.aggregate
+    return aggregate.finalize(state) == run.aggregate_value
+
+
 def table1_capabilities(
     scale_rows: int = 2_000, backend: str = "memory"
 ) -> ExperimentResult:
     """Table 1: probe each implementation's actual capabilities.
 
-    Aggregate support is probed empirically — each technique is asked
-    to run a workload per aggregate and either completes or refuses —
-    rather than asserted, so the matrix is a living property of the
-    code.
+    Two columns are probed rather than asserted, so the matrix is a
+    living property of the code: each technique is asked to run a
+    workload per aggregate and either completes or refuses
+    (``aggregates``), and its COUNT run's PScores are executed as one
+    box query, which must aggregate to the value the run reports
+    (``query_output``; Top-k's bounding query admits more rows than the
+    k it ranked). ``proximity`` and ``cardinality`` are the paper's
+    classification of each technique.
     """
     database = _tpch(_scaled(scale_rows))
     layer = make_backend(database, backend)
@@ -524,8 +546,9 @@ def table1_capabilities(
         ("AVG", "part.p_retailprice", ConstraintOp.EQ),
     )
     rows: list[Row] = []
-    for method in (*ALL_METHODS, "HillClimbing", "Skyline"):
+    for method in METHOD_NAMES:
         supported = []
+        query_output = False
         for agg_name, attr, op in aggregates:
             workload = build_ratio_workload(
                 database,
@@ -542,10 +565,11 @@ def table1_capabilities(
                 run = run_method(
                     method, layer, workload.query, acquire_config=config
                 )
-                supported.append(agg_name)
-                del run
             except QueryModelError:
                 continue
+            supported.append(agg_name)
+            if agg_name == "COUNT":
+                query_output = _emits_query(layer, workload.query, run)
         rows.append(
             Row(
                 x_name="capability",
@@ -560,12 +584,9 @@ def table1_capabilities(
                 satisfied=True,
                 extra={
                     "aggregates": supported,
-                    "proximity": method in ("ACQUIRE", "Top-k",
-                                            "Skyline"),
+                    "proximity": method in ("ACQUIRE", "Top-k"),
                     "cardinality": True,
-                    "query_output": method in ("ACQUIRE", "TQGen",
-                                               "BinSearch",
-                                               "HillClimbing"),
+                    "query_output": query_output,
                 },
             )
         )
@@ -588,7 +609,7 @@ def table1_capabilities(
 def shape_robustness(
     scale_rows: int = 10_000,
     ratio: float = 0.3,
-    methods: Sequence[str] = ALL_METHODS,
+    methods: Sequence[str] = METHOD_NAMES,
     backend: str = "sqlite",
     gamma: float = 10.0,
     delta: float = 0.05,

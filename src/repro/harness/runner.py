@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.baselines import (
-    BinSearch,
-    HillClimbing,
-    MethodRun,
-    Skyline,
-    TopK,
-    TQGen,
-)
+from repro.baselines import BinSearch, MethodRun, TopK, TQGen
 import logging
 
 from repro.baselines.base import BaselineTechnique
@@ -135,10 +128,6 @@ def baseline_for(
         return TQGen(**common)  # type: ignore[arg-type]
     if name == "BinSearch":
         return BinSearch(**common)  # type: ignore[arg-type]
-    if name == "HillClimbing":
-        return HillClimbing(**common)  # type: ignore[arg-type]
-    if name == "Skyline":
-        return Skyline(**common)  # type: ignore[arg-type]
     raise ReproError(f"unknown baseline {name!r}")
 
 

@@ -1,5 +1,7 @@
 """Tests for the contraction extension (paper section 7.2)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,29 @@ class TestContractQuery:
         assert result.original_value > 400
         assert result.satisfied
         assert result.best.aggregate_value == pytest.approx(400, rel=0.06)
+
+    def test_eq_overshoot_times_the_expansion_too(self):
+        """The delegated search's ``elapsed_s`` covers the expansion
+        that found the overshoot, as its ``execution`` counts the
+        expansion's work: two slow prepares, one per direction."""
+
+        class SlowPrepare(MemoryBackend):
+            def prepare(self, query, dim_caps=None):
+                time.sleep(0.02)
+                return super().prepare(query, dim_caps)
+
+        rng = np.random.default_rng(3)
+        database = Database()
+        database.create_table(
+            "data",
+            {"x": rng.uniform(0, 100, 1000), "y": rng.uniform(0, 100, 1000)},
+        )
+        query = count_query("data", {"x": 80.0, "y": 80.0}, target=300)
+        result = Acquire(SlowPrepare(database)).run(
+            query, AcquireConfig(gamma=10, delta=0.05)
+        )
+        assert result.stats.plan_reason == "contraction"
+        assert result.stats.elapsed_s >= 0.04
 
     def test_minimal_shrinkage_preferred(self, wide_db):
         """Answers minimize refinement w.r.t. Q (paper 7.2)."""

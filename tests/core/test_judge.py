@@ -44,13 +44,7 @@ from repro.core.interval import Interval
 from repro.core.predicate import Direction, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
 from repro.core.refined_space import RefinedSpace
-from repro.core.scoring import (
-    LInfNorm,
-    LpNorm,
-    MaxConstraintDistance,
-    SumConstraintDistance,
-    combine_array,
-)
+from repro.core.scoring import LInfNorm, LpNorm, MaxConstraintDistance
 from repro.engine.catalog import Database
 from repro.engine.expression import col
 from repro.engine.memory_backend import MemoryBackend
@@ -104,7 +98,7 @@ def reference_search(
     aggregate = constraint.spec.aggregate
     target = constraint.target
     error_fn = config.error_fn or default_error_for(constraint.op)
-    distance = config.constraint_distance or MaxConstraintDistance()
+    distance = MaxConstraintDistance()
     extras = [
         (extra.target, default_error_for(extra.op))
         for extra in query.extra_constraints
@@ -380,13 +374,6 @@ def _custom_error(expected, actual):
     return ((expected - actual) / expected) ** 2
 
 
-class _MeanDistance:
-    """A user constraint distance: the mean of the errors."""
-
-    def combine(self, errors):
-        return sum(errors) / len(errors)
-
-
 NORMS = {"l1": LpNorm(1), "linf": LInfNorm(), "l2": LpNorm(2)}
 
 MODES = [
@@ -415,7 +402,6 @@ OPS = [ConstraintOp.EQ, ConstraintOp.GE, ConstraintOp.LE]
     fraction=st.floats(0.05, 1.4),
     extra=st.sampled_from([None, "SUM", "MAX", "AVG"]),
     extra_op=st.sampled_from(OPS),
-    distance=st.sampled_from([None, "max", "sum", "mean"]),
     custom_error=st.booleans(),
     top_k=st.integers(1, 3),
     budget=st.sampled_from([500_000, 1, 7, 40]),
@@ -426,7 +412,7 @@ OPS = [ConstraintOp.EQ, ConstraintOp.GE, ConstraintOp.LE]
 )
 def test_judge_reproduces_the_per_point_loop(
     seed, n, dims, weights, norm, primary, op, fraction, extra, extra_op,
-    distance, custom_error, top_k, budget, repartitions, delta, mode, cache,
+    custom_error, top_k, budget, repartitions, delta, mode, cache,
 ):
     """Property: on random small grids the judge answers like the
     per-point loop, in the same order, with the same closest, and does
@@ -451,12 +437,6 @@ def test_judge_reproduces_the_per_point_loop(
         max_grid_queries=budget,
         repartition_iterations=repartitions,
         error_fn=_custom_error if custom_error else None,
-        constraint_distance={
-            None: None,
-            "max": MaxConstraintDistance(),
-            "sum": SumConstraintDistance(),
-            "mean": _MeanDistance(),
-        }[distance],
         grid_cache=GridTensorCache() if cache else None,
         **MODES[mode],
     )
@@ -728,14 +708,14 @@ def test_error_array_is_the_call_bit_for_bit(error_fn, expected):
     ]
 
 
-@pytest.mark.parametrize("distance", [MaxConstraintDistance(), SumConstraintDistance()])
+@pytest.mark.parametrize("distance", [MaxConstraintDistance()])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_combine_array_is_combine_bit_for_bit(distance, k):
     rng = np.random.default_rng(k)
     pool = np.array([0.1, 0.2, 0.3, 1e16, 1.0, 0.0, -0.0, math.inf, math.nan])
     columns = [rng.choice(pool, 400) for _ in range(k)]
     columns.append(rng.uniform(0, 1, 400))
-    combined = combine_array(distance, columns)
+    combined = distance.combine_array(columns)
     expected = [
         distance.combine(list(row))
         for row in zip(*(column.tolist() for column in columns))

@@ -16,7 +16,7 @@ from repro.core.grid_cache import GridTensorCache
 from repro.core.interval import Interval
 from repro.core.predicate import Direction, SelectPredicate
 from repro.core.query import AggregateConstraint, ConstraintOp, Query
-from repro.core.scoring import MaxConstraintDistance, SumConstraintDistance
+from repro.core.scoring import MaxConstraintDistance
 from repro.engine.catalog import Database
 from repro.engine.expression import col
 from repro.engine.memory_backend import MemoryBackend
@@ -79,10 +79,6 @@ class TestDistanceCombiners:
         assert distance.combine([0.0, 0.2, 0.1]) == 0.2
         assert distance.combine([]) == 0.0
 
-    def test_sum_distance_accumulates(self):
-        distance = SumConstraintDistance()
-        assert distance.combine([0.1, 0.2]) == pytest.approx(0.3)
-
 
 class TestAcquireConjunction:
     def test_answers_satisfy_every_constraint(self, small_db):
@@ -117,16 +113,6 @@ class TestAcquireConjunction:
         harder = _run(small_db, _with_extra(base, demanding))
         assert plain.satisfied and harder.satisfied
         assert harder.qscore >= plain.qscore
-
-    def test_single_constraint_distance_is_identity(self, small_db):
-        base = count_query("data", {"x": 40.0}, 250.0, ConstraintOp.GE)
-        default = _run(small_db, base)
-        summed = _run(
-            small_db, base, constraint_distance=SumConstraintDistance()
-        )
-        assert [a.pscores for a in default.answers] == [
-            a.pscores for a in summed.answers
-        ]
 
     def test_contraction_with_extra_constraint(self, small_db):
         base = count_query("data", {"x": 60.0}, 150.0, ConstraintOp.LE)

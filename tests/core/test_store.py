@@ -1,159 +1,9 @@
-"""Tests for sub-aggregate storage backends (in-memory and paged)."""
+"""Tests for the in-memory sub-aggregate store."""
 
-import numpy as np
 import pytest
 
-from repro.core.expand import LpBestFirstTraversal
-from repro.core.explore import Explorer, SubAggregateStore
-from repro.core.refined_space import RefinedSpace
-from repro.core.store import (
-    PagedSubAggregateStore,
-    _decode_states,
-    _encode_states,
-)
-from repro.engine.catalog import Database
-from repro.engine.memory_backend import MemoryBackend
+from repro.core.explore import SubAggregateStore
 from repro.exceptions import SearchError
-from tests.conftest import count_query
-
-
-class TestEncoding:
-    def test_round_trip(self):
-        states = [(1.0, 2.0), (3.5, -4.5), (0.0, 0.0)]
-        assert _decode_states(_encode_states(states)) == states
-
-    def test_single_part_states(self):
-        states = [(7.0,), (8.0,)]
-        assert _decode_states(_encode_states(states)) == states
-
-
-class TestPagedStore:
-    def test_put_get_contains_len(self):
-        with PagedSubAggregateStore(cache_size=2) as store:
-            store.put((0, 0), [(1.0,), (2.0,)])
-            store.put((0, 1), [(3.0,), (4.0,)])
-            assert (0, 0) in store
-            assert (9, 9) not in store
-            assert len(store) == 2
-            assert store.get((0, 1)) == [(3.0,), (4.0,)]
-
-    def test_eviction_and_page_in(self):
-        with PagedSubAggregateStore(cache_size=2, flush_size=4) as store:
-            for index in range(5):
-                store.put((index,), [(float(index),)])
-            assert store.evictions >= 3
-            # Oldest entries paged out of the cache but not lost.
-            assert store.get((0,)) == [(0.0,)]
-            assert store.page_ins >= 1
-            assert len(store) == 5
-
-    def test_writes_are_batched(self):
-        with PagedSubAggregateStore(cache_size=8, flush_size=4) as store:
-            for index in range(3):
-                store.put((index,), [(float(index),)])
-            assert store.flushes == 0  # still buffered
-            store.put((3,), [(3.0,)])
-            assert store.flushes == 1  # flush_size reached
-            store.flush()
-            assert store.flushes == 1  # empty buffer: no-op
-
-    def test_unflushed_entry_survives_cache_eviction(self):
-        # flush_size larger than the workload: every write stays
-        # pending, and an entry evicted from the LRU cache must be
-        # served from the pending buffer, not the (empty) database.
-        with PagedSubAggregateStore(cache_size=1, flush_size=100) as store:
-            store.put((0,), [(0.0,)])
-            store.put((1,), [(1.0,)])
-            assert store.get((0,)) == [(0.0,)]
-            assert store.page_ins == 0
-
-    def test_flush_on_close_persists_to_user_path(self, tmp_path):
-        path = str(tmp_path / "states.sqlite")
-        store = PagedSubAggregateStore(path=path, flush_size=100)
-        store.put((4, 2), [(7.0,)])
-        store.close()
-        reopened = PagedSubAggregateStore(path=path)
-        try:
-            assert (4, 2) in reopened
-            assert len(reopened) == 1
-            assert reopened.get((4, 2)) == [(7.0,)]
-        finally:
-            reopened.close()
-
-    def test_flush_size_validated(self):
-        with pytest.raises(SearchError):
-            PagedSubAggregateStore(flush_size=0)
-
-    def test_missing_raises_search_error(self):
-        with PagedSubAggregateStore() as store:
-            with pytest.raises(SearchError, match="containment order"):
-                store.get((1, 2, 3))
-
-    def test_overwrite_does_not_grow(self):
-        with PagedSubAggregateStore() as store:
-            store.put((1,), [(1.0,)])
-            store.put((1,), [(2.0,)])
-            assert len(store) == 1
-            assert store.get((1,)) == [(2.0,)]
-
-    def test_cache_size_validated(self):
-        with pytest.raises(SearchError):
-            PagedSubAggregateStore(cache_size=0)
-
-    def test_mixed_arity_states_rejected(self):
-        # The page encoding packs one (count, arity) header per entry;
-        # a mixed-arity list would flatten to the wrong number of slots
-        # and page back in as garbage. It must be rejected up front,
-        # naming the offending coordinates.
-        with PagedSubAggregateStore() as store:
-            with pytest.raises(SearchError, match=r"\(3, 7\)"):
-                store.put((3, 7), [(1.0,), (2.0, 4.0)])
-            assert (3, 7) not in store
-            # Uniform arity-2 states (e.g. AVG) still round-trip.
-            store.put((3, 7), [(1.0, 2.0), (3.0, 4.0)])
-            store.flush()
-            assert store.get((3, 7)) == [(1.0, 2.0), (3.0, 4.0)]
-
-    def test_temp_file_removed_on_close(self):
-        import os
-
-        store = PagedSubAggregateStore()
-        path = store.path
-        assert os.path.exists(path)
-        store.close()
-        assert not os.path.exists(path)
-
-
-class TestExplorerWithPagedStore:
-    def test_identical_results_to_memory_store(self):
-        rng = np.random.default_rng(8)
-        database = Database()
-        database.create_table(
-            "data",
-            {
-                "x": rng.uniform(0, 100, 1500),
-                "y": rng.uniform(0, 100, 1500),
-            },
-        )
-        query = count_query("data", {"x": 30.0, "y": 30.0}, target=500)
-        layer = MemoryBackend(database)
-        prepared = layer.prepare(query, [200.0, 200.0])
-        space = RefinedSpace(query, 20.0, [70.0, 70.0])
-        aggregate = query.constraint.spec.aggregate
-
-        in_memory = Explorer(layer, prepared, space, aggregate)
-        with PagedSubAggregateStore(cache_size=4, flush_size=8) as paged_store:
-            paged = Explorer(
-                layer, prepared, space, aggregate, store=paged_store
-            )
-            for coords in LpBestFirstTraversal(space):
-                assert paged.compute_aggregate(
-                    coords
-                ) == in_memory.compute_aggregate(coords)
-            # With a 4-entry cache over dozens of grid points, paging
-            # actually happened.
-            assert paged_store.evictions > 0
-            assert paged_store.page_ins > 0
 
 
 class TestInMemoryStore:

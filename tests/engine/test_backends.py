@@ -567,55 +567,3 @@ class TestBackendEquivalence:
             cell_m = memory.execute_cell(prepared_m, space, coords)
             cell_s = sqlite.execute_cell(prepared_s, space, coords)
             assert cell_m == pytest.approx(cell_s, rel=1e-9, abs=1e-9)
-
-
-class TestIndexedMemoryBackend:
-    def test_indexed_cells_identical_to_plain(self):
-        database = _db(20)
-        query = _query("SUM")
-        plain = MemoryBackend(database)
-        indexed = MemoryBackend(database, indexed=True)
-        prepared_p = plain.prepare(query, [100.0, 100.0])
-        prepared_i = indexed.prepare(query, [100.0, 100.0])
-        space = RefinedSpace(query, 10.0, [70.0, 70.0])
-        for coords in LpBestFirstTraversal(space):
-            assert indexed.execute_cell(
-                prepared_i, space, coords
-            ) == pytest.approx(plain.execute_cell(prepared_p, space, coords))
-
-    def test_indexed_scans_fewer_rows(self):
-        database = _db(21, n=2000)
-        query = _query()
-        plain = MemoryBackend(database)
-        indexed = MemoryBackend(database, indexed=True)
-        prepared_p = plain.prepare(query, [100.0, 100.0])
-        prepared_i = indexed.prepare(query, [100.0, 100.0])
-        space = RefinedSpace(query, 10.0, [70.0, 70.0])
-        before_p = plain.stats.rows_scanned
-        before_i = indexed.stats.rows_scanned
-        for coords in [(3, 0), (5, 5), (10, 2)]:
-            plain.execute_cell(prepared_p, space, coords)
-            indexed.execute_cell(prepared_i, space, coords)
-        scanned_plain = plain.stats.rows_scanned - before_p
-        scanned_indexed = indexed.stats.rows_scanned - before_i
-        assert scanned_indexed < scanned_plain / 3
-
-    def test_full_acquire_run_matches(self):
-        from repro.core.acquire import Acquire, AcquireConfig
-        from tests.conftest import count_query
-
-        rng = np.random.default_rng(9)
-        database = Database()
-        database.create_table(
-            "data",
-            {"x": rng.uniform(0, 100, 3000), "y": rng.uniform(0, 100, 3000)},
-        )
-        query = count_query("data", {"x": 30.0, "y": 30.0}, target=900)
-        config = AcquireConfig(gamma=10, delta=0.05)
-        plain = Acquire(MemoryBackend(database)).run(query, config)
-        indexed = Acquire(MemoryBackend(database, indexed=True)).run(
-            query, config
-        )
-        assert indexed.best.pscores == plain.best.pscores
-        assert indexed.best.aggregate_value == plain.best.aggregate_value
-        assert len(indexed.answers) == len(plain.answers)

@@ -358,17 +358,6 @@ class TestBatchedMatchesSerial:
         )
 
     @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
-    @pytest.mark.parametrize("mode", ["indexed"])
-    def test_memory_accelerator_modes(self, mode, aggregate):
-        query = _query(aggregate)
-        _check_passes_match_cells(
-            lambda database: MemoryBackend(database, **{mode: True}),
-            _database(seed=13, n=180),
-            query,
-            RefinedSpace(query, 20.0, [70.0, 70.0]),
-        )
-
-    @pytest.mark.parametrize("aggregate", ALL_AGGREGATES)
     def test_base_class_fallback(self, aggregate):
         """The base-class pass assembles its box from one cell query
         per cell: the same states, each cell counted as a round trip
